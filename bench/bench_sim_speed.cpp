@@ -40,7 +40,8 @@ namespace vixnoc {
 namespace {
 
 void RunNetwork(benchmark::State& state, TopologyKind kind,
-                AllocScheme scheme, const char* routing = nullptr) {
+                AllocScheme scheme, const char* routing = nullptr,
+                double rate = 0.08) {
   std::shared_ptr<Topology> topo = MakeTopology64(kind);
   std::unique_ptr<RoutingAlgorithm> routing_algo;
   NetworkParams params;
@@ -60,7 +61,7 @@ void RunNetwork(benchmark::State& state, TopologyKind kind,
   // Pre-load to a realistic operating point.
   for (Cycle t = 0; t < 2'000; ++t) {
     for (NodeId n = 0; n < net.NumNodes(); ++n) {
-      if (rng.NextBool(0.08)) {
+      if (rng.NextBool(rate)) {
         net.EnqueuePacket(n, static_cast<NodeId>(
                                  rng.NextBounded(net.NumNodes())), 4);
       }
@@ -70,7 +71,7 @@ void RunNetwork(benchmark::State& state, TopologyKind kind,
 
   for (auto _ : state) {
     for (NodeId n = 0; n < net.NumNodes(); ++n) {
-      if (rng.NextBool(0.08)) {
+      if (rng.NextBool(rate)) {
         net.EnqueuePacket(n, static_cast<NodeId>(
                                  rng.NextBounded(net.NumNodes())), 4);
       }
@@ -107,6 +108,12 @@ void BM_Mesh_VIX_AdaptiveMin(benchmark::State& s) {
   RunNetwork(s, TopologyKind::kMesh, AllocScheme::kVix, "adaptive_min");
 }
 
+// Below every knee most routers are idle and sleep; this arm pins the
+// cost of the event wheel, NIs and wake-ups that dominate there.
+void BM_Mesh_VIX_LowLoad(benchmark::State& s) {
+  RunNetwork(s, TopologyKind::kMesh, AllocScheme::kVix, nullptr, 0.01);
+}
+
 BENCHMARK(BM_Mesh_IF);
 BENCHMARK(BM_Mesh_VIX);
 BENCHMARK(BM_Mesh_WF);
@@ -114,6 +121,7 @@ BENCHMARK(BM_Mesh_AP);
 BENCHMARK(BM_CMesh_VIX);
 BENCHMARK(BM_FBfly_VIX);
 BENCHMARK(BM_Mesh_VIX_AdaptiveMin);
+BENCHMARK(BM_Mesh_VIX_LowLoad);
 
 // Gated arm (pass serenade=1): a saturated radix-64 single-router hot loop
 // over the SERENADE allocator — one Allocate() per state iteration is one

@@ -50,11 +50,18 @@ echo "== tier1: ThreadSanitizer sweep_test (${PREFIX}-tsan) =="
 cmake -B "${PREFIX}-tsan" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DVIXNOC_SANITIZE=thread
 cmake --build "${PREFIX}-tsan" -j --target sweep_test alloc_equiv_test \
-  routing_test serenade_test store_test server_test
+  routing_test serenade_test store_test server_test snapshot_test \
+  path_golden_test
 "${PREFIX}-tsan/tests/sweep_test"
 # alloc_equiv_test now sweeps radixes 2..70 (multi-word rows included), so
-# the large-radix word-parallel paths run under the sanitizer too.
+# the large-radix word-parallel paths run under the sanitizer too, as does
+# every scheme's idle replay (AdvanceIdle).
 "${PREFIX}-tsan/tests/alloc_equiv_test"
+# snapshot_test and path_golden_test drive sleeping routers, parked heads
+# and cached routes through checkpoints, crafted restores and the frozen
+# goldens of the non-default router paths.
+"${PREFIX}-tsan/tests/snapshot_test"
+"${PREFIX}-tsan/tests/path_golden_test"
 # routing_test drives the adaptive arm through SweepRunner at 1/2/8
 # threads and the subprocess coordinator — the candidate-selection VA
 # path must be as race-free as the deterministic one.
@@ -74,11 +81,16 @@ cmake -B "${PREFIX}-asan" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DVIXNOC_SANITIZE=address,undefined
 cmake --build "${PREFIX}-asan" -j --target fault_test robustness_test \
   sweep_test alloc_equiv_test exec_test routing_test serenade_test \
-  store_test server_test
+  store_test server_test snapshot_test path_golden_test
 "${PREFIX}-asan/tests/fault_test"
 "${PREFIX}-asan/tests/robustness_test"
 "${PREFIX}-asan/tests/sweep_test"
 "${PREFIX}-asan/tests/alloc_equiv_test"
+# snapshot_test under ASan+UBSan covers the crafted-input restores (every
+# inflated count and out-of-range index must throw, never overrun), and
+# path_golden_test the sleep/park/route-cache paths of every router mode.
+"${PREFIX}-asan/tests/snapshot_test"
+"${PREFIX}-asan/tests/path_golden_test"
 "${PREFIX}-asan/tests/routing_test"
 # serenade_test under ASan+UBSan covers the knot-decomposition DFS, the
 # snapshot save/load path, and the checkpoint/restore plumbing.

@@ -14,9 +14,10 @@
 //     indices a scalar `for (i = 0; ...)` loop would visit, in the same
 //     order — this is what keeps the bitmask kernels grant-for-grant
 //     identical to the scalar reference implementations in tests/.
-//   * `BitSpan` / `BitWords`: a non-owning view and an owning fixed-size
-//     bit vector. `BitWords` guarantees the unused tail bits of the last
-//     word are zero after every mutation, so scans never need a tail mask.
+//   * `BitSpan` / `BitWords` / `BitView`: a read-only view, an owning
+//     fixed-size bit vector, and a mutable view into a shared word block.
+//     The mutable two guarantee the unused tail bits of the last word are
+//     zero after every mutation, so scans never need a tail mask.
 //   * `RequestMatrix`: a rows x cols bit matrix with dirty-row tracking.
 //     Allocators rebuild their request state every cycle; clearing only the
 //     rows touched last cycle makes the per-cycle reset O(active requests)
@@ -136,15 +137,17 @@ inline int CountSet(const std::uint64_t* words, int nwords) {
   return count;
 }
 
-/// Invoke `f(index)` for every set bit with lo <= index < hi, ascending.
+/// Invoke `f(index)` for every bit set in `a` but not in `b` with
+/// lo <= index < hi, ascending.
 template <typename F>
-inline void ForEachSetInRange(const std::uint64_t* words, int lo, int hi,
-                              F&& f) {
+inline void ForEachSetAndNotInRange(const std::uint64_t* a,
+                                    const std::uint64_t* b, int lo, int hi,
+                                    F&& f) {
   if (lo >= hi) return;
   const int wlo = lo / kWordBits;
   const int whi = (hi - 1) / kWordBits;
   for (int w = wlo; w <= whi; ++w) {
-    std::uint64_t cur = words[w];
+    std::uint64_t cur = a[w] & ~b[w];
     if (w == wlo) cur &= ~std::uint64_t{0} << (lo % kWordBits);
     if (w == whi) {
       const int rem = hi - w * kWordBits;
@@ -206,8 +209,63 @@ class BitSpan {
   int nbits_ = 0;
 };
 
-/// Owning fixed-size bit vector. Tail bits of the last word stay zero.
-class BitWords {
+/// Mutating operations shared by BitWords (owning) and BitView (a window
+/// into a larger word block). `Derived` supplies data(), size() and
+/// word_count(); tail bits of the last word stay zero after every mutation.
+template <typename Derived>
+class BitOps {
+ public:
+  BitSpan Span() const { return BitSpan(self().data(), self().size()); }
+  operator BitSpan() const { return Span(); }
+
+  void Set(int i) {
+    VIXNOC_DCHECK(i >= 0 && i < self().size());
+    self().data()[i / bits::kWordBits] |= std::uint64_t{1}
+                                          << (i % bits::kWordBits);
+  }
+  void Clear(int i) {
+    VIXNOC_DCHECK(i >= 0 && i < self().size());
+    self().data()[i / bits::kWordBits] &=
+        ~(std::uint64_t{1} << (i % bits::kWordBits));
+  }
+  void Assign(int i, bool value) { value ? Set(i) : Clear(i); }
+  bool Test(int i) const { return Span().Test(i); }
+
+  void ClearAll() {
+    std::uint64_t* w = self().data();
+    for (int i = 0; i < self().word_count(); ++i) w[i] = 0;
+  }
+  /// Copy the bits of an equally-sized span into this vector.
+  void CopyFrom(BitSpan other) {
+    VIXNOC_DCHECK(other.size() == self().size());
+    std::uint64_t* w = self().data();
+    for (int i = 0; i < self().word_count(); ++i) w[i] = other.words()[i];
+  }
+  /// Set every bit in [0, size()); tail bits stay zero.
+  void SetAll() {
+    const int n = self().word_count();
+    if (n == 0) return;
+    std::uint64_t* w = self().data();
+    for (int i = 0; i < n; ++i) w[i] = ~std::uint64_t{0};
+    w[n - 1] = bits::TailMask(self().size());
+  }
+
+  bool Any() const { return Span().Any(); }
+  int Count() const { return Span().Count(); }
+  int First() const { return Span().First(); }
+  int FirstFrom(int start) const { return Span().FirstFrom(start); }
+  template <typename F>
+  void ForEach(F&& f) const {
+    Span().ForEach(static_cast<F&&>(f));
+  }
+
+ private:
+  Derived& self() { return static_cast<Derived&>(*this); }
+  const Derived& self() const { return static_cast<const Derived&>(*this); }
+};
+
+/// Owning fixed-size bit vector.
+class BitWords : public BitOps<BitWords> {
  public:
   BitWords() = default;
   explicit BitWords(int nbits) { Resize(nbits); }
@@ -222,50 +280,36 @@ class BitWords {
   int word_count() const { return static_cast<int>(words_.size()); }
   std::uint64_t* data() { return words_.data(); }
   const std::uint64_t* data() const { return words_.data(); }
-  BitSpan Span() const { return BitSpan(words_.data(), nbits_); }
-  operator BitSpan() const { return Span(); }
-
-  void Set(int i) {
-    VIXNOC_DCHECK(i >= 0 && i < nbits_);
-    words_[i / bits::kWordBits] |= std::uint64_t{1} << (i % bits::kWordBits);
-  }
-  void Clear(int i) {
-    VIXNOC_DCHECK(i >= 0 && i < nbits_);
-    words_[i / bits::kWordBits] &=
-        ~(std::uint64_t{1} << (i % bits::kWordBits));
-  }
-  void Assign(int i, bool value) { value ? Set(i) : Clear(i); }
-  bool Test(int i) const { return Span().Test(i); }
-
-  void ClearAll() {
-    for (std::uint64_t& w : words_) w = 0;
-  }
-  /// Copy the bits of an equally-sized span into this vector.
-  void CopyFrom(BitSpan other) {
-    VIXNOC_DCHECK(other.size() == nbits_);
-    for (std::size_t w = 0; w < words_.size(); ++w) {
-      words_[w] = other.words()[w];
-    }
-  }
-  /// Set every bit in [0, size()); tail bits stay zero.
-  void SetAll() {
-    if (words_.empty()) return;
-    for (std::uint64_t& w : words_) w = ~std::uint64_t{0};
-    words_.back() = bits::TailMask(nbits_);
-  }
-
-  bool Any() const { return Span().Any(); }
-  int Count() const { return Span().Count(); }
-  int First() const { return Span().First(); }
-  int FirstFrom(int start) const { return Span().FirstFrom(start); }
-  template <typename F>
-  void ForEach(F&& f) const {
-    Span().ForEach(static_cast<F&&>(f));
-  }
 
  private:
   int nbits_ = 0;
   std::vector<std::uint64_t> words_;
+};
+
+/// Non-owning fixed-size bit vector over words owned elsewhere, so several
+/// bit sets can share one allocation (see BitView::Carve).
+class BitView : public BitOps<BitView> {
+ public:
+  BitView() = default;
+  BitView(std::uint64_t* words, int nbits) : words_(words), nbits_(nbits) {}
+
+  /// Takes the next `nbits` bits' worth of words from `*cursor`, advancing
+  /// it past them: views carved in turn from one zeroed block of
+  /// sum(WordCount(nbits)) words never overlap.
+  static BitView Carve(std::uint64_t** cursor, int nbits) {
+    BitView v(*cursor, nbits);
+    *cursor += bits::WordCount(nbits);
+    return v;
+  }
+
+  int size() const { return nbits_; }
+  int word_count() const { return bits::WordCount(nbits_); }
+  std::uint64_t* data() { return words_; }
+  const std::uint64_t* data() const { return words_; }
+
+ private:
+  std::uint64_t* words_ = nullptr;
+  int nbits_ = 0;
 };
 
 /// Dense rows x cols bit matrix with dirty-row tracking. Built for state

@@ -37,6 +37,13 @@ bool GrantsAreLegal(const SwitchGeometry& geom,
   return true;
 }
 
+void SwitchAllocator::AdvanceIdle(std::uint64_t n) {
+  if (n == 0) return;
+  static const std::vector<SaRequest> kNoRequests;
+  std::vector<SaGrant> no_grants;  // stays empty: nothing to allocate
+  Allocate(kNoRequests, &no_grants);
+}
+
 int VirtualInputsForScheme(AllocScheme scheme, int num_vcs) {
   switch (scheme) {
     case AllocScheme::kVix:

@@ -136,6 +136,12 @@ class SwitchAllocator {
 
   virtual void Reset() = 0;
 
+  /// Replays the state change of `n` consecutive Allocate calls with no
+  /// requests, for routers that skip their idle cycles. For every scheme
+  /// one empty call is idempotent after the first, so the default makes
+  /// one (none when n == 0); schemes that rotate on every call override.
+  virtual void AdvanceIdle(std::uint64_t n);
+
   virtual std::string Name() const = 0;
 
   /// Checkpoint/restore of the allocator's mutable priority state

@@ -69,13 +69,22 @@ void WavefrontAllocator::Reset() {
   std::fill(vc_rr_.begin(), vc_rr_.end(), 0);
 }
 
+void WavefrontAllocator::AdvanceIdle(std::uint64_t n) {
+  priority_diagonal_ = static_cast<int>(
+      (static_cast<std::uint64_t>(priority_diagonal_) + n) % n_);
+}
+
 void WavefrontAllocator::SaveState(SnapshotWriter& w) const {
   w.I32(priority_diagonal_);
   w.VecI32(vc_rr_);
 }
 
 void WavefrontAllocator::LoadState(SnapshotReader& r) {
-  priority_diagonal_ = r.I32();
+  const int diagonal = r.I32();
+  VIXNOC_REQUIRE(diagonal >= 0 && diagonal < n_,
+                 "restored wavefront diagonal %d outside [0, %d)", diagonal,
+                 n_);
+  priority_diagonal_ = diagonal;
   std::vector<int> rr = r.VecI32();
   VIXNOC_REQUIRE(rr.size() == vc_rr_.size(),
                  "restored wavefront VC pointers have %zu entries, expected "

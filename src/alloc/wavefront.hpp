@@ -31,6 +31,8 @@ class WavefrontAllocator final : public SwitchAllocator {
   void Allocate(const std::vector<SaRequest>& requests,
                 std::vector<SaGrant>* grants) override;
   void Reset() override;
+  /// An empty Allocate only rotates the priority diagonal.
+  void AdvanceIdle(std::uint64_t n) override;
   void SaveState(SnapshotWriter& w) const override;
   void LoadState(SnapshotReader& r) override;
   std::string Name() const override { return "wavefront"; }

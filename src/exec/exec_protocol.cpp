@@ -126,7 +126,7 @@ NetworkSimConfig LoadNetworkSimConfig(SnapshotReader& r) {
   c.faults.stall_period = r.U64();
   c.faults.stall_duration = r.U64();
   c.faults.corruption_rate = r.F64();
-  const std::uint32_t forced = r.U32();
+  const std::uint32_t forced = r.CountU32(2 * 4);  // (router, port) i32s
   c.faults.forced_link_down.reserve(forced);
   for (std::uint32_t i = 0; i < forced; ++i) {
     const RouterId router = r.I32();

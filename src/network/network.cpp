@@ -61,6 +61,10 @@ Network::Network(std::shared_ptr<Topology> topology,
     }
     corruption_active_ = fm.config().corruption_rate > 0.0;
   }
+  sleep_enabled_ = params_.telemetry == nullptr && router_stalled_.empty();
+  awake_.Resize(num_routers);
+  awake_.SetAll();
+  asleep_since_.assign(num_routers, 0);
 
   upstream_.resize(static_cast<std::size_t>(num_routers) *
                    topology_->Radix());
@@ -167,6 +171,7 @@ void Network::DeliverDue() {
   for (Event& ev : slot) {
     switch (ev.kind) {
       case Event::Kind::kFlitToRouter:
+        Wake(ev.target);
         routers_[ev.target]->AcceptFlit(ev.port, ev.flit);
         break;
       case Event::Kind::kCreditToRouter:
@@ -237,7 +242,12 @@ void Network::StepNi(Ni& ni) {
   // into the sub-group matching their first-hop direction.
   if (!ni.source_queue.empty()) {
     const PendingPacket& pkt = ni.source_queue.front();
-    const PortId route_out = routing.Route(ni.router, pkt.dst);
+    if (!ni.front_routed) {
+      ni.front_route = routing.Route(ni.router, pkt.dst);
+      ni.front_dim = routing.DimensionOf(ni.front_route);
+      ni.front_routed = true;
+    }
+    const PortId route_out = ni.front_route;
     const int vpc = rc.VcsPerClass();
     const VcId cls_base = pkt.msg_class * vpc;
     std::vector<OutputVcView>& views = ni_vc_views_;
@@ -250,8 +260,8 @@ void Network::StepNi(Ni& ni) {
     layout.total_vcs = rc.num_vcs;
     layout.interleaved = rc.interleaved_vins;
     layout.first_vc = cls_base;
-    const int pick = PickOutputVc(rc.vc_policy, views, layout,
-                                  routing.DimensionOf(route_out), &ni.vc_rng);
+    const int pick =
+        PickOutputVc(rc.vc_policy, views, layout, ni.front_dim, &ni.vc_rng);
     if (pick >= 0) {
       const VcId vc = cls_base + pick;
       ni.vc_busy[vc] = true;
@@ -259,6 +269,7 @@ void Network::StepNi(Ni& ni) {
                                    kNeverCycle, pkt.user_tag, route_out, vc,
                                    pkt.msg_class});
       ni.source_queue.pop_front();
+      ni.front_routed = false;
     }
   }
 
@@ -353,10 +364,14 @@ void Network::Step() {
       wheel_[(now_ + params_.flit_delay) % wheel_.size()];
   std::vector<Event>& credit_slot =
       wheel_[(now_ + params_.credit_delay) % wheel_.size()];
-  for (auto& router : routers_) {
+  // Awake routers in ascending id order, as the full loop would: sleeping
+  // ones would emit nothing. Clearing a bit mid-scan is safe (ForEach
+  // reads each word once).
+  awake_.ForEach([&](int id) {
+    Router* router = routers_[id].get();
     // A stalled router's control pipeline is frozen: no VA/SA/ST this
     // cycle. Deliveries into its buffers (handled above) still land.
-    if (!router_stalled_.empty() && router_stalled_[router->id()]) continue;
+    if (!router_stalled_.empty() && router_stalled_[id]) return;
     const std::size_t flit_mark = sent_flits_.size();
     const std::size_t credit_mark = sent_credits_.size();
     router->Step(now_, &sent_flits_, &sent_credits_);
@@ -395,7 +410,12 @@ void Network::Step() {
       ev.vc = sc.vc;
       credit_slot.push_back(std::move(ev));
     }
-  }
+
+    if (sleep_enabled_ && router->Idle()) {
+      awake_.Clear(id);
+      asleep_since_[id] = now_ + 1;
+    }
+  });
   in_flight_events_ += sent_flits_.size() + sent_credits_.size();
 
   if (!sent_flits_.empty()) last_progress_ = now_;
@@ -441,7 +461,23 @@ std::uint64_t Network::TotalSourceQueueFlits() const {
   return total;
 }
 
+void Network::CatchUp(RouterId r) const {
+  if (awake_.Test(r)) return;
+  routers_[r]->SkipIdleCycles(now_ - asleep_since_[r]);
+  asleep_since_[r] = now_;
+}
+
+void Network::CatchUpAll() const {
+  for (RouterId r = 0; r < NumRouters(); ++r) CatchUp(r);
+}
+
+void Network::Wake(RouterId r) {
+  CatchUp(r);
+  awake_.Set(r);
+}
+
 RouterActivity Network::TotalActivity() const {
+  CatchUpAll();
   RouterActivity total;
   for (const auto& router : routers_) {
     const RouterActivity& a = router->activity();
@@ -460,6 +496,7 @@ RouterActivity Network::TotalActivity() const {
 }
 
 void Network::ClearActivity() {
+  CatchUpAll();  // the skipped cycles belong before the clear
   for (auto& router : routers_) router->ClearActivity();
 }
 
@@ -492,6 +529,7 @@ std::uint64_t Network::StructureFingerprint() const {
 }
 
 void Network::SaveState(SnapshotWriter& w) const {
+  CatchUpAll();
   w.U64(now_);
   w.U64(last_progress_);
   w.U64(next_packet_id_);
@@ -557,7 +595,8 @@ void Network::LoadState(SnapshotReader& r) {
   std::uint64_t counted = 0;
   for (auto& slot : wheel_) {
     slot.clear();
-    const std::uint32_t n = r.U32();
+    // kind u8 + target/port/vc i32 + the encoded flit.
+    const std::uint32_t n = r.CountU32(1 + 3 * 4 + kFlitBytes);
     slot.reserve(n);
     for (std::uint32_t i = 0; i < n; ++i) {
       Event ev;
@@ -582,6 +621,7 @@ void Network::LoadState(SnapshotReader& r) {
   for (NodeCounters& c : counters_) LoadNodeCounters(r, &c);
   for (Ni& ni : nis_) {
     ni.source_queue.clear();
+    ni.front_routed = false;
     const std::uint32_t nq = r.U32();
     for (std::uint32_t i = 0; i < nq; ++i) {
       PendingPacket p;
@@ -594,7 +634,8 @@ void Network::LoadState(SnapshotReader& r) {
       ni.source_queue.push_back(std::move(p));
     }
     ni.active.clear();
-    const std::uint32_t na = r.U32();
+    // Four u64 and six i32 fields per transmission.
+    const std::uint32_t na = r.CountU32(4 * 8 + 6 * 4);
     ni.active.reserve(na);
     for (std::uint32_t i = 0; i < na; ++i) {
       ActiveTx tx;
@@ -625,6 +666,7 @@ void Network::LoadState(SnapshotReader& r) {
     LoadRng(r, &ni.vc_rng);
   }
   for (auto& router : routers_) router->LoadState(r);
+  awake_.SetAll();  // each sleeps again after its first idle Step
   // Fault masks are a pure function of (fault model, now_) plus the
   // permanent blocks installed at construction; transient masks are
   // recomputed at the top of the next Step.

@@ -5,6 +5,11 @@
 // Determinism: all inter-router interaction flows through delayed link
 // events, and each component only reads its own committed state, so a
 // simulation is bit-reproducible for a given seed regardless of platform.
+//
+// Sleeping routers: a router whose Step leaves it Router::Idle() leaves
+// the stepped set and rejoins it when a flit is delivered to it. Its
+// skipped cycles are replayed in O(1) (Router::SkipIdleCycles) when it
+// wakes and before anything reads its state, so skipping is invisible.
 #pragma once
 
 #include <deque>
@@ -128,8 +133,16 @@ class Network {
   RouterActivity TotalActivity() const;
   void ClearActivity();
 
-  Router& router(RouterId id) { return *routers_[id]; }
-  const Router& router(RouterId id) const { return *routers_[id]; }
+  /// A sleeping router is caught up first; the mutable overload also wakes
+  /// it, since the caller may hand it work directly.
+  Router& router(RouterId id) {
+    Wake(id);
+    return *routers_[id];
+  }
+  const Router& router(RouterId id) const {
+    CatchUp(id);
+    return *routers_[id];
+  }
   int NumRouters() const { return static_cast<int>(routers_.size()); }
 
   /// Checkpoint/restore of all mutable network state: the cycle counter,
@@ -181,6 +194,12 @@ class Network {
     RouterId router;
     PortId port;  ///< injection input port == ejection output port index
     std::deque<PendingPacket> source_queue;
+    /// Route and first-hop dimension of source_queue.front(), computed
+    /// once while it waits for an injection VC (front_routed) and dropped
+    /// when it leaves the queue.
+    bool front_routed = false;
+    PortId front_route = kInvalidPort;
+    PortDimension front_dim = PortDimension::kLocal;
     std::vector<ActiveTx> active;
     std::vector<int> credits;    ///< per injection VC
     std::vector<bool> vc_busy;   ///< NI-side allocation of injection VCs
@@ -201,10 +220,12 @@ class Network {
       kFlitToNi,
       kCreditToNi,
     };
-    Kind kind;
-    std::int32_t target;  ///< router id or node id
-    PortId port;          ///< input port (flit) or output port (credit)
-    VcId vc;              ///< credit VC
+    // Every field is initialized: checkpoints serialize all of them, so an
+    // unset one would make checkpoint bytes differ between builds.
+    Kind kind = Kind::kFlitToRouter;
+    std::int32_t target = -1;  ///< router id or node id
+    PortId port = kInvalidPort;  ///< input port (flit) or output port (credit)
+    VcId vc = kInvalidVc;        ///< credit VC
     Flit flit;
   };
 
@@ -235,6 +256,12 @@ class Network {
   void StepNi(Ni& ni);
   void HandleEjectedFlit(Ni& ni, const Flit& flit);
   void UpdateFaultMasks();
+  /// Replays a sleeping router's skipped cycles up to now_. Logically
+  /// const: the router ends exactly as if it had been stepped.
+  void CatchUp(RouterId r) const;
+  void CatchUpAll() const;
+  /// CatchUp, then put the router back in the stepped set.
+  void Wake(RouterId r);
 
   std::shared_ptr<Topology> topology_;
   NetworkParams params_;
@@ -243,6 +270,12 @@ class Network {
   std::vector<bool> router_stalled_;  ///< non-empty only with stall faults
   bool corruption_active_ = false;
   std::vector<std::unique_ptr<Router>> routers_;
+  /// Routers stepped each cycle (see the file comment). Every router stays
+  /// awake when telemetry is attached (it records idle cycles too) or
+  /// routers can stall (a stalled cycle is not an idle one).
+  bool sleep_enabled_ = false;
+  BitWords awake_;                          // routers
+  mutable std::vector<Cycle> asleep_since_;  // first cycle not yet replayed
   std::vector<Upstream> upstream_;  // routers * radix
   std::vector<EventTemplate> flit_dispatch_;    // routers * radix, out port
   std::vector<EventTemplate> credit_dispatch_;  // routers * radix, in port

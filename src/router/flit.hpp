@@ -1,6 +1,7 @@
 // Flits and packets: the units of flow control and of routing (paper §2.1).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
 #include "common/types.hpp"
@@ -71,6 +72,9 @@ struct Flit {
 /// (implemented in router.cpp).
 void SaveFlit(SnapshotWriter& w, const Flit& f);
 Flit LoadFlit(SnapshotReader& r);
+/// Bytes SaveFlit writes per flit: the lower bound decoders check element
+/// counts against before reserving.
+inline constexpr std::size_t kFlitBytes = 56;
 
 /// Helper: flit type for position `seq` within a packet of `size` flits.
 inline FlitType FlitTypeFor(int seq, int size) {

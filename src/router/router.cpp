@@ -28,6 +28,9 @@ Router::Router(RouterId id, const RouterConfig& config,
   VIXNOC_REQUIRE(config_.num_vcs % config_.num_message_classes == 0,
                  "num_vcs (%d) must be divisible by num_message_classes (%d)",
                  config_.num_vcs, config_.num_message_classes);
+  VIXNOC_REQUIRE(config_.radix <= INT16_MAX && config_.num_vcs <= INT16_MAX,
+                 "radix %d or num_vcs %d exceeds %d", config_.radix,
+                 config_.num_vcs, INT16_MAX);
 
   const std::size_t total =
       static_cast<std::size_t>(config_.radix) * config_.num_vcs;
@@ -41,8 +44,23 @@ Router::Router(RouterId id, const RouterConfig& config,
   in_next_dateline_.assign(total, 0);
   credits_.assign(total, config_.buffer_depth);
   out_allocated_.assign(total, 0);
-  va_cand_.Resize(static_cast<int>(total));
-  sa_cand_.Resize(static_cast<int>(total));
+  head_route_.resize(total);
+
+  const int vcs = static_cast<int>(total);
+  const int ports = config_.radix;
+  const int xins = config_.radix * config_.NumVins();
+  flag_words_.assign(4 * bits::WordCount(vcs) + 3 * bits::WordCount(ports) +
+                         bits::WordCount(xins),
+                     0);
+  std::uint64_t* cursor = flag_words_.data();
+  va_cand_ = BitView::Carve(&cursor, vcs);
+  sa_cand_ = BitView::Carve(&cursor, vcs);
+  parked_ = BitView::Carve(&cursor, vcs);
+  just_activated_ = BitView::Carve(&cursor, vcs);
+  output_blocked_ = BitView::Carve(&cursor, ports);
+  nonspec_wants_ = BitView::Carve(&cursor, ports);
+  out_used_scratch_ = BitView::Carve(&cursor, ports);
+  xin_used_scratch_ = BitView::Carve(&cursor, xins);
 
   SwitchGeometry geom;
   geom.num_inports = config_.radix;
@@ -66,13 +84,7 @@ Router::Router(RouterId id, const RouterConfig& config,
   }
   vc_view_scratch_.resize(config_.num_vcs);
   va_prefs_.reserve(total);
-  nonspec_wants_.assign(config_.radix, false);
-  just_activated_.assign(total, false);
-  output_blocked_.assign(config_.radix, false);
   flits_per_out_.assign(config_.radix, 0);
-  out_used_scratch_.assign(config_.radix, false);
-  xin_used_scratch_.assign(
-      static_cast<std::size_t>(config_.radix) * config_.NumVins(), false);
   // Distinct stream per router: mix the id into the base seed before the
   // SplitMix expansion inside Reseed.
   vc_rng_.Reseed(config_.vc_rng_seed +
@@ -112,6 +124,33 @@ void Router::AcceptCredit(PortId out_port, VcId out_vc) {
   const int ovc = OvcIndex(out_port, out_vc);
   ++credits_[ovc];
   VIXNOC_CHECK(credits_[ovc] <= config_.buffer_depth);
+  // Under atomic reallocation the last returning credit frees the VC.
+  if (config_.atomic_vc_alloc) OnOutputVcFreed(ovc);
+}
+
+void Router::OnOutputVcFreed(int ovc) {
+  if (out_allocated_[ovc] ||
+      (config_.atomic_vc_alloc && credits_[ovc] < config_.buffer_depth) ||
+      !parked_.Any()) {
+    return;
+  }
+  const PortId out_port = static_cast<PortId>(ovc / config_.num_vcs);
+  parked_.ForEach([&](int idx) {
+    if (HeadFlit(idx).route_out == out_port) parked_.Clear(idx);
+  });
+}
+
+void Router::ActivateVc(int idx, PortId out_port, VcId out_vc,
+                        PortId lookahead, std::uint8_t next_dateline) {
+  in_next_dateline_[idx] = next_dateline;
+  in_active_[idx] = 1;
+  in_out_port_[idx] = out_port;
+  in_out_vc_[idx] = out_vc;
+  in_lookahead_[idx] = lookahead;
+  just_activated_.Set(idx);
+  va_cand_.Clear(idx);
+  sa_cand_.Set(idx);
+  ++activity_.va_grants;
 }
 
 void Router::ConsiderVaCandidate(int idx, bool separable) {
@@ -125,29 +164,14 @@ void Router::ConsiderVaCandidate(int idx, bool separable) {
   // Routing functions must never steer a packet to an unconnected port.
   VIXNOC_CHECK(link.IsConnected());
   // Down link: the packet waits in its buffer without claiming a VC.
-  if (num_blocked_ > 0 && output_blocked_[out_port]) return;
-
-  // Lookahead route computation for the downstream router; ejection ports
-  // terminate at an NI, so there is no next hop.
-  PortId lookahead = kInvalidPort;
-  PortDimension downstream_dim = PortDimension::kLocal;
-  if (!link.IsEjection()) {
-    lookahead = routing_->Route(link.neighbor, head.dst);
-    downstream_dim = routing_->DimensionOf(lookahead);
-  }
+  if (num_blocked_ > 0 && output_blocked_.Test(out_port)) return;
 
   if (link.IsEjection()) {
     // NIs accept any VC and reassemble; no allocation state is needed and
-    // interleaving packets on the ejection port is harmless.
-    in_next_dateline_[idx] = head.dateline;
-    in_active_[idx] = 1;
-    in_out_port_[idx] = out_port;
-    in_out_vc_[idx] = c % config_.num_vcs;
-    in_lookahead_[idx] = lookahead;
-    just_activated_[idx] = true;
-    va_cand_.Clear(idx);
-    sa_cand_.Set(idx);
-    ++activity_.va_grants;
+    // interleaving packets on the ejection port is harmless. Ejection
+    // ports terminate at an NI, so there is no next hop.
+    ActivateVc(idx, out_port, c % config_.num_vcs, kInvalidPort,
+               head.dateline);
     return;
   }
 
@@ -156,15 +180,26 @@ void Router::ConsiderVaCandidate(int idx, bool separable) {
   VIXNOC_CHECK(cls < config_.num_message_classes);
   const int vpc = config_.VcsPerClass();
   const VcId cls_base = cls * vpc;
-  // Dateline restriction: the packet's state after traversing this
-  // output's channel selects which part of the class partition it may
-  // occupy downstream (torus deadlock avoidance; full range elsewhere).
-  const std::uint8_t next_state =
-      routing_->NextDatelineState(id_, out_port, head.dateline);
-  const VcRange range = routing_->AllowedVcRange(out_port, next_state, vpc);
-  VIXNOC_DCHECK(range.lo >= 0 && range.lo < range.hi && range.hi <= vpc);
-  const int span = range.hi - range.lo;
-  const int ovc_base = OvcIndex(out_port, cls_base + range.lo);
+  HeadRoute& route = head_route_[idx];
+  if (route.range_hi == 0) {
+    // Lookahead route computation for the downstream router. The dateline
+    // restriction: the packet's state after traversing this output's
+    // channel selects which part of the class partition it may occupy
+    // downstream (torus deadlock avoidance; full range elsewhere).
+    const PortId lookahead = routing_->Route(link.neighbor, head.dst);
+    const std::uint8_t next_state =
+        routing_->NextDatelineState(id_, out_port, head.dateline);
+    const VcRange range = routing_->AllowedVcRange(out_port, next_state, vpc);
+    VIXNOC_DCHECK(range.lo >= 0 && range.lo < range.hi && range.hi <= vpc);
+    route.lookahead = static_cast<std::int16_t>(lookahead);
+    route.range_lo = static_cast<std::int16_t>(range.lo);
+    route.range_hi = static_cast<std::int16_t>(range.hi);
+    route.downstream_dim =
+        static_cast<std::uint8_t>(routing_->DimensionOf(lookahead));
+    route.next_dateline = next_state;
+  }
+  const int span = route.range_hi - route.range_lo;
+  const int ovc_base = OvcIndex(out_port, cls_base + route.range_lo);
   vc_view_scratch_.resize(span);
   for (VcId i = 0; i < span; ++i) {
     bool busy = out_allocated_[ovc_base + i] != 0;
@@ -179,28 +214,27 @@ void Router::ConsiderVaCandidate(int idx, bool separable) {
   layout.num_vins = config_.NumVins();
   layout.total_vcs = config_.num_vcs;
   layout.interleaved = config_.interleaved_vins;
-  layout.first_vc = cls_base + range.lo;
-  const int pick = PickOutputVc(config_.vc_policy, vc_view_scratch_,
-                                layout, downstream_dim, &vc_rng_);
-  if (pick < 0) return;  // all usable VCs busy: stall
-  const VcId out_vc = cls_base + range.lo + pick;
+  layout.first_vc = cls_base + route.range_lo;
+  const int pick = PickOutputVc(
+      config_.vc_policy, vc_view_scratch_, layout,
+      static_cast<PortDimension>(route.downstream_dim), &vc_rng_);
+  if (pick < 0) {
+    // All usable VCs busy: stall. Every policy fails without drawing
+    // randomness when nothing is free, so retrying is side-effect free
+    // until OnOutputVcFreed names this port.
+    parked_.Set(idx);
+    return;
+  }
+  const VcId out_vc = cls_base + route.range_lo + pick;
 
   if (separable) {
-    va_prefs_.push_back(
-        VaPreference{idx, out_port, out_vc, lookahead, next_state});
+    va_prefs_.push_back(VaPreference{idx, out_port, out_vc, route.lookahead,
+                                     route.next_dateline});
     return;
   }
 
   out_allocated_[OvcIndex(out_port, out_vc)] = 1;
-  in_next_dateline_[idx] = next_state;
-  in_active_[idx] = 1;
-  in_out_port_[idx] = out_port;
-  in_out_vc_[idx] = out_vc;
-  in_lookahead_[idx] = lookahead;
-  just_activated_[idx] = true;
-  va_cand_.Clear(idx);
-  sa_cand_.Set(idx);
-  ++activity_.va_grants;
+  ActivateVc(idx, out_port, out_vc, route.lookahead, route.next_dateline);
 }
 
 void Router::ConsiderVaCandidateAdaptive(int idx, bool separable) {
@@ -221,15 +255,8 @@ void Router::ConsiderVaCandidateAdaptive(int idx, bool separable) {
   // no allocation state is needed and interleaving packets on the ejection
   // port is harmless.
   if (links_[cands[0].out_port].IsEjection()) {
-    in_next_dateline_[idx] = head.dateline;
-    in_active_[idx] = 1;
-    in_out_port_[idx] = cands[0].out_port;
-    in_out_vc_[idx] = c % config_.num_vcs;
-    in_lookahead_[idx] = kInvalidPort;
-    just_activated_[idx] = true;
-    va_cand_.Clear(idx);
-    sa_cand_.Set(idx);
-    ++activity_.va_grants;
+    ActivateVc(idx, cands[0].out_port, c % config_.num_vcs, kInvalidPort,
+               head.dateline);
     return;
   }
 
@@ -246,7 +273,7 @@ void Router::ConsiderVaCandidateAdaptive(int idx, bool separable) {
     // Routing algorithms must never emit a candidate on an unconnected port.
     VIXNOC_CHECK(links_[cand.out_port].IsConnected());
     // Down link: this candidate is not usable while the fault is active.
-    if (num_blocked_ > 0 && output_blocked_[cand.out_port]) continue;
+    if (num_blocked_ > 0 && output_blocked_.Test(cand.out_port)) continue;
     if (cand.escape) {
       if (escape == nullptr) escape = &cand;
       continue;
@@ -310,15 +337,7 @@ void Router::ConsiderVaCandidateAdaptive(int idx, bool separable) {
   }
 
   out_allocated_[OvcIndex(out_port, out_vc)] = 1;
-  in_next_dateline_[idx] = next_state;
-  in_active_[idx] = 1;
-  in_out_port_[idx] = out_port;
-  in_out_vc_[idx] = out_vc;
-  in_lookahead_[idx] = lookahead;
-  just_activated_[idx] = true;
-  va_cand_.Clear(idx);
-  sa_cand_.Set(idx);
-  ++activity_.va_grants;
+  ActivateVc(idx, out_port, out_vc, lookahead, next_state);
 }
 
 void Router::RunVcAllocation() {
@@ -340,6 +359,7 @@ void Router::RunVcAllocation() {
   // the remaining candidates re-read live), so the masked visit — indices
   // >= va_rr_ptr_ ascending, then wrap — sees exactly the candidates the
   // full `(va_rr_ptr_ + off) % total` scan would, in the same order.
+  // Parked heads are left out of the visit; their attempts are counted.
   const bool separable = config_.va_organization ==
                          VaOrganization::kSeparableArbitrated;
   va_prefs_.clear();
@@ -353,8 +373,11 @@ void Router::RunVcAllocation() {
       ConsiderVaCandidate(idx, separable);
     }
   };
-  bits::ForEachSetInRange(va_cand_.data(), va_rr_ptr_, total, consider);
-  bits::ForEachSetInRange(va_cand_.data(), 0, va_rr_ptr_, consider);
+  activity_.va_requests += static_cast<std::uint64_t>(parked_.Count());
+  bits::ForEachSetAndNotInRange(va_cand_.data(), parked_.data(), va_rr_ptr_,
+                                total, consider);
+  bits::ForEachSetAndNotInRange(va_cand_.data(), parked_.data(), 0,
+                                va_rr_ptr_, consider);
 
   if (separable && !va_prefs_.empty()) {
     // Output-side arbitration: one winner per (out_port, out_vc). The
@@ -364,16 +387,8 @@ void Router::RunVcAllocation() {
       const int ovc = OvcIndex(pref.out_port, pref.out_vc);
       if (out_allocated_[ovc]) continue;  // lost this cycle
       out_allocated_[ovc] = 1;
-      const int idx = pref.idx;
-      in_next_dateline_[idx] = pref.next_dateline;
-      in_active_[idx] = 1;
-      in_out_port_[idx] = pref.out_port;
-      in_out_vc_[idx] = pref.out_vc;
-      in_lookahead_[idx] = pref.lookahead;
-      just_activated_[idx] = true;
-      va_cand_.Clear(idx);
-      sa_cand_.Set(idx);
-      ++activity_.va_grants;
+      ActivateVc(pref.idx, pref.out_port, pref.out_vc, pref.lookahead,
+                 pref.next_dateline);
     }
   }
 
@@ -387,13 +402,13 @@ void Router::BuildSaRequests() {
   sa_cand_.ForEach([&](int idx) {
     const PortId p = static_cast<PortId>(idx / config_.num_vcs);
     const VcId c = static_cast<VcId>(idx % config_.num_vcs);
-    if (!config_.speculative_sa && just_activated_[idx]) {
+    if (!config_.speculative_sa && just_activated_.Test(idx)) {
       return;  // VA this cycle, SA earliest next cycle (Fig 6a)
     }
     const PortId out = in_out_port_[idx];
     // Down link: established packets hold their VC but send nothing until
     // the link is repaired.
-    if (num_blocked_ > 0 && output_blocked_[out]) return;
+    if (num_blocked_ > 0 && output_blocked_.Test(out)) return;
     // Ejection consumes flits unconditionally (the NI drains one flit per
     // ejection port per cycle by construction of the crossbar).
     if (!links_[out].IsEjection() &&
@@ -407,16 +422,15 @@ void Router::BuildSaRequests() {
     // Becker-style pessimistic masking: drop speculative requests whose
     // output port is also wanted by an established (non-speculative)
     // packet this cycle.
-    std::vector<bool>& nonspec_wants = nonspec_wants_;
-    std::fill(nonspec_wants.begin(), nonspec_wants.end(), false);
+    nonspec_wants_.ClearAll();
     for (const SaRequest& r : sa_requests_) {
-      if (!just_activated_[r.in_port * config_.num_vcs + r.vc]) {
-        nonspec_wants[r.out_port] = true;
+      if (!just_activated_.Test(IvcIndex(r.in_port, r.vc))) {
+        nonspec_wants_.Set(r.out_port);
       }
     }
     std::erase_if(sa_requests_, [&](const SaRequest& r) {
-      return just_activated_[r.in_port * config_.num_vcs + r.vc] &&
-             nonspec_wants[r.out_port];
+      return just_activated_.Test(IvcIndex(r.in_port, r.vc)) &&
+             nonspec_wants_.Test(r.out_port);
     });
   }
 
@@ -427,18 +441,17 @@ void Router::BuildSaRequests() {
 void Router::CommitGrants(Cycle now, std::vector<SentFlit>* sent_flits,
                           std::vector<SentCredit>* sent_credits) {
   (void)now;
-  std::fill(out_used_scratch_.begin(), out_used_scratch_.end(), false);
-  std::fill(xin_used_scratch_.begin(), xin_used_scratch_.end(), false);
+  out_used_scratch_.ClearAll();
+  xin_used_scratch_.ClearAll();
   for (const SaGrant& g : sa_grants_) {
     const int idx = IvcIndex(g.in_port, g.vc);
     // Structural legality: one grant per output port, one per crossbar
     // input, granted VC actually ready. Cheap enough to keep in release.
-    VIXNOC_CHECK(!out_used_scratch_[g.out_port]);
-    out_used_scratch_[g.out_port] = true;
-    const std::size_t xin =
-        static_cast<std::size_t>(g.in_port) * config_.NumVins() + g.vin;
-    VIXNOC_CHECK(!xin_used_scratch_[xin]);
-    xin_used_scratch_[xin] = true;
+    VIXNOC_CHECK(!out_used_scratch_.Test(g.out_port));
+    out_used_scratch_.Set(g.out_port);
+    const int xin = g.in_port * config_.NumVins() + g.vin;
+    VIXNOC_CHECK(!xin_used_scratch_.Test(xin));
+    xin_used_scratch_.Set(xin);
     VIXNOC_CHECK(in_active_[idx] && buf_count_[idx] > 0);
     VIXNOC_CHECK(in_out_port_[idx] == g.out_port);
 
@@ -457,7 +470,10 @@ void Router::CommitGrants(Cycle now, std::vector<SentFlit>* sent_flits,
       VIXNOC_DCHECK(credits_[ovc] > 0);
       --credits_[ovc];
       ++activity_.link_flits;
-      if (flit.IsTail()) out_allocated_[ovc] = 0;
+      if (flit.IsTail()) {
+        out_allocated_[ovc] = 0;
+        OnOutputVcFreed(ovc);
+      }
     }
 
     if (flit.IsTail()) {
@@ -465,6 +481,7 @@ void Router::CommitGrants(Cycle now, std::vector<SentFlit>* sent_flits,
       in_out_port_[idx] = kInvalidPort;
       in_out_vc_[idx] = kInvalidVc;
       in_lookahead_[idx] = kInvalidPort;
+      head_route_[idx] = HeadRoute{};  // the next head routes afresh
       sa_cand_.Clear(idx);
       if (buf_count_[idx] > 0) va_cand_.Set(idx);
     } else if (buf_count_[idx] == 0) {
@@ -479,8 +496,14 @@ void Router::CommitGrants(Cycle now, std::vector<SentFlit>* sent_flits,
 
 void Router::Step(Cycle now, std::vector<SentFlit>* sent_flits,
                   std::vector<SentCredit>* sent_credits) {
+  // Telemetry records every cycle's (empty) VC states, so only an
+  // unobserved idle cycle takes the replay.
+  if (rt_ == nullptr && Idle()) {
+    SkipIdleCycles(1);
+    return;
+  }
   ++activity_.cycles;
-  std::fill(just_activated_.begin(), just_activated_.end(), false);
+  just_activated_.ClearAll();
   RunVcAllocation();
   BuildSaRequests();
   allocator_->Allocate(sa_requests_, &sa_grants_);
@@ -488,6 +511,18 @@ void Router::Step(Cycle now, std::vector<SentFlit>* sent_flits,
                                sa_grants_));
   if (rt_ != nullptr) CollectCycleTelemetry(now);
   CommitGrants(now, sent_flits, sent_credits);
+}
+
+void Router::SkipIdleCycles(std::uint64_t n) {
+  if (n == 0) return;
+  VIXNOC_DCHECK(Idle());
+  const auto total = static_cast<std::uint64_t>(config_.radix) *
+                     static_cast<std::uint64_t>(config_.num_vcs);
+  activity_.cycles += n;
+  just_activated_.ClearAll();
+  va_rr_ptr_ = static_cast<int>(
+      (static_cast<std::uint64_t>(va_rr_ptr_) + n % total) % total);
+  allocator_->AdvanceIdle(n);
 }
 
 void Router::CollectCycleTelemetry(Cycle now) {
@@ -507,7 +542,7 @@ void Router::CollectCycleTelemetry(Cycle now) {
         s = RouterTelemetry::VcState::kMoving;
       } else {
         const PortId out = in_out_port_[idx];
-        const bool link_down = num_blocked_ > 0 && output_blocked_[out];
+        const bool link_down = num_blocked_ > 0 && output_blocked_.Test(out);
         const bool no_credit =
             !links_[out].IsEjection() &&
             credits_[OvcIndex(out, in_out_vc_[idx])] == 0;
@@ -525,7 +560,7 @@ void Router::CollectCycleTelemetry(Cycle now) {
     // front of its buffer.
     const int total = config_.radix * config_.num_vcs;
     for (int idx = 0; idx < total; ++idx) {
-      if (!just_activated_[idx]) continue;
+      if (!just_activated_.Test(idx)) continue;
       if (buf_count_[idx] == 0) continue;
       const Flit& head = HeadFlit(idx);
       if (!tcol_->SampleTrace(head.packet_id)) continue;
@@ -562,8 +597,8 @@ int Router::TotalBufferedFlits() const {
 
 void Router::SetOutputBlocked(PortId out_port, bool blocked) {
   VIXNOC_CHECK(out_port >= 0 && out_port < config_.radix);
-  if (output_blocked_[out_port] == blocked) return;
-  output_blocked_[out_port] = blocked;
+  if (output_blocked_.Test(out_port) == blocked) return;
+  output_blocked_.Assign(out_port, blocked);
   num_blocked_ += blocked ? 1 : -1;
 }
 
@@ -659,7 +694,9 @@ void Router::SaveState(SnapshotWriter& w) const {
     w.B(out_allocated_[ovc] != 0);
   }
   w.I32(va_rr_ptr_);
-  w.VecBool(just_activated_);
+  // Encoded as SnapshotWriter::VecBool.
+  w.U64(static_cast<std::uint64_t>(total));
+  for (int idx = 0; idx < total; ++idx) w.B(just_activated_.Test(idx));
   allocator_->SaveState(w);
   SaveRouterActivity(w, activity_);
   w.VecU64(flits_per_out_);
@@ -668,7 +705,14 @@ void Router::SaveState(SnapshotWriter& w) const {
 
 void Router::LoadState(SnapshotReader& r) {
   const int depth = config_.buffer_depth;
-  const int total = config_.radix * config_.num_vcs;
+  const int vcs = config_.num_vcs;
+  const int total = config_.radix * vcs;
+  // Every index restored here is later used unchecked on the hot path
+  // (links_, credits_, out_allocated_), so a crafted checkpoint must fail
+  // now, as a SimError, rather than index out of bounds on the next Step.
+  const auto connected_port = [&](PortId p) {
+    return p >= 0 && p < config_.radix && links_[p].IsConnected();
+  };
   for (int idx = 0; idx < total; ++idx) {
     const std::uint32_t n = r.U32();
     VIXNOC_REQUIRE(n <= static_cast<std::uint32_t>(depth),
@@ -676,12 +720,46 @@ void Router::LoadState(SnapshotReader& r) {
                    depth);
     buf_head_[idx] = 0;
     buf_count_[idx] = 0;
-    for (std::uint32_t i = 0; i < n; ++i) PushFlit(idx, LoadFlit(r));
-    in_active_[idx] = r.B() ? 1 : 0;
-    in_out_port_[idx] = r.I32();
-    in_out_vc_[idx] = r.I32();
-    in_lookahead_[idx] = r.I32();
-    in_next_dateline_[idx] = r.U8();
+    for (std::uint32_t i = 0; i < n; ++i) {
+      const Flit f = LoadFlit(r);
+      VIXNOC_REQUIRE(f.vc == idx % vcs && connected_port(f.route_out) &&
+                         f.msg_class < config_.num_message_classes &&
+                         f.dateline <= kMaxDatelineState,
+                     "restored flit in input VC %d has vc %d, route %d, "
+                     "class %u, dateline state %u out of range",
+                     idx, f.vc, f.route_out, f.msg_class, f.dateline);
+      PushFlit(idx, f);
+    }
+    const bool active = r.B();
+    const PortId out_port = r.I32();
+    const VcId out_vc = r.I32();
+    const PortId lookahead = r.I32();
+    const std::uint8_t next_dateline = r.U8();
+    if (active) {
+      const bool ejection =
+          connected_port(out_port) && links_[out_port].IsEjection();
+      VIXNOC_REQUIRE(
+          connected_port(out_port) && out_vc >= 0 && out_vc < vcs &&
+              (ejection ? lookahead == kInvalidPort
+                        : lookahead >= 0 && lookahead < config_.radix),
+          "restored input VC %d holds output %d, VC %d, lookahead %d out "
+          "of range",
+          idx, out_port, out_vc, lookahead);
+    } else {
+      VIXNOC_REQUIRE(out_port == kInvalidPort && out_vc == kInvalidVc &&
+                         lookahead == kInvalidPort &&
+                         (n == 0 || BufferedFlit(idx, 0).IsHead()),
+                     "restored idle input VC %d has output state or a "
+                     "non-head flit at its front",
+                     idx);
+    }
+    VIXNOC_REQUIRE(next_dateline <= kMaxDatelineState,
+                   "restored dateline state %u out of range", next_dateline);
+    in_active_[idx] = active ? 1 : 0;
+    in_out_port_[idx] = out_port;
+    in_out_vc_[idx] = out_vc;
+    in_lookahead_[idx] = lookahead;
+    in_next_dateline_[idx] = next_dateline;
   }
   for (int ovc = 0; ovc < total; ++ovc) {
     const int credits = r.I32();
@@ -695,11 +773,11 @@ void Router::LoadState(SnapshotReader& r) {
   VIXNOC_REQUIRE(ptr >= 0 && ptr < total,
                  "restored VA pointer %d outside [0, %d)", ptr, total);
   va_rr_ptr_ = ptr;
-  std::vector<bool> just = r.VecBool();
-  VIXNOC_REQUIRE(just.size() == just_activated_.size(),
-                 "restored VA-grant mask has %zu entries, expected %zu",
-                 just.size(), just_activated_.size());
-  just_activated_ = std::move(just);
+  const std::size_t just = r.Count(1);
+  VIXNOC_REQUIRE(just == static_cast<std::size_t>(total),
+                 "restored VA-grant mask has %zu entries, expected %d", just,
+                 total);
+  for (int idx = 0; idx < total; ++idx) just_activated_.Assign(idx, r.B());
   allocator_->LoadState(r);
   activity_ = LoadRouterActivity(r);
   std::vector<std::uint64_t> per_out = r.VecU64();
@@ -710,10 +788,14 @@ void Router::LoadState(SnapshotReader& r) {
   flits_per_out_ = std::move(per_out);
   LoadRng(r, &vc_rng_);
 
-  // Candidate masks are derived state; rebuild from the restored buffers.
+  // Candidate masks, parked heads and cached head routes are derived
+  // state; rebuild from the restored buffers. Every head starts unparked
+  // with no cached route: its next VA attempt re-derives both exactly.
   va_cand_.ClearAll();
   sa_cand_.ClearAll();
+  parked_.ClearAll();
   for (int idx = 0; idx < total; ++idx) {
+    head_route_[idx] = HeadRoute{};
     if (buf_count_[idx] == 0) continue;
     if (in_active_[idx]) {
       sa_cand_.Set(idx);

@@ -16,6 +16,12 @@
 // all radix * num_vcs slots. Both scans visit candidates in exactly the
 // order the straightforward full scans would, keeping behaviour bitwise
 // identical.
+//
+// A cycle costs only its live work. A head flit's route at this hop is
+// computed once and cached until the packet's tail leaves; a head that
+// finds no free output VC parks until a VC on its port frees; and a router
+// with no candidates at all is Idle(): its cycle only advances rotating
+// pointers, which SkipIdleCycles replays in O(1) for any number of cycles.
 #pragma once
 
 #include <cstdint>
@@ -184,6 +190,16 @@ class Router {
   /// drain phases and the no-flit-loss property tests.
   bool Quiescent() const;
 
+  /// True when no input VC is a VA or SA candidate: a Step would only
+  /// advance the cycle counter, the VA pointer and the allocator's idle
+  /// rotation. Only AcceptFlit (or LoadState) can end it.
+  bool Idle() const { return !va_cand_.Any() && !sa_cand_.Any(); }
+
+  /// Replays the state change of `n` consecutive Steps of an Idle() router
+  /// in O(1), leaving it bitwise identical to one stepped n times. A
+  /// network uses it to skip sleeping routers and catch them up on wake-up.
+  void SkipIdleCycles(std::uint64_t n);
+
   /// Occupancy of input VC buffer (in_port, vc), in flits.
   int BufferOccupancy(PortId in_port, VcId vc) const;
   /// Total flits buffered across every input VC — the per-router occupancy
@@ -197,7 +213,9 @@ class Router {
   /// their buffers and credits are untouched, so a later unblock resumes
   /// cleanly. Zero cost while nothing is blocked.
   void SetOutputBlocked(PortId out_port, bool blocked);
-  bool OutputBlocked(PortId out_port) const { return output_blocked_[out_port]; }
+  bool OutputBlocked(PortId out_port) const {
+    return output_blocked_.Test(out_port);
+  }
 
   /// Attach this router to a telemetry collector (nullptr detaches). The
   /// router records into collector->router(id()); with no collector the
@@ -232,6 +250,19 @@ class Router {
     std::uint8_t next_dateline;
   };
 
+  /// A waiting head flit's route at this hop, cached per input VC: computed
+  /// on its first VA attempt, reused by every retry, dropped when the
+  /// packet's tail leaves the VC. Derived state (never serialized), packed
+  /// to 8 bytes since every input VC of every router carries one.
+  struct HeadRoute {
+    std::int16_t lookahead = kInvalidPort;  ///< route at the downstream router
+    std::int16_t range_lo = 0;  ///< usable VCs [lo, hi) within the class;
+    std::int16_t range_hi = 0;  ///< hi == 0 until computed (ranges are non-empty)
+    std::uint8_t downstream_dim = 0;  ///< a PortDimension
+    std::uint8_t next_dateline = 0;   ///< dateline state after this hop
+  };
+  static_assert(sizeof(HeadRoute) == 8);
+
   int IvcIndex(PortId p, VcId c) const { return p * config_.num_vcs + c; }
   int OvcIndex(PortId o, VcId c) const { return o * config_.num_vcs + c; }
 
@@ -263,8 +294,14 @@ class Router {
 
   void RunVcAllocation();
   /// One VA candidate (see RunVcAllocation); returns via the same logic a
-  /// full scan would.
+  /// full scan would. A head with no free VC in its range parks.
   void ConsiderVaCandidate(int idx, bool separable);
+  /// Grants input VC `idx` its output (VC ownership is the caller's).
+  void ActivateVc(int idx, PortId out_port, VcId out_vc, PortId lookahead,
+                  std::uint8_t next_dateline);
+  /// Output VC `ovc` just became assignable: unpark every head waiting on
+  /// its port so it retries next VA.
+  void OnOutputVcFreed(int ovc);
   /// VA candidate under an adaptive routing algorithm: enumerates the
   /// candidate set at THIS router (the lookahead stamp is advisory) and
   /// selects an output by local credit/occupancy state, falling back to
@@ -298,22 +335,32 @@ class Router {
   std::vector<std::int32_t> credits_;
   std::vector<std::uint8_t> out_allocated_;  // owned by one input VC here
 
+  std::vector<HeadRoute> head_route_;       // see HeadRoute
+
+  // Every per-router bit set below is a view into this one word block.
+  std::vector<std::uint64_t> flag_words_;
+
   // Incremental candidate masks over input-VC indices:
   //  va_cand_: !active && buffer non-empty (head flit awaits VC allocation)
   //  sa_cand_:  active && buffer non-empty (may request switch traversal)
-  BitWords va_cand_;
-  BitWords sa_cand_;
+  //  parked_:  the va_cand_ heads whose last VA attempt found every VC in
+  //            their range busy. VA skips them (counting their requests)
+  //            until a VC on their output port frees; no VC can free
+  //            otherwise, so the skipped attempts would have failed too.
+  BitView va_cand_;
+  BitView sa_cand_;
+  BitView parked_;
+  /// Input VCs granted VA this cycle; excluded from SA when the router is
+  /// configured non-speculative.
+  BitView just_activated_;
+  /// Fault masks (see SetOutputBlocked). num_blocked_ keeps the hot path
+  /// free of per-candidate checks while no fault is active.
+  BitView output_blocked_;  // radix
+  int num_blocked_ = 0;
 
   std::vector<OutputLinkInfo> links_;
   std::unique_ptr<SwitchAllocator> allocator_;
   int va_rr_ptr_ = 0;  ///< rotating start for VA fairness
-  /// Input VCs granted VA this cycle; excluded from SA when the router is
-  /// configured non-speculative.
-  std::vector<bool> just_activated_;
-  /// Fault masks (see SetOutputBlocked). num_blocked_ keeps the hot path
-  /// free of per-candidate checks while no fault is active.
-  std::vector<bool> output_blocked_;  // radix
-  int num_blocked_ = 0;
 
   // Per-cycle scratch, sized once at construction so the hot loop never
   // touches the allocator.
@@ -321,11 +368,11 @@ class Router {
   std::vector<SaGrant> sa_grants_;
   std::vector<OutputVcView> vc_view_scratch_;
   std::vector<VaPreference> va_prefs_;
-  std::vector<bool> nonspec_wants_;  // radix
+  BitView nonspec_wants_;  // radix
   // Always-on cheap structural checks on grants (the full GrantsAreLegal
   // validation only runs in debug builds).
-  std::vector<bool> out_used_scratch_;
-  std::vector<bool> xin_used_scratch_;
+  BitView out_used_scratch_;  // radix
+  BitView xin_used_scratch_;  // radix * num_vins
 
   RouterActivity activity_;
   std::vector<std::uint64_t> flits_per_out_;  // radix

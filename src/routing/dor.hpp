@@ -23,6 +23,7 @@ namespace vixnoc {
 /// means an X crossing cannot leak into the Y ring's class selection.
 inline constexpr std::uint8_t kDatelineXCrossed = 1;
 inline constexpr std::uint8_t kDatelineYCrossed = 2;
+static_assert((kDatelineXCrossed | kDatelineYCrossed) <= kMaxDatelineState);
 
 /// The dimension-order port at `router` toward node `dst`, with the
 /// dimension priority chosen by `y_first`. This is the pure geometry rule

@@ -50,6 +50,10 @@ struct RouteCandidate {
   bool escape = true;
 };
 
+/// Dateline states are per-dimension "crossed" bits of at most two wrapped
+/// dimensions, so no state exceeds this (checked when state is restored).
+inline constexpr std::uint8_t kMaxDatelineState = 3;
+
 /// Upper bound on Candidates() output; callers size stack arrays with it.
 inline constexpr int kMaxRouteCandidates = 4;
 

@@ -18,6 +18,10 @@ namespace vixnoc {
 
 namespace {
 
+/// Encoded IntervalSample: start u64, accepted_ppc f64, avg_latency f64,
+/// packets u64.
+constexpr std::size_t kIntervalSampleBytes = 4 * 8;
+
 /// Scalar aggregates of a TelemetrySummary (windows and trace are handled
 /// by the callers: the checkpoint stores the collector's live state, the
 /// result cache stores them verbatim).
@@ -456,7 +460,7 @@ NetworkSimResult RunNetworkSim(const NetworkSimConfig& config) {
     for (NodeCounters& c : at_measure_start) LoadNodeCounters(r, &c);
     for (NodeCounters& c : at_measure_end) LoadNodeCounters(r, &c);
     activity_snapshot = LoadRouterActivity(r);
-    const std::uint32_t nts = r.U32();
+    const std::uint32_t nts = r.CountU32(kIntervalSampleBytes);
     result.timeline.reserve(nts);
     for (std::uint32_t i = 0; i < nts; ++i) {
       IntervalSample s;
@@ -782,7 +786,7 @@ NetworkSimResult LoadNetworkSimResult(SnapshotReader& r) {
   out.num_nodes = r.I32();
   out.packets_corrupted = r.U64();
   out.outcome = LoadSimOutcome(r);
-  const std::uint32_t nts = r.U32();
+  const std::uint32_t nts = r.CountU32(kIntervalSampleBytes);
   out.timeline.reserve(nts);
   for (std::uint32_t i = 0; i < nts; ++i) {
     IntervalSample s;
@@ -793,7 +797,7 @@ NetworkSimResult LoadNetworkSimResult(SnapshotReader& r) {
     out.timeline.push_back(s);
   }
   LoadTelemetryScalars(r, &out.telemetry);
-  const std::uint32_t nw = r.U32();
+  const std::uint32_t nw = r.CountU32(7 * 8);  // seven u64 fields
   out.telemetry.windows.reserve(nw);
   for (std::uint32_t i = 0; i < nw; ++i) {
     TelemetryWindow win;
@@ -806,7 +810,8 @@ NetworkSimResult LoadNetworkSimResult(SnapshotReader& r) {
     win.packets_ejected = r.U64();
     out.telemetry.windows.push_back(win);
   }
-  const std::uint32_t nt = r.U32();
+  // packet u64, kind u8, cycle u64, router/src/dst i32.
+  const std::uint32_t nt = r.CountU32(8 + 1 + 8 + 3 * 4);
   out.telemetry.trace.reserve(nt);
   for (std::uint32_t i = 0; i < nt; ++i) {
     PacketTraceEvent ev;

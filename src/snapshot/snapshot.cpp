@@ -177,6 +177,14 @@ SnapshotReader::SnapshotReader(std::string bytes) {
   }
   fingerprint_ = cur.U64("config fingerprint");
   const std::uint32_t num_sections = cur.U32("section count");
+  // Each section frame takes at least its name length, payload length and
+  // checksum fields, which bounds a count that is safe to reserve.
+  constexpr std::size_t kMinSectionBytes = 4 + 8 + 8;
+  if (num_sections > cur.remaining() / kMinSectionBytes) {
+    throw SimError("checkpoint claims " + std::to_string(num_sections) +
+                   " sections but only " + std::to_string(cur.remaining()) +
+                   " bytes remain");
+  }
   sections_.reserve(num_sections);
   for (std::uint32_t i = 0; i < num_sections; ++i) {
     const std::uint32_t name_len = cur.U32("section name length");
@@ -294,7 +302,17 @@ bool SnapshotReader::B() {
 }
 
 std::size_t SnapshotReader::Count(std::size_t elem_size) {
-  const std::uint64_t n = U64();
+  return CheckCount(U64(), elem_size);
+}
+
+std::uint32_t SnapshotReader::CountU32(std::size_t elem_size) {
+  const std::uint32_t n = U32();
+  CheckCount(n, elem_size);
+  return n;
+}
+
+std::size_t SnapshotReader::CheckCount(std::uint64_t n,
+                                       std::size_t elem_size) const {
   const std::size_t remaining = Payload().size() - pos_;
   if (elem_size > 0 && n > remaining / elem_size) {
     Fail("count " + std::to_string(n) + " exceeds the " +

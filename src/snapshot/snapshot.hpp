@@ -107,8 +107,12 @@ class SnapshotReader {
   /// against the bytes remaining in the section (so a corrupted length
   /// cannot drive a multi-gigabyte allocation).
   std::size_t Count(std::size_t elem_size);
+  /// The same check for a U32 element count written by hand ahead of
+  /// `elem_size`-byte (at least) elements; call it before reserve().
+  std::uint32_t CountU32(std::size_t elem_size);
 
  private:
+  std::size_t CheckCount(std::uint64_t n, std::size_t elem_size) const;
   struct Section {
     std::string payload;
   };

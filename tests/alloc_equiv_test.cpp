@@ -7,18 +7,26 @@
 //
 // Sizes cover 2..64 plus >64-input instances, which exercise the
 // multi-word (two-plus uint64_t) scan paths of every kernel.
+//
+// The idle-replay tests pin SwitchAllocator::AdvanceIdle, which lets a
+// sleeping router skip its empty cycles: it must leave exactly the state
+// of that many empty Allocate calls.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
+#include <memory>
 #include <random>
 #include <string>
 #include <vector>
 
+#include "alloc/augmenting_path.hpp"
 #include "alloc/request_matrix.hpp"
 #include "alloc/switch_allocator.hpp"
 #include "arbiter/arbiter.hpp"
 #include "reference_alloc.hpp"
+#include "snapshot/snapshot.hpp"
 
 namespace vixnoc {
 namespace {
@@ -189,6 +197,145 @@ std::vector<EquivCase> AllCases() {
 
 INSTANTIATE_TEST_SUITE_P(Sweep, AllocEquivTest,
                          ::testing::ValuesIn(AllCases()), CaseName);
+
+// ---------------------------------------------------------------------------
+// Idle replay: AdvanceIdle(n) == n empty Allocate calls.
+
+struct IdleCase {
+  AllocScheme scheme;
+  int radix;
+  bool ap_rotate_vcs;  ///< false: the stateless-VC AP ablation
+};
+
+std::string IdleCaseName(const ::testing::TestParamInfo<IdleCase>& info) {
+  const IdleCase& c = info.param;
+  std::string name = ToString(c.scheme) + "_r" + std::to_string(c.radix) +
+                     (c.ap_rotate_vcs ? "" : "_norotate");
+  for (char& ch : name) {
+    if (!std::isalnum(static_cast<unsigned char>(ch))) ch = '_';
+  }
+  return name;
+}
+
+std::unique_ptr<SwitchAllocator> MakeIdleCaseAllocator(const IdleCase& c) {
+  SwitchGeometry g;
+  g.num_inports = c.radix;
+  g.num_outports = c.radix;
+  g.num_vcs = 4;
+  g.num_vins = VirtualInputsForScheme(c.scheme, g.num_vcs);
+  if (!c.ap_rotate_vcs) {
+    return std::make_unique<AugmentingPathAllocator>(g, false);
+  }
+  return MakeSwitchAllocator(c.scheme, g, ArbiterKind::kRoundRobin,
+                             0x1d1eull + static_cast<std::uint64_t>(c.radix));
+}
+
+std::string StateBytes(const SwitchAllocator& alloc) {
+  SnapshotWriter w;
+  w.BeginSection("alloc");
+  alloc.SaveState(w);
+  w.EndSection();
+  return w.Finish(0);
+}
+
+/// Makes `n` empty Allocate calls. The allocator is a deterministic state
+/// machine and SaveState captures all of its state (the checkpoint
+/// contract), so once a state repeats the remaining calls skip whole
+/// periods — keeping n = 10^6 affordable under the sanitizers.
+void AllocateEmpty(SwitchAllocator* alloc, std::uint64_t n) {
+  const std::vector<SaRequest> none;
+  std::vector<SaGrant> grants;
+  std::vector<std::string> seen = {StateBytes(*alloc)};
+  for (std::uint64_t i = 1; i <= n; ++i) {
+    alloc->Allocate(none, &grants);
+    ASSERT_TRUE(grants.empty());
+    std::string state = StateBytes(*alloc);
+    const auto it = std::find(seen.begin(), seen.end(), state);
+    if (it != seen.end()) {
+      const std::uint64_t period =
+          i - static_cast<std::uint64_t>(it - seen.begin());
+      for (std::uint64_t r = (n - i) % period; r > 0; --r) {
+        alloc->Allocate(none, &grants);
+      }
+      return;
+    }
+    seen.push_back(std::move(state));
+  }
+}
+
+std::vector<SaRequest> RandomRequests(const SwitchAllocator& alloc,
+                                      std::mt19937_64& rng) {
+  const SwitchGeometry& g = alloc.geometry();
+  std::vector<SaRequest> requests;
+  for (PortId p = 0; p < g.num_inports; ++p) {
+    for (VcId v = 0; v < g.num_vcs; ++v) {
+      if ((rng() & 3) != 0) continue;
+      requests.push_back(
+          SaRequest{p, v, static_cast<PortId>(rng() % g.num_outports)});
+    }
+  }
+  if (requests.empty()) requests.push_back(SaRequest{0, 0, 0});
+  return requests;
+}
+
+class AdvanceIdleTest : public ::testing::TestWithParam<IdleCase> {};
+
+TEST_P(AdvanceIdleTest, EqualsEmptyAllocateCalls) {
+  const IdleCase& c = GetParam();
+  for (const std::uint64_t n :
+       {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{2},
+        std::uint64_t{3}, std::uint64_t{64}, std::uint64_t{1'000'000}}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    auto skipped = MakeIdleCaseAllocator(c);
+    auto stepped = MakeIdleCaseAllocator(c);
+    // A random mid-run state: the same non-empty history on both.
+    std::mt19937_64 rng(0x1d1e5eedull ^ (static_cast<std::uint64_t>(c.radix)
+                                         << 12) ^
+                        n);
+    std::vector<SaGrant> a;
+    std::vector<SaGrant> b;
+    const int history = 1 + static_cast<int>(rng() % 40);
+    for (int cycle = 0; cycle < history; ++cycle) {
+      const std::vector<SaRequest> requests = RandomRequests(*skipped, rng);
+      skipped->Allocate(requests, &a);
+      stepped->Allocate(requests, &b);
+    }
+
+    skipped->AdvanceIdle(n);
+    AllocateEmpty(stepped.get(), n);
+    ASSERT_EQ(StateBytes(*skipped), StateBytes(*stepped));
+
+    for (int cycle = 0; cycle < 50; ++cycle) {
+      const std::vector<SaRequest> requests = RandomRequests(*skipped, rng);
+      skipped->Allocate(requests, &a);
+      stepped->Allocate(requests, &b);
+      ASSERT_EQ(a.size(), b.size()) << "cycle=" << cycle;
+      for (std::size_t i = 0; i < a.size(); ++i) {
+        ASSERT_EQ(a[i].in_port, b[i].in_port) << "cycle=" << cycle;
+        ASSERT_EQ(a[i].vc, b[i].vc) << "cycle=" << cycle;
+        ASSERT_EQ(a[i].out_port, b[i].out_port) << "cycle=" << cycle;
+      }
+    }
+  }
+}
+
+std::vector<IdleCase> AllIdleCases() {
+  std::vector<IdleCase> cases;
+  for (const int radix : {2, 3, 5, 8, 16, 33, 64, 70}) {
+    for (const AllocScheme scheme :
+         {AllocScheme::kInputFirst, AllocScheme::kVix, AllocScheme::kVixIdeal,
+          AllocScheme::kWavefront, AllocScheme::kAugmentingPath,
+          AllocScheme::kPacketChaining, AllocScheme::kIslip,
+          AllocScheme::kSparoflo, AllocScheme::kSerenade}) {
+      cases.push_back(IdleCase{scheme, radix, true});
+    }
+    cases.push_back(IdleCase{AllocScheme::kAugmentingPath, radix, false});
+  }
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(AllSchemes, AdvanceIdleTest,
+                         ::testing::ValuesIn(AllIdleCases()), IdleCaseName);
 
 }  // namespace
 }  // namespace vixnoc

@@ -3,10 +3,15 @@
 // load-bearing contract of the whole feature — a run restored from a
 // checkpoint and continued to cycle C is bitwise identical to an
 // uninterrupted run to cycle C, across topologies, allocation schemes,
-// fault injection and telemetry.
+// fault injection and telemetry. Decoders must also refuse crafted input
+// — valid checksums around out-of-range counts and indices — with a
+// SimError, and routers that sleep through idle cycles must checkpoint
+// exactly like routers that never skip one.
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -15,10 +20,12 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "exec/exec_protocol.hpp"
 #include "network/network.hpp"
 #include "sim/sweep.hpp"
 #include "snapshot/snapshot.hpp"
 #include "store/result_store.hpp"
+#include "telemetry/telemetry.hpp"
 #include "topology/topology.hpp"
 
 namespace vixnoc {
@@ -719,6 +726,321 @@ TEST(SweepResume, StaleCacheFromDifferentConfigIsIgnored) {
   ExpectResultsIdentical(RunNetworkSim(b), rb[0]);
   std::filesystem::remove_all(dir);
 }
+
+// ---------------------------------------------------------------------------
+// Crafted input: well-framed bytes (valid checksums) carrying out-of-range
+// counts or indices must throw SimError — not bad_alloc, not a crash.
+
+std::string Le(std::uint64_t v, int bytes) {
+  std::string out;
+  for (int i = 0; i < bytes; ++i) {
+    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+  }
+  return out;
+}
+
+/// Offset of the only occurrence of `needle` in `hay`.
+std::size_t FindOnce(const std::string& hay, const std::string& needle) {
+  const std::size_t at = hay.find(needle);
+  EXPECT_NE(at, std::string::npos) << "pattern not found";
+  EXPECT_EQ(hay.find(needle, at + 1), std::string::npos)
+      << "pattern not unique";
+  return at;
+}
+
+/// Overwrites `bytes` at absolute offset `at` of a snapshot file and
+/// re-seals the checksum of the section containing it, so only the
+/// decoder, not the frame, can notice.
+std::string Patch(std::string file, std::size_t at, const std::string& bytes) {
+  const auto u32 = [&](std::size_t pos) {
+    std::uint32_t v = 0;
+    for (int i = 3; i >= 0; --i) {
+      v = (v << 8) | static_cast<unsigned char>(file[pos + i]);
+    }
+    return v;
+  };
+  std::size_t pos = 8 + 4 + 8;  // magic, version, fingerprint
+  const std::uint32_t sections = u32(pos);
+  pos += 4;
+  for (std::uint32_t i = 0; i < sections; ++i) {
+    pos += 4 + u32(pos);  // name
+    const std::size_t len = u32(pos);  // payload length (< 4 GiB here)
+    const std::size_t begin = pos + 8;
+    pos = begin + len;
+    if (at >= begin && at + bytes.size() <= pos) {
+      file.replace(at, bytes.size(), bytes);
+      file.replace(pos, 8, Le(Fnv1a64(file.data() + begin, len), 8));
+      return file;
+    }
+    pos += 8;  // checksum
+  }
+  ADD_FAILURE() << "offset " << at << " is in no section payload";
+  return file;
+}
+
+std::string InflatedCount() { return Le(0xffffffffu, 4); }
+
+NetworkParams SmallMeshParams() {
+  NetworkParams params;
+  params.router.radix = 5;
+  params.router.num_vcs = 4;
+  params.router.buffer_depth = 3;
+  return params;
+}
+
+std::string NetworkBytes(const Network& net) {
+  SnapshotWriter w;
+  w.BeginSection("network");
+  net.SaveState(w);
+  w.EndSection();
+  return w.Finish(net.StructureFingerprint());
+}
+
+void LoadNetworkBytes(Network* net, const std::string& bytes) {
+  SnapshotReader r(bytes);
+  r.OpenSection("network");
+  net->LoadState(r);
+  r.CloseSection();
+}
+
+TEST(CraftedInput, FlitEncodingSizeMatchesTheBound) {
+  SnapshotWriter none;
+  none.BeginSection("f");
+  none.EndSection();
+  SnapshotWriter one;
+  one.BeginSection("f");
+  SaveFlit(one, Flit{});
+  one.EndSection();
+  EXPECT_EQ(one.Finish(0).size() - none.Finish(0).size(), kFlitBytes);
+}
+
+TEST(CraftedInput, InflatedWheelSlotCountThrows) {
+  const NetworkParams params = SmallMeshParams();
+  Network net(std::shared_ptr<Topology>(MakeMesh(4, 4)), params);
+  const std::string good = NetworkBytes(net);
+  // The first slot's count follows four u64 header fields and the u32
+  // slot count at the start of the only payload.
+  const std::size_t payload = 8 + 4 + 8 + 4 + 4 + 7 + 8;  // "network"
+  const std::string bad = Patch(good, payload + 4 * 8 + 4, InflatedCount());
+  Network restored(std::shared_ptr<Topology>(MakeMesh(4, 4)), params);
+  EXPECT_THROW(LoadNetworkBytes(&restored, bad), SimError);
+  LoadNetworkBytes(&restored, good);  // control: the unpatched bytes load
+}
+
+TEST(CraftedInput, InflatedNiActiveCountThrows) {
+  const NetworkParams params = SmallMeshParams();
+  Network net(std::shared_ptr<Topology>(MakeMesh(4, 4)), params);
+  const PacketId id = net.EnqueuePacket(0, 15, 4);
+  net.Step();  // the NI starts the packet: one active transmission
+  const std::string good = NetworkBytes(net);
+  // NI 0's active count precedes its one record: id u64, dst, size.
+  const std::size_t at =
+      FindOnce(good, Le(1, 4) + Le(id, 8) + Le(15, 4) + Le(4, 4));
+  Network restored(std::shared_ptr<Topology>(MakeMesh(4, 4)), params);
+  EXPECT_THROW(LoadNetworkBytes(&restored, Patch(good, at, InflatedCount())),
+               SimError);
+  LoadNetworkBytes(&restored, good);
+}
+
+TEST(CraftedInput, InflatedForcedLinkDownCountThrows) {
+  NetworkSimConfig config;
+  config.faults.forced_link_down = {{0x13572468, 0x0246ace0}};
+  SnapshotWriter w;
+  w.BeginSection("config");
+  SaveNetworkSimConfig(w, config);
+  w.EndSection();
+  const std::string good = w.Finish(0);
+  const std::size_t at =
+      FindOnce(good, Le(1, 4) + Le(0x13572468, 4) + Le(0x0246ace0, 4));
+  SnapshotReader r(Patch(good, at, InflatedCount()));
+  r.OpenSection("config");
+  EXPECT_THROW(LoadNetworkSimConfig(r), SimError);
+}
+
+TEST(CraftedInput, InflatedResultListCountsThrow) {
+  NetworkSimResult result;
+  result.timeline = {IntervalSample{0x1122334455667788ull, 0.5, 2.0, 7}};
+  TelemetryWindow window;
+  window.start = 0x2233445566778899ull;
+  result.telemetry.windows = {window};
+  PacketTraceEvent event;
+  event.packet = 0x33445566778899aaull;
+  result.telemetry.trace = {event};
+  SnapshotWriter w;
+  w.BeginSection("result");
+  SaveNetworkSimResult(w, result);
+  w.EndSection();
+  const std::string good = w.Finish(0);
+  for (const std::uint64_t first_field :
+       {result.timeline[0].start, window.start, event.packet}) {
+    SCOPED_TRACE(first_field);
+    const std::size_t at = FindOnce(good, Le(1, 4) + Le(first_field, 8));
+    SnapshotReader r(Patch(good, at, InflatedCount()));
+    r.OpenSection("result");
+    EXPECT_THROW(LoadNetworkSimResult(r), SimError);
+  }
+}
+
+TEST(CraftedInput, InflatedCheckpointTimelineCountThrows) {
+  NetworkSimConfig config =
+      ShortConfig(TopologyKind::kMesh, AllocScheme::kVix);
+  const NetworkSimResult straight = RunNetworkSim(config);
+  ASSERT_FALSE(straight.timeline.empty());
+  const std::string path = TempPath("timeline.ckpt");
+  config.checkpoint_path = path;
+  config.checkpoint_every = 700;
+  (void)RunNetworkSim(config);
+  const std::string good = Slurp(path);
+  // The checkpoint's timeline starts with the run's first sample.
+  const IntervalSample& s = straight.timeline[0];
+  std::uint64_t acc = 0;
+  std::uint64_t lat = 0;
+  std::memcpy(&acc, &s.accepted_ppc, sizeof acc);
+  std::memcpy(&lat, &s.avg_latency, sizeof lat);
+  const std::size_t at =
+      FindOnce(good, Le(s.start, 8) + Le(acc, 8) + Le(lat, 8) +
+                         Le(s.packets, 8)) -
+      4;
+  Spit(path, Patch(good, at, InflatedCount()));
+  NetworkSimConfig restore = config;
+  restore.checkpoint_path.clear();
+  restore.checkpoint_every = 0;
+  restore.restore_path = path;
+  EXPECT_THROW(RunNetworkSim(restore), SimError);
+  std::remove(path.c_str());
+}
+
+TEST(CraftedInput, OutOfRangeRouterIndicesThrow) {
+  NetworkParams params = SmallMeshParams();
+  params.router.speculative_sa = false;  // VA now, SA next cycle
+  Network net(std::shared_ptr<Topology>(MakeMesh(4, 4)), params);
+  constexpr std::uint64_t kTag = 0xfeedfacecafebeefull;
+  net.EnqueuePacket(0, 15, 1, kTag);
+  net.Step();  // injected
+  net.Step();  // delivered to router 0 and granted a VC, not yet sent
+  const std::string good = NetworkBytes(net);
+  // SaveFlit field offsets; the VC record continues after the flit with
+  // active u8, out_port i32, out_vc i32, lookahead i32, dateline u8.
+  const std::size_t flit = FindOnce(good, Le(kTag, 8)) - 45;
+  const std::size_t state = flit + kFlitBytes;
+  const struct {
+    const char* what;
+    std::size_t at;
+    std::string bytes;
+  } crafted[] = {
+      {"flit vc", flit + 37, Le(3, 4)},
+      {"flit route", flit + 41, Le(99, 4)},
+      {"flit class", flit + 53, Le(1, 1)},
+      {"flit dateline", flit + 54, Le(200, 1)},
+      {"output port", state + 1, Le(99, 4)},
+      {"negative output port", state + 1, Le(0xfffffff0u, 4)},
+      {"output vc", state + 5, Le(4, 4)},
+      {"lookahead", state + 9, Le(99, 4)},
+      {"dateline state", state + 13, Le(9, 1)},
+      {"inactive with output state", state, Le(0, 1)},
+  };
+  for (const auto& c : crafted) {
+    SCOPED_TRACE(c.what);
+    Network restored(std::shared_ptr<Topology>(MakeMesh(4, 4)), params);
+    EXPECT_THROW(LoadNetworkBytes(&restored, Patch(good, c.at, c.bytes)),
+                 SimError);
+  }
+  // Control: the unpatched state restores and delivers the packet.
+  Network restored(std::shared_ptr<Topology>(MakeMesh(4, 4)), params);
+  LoadNetworkBytes(&restored, good);
+  for (int t = 0; t < 100; ++t) restored.Step();
+  EXPECT_TRUE(restored.Quiescent());
+}
+
+// ---------------------------------------------------------------------------
+// Sleeping routers: a network that skips idle routers must checkpoint
+// byte for byte like one that steps every router every cycle. Attaching
+// telemetry keeps every router awake, which makes it the reference.
+
+class SleepingRoutersTest : public ::testing::TestWithParam<AllocScheme> {};
+
+TEST_P(SleepingRoutersTest, CheckpointsMatchAnAlwaysAwakeNetwork) {
+  const AllocScheme scheme = GetParam();
+  NetworkParams params;
+  params.router.radix = 5;
+  params.router.num_vcs = 6;
+  params.router.buffer_depth = 5;
+  params.router.scheme = scheme;
+  params.router.vc_policy = RouterConfig::DefaultPolicyFor(scheme);
+  const auto make_net = [&](TelemetryCollector* telemetry) {
+    NetworkParams p = params;
+    p.telemetry = telemetry;
+    return std::make_unique<Network>(
+        std::shared_ptr<Topology>(MakeMesh(8, 8)), p);
+  };
+  TelemetryConfig tc;
+  tc.enabled = true;
+  TelemetryCollector collector(tc);
+  auto awake = make_net(&collector);
+  auto sleepy = make_net(nullptr);
+
+  Rng rng(23);
+  const auto step_both = [&](Cycle cycles) {
+    for (Cycle t = 0; t < cycles; ++t) {
+      for (NodeId n = 0; n < sleepy->NumNodes(); ++n) {
+        if (!rng.NextBool(0.01)) continue;
+        const auto dst =
+            static_cast<NodeId>(rng.NextBounded(sleepy->NumNodes()));
+        awake->EnqueuePacket(n, dst, 4);
+        sleepy->EnqueuePacket(n, dst, 4);
+      }
+      awake->Step();
+      sleepy->Step();
+    }
+  };
+  Cycle cleared_at = 0;
+  for (int round = 0; round < 6; ++round) {
+    step_both(round == 3 ? 1'000 : 150);  // one long idle-heavy stretch
+    ASSERT_EQ(NetworkBytes(*sleepy), NetworkBytes(*awake)) << "round "
+                                                           << round;
+    EXPECT_EQ(sleepy->TotalActivity().cycles,
+              static_cast<std::uint64_t>(sleepy->NumRouters()) *
+                  (sleepy->now() - cleared_at));
+    if (round == 2) {
+      sleepy->ClearActivity();
+      awake->ClearActivity();
+      cleared_at = sleepy->now();
+    }
+  }
+
+  // A checkpoint taken while most routers sleep re-serializes identically
+  // and resumes bitwise.
+  const std::string ckpt = NetworkBytes(*sleepy);
+  auto restored = make_net(nullptr);
+  LoadNetworkBytes(restored.get(), ckpt);
+  EXPECT_EQ(NetworkBytes(*restored), ckpt);
+  for (Cycle t = 0; t < 400; ++t) {
+    for (NodeId n = 0; n < sleepy->NumNodes(); ++n) {
+      if (!rng.NextBool(0.01)) continue;
+      const auto dst = static_cast<NodeId>(rng.NextBounded(sleepy->NumNodes()));
+      sleepy->EnqueuePacket(n, dst, 4);
+      restored->EnqueuePacket(n, dst, 4);
+    }
+    sleepy->Step();
+    restored->Step();
+  }
+  EXPECT_EQ(NetworkBytes(*restored), NetworkBytes(*sleepy));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllSchemes, SleepingRoutersTest,
+    ::testing::Values(AllocScheme::kInputFirst, AllocScheme::kWavefront,
+                      AllocScheme::kAugmentingPath, AllocScheme::kVix,
+                      AllocScheme::kVixIdeal, AllocScheme::kPacketChaining,
+                      AllocScheme::kIslip, AllocScheme::kSparoflo,
+                      AllocScheme::kSerenade),
+    [](const ::testing::TestParamInfo<AllocScheme>& info) {
+      std::string name = ToString(info.param);
+      for (char& ch : name) {
+        if (!std::isalnum(static_cast<unsigned char>(ch))) ch = '_';
+      }
+      return name;
+    });
 
 }  // namespace
 }  // namespace vixnoc
