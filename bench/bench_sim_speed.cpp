@@ -114,6 +114,18 @@ void BM_Mesh_VIX_LowLoad(benchmark::State& s) {
   RunNetwork(s, TopologyKind::kMesh, AllocScheme::kVix, nullptr, 0.01);
 }
 
+// Past the mesh knee most router-cycles allocate and many VCs wait on
+// credits; this arm pins the switch-allocation path (one-word allocator
+// rows, the SA stage's credit-stall skip) that dominates there.
+void BM_Mesh_VIX_Saturated(benchmark::State& s) {
+  RunNetwork(s, TopologyKind::kMesh, AllocScheme::kVix, nullptr, 0.14);
+}
+
+// SERENADE on the 64-node mesh; the single-router arm below is opt-in.
+void BM_Mesh_Serenade(benchmark::State& s) {
+  RunNetwork(s, TopologyKind::kMesh, AllocScheme::kSerenade);
+}
+
 BENCHMARK(BM_Mesh_IF);
 BENCHMARK(BM_Mesh_VIX);
 BENCHMARK(BM_Mesh_WF);
@@ -122,6 +134,8 @@ BENCHMARK(BM_CMesh_VIX);
 BENCHMARK(BM_FBfly_VIX);
 BENCHMARK(BM_Mesh_VIX_AdaptiveMin);
 BENCHMARK(BM_Mesh_VIX_LowLoad);
+BENCHMARK(BM_Mesh_VIX_Saturated);
+BENCHMARK(BM_Mesh_Serenade);
 
 // Gated arm (pass serenade=1): a saturated radix-64 single-router hot loop
 // over the SERENADE allocator — one Allocate() per state iteration is one

@@ -13,21 +13,27 @@ Subcommands:
            --max-regression (default 10%) below the committed value, or
            when the results came from a non-NDEBUG build.
 
-  append   Add a new trajectory entry from a bench_results.json. Refuses
-           non-NDEBUG builds.
+  append   Add a new trajectory entry from one or more bench_results.json
+           files; with several, each arm records its median across them
+           (host timing is noisy, so pin a median of repeated runs).
+           Refuses non-NDEBUG builds.
 
 Typical workflow after a performance-relevant change:
 
   ./build/bench/bench_sim_speed json=/tmp/bench.json
   scripts/bench_trajectory.py check --results /tmp/bench.json
   # and when the change is a milestone worth pinning:
-  scripts/bench_trajectory.py append --results /tmp/bench.json \
+  for i in 1 2 3 4 5; do
+    ./build/bench/bench_sim_speed json=/tmp/bench_$i.json
+  done
+  scripts/bench_trajectory.py append --results /tmp/bench_*.json \
       --label "short description of the change"
 """
 
 import argparse
 import datetime
 import json
+import statistics
 import sys
 
 # Arms that only run when explicitly enabled on the bench command line
@@ -129,8 +135,17 @@ def cmd_check(args):
 
 
 def cmd_append(args):
-    arms, build = load_results(args.results)
-    require_ndebug(build, args.results)
+    samples = {}
+    build = None
+    for path in args.results:
+        run_arms, build = load_results(path)
+        require_ndebug(build, path)
+        for name, value in run_arms.items():
+            samples.setdefault(name, []).append(value)
+    # An arm missing from some runs (a gated arm, or sweep_process without
+    # its worker binary) keeps the median of the runs that have it.
+    arms = {name: round(statistics.median(values), 3)
+            for name, values in samples.items()}
     trajectory = load_trajectory(args.trajectory)
     entry = {
         "label": args.label,
@@ -142,8 +157,8 @@ def cmd_append(args):
     with open(args.trajectory, "w") as f:
         json.dump(trajectory, f, indent=2)
         f.write("\n")
-    print(f"appended entry '{args.label}' with {len(arms)} arms to "
-          f"{args.trajectory}")
+    print(f"appended entry '{args.label}' with {len(arms)} arms "
+          f"(median of {len(args.results)} run(s)) to {args.trajectory}")
     return 0
 
 
@@ -152,14 +167,14 @@ def main():
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--results", default="bench_results.json",
-                        help="bench_sim_speed JSON output to read")
     common.add_argument("--trajectory", default="BENCH_sim_speed.json",
                         help="committed trajectory file")
 
     check = sub.add_parser("check", parents=[common],
                            help="fail on >max-regression slowdown vs the "
                                 "last committed entry")
+    check.add_argument("--results", default="bench_results.json",
+                       help="bench_sim_speed JSON output to read")
     check.add_argument("--max-regression", type=float, default=0.10,
                        help="allowed fractional slowdown per arm "
                             "(default 0.10)")
@@ -167,6 +182,10 @@ def main():
 
     append = sub.add_parser("append", parents=[common],
                             help="append a new trajectory entry")
+    append.add_argument("--results", nargs="+",
+                        default=["bench_results.json"],
+                        help="bench_sim_speed JSON output(s) to read; each "
+                             "arm records the median across them")
     append.add_argument("--label", required=True,
                         help="short description of the milestone")
     append.add_argument("--date", default=None,

@@ -16,23 +16,16 @@
 // port cannot starve each other.
 #pragma once
 
-#include "alloc/request_matrix.hpp"
+#include <memory>
+
 #include "alloc/switch_allocator.hpp"
 
 namespace vixnoc {
 
-class AugmentingPathAllocator final : public SwitchAllocator {
+/// The AP allocator's state and knobs; its Allocate kernel (one template
+/// over the row storage) lives in augmenting_path.cpp.
+class AugmentingPathAllocator : public SwitchAllocator {
  public:
-  /// `rotate_vcs`: when true, VC selection within a matched (input, output)
-  /// pair round-robins so VCs of a port cannot starve each other; when
-  /// false the allocator is fully combinational-deterministic (lowest VC
-  /// wins), matching a hardware maximum-matching circuit with no fairness
-  /// state at all.
-  explicit AugmentingPathAllocator(const SwitchGeometry& g,
-                                   bool rotate_vcs = true);
-
-  void Allocate(const std::vector<SaRequest>& requests,
-                std::vector<SaGrant>* grants) override;
   void Reset() override;
   void SaveState(SnapshotWriter& w) const override;
   void LoadState(SnapshotReader& r) override;
@@ -50,20 +43,24 @@ class AugmentingPathAllocator final : public SwitchAllocator {
   void set_work_limit(std::int64_t limit);
   std::int64_t work_limit() const { return work_limit_; }
 
- private:
-  bool TryAugment(int in);
+ protected:
+  AugmentingPathAllocator(const SwitchGeometry& g, bool rotate_vcs);
 
   bool rotate_vcs_;
   std::int64_t work_limit_ = 0;
 
-  // request_ row `in`: bit `out` set if any VC at `in` requests `out`.
-  RequestMatrix request_;
   std::vector<int> match_of_out_;  // output -> matched input (-1 free)
   std::vector<int> match_of_in_;   // input -> matched output (-1 free)
   std::vector<int> vc_rr_;         // per (in,out) vc round-robin pointer
-  RequestMatrix cell_vc_;  // row (in * num_outports + out): requesting VCs
-  BitWords visited_;       // per-augment DFS scratch, num_outports bits
   int last_iterations_ = 0;
 };
+
+/// `rotate_vcs`: when true, VC selection within a matched (input, output)
+/// pair round-robins so VCs of a port cannot starve each other; when false
+/// the allocator is fully combinational-deterministic (lowest VC wins),
+/// matching a hardware maximum-matching circuit with no fairness state at
+/// all.
+std::unique_ptr<SwitchAllocator> MakeAugmentingPathAllocator(
+    const SwitchGeometry& g, bool rotate_vcs = true);
 
 }  // namespace vixnoc

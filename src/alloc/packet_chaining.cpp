@@ -12,7 +12,7 @@ PacketChainingAllocator::PacketChainingAllocator(const SwitchGeometry& g,
       chain_(g.num_outports, -1),
       chain_vc_rr_(static_cast<std::size_t>(g.num_inports) * g.num_outports,
                    0),
-      separable_(g, kind) {
+      separable_(MakeSeparableAllocator(g, kind)) {
   VIXNOC_CHECK(g.num_vins == 1);
 }
 
@@ -62,7 +62,7 @@ void PacketChainingAllocator::Allocate(const std::vector<SaRequest>& requests,
     if (in_busy[r.in_port] || out_busy[r.out_port]) continue;
     residual_requests_.push_back(r);
   }
-  separable_.Allocate(residual_requests_, &residual_grants_);
+  separable_->Allocate(residual_requests_, &residual_grants_);
   for (const SaGrant& g : residual_grants_) {
     new_chain[g.out_port] = g.in_port;
     grants->push_back(g);
@@ -74,14 +74,14 @@ void PacketChainingAllocator::Allocate(const std::vector<SaRequest>& requests,
 void PacketChainingAllocator::Reset() {
   std::fill(chain_.begin(), chain_.end(), -1);
   std::fill(chain_vc_rr_.begin(), chain_vc_rr_.end(), 0);
-  separable_.Reset();
+  separable_->Reset();
   chained_grants_ = 0;
 }
 
 void PacketChainingAllocator::SaveState(SnapshotWriter& w) const {
   w.VecI32(chain_);
   w.VecI32(chain_vc_rr_);
-  separable_.SaveState(w);
+  separable_->SaveState(w);
   w.U64(chained_grants_);
 }
 
@@ -94,7 +94,7 @@ void PacketChainingAllocator::LoadState(SnapshotReader& r) {
                  "allocator's geometry");
   chain_ = std::move(chain);
   chain_vc_rr_ = std::move(rr);
-  separable_.LoadState(r);
+  separable_->LoadState(r);
   chained_grants_ = r.U64();
 }
 

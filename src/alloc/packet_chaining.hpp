@@ -37,7 +37,7 @@ class PacketChainingAllocator final : public SwitchAllocator {
   std::vector<int> chain_;
   // Per (in,out) round-robin over VCs continuing a chain.
   std::vector<int> chain_vc_rr_;
-  SeparableInputFirstAllocator separable_;
+  std::unique_ptr<SwitchAllocator> separable_;  // residual IF pass
   std::vector<SaRequest> residual_requests_;
   std::vector<SaGrant> residual_grants_;
   std::uint64_t chained_grants_ = 0;

@@ -22,6 +22,13 @@
 //     Allocators rebuild their request state every cycle; clearing only the
 //     rows touched last cycle makes the per-cycle reset O(active requests)
 //     instead of O(rows x cols).
+//
+// Each vector and matrix type has a one-word twin (`WordSpan`, `WordBits`,
+// `WordRequestMatrix`) with the same methods, holding a row of at most 64
+// bits in a single uint64_t. The allocator kernels are templates over a
+// row policy (`OneWordRows` / `MultiWordRows`, at the end of this file), so
+// each kernel is written once and a paper-sized switch runs it on single
+// words.
 #pragma once
 
 #include <bit>
@@ -122,6 +129,12 @@ inline int FirstSetAndNot(const std::uint64_t* a, const std::uint64_t* b,
   return -1;
 }
 
+/// `(i + 1) % n` for 0 <= i < n, with a compare instead of a division:
+/// rotating priority pointers advance on every grant.
+inline constexpr int NextWrapped(int i, int n) {
+  return i + 1 == n ? 0 : i + 1;
+}
+
 inline bool AnySet(const std::uint64_t* words, int nwords) {
   for (int w = 0; w < nwords; ++w) {
     if (words[w] != 0) return true;
@@ -198,6 +211,20 @@ class BitSpan {
   }
   int FirstAtOrAfter(int start) const {
     return bits::FirstSetAtOrAfter(words_, word_count(), start);
+  }
+  /// Index of the k-th (0-based) set bit; k must be < Count().
+  int NthSet(int k) const {
+    VIXNOC_DCHECK(k >= 0 && k < Count());
+    for (int w = 0; w < word_count(); ++w) {
+      const int pc = std::popcount(words_[w]);
+      if (k < pc) {
+        std::uint64_t cur = words_[w];
+        while (k-- > 0) cur &= cur - 1;
+        return w * bits::kWordBits + std::countr_zero(cur);
+      }
+      k -= pc;
+    }
+    return -1;
   }
   template <typename F>
   void ForEach(F&& f) const {
@@ -312,55 +339,180 @@ class BitView : public BitOps<BitView> {
   int nbits_ = 0;
 };
 
-/// Dense rows x cols bit matrix with dirty-row tracking. Built for state
-/// that is rebuilt from a (usually sparse) request list every cycle: `Set`
-/// marks the row dirty, `ClearDirty` zeroes only the dirty rows, and
-/// `DirtyRows` exposes the set of non-empty rows for ascending iteration.
-class RequestMatrix {
+/// BitSpan's read interface over one word, for vectors of at most 64 bits.
+/// Held by value: every scan is a single ctz/popcount.
+class WordSpan {
  public:
-  RequestMatrix() = default;
-  RequestMatrix(int rows, int cols) { Resize(rows, cols); }
+  WordSpan() = default;
+  WordSpan(std::uint64_t word, int nbits) : word_(word), nbits_(nbits) {
+    VIXNOC_DCHECK(nbits >= 0 && nbits <= bits::kWordBits);
+  }
 
+  int size() const { return nbits_; }
+  std::uint64_t word() const { return word_; }
+
+  bool Test(int i) const {
+    VIXNOC_DCHECK(i >= 0 && i < nbits_);
+    return (word_ >> i) & std::uint64_t{1};
+  }
+  bool Any() const { return word_ != 0; }
+  int Count() const { return std::popcount(word_); }
+  int First() const { return word_ != 0 ? std::countr_zero(word_) : -1; }
+  /// Rotating-priority scan (see bits::FirstSetFrom) as a masked rotate:
+  /// the lowest bit at or after `start`, else the lowest bit overall.
+  int FirstFrom(int start) const {
+    VIXNOC_DCHECK(start >= 0 && start < bits::kWordBits);
+    const std::uint64_t hi = word_ & (~std::uint64_t{0} << start);
+    return hi != 0 ? std::countr_zero(hi) : First();
+  }
+  /// Index of the k-th (0-based) set bit; k must be < Count().
+  int NthSet(int k) const {
+    VIXNOC_DCHECK(k >= 0 && k < Count());
+    std::uint64_t cur = word_;
+    while (k-- > 0) cur &= cur - 1;
+    return std::countr_zero(cur);
+  }
+  template <typename F>
+  void ForEach(F&& f) const {
+    for (std::uint64_t cur = word_; cur != 0; cur &= cur - 1) {
+      f(std::countr_zero(cur));
+    }
+  }
+
+ private:
+  std::uint64_t word_ = 0;
+  int nbits_ = 0;
+};
+
+/// Owning bit vector of at most 64 bits: BitWords' interface in one word.
+class WordBits {
+ public:
+  WordBits() = default;
+  explicit WordBits(int nbits) { Resize(nbits); }
+
+  void Resize(int nbits) {
+    VIXNOC_CHECK(nbits >= 0 && nbits <= bits::kWordBits);
+    nbits_ = nbits;
+    word_ = 0;
+  }
+
+  int size() const { return nbits_; }
+  WordSpan Span() const { return WordSpan(word_, nbits_); }
+
+  void Set(int i) {
+    VIXNOC_DCHECK(i >= 0 && i < nbits_);
+    word_ |= std::uint64_t{1} << i;
+  }
+  void Clear(int i) {
+    VIXNOC_DCHECK(i >= 0 && i < nbits_);
+    word_ &= ~(std::uint64_t{1} << i);
+  }
+  bool Test(int i) const { return Span().Test(i); }
+  void ClearAll() { word_ = 0; }
+  void SetAll() { word_ = nbits_ == 0 ? 0 : bits::TailMask(nbits_); }
+
+  template <typename F>
+  void ForEach(F&& f) const {
+    Span().ForEach(static_cast<F&&>(f));
+  }
+
+ private:
+  std::uint64_t word_ = 0;
+  int nbits_ = 0;
+};
+
+/// Lowest set bit of `a & ~b` (equal sizes), or -1 when empty.
+inline int FirstSetAndNot(BitSpan a, BitSpan b) {
+  VIXNOC_DCHECK(a.size() == b.size());
+  return bits::FirstSetAndNot(a.words(), b.words(), a.word_count());
+}
+inline int FirstSetAndNot(WordSpan a, WordSpan b) {
+  return WordSpan(a.word() & ~b.word(), a.size()).First();
+}
+
+/// True when `a & b` (equal sizes) has a set bit.
+inline bool AnySetAnd(BitSpan a, BitSpan b) {
+  VIXNOC_DCHECK(a.size() == b.size());
+  return bits::FirstSetAnd(a.words(), b.words(), a.word_count()) >= 0;
+}
+inline bool AnySetAnd(WordSpan a, WordSpan b) {
+  return (a.word() & b.word()) != 0;
+}
+
+/// Invoke `f(index)` for every bit set in both `a` and `b`, ascending. Each
+/// word of the intersection is read before its bits are visited, so `f`
+/// may clear the bit it is handed in either source.
+template <typename F>
+inline void ForEachSetAnd(BitSpan a, BitSpan b, F&& f) {
+  VIXNOC_DCHECK(a.size() == b.size());
+  for (int w = 0; w < a.word_count(); ++w) {
+    for (std::uint64_t cur = a.words()[w] & b.words()[w]; cur != 0;
+         cur &= cur - 1) {
+      f(w * bits::kWordBits + std::countr_zero(cur));
+    }
+  }
+}
+template <typename F>
+inline void ForEachSetAnd(WordSpan a, WordSpan b, F&& f) {
+  WordSpan(a.word() & b.word(), a.size()).ForEach(static_cast<F&&>(f));
+}
+
+/// Rows x cols bit matrix with no tracking: rows of one word each
+/// (cols <= 64), or of WordCount(cols) words. Row(r) is a WordSpan or a
+/// BitSpan respectively; the two share every method the kernels use.
+class WordMatrix {
+ public:
+  void Resize(int rows, int cols) {
+    VIXNOC_CHECK(rows >= 0 && cols >= 0 && cols <= bits::kWordBits);
+    cols_ = cols;
+    rows_.assign(static_cast<std::size_t>(rows), 0);
+  }
+  int rows() const { return static_cast<int>(rows_.size()); }
+  int cols() const { return cols_; }
+
+  void Set(int r, int c) {
+    VIXNOC_DCHECK(r >= 0 && r < rows() && c >= 0 && c < cols_);
+    rows_[static_cast<std::size_t>(r)] |= std::uint64_t{1} << c;
+  }
+  bool Test(int r, int c) const { return Row(r).Test(c); }
+  WordSpan Row(int r) const {
+    VIXNOC_DCHECK(r >= 0 && r < rows());
+    return WordSpan(rows_[static_cast<std::size_t>(r)], cols_);
+  }
+  void ClearRow(int r) { rows_[static_cast<std::size_t>(r)] = 0; }
+
+ private:
+  int cols_ = 0;
+  std::vector<std::uint64_t> rows_;
+};
+
+class BitMatrix {
+ public:
   void Resize(int rows, int cols) {
     VIXNOC_CHECK(rows >= 0 && cols >= 0);
     rows_ = rows;
     cols_ = cols;
     words_per_row_ = bits::WordCount(cols);
-    words_.assign(
-        static_cast<std::size_t>(rows) * words_per_row_, 0);
-    dirty_.Resize(rows);
+    words_.assign(static_cast<std::size_t>(rows) * words_per_row_, 0);
   }
-
   int rows() const { return rows_; }
   int cols() const { return cols_; }
 
   void Set(int r, int c) {
     VIXNOC_DCHECK(r >= 0 && r < rows_ && c >= 0 && c < cols_);
     words_[static_cast<std::size_t>(r) * words_per_row_ +
-           c / bits::kWordBits] |=
-        std::uint64_t{1} << (c % bits::kWordBits);
-    dirty_.Set(r);
+           c / bits::kWordBits] |= std::uint64_t{1} << (c % bits::kWordBits);
   }
-
   bool Test(int r, int c) const { return Row(r).Test(c); }
-
   BitSpan Row(int r) const {
     VIXNOC_DCHECK(r >= 0 && r < rows_);
     return BitSpan(
         words_.data() + static_cast<std::size_t>(r) * words_per_row_, cols_);
   }
-
-  /// Rows that received at least one Set since the last ClearDirty.
-  const BitWords& DirtyRows() const { return dirty_; }
-
-  /// Zero every dirty row (and the dirty set). O(set bits), not O(rows).
-  void ClearDirty() {
-    dirty_.ForEach([this](int r) {
-      std::uint64_t* row =
-          words_.data() + static_cast<std::size_t>(r) * words_per_row_;
-      for (int w = 0; w < words_per_row_; ++w) row[w] = 0;
-    });
-    dirty_.ClearAll();
+  void ClearRow(int r) {
+    std::uint64_t* row =
+        words_.data() + static_cast<std::size_t>(r) * words_per_row_;
+    for (int w = 0; w < words_per_row_; ++w) row[w] = 0;
   }
 
  private:
@@ -368,7 +520,68 @@ class RequestMatrix {
   int cols_ = 0;
   int words_per_row_ = 0;
   std::vector<std::uint64_t> words_;
-  BitWords dirty_;
+};
+
+/// Dense rows x cols bit matrix with dirty-row tracking. Built for state
+/// that is rebuilt from a (usually sparse) request list every cycle: `Set`
+/// marks the row dirty, `ClearDirty` zeroes only the dirty rows, and
+/// `DirtyRows` exposes the set of non-empty rows for ascending iteration.
+/// `Matrix` is WordMatrix or BitMatrix, `DirtySet` WordBits or BitWords.
+template <typename Matrix, typename DirtySet>
+class BasicRequestMatrix {
+ public:
+  BasicRequestMatrix() = default;
+  BasicRequestMatrix(int rows, int cols) { Resize(rows, cols); }
+
+  void Resize(int rows, int cols) {
+    matrix_.Resize(rows, cols);
+    dirty_.Resize(rows);
+  }
+
+  int rows() const { return matrix_.rows(); }
+  int cols() const { return matrix_.cols(); }
+
+  void Set(int r, int c) {
+    matrix_.Set(r, c);
+    dirty_.Set(r);
+  }
+  bool Test(int r, int c) const { return matrix_.Test(r, c); }
+  auto Row(int r) const { return matrix_.Row(r); }
+
+  /// Rows that received at least one Set since the last ClearDirty.
+  const DirtySet& DirtyRows() const { return dirty_; }
+
+  /// Zero every dirty row (and the dirty set). O(set bits), not O(rows).
+  void ClearDirty() {
+    dirty_.ForEach([this](int r) { matrix_.ClearRow(r); });
+    dirty_.ClearAll();
+  }
+
+ private:
+  Matrix matrix_;
+  DirtySet dirty_;
+};
+
+using RequestMatrix = BasicRequestMatrix<BitMatrix, BitWords>;
+using WordRequestMatrix = BasicRequestMatrix<WordMatrix, WordBits>;
+
+/// Row storage of an allocator kernel, fixed once at construction. Every
+/// switch of the paper (radix 5-10, 6 VCs, at most 60 crossbar inputs)
+/// takes OneWordRows: each request row and each dirty-row set is a single
+/// uint64_t. Wider switches take MultiWordRows. A kernel written once over
+/// `Rows` compiles to both.
+struct OneWordRows {
+  using Matrix = WordRequestMatrix;  ///< per-cycle rows with a dirty set
+  using Cells = WordMatrix;          ///< rows cleared by their owner
+  using Bits = WordBits;             ///< scratch bit vector
+  /// True when a kernel whose rows and row sets are at most `n` bits wide
+  /// may use this storage.
+  static constexpr bool Fits(int n) { return n <= bits::kWordBits; }
+};
+struct MultiWordRows {
+  using Matrix = RequestMatrix;
+  using Cells = BitMatrix;
+  using Bits = BitWords;
 };
 
 }  // namespace vixnoc

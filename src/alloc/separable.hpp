@@ -14,43 +14,25 @@
 // Requests are held in bitmask matrices (alloc/request_matrix.hpp): one
 // row of VC-request bits per crossbar input for phase 1 and one row of
 // crossbar-input bits per output port for phase 2, so both phases iterate
-// only over populated rows and hand the arbiters word masks directly.
+// only over populated rows and hand the arbiters word masks directly. The
+// kernel is one template over the row storage and the arbiter type, both
+// fixed at construction: one-word rows whenever the switch has at most 64
+// crossbar inputs, ports and VCs per virtual input, and arbiters held by
+// value and called through their final type.
 #pragma once
 
-#include "alloc/request_matrix.hpp"
+#include <memory>
+
 #include "alloc/switch_allocator.hpp"
 
 namespace vixnoc {
 
-class SeparableInputFirstAllocator final : public SwitchAllocator {
- public:
-  /// `update_on_grant_only`: when true (default), an arbiter's rotating
-  /// priority advances only if its pick was ultimately granted, the
-  /// starvation-free pointer-update rule from iSLIP that NoC separable
-  /// allocators commonly adopt. When false, pointers advance on every pick.
-  SeparableInputFirstAllocator(const SwitchGeometry& g, ArbiterKind kind,
-                               bool update_on_grant_only = true);
-
-  void Allocate(const std::vector<SaRequest>& requests,
-                std::vector<SaGrant>* grants) override;
-  void Reset() override;
-  void SaveState(SnapshotWriter& w) const override;
-  void LoadState(SnapshotReader& r) override;
-  std::string Name() const override;
-
- private:
-  bool update_on_grant_only_;
-  // Indexed by crossbar input = in_port * num_vins + vin.
-  std::vector<std::unique_ptr<Arbiter>> input_arbiters_;
-  // Indexed by output port.
-  std::vector<std::unique_ptr<Arbiter>> output_arbiters_;
-
-  // Scratch, reused across cycles; the matrices clear dirty rows only.
-  RequestMatrix vc_req_;       // row xin: requesting sub-VC bits
-  RequestMatrix out_req_;      // row out: phase-1 winner xin bits
-  std::vector<int> phase1_vc_;      // winning sub-vc per xin (valid if won)
-  std::vector<PortId> out_port_of_; // requested output per (xin, sub-vc);
-                                    // valid only where vc_req_ has the bit
-};
+/// `update_on_grant_only`: when true (default), an arbiter's rotating
+/// priority advances only if its pick was ultimately granted, the
+/// starvation-free pointer-update rule from iSLIP that NoC separable
+/// allocators commonly adopt. When false, pointers advance on every pick.
+std::unique_ptr<SwitchAllocator> MakeSeparableAllocator(
+    const SwitchGeometry& g, ArbiterKind kind,
+    bool update_on_grant_only = true);
 
 }  // namespace vixnoc

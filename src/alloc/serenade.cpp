@@ -1,7 +1,6 @@
 #include "alloc/serenade.hpp"
 
 #include <algorithm>
-#include <bit>
 
 #include "common/error.hpp"
 #include "snapshot/snapshot.hpp"
@@ -11,56 +10,45 @@ namespace vixnoc {
 
 namespace {
 
-/// Index of the k-th (0-based) set bit of `row`. k must be < row.Count().
-int SelectNthSet(BitSpan row, int k) {
-  const std::uint64_t* words = row.words();
-  for (int w = 0; w < row.word_count(); ++w) {
-    const int pc = std::popcount(words[w]);
-    if (k < pc) {
-      std::uint64_t cur = words[w];
-      while (k-- > 0) cur &= cur - 1;
-      return w * bits::kWordBits + std::countr_zero(cur);
-    }
-    k -= pc;
+template <typename Rows>
+class SerenadeKernel final : public SerenadeAllocator {
+ public:
+  SerenadeKernel(const SwitchGeometry& g, std::uint64_t seed)
+      : SerenadeAllocator(g, seed) {
+    request_.Resize(g.num_inports, g.num_outports);
+    cell_vc_.Resize(g.num_inports * g.num_outports, g.num_vcs);
   }
-  VIXNOC_DCHECK(false);
-  return -1;
-}
 
-}  // namespace
+  void Allocate(const std::vector<SaRequest>& requests,
+                std::vector<SaGrant>* grants) override;
 
-SerenadeAllocator::SerenadeAllocator(const SwitchGeometry& g,
-                                     std::uint64_t seed)
-    : SwitchAllocator(g), seed_(seed), rng_(seed) {
-  VIXNOC_CHECK(g.num_vins == 1);
-  prev_match_.assign(g.num_inports, -1);
-  vc_rr_.assign(static_cast<std::size_t>(g.num_inports) * g.num_outports, 0);
-  request_.Resize(g.num_inports, g.num_outports);
-  cell_vc_.Resize(g.num_inports * g.num_outports, g.num_vcs);
-  prop_in_.resize(g.num_inports);
-  prop_out_.resize(g.num_outports);
-  prop_w_.resize(g.num_outports);
-  prev_out_.resize(g.num_outports);
-  match_in_.resize(g.num_inports);
-  in_seen_.resize(g.num_inports);
-  out_seen_.resize(g.num_outports);
-  comp_in_.reserve(g.num_inports);
-  stack_.reserve(g.num_inports + g.num_outports);
-}
+ private:
+  /// Live weight of edge (in, out): distinct requesting VCs, 0 if the pair
+  /// has no request this cycle.
+  int EdgeWeight(int in, int out) const {
+    if (out < 0 || !request_.Test(in, out)) return 0;
+    return cell_vc_.Row(in * geom_.num_outports + out).Count();
+  }
 
-int SerenadeAllocator::EdgeWeight(int in, int out) const {
-  if (out < 0 || !request_.Test(in, out)) return 0;
-  return cell_vc_.Row(in * geom_.num_outports + out).Count();
-}
+  typename Rows::Matrix request_;  // row in: requested output bits
+  // Row (in * num_outports + out): requesting VCs; set only under a bit of
+  // request_, so clearing request_'s dirty rows' cells clears them all.
+  typename Rows::Cells cell_vc_;
+};
 
-void SerenadeAllocator::Allocate(const std::vector<SaRequest>& requests,
-                                 std::vector<SaGrant>* grants) {
+template <typename Rows>
+void SerenadeKernel<Rows>::Allocate(const std::vector<SaRequest>& requests,
+                                    std::vector<SaGrant>* grants) {
   grants->clear();
+  const int outs = geom_.num_outports;
+  request_.DirtyRows().ForEach([&](int in) {
+    request_.Row(in).ForEach(
+        [&](int out) { cell_vc_.ClearRow(in * outs + out); });
+  });
   request_.ClearDirty();
-  cell_vc_.ClearDirty();
   for (const SaRequest& r : requests) {
     request_.Set(r.in_port, r.out_port);
-    cell_vc_.Set(r.in_port * geom_.num_outports + r.out_port, r.vc);
+    cell_vc_.Set(r.in_port * outs + r.out_port, r.vc);
   }
 
   // Phase 1 — randomized proposal matching R. Every requesting input picks
@@ -71,11 +59,10 @@ void SerenadeAllocator::Allocate(const std::vector<SaRequest>& requests,
   std::fill(prop_out_.begin(), prop_out_.end(), -1);
   std::fill(prop_w_.begin(), prop_w_.end(), 0);
   request_.DirtyRows().ForEach([&](int in) {
-    const BitSpan row = request_.Row(in);
+    const auto row = request_.Row(in);
     const int count = row.Count();
-    const int out = SelectNthSet(
-        row, static_cast<int>(rng_.NextBounded(
-                 static_cast<std::uint64_t>(count))));
+    const int out = row.NthSet(static_cast<int>(
+        rng_.NextBounded(static_cast<std::uint64_t>(count))));
     const int w = EdgeWeight(in, out);
     const int incumbent = prop_out_[out];
     if (incumbent == -1 || w > prop_w_[out]) {
@@ -141,17 +128,38 @@ void SerenadeAllocator::Allocate(const std::vector<SaRequest>& requests,
 
   // Phase 3 — grants for matched pairs with a live request; VC chosen by
   // the per-(in,out) round-robin pointer, same idiom as iSLIP/AP.
-  for (int in = 0; in < geom_.num_inports; ++in) {
+  // Only inputs with a request can hold a live pair: the dirty rows, in
+  // ascending order.
+  request_.DirtyRows().ForEach([&](int in) {
     const int out = match_in_[in];
-    if (out == -1 || !request_.Test(in, out)) continue;
-    const std::size_t cell =
-        static_cast<std::size_t>(in) * geom_.num_outports + out;
-    int& ptr = vc_rr_[cell];
-    const VcId best = cell_vc_.Row(static_cast<int>(cell)).FirstFrom(ptr);
+    if (out == -1 || !request_.Test(in, out)) return;
+    const int cell = in * outs + out;
+    int& ptr = vc_rr_[static_cast<std::size_t>(cell)];
+    const VcId best = cell_vc_.Row(cell).FirstFrom(ptr);
     VIXNOC_DCHECK(best >= 0);
-    ptr = (best + 1) % geom_.num_vcs;
+    ptr = bits::NextWrapped(best, geom_.num_vcs);
     grants->push_back(SaGrant{in, 0, best, out});
-  }
+  });
+}
+
+
+}  // namespace
+
+SerenadeAllocator::SerenadeAllocator(const SwitchGeometry& g,
+                                     std::uint64_t seed)
+    : SwitchAllocator(g), seed_(seed), rng_(seed) {
+  VIXNOC_CHECK(g.num_vins == 1);
+  prev_match_.assign(g.num_inports, -1);
+  vc_rr_.assign(static_cast<std::size_t>(g.num_inports) * g.num_outports, 0);
+  prop_in_.resize(g.num_inports);
+  prop_out_.resize(g.num_outports);
+  prop_w_.resize(g.num_outports);
+  prev_out_.resize(g.num_outports);
+  match_in_.resize(g.num_inports);
+  in_seen_.resize(g.num_inports);
+  out_seen_.resize(g.num_outports);
+  comp_in_.reserve(g.num_inports);
+  stack_.reserve(g.num_inports + g.num_outports);
 }
 
 void SerenadeAllocator::Reset() {
@@ -179,9 +187,22 @@ void SerenadeAllocator::LoadState(SnapshotReader& r) {
                    "[0, %d)",
                    out, geom_.num_outports);
   }
+  for (const int ptr : rr) {
+    VIXNOC_REQUIRE(ptr >= 0 && ptr < geom_.num_vcs,
+                   "restored SERENADE VC pointer %d outside [0, %d)", ptr,
+                   geom_.num_vcs);
+  }
   prev_match_ = std::move(match);
   vc_rr_ = std::move(rr);
   LoadRng(r, &rng_);
+}
+
+std::unique_ptr<SwitchAllocator> MakeSerenadeAllocator(const SwitchGeometry& g,
+                                                       std::uint64_t seed) {
+  return MakeWithRows<SerenadeKernel>(OneWordRows::Fits(g.num_inports) &&
+                                          OneWordRows::Fits(g.num_outports) &&
+                                          OneWordRows::Fits(g.num_vcs),
+                                      g, seed);
 }
 
 }  // namespace vixnoc

@@ -30,37 +30,31 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 
-#include "alloc/request_matrix.hpp"
 #include "alloc/switch_allocator.hpp"
 #include "common/rng.hpp"
 
 namespace vixnoc {
 
-class SerenadeAllocator final : public SwitchAllocator {
+/// SERENADE's checkpointed state and per-cycle scratch; its Allocate
+/// kernel (one template over the row storage) lives in serenade.cpp.
+class SerenadeAllocator : public SwitchAllocator {
  public:
-  SerenadeAllocator(const SwitchGeometry& g, std::uint64_t seed);
-
-  void Allocate(const std::vector<SaRequest>& requests,
-                std::vector<SaGrant>* grants) override;
   void Reset() override;
   void SaveState(SnapshotWriter& w) const override;
   void LoadState(SnapshotReader& r) override;
   std::string Name() const override { return "serenade"; }
 
- private:
-  /// Live weight of edge (in, out): distinct requesting VCs, 0 if the pair
-  /// has no request this cycle.
-  int EdgeWeight(int in, int out) const;
+ protected:
+  SerenadeAllocator(const SwitchGeometry& g, std::uint64_t seed);
 
   std::uint64_t seed_;
   Rng rng_;
   // Persistent across cycles (checkpointed).
   std::vector<int> prev_match_;  // input -> output carried over (-1 free)
   std::vector<int> vc_rr_;       // per (in,out): VC round-robin pointer
-  // Per-cycle scratch, dirty-row cleared / refilled every Allocate.
-  RequestMatrix request_;   // row in: requested output bits
-  RequestMatrix cell_vc_;   // row (in * num_outports + out): requesting VCs
+  // Per-cycle scratch, refilled every Allocate.
   std::vector<int> prop_in_;    // proposal matching, input -> output
   std::vector<int> prop_out_;   // proposal matching, output -> input
   std::vector<int> prop_w_;     // per output: weight of accepted proposal
@@ -71,5 +65,8 @@ class SerenadeAllocator final : public SwitchAllocator {
   std::vector<int> stack_;      // DFS stack: input i encoded i, output o
                                 // encoded -(o + 1)
 };
+
+std::unique_ptr<SwitchAllocator> MakeSerenadeAllocator(const SwitchGeometry& g,
+                                                       std::uint64_t seed);
 
 }  // namespace vixnoc

@@ -37,22 +37,28 @@ bool GrantsAreLegal(const SwitchGeometry& geom,
   return true;
 }
 
+CrossbarMap::CrossbarMap(const SwitchGeometry& g)
+    : num_vcs_(g.num_vcs),
+      vcs_per_vin_(g.VcsPerVin()),
+      num_xins_(g.NumCrossbarInputs()),
+      table_(static_cast<std::size_t>(3 * g.num_vcs + 2 * num_xins_)) {
+  for (VcId vc = 0; vc < g.num_vcs; ++vc) {
+    table_[vc] = g.VinOfVc(vc);
+    table_[num_vcs_ + vc] = g.SubIndexOfVc(vc);
+    table_[2 * num_vcs_ + g.VinOfVc(vc) * vcs_per_vin_ + g.SubIndexOfVc(vc)] =
+        vc;
+  }
+  for (int xin = 0; xin < num_xins_; ++xin) {
+    table_[3 * num_vcs_ + xin] = xin / g.num_vins;
+    table_[3 * num_vcs_ + num_xins_ + xin] = xin % g.num_vins;
+  }
+}
+
 void SwitchAllocator::AdvanceIdle(std::uint64_t n) {
   if (n == 0) return;
   static const std::vector<SaRequest> kNoRequests;
   std::vector<SaGrant> no_grants;  // stays empty: nothing to allocate
   Allocate(kNoRequests, &no_grants);
-}
-
-int VirtualInputsForScheme(AllocScheme scheme, int num_vcs) {
-  switch (scheme) {
-    case AllocScheme::kVix:
-      return 2;
-    case AllocScheme::kVixIdeal:
-      return num_vcs;
-    default:
-      return 1;
-  }
 }
 
 std::unique_ptr<SwitchAllocator> MakeSwitchAllocator(AllocScheme scheme,
@@ -81,11 +87,11 @@ std::unique_ptr<SwitchAllocator> MakeSwitchAllocator(AllocScheme scheme,
     case AllocScheme::kInputFirst:
     case AllocScheme::kVix:
     case AllocScheme::kVixIdeal:
-      return std::make_unique<SeparableInputFirstAllocator>(g, kind);
+      return MakeSeparableAllocator(g, kind);
     case AllocScheme::kWavefront:
-      return std::make_unique<WavefrontAllocator>(g);
+      return MakeWavefrontAllocator(g);
     case AllocScheme::kAugmentingPath:
-      return std::make_unique<AugmentingPathAllocator>(g);
+      return MakeAugmentingPathAllocator(g);
     case AllocScheme::kPacketChaining:
       return std::make_unique<PacketChainingAllocator>(g, kind);
     case AllocScheme::kIslip:
@@ -93,7 +99,7 @@ std::unique_ptr<SwitchAllocator> MakeSwitchAllocator(AllocScheme scheme,
     case AllocScheme::kSparoflo:
       return std::make_unique<SparofloAllocator>(g, kind);
     case AllocScheme::kSerenade:
-      return std::make_unique<SerenadeAllocator>(g, seed);
+      return MakeSerenadeAllocator(g, seed);
   }
   VIXNOC_CHECK(false);
   return nullptr;

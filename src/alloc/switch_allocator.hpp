@@ -12,16 +12,23 @@
 //
 // The baseline crossbar has one virtual input per port; a 1:2 VIX crossbar
 // has two; the "ideal VIX" crossbar has one per VC. VCs are statically
-// partitioned across virtual inputs in contiguous sub-groups (paper §2.1):
-// vc's virtual input is vc / (num_vcs / num_vins).
+// partitioned across the k = num_vins virtual inputs, either in contiguous
+// sub-groups (paper §2.1, Fig 2: vc's virtual input is vc / (num_vcs / k))
+// or interleaved (SwitchGeometry::interleaved_vins: vc % k).
+//
+// MakeSwitchAllocator picks each kernel's row storage once, from the
+// geometry: single-word rows when every row fits 64 bits (all switches of
+// the paper), multi-word rows otherwise (alloc/request_matrix.hpp).
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "alloc/request_matrix.hpp"
 #include "arbiter/arbiter.hpp"
 #include "common/check.hpp"
 #include "common/types.hpp"
@@ -63,6 +70,31 @@ struct SwitchGeometry {
            num_vins > 0 && num_vins <= num_vcs &&
            num_vcs % num_vins == 0;
   }
+};
+
+/// SwitchGeometry's VC <-> (virtual input, sub-index) and crossbar input
+/// <-> (port, virtual input) maps, tabulated once so the per-request path
+/// of an allocator does no division.
+class CrossbarMap {
+ public:
+  explicit CrossbarMap(const SwitchGeometry& g);
+
+  VinId VinOfVc(VcId vc) const { return table_[vc]; }
+  int SubIndexOfVc(VcId vc) const { return table_[num_vcs_ + vc]; }
+  VcId VcOf(VinId vin, int sub) const {
+    return table_[2 * num_vcs_ + vin * vcs_per_vin_ + sub];
+  }
+  PortId PortOfXin(int xin) const { return table_[3 * num_vcs_ + xin]; }
+  VinId VinOfXin(int xin) const {
+    return table_[3 * num_vcs_ + num_xins_ + xin];
+  }
+
+ private:
+  int num_vcs_ = 0;
+  int vcs_per_vin_ = 0;
+  int num_xins_ = 0;
+  // [vin of vc | sub of vc | vc of (vin, sub) | port of xin | vin of xin]
+  std::vector<std::int32_t> table_;
 };
 
 /// One input VC's request for an output port. At most one request per
@@ -171,6 +203,17 @@ bool GrantsAreLegal(const SwitchGeometry& geom,
                     const std::vector<SaRequest>& requests,
                     const std::vector<SaGrant>& grants);
 
+/// Instantiates `Kernel<OneWordRows>` when `one_word`, else
+/// `Kernel<MultiWordRows>` (alloc/request_matrix.hpp): an allocator's row
+/// width is fixed when it is built.
+template <template <typename> class Kernel, typename... Args>
+std::unique_ptr<SwitchAllocator> MakeWithRows(bool one_word, Args&&... args) {
+  if (one_word) {
+    return std::make_unique<Kernel<OneWordRows>>(std::forward<Args>(args)...);
+  }
+  return std::make_unique<Kernel<MultiWordRows>>(std::forward<Args>(args)...);
+}
+
 /// Factory covering every scheme in the paper's evaluation (§4.1) plus the
 /// extension arms. The geometry's num_vins must agree with the scheme (1
 /// for IF/WF/AP/PC/iSLIP/SERENADE, 2 for kVix, num_vcs for kVixIdeal).
@@ -182,6 +225,15 @@ std::unique_ptr<SwitchAllocator> MakeSwitchAllocator(
     std::uint64_t seed = 0);
 
 /// Number of virtual inputs the scheme requires per physical port.
-int VirtualInputsForScheme(AllocScheme scheme, int num_vcs);
+inline int VirtualInputsForScheme(AllocScheme scheme, int num_vcs) {
+  switch (scheme) {
+    case AllocScheme::kVix:
+      return 2;
+    case AllocScheme::kVixIdeal:
+      return num_vcs;
+    default:
+      return 1;
+  }
+}
 
 }  // namespace vixnoc

@@ -12,24 +12,25 @@
 // The request matrix is held as bitmask rows (one word of output bits per
 // input) and the per-cell VC sets as bitmask rows of a (in x out) x vcs
 // matrix, so the diagonal sweep only visits inputs that still have requests
-// and the VC pick is a masked rotate instead of a list scan.
+// and the VC pick is a masked rotate instead of a list scan. The sweep
+// stops early once no free input has a request left: later diagonals could
+// grant nothing.
 //
 // VC selection within a granted (input, output) pair uses a per-pair
 // round-robin pointer, matching the reference implementation's behaviour of
 // rotating among the VCs that request the same output.
 #pragma once
 
-#include "alloc/request_matrix.hpp"
+#include <memory>
+
 #include "alloc/switch_allocator.hpp"
 
 namespace vixnoc {
 
-class WavefrontAllocator final : public SwitchAllocator {
+/// The wavefront allocator's priority state; its Allocate kernel (one
+/// template over the row storage) lives in wavefront.cpp.
+class WavefrontAllocator : public SwitchAllocator {
  public:
-  explicit WavefrontAllocator(const SwitchGeometry& g);
-
-  void Allocate(const std::vector<SaRequest>& requests,
-                std::vector<SaGrant>* grants) override;
   void Reset() override;
   /// An empty Allocate only rotates the priority diagonal.
   void AdvanceIdle(std::uint64_t n) override;
@@ -37,16 +38,16 @@ class WavefrontAllocator final : public SwitchAllocator {
   void LoadState(SnapshotReader& r) override;
   std::string Name() const override { return "wavefront"; }
 
- private:
+ protected:
+  explicit WavefrontAllocator(const SwitchGeometry& g);
+
   int n_;                    // square matrix dimension
   int priority_diagonal_ = 0;
   // Per (in, out) round-robin pointer over VCs.
   std::vector<int> vc_rr_;
-  // Scratch, rebuilt each cycle with dirty-row clearing.
-  RequestMatrix out_req_;   // row in: requested output bits
-  RequestMatrix cell_vc_;   // row (in * num_outports + out): requesting VCs
-  BitWords row_free_;       // inputs not yet granted this cycle
-  BitWords col_free_;       // outputs not yet granted this cycle
 };
+
+std::unique_ptr<SwitchAllocator> MakeWavefrontAllocator(
+    const SwitchGeometry& g);
 
 }  // namespace vixnoc

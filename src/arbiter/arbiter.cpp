@@ -7,16 +7,6 @@
 
 namespace vixnoc {
 
-int RoundRobinArbiter::Pick(BitSpan requests) const {
-  VIXNOC_DCHECK(requests.size() == n_);
-  return requests.FirstFrom(next_priority_);
-}
-
-void RoundRobinArbiter::Commit(int winner) {
-  VIXNOC_DCHECK(winner >= 0 && winner < n_);
-  next_priority_ = (winner + 1) % n_;
-}
-
 void RoundRobinArbiter::SaveState(SnapshotWriter& w) const {
   w.I32(next_priority_);
 }

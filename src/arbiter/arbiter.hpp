@@ -6,7 +6,8 @@
 // when the caller commits the grant via `Commit`, mirroring hardware where a
 // speculative grant that is later killed must not rotate the priority.
 //
-// Request vectors are bitmasks (`BitSpan`, one uint64_t per 64 requesters):
+// Request vectors are bitmasks (`BitSpan`, one uint64_t per 64 requesters,
+// or a by-value `WordSpan` when there are at most 64):
 // the priority search is a masked rotate + ctz rather than an element scan,
 // but the winner for any given (state, requests) pair is identical to the
 // original element-at-a-time implementations (tests/reference_alloc.hpp
@@ -54,6 +55,10 @@ class Arbiter {
   virtual void LoadState(SnapshotReader& r) = 0;
 
  protected:
+  // Movable so allocators can hold their concrete arbiters by value.
+  Arbiter(Arbiter&&) = default;
+  Arbiter& operator=(Arbiter&&) = default;
+
   int n_;
 };
 
@@ -64,8 +69,19 @@ class RoundRobinArbiter final : public Arbiter {
  public:
   explicit RoundRobinArbiter(int num_requesters) : Arbiter(num_requesters) {}
 
-  int Pick(BitSpan requests) const override;
-  void Commit(int winner) override;
+  int Pick(BitSpan requests) const override {
+    VIXNOC_DCHECK(requests.size() == n_);
+    return requests.FirstFrom(next_priority_);
+  }
+  /// One-word requests (n <= 64): a masked rotate.
+  int Pick(WordSpan requests) const {
+    VIXNOC_DCHECK(requests.size() == n_);
+    return requests.FirstFrom(next_priority_);
+  }
+  void Commit(int winner) override {
+    VIXNOC_DCHECK(winner >= 0 && winner < n_);
+    next_priority_ = bits::NextWrapped(winner, n_);
+  }
   void Reset() override { next_priority_ = 0; }
   void SaveState(SnapshotWriter& w) const override;
   void LoadState(SnapshotReader& r) override;
@@ -87,6 +103,11 @@ class MatrixArbiter final : public Arbiter {
   explicit MatrixArbiter(int num_requesters);
 
   int Pick(BitSpan requests) const override;
+  /// One-word requests: the same search over a one-word span.
+  int Pick(WordSpan requests) const {
+    const std::uint64_t w = requests.word();
+    return Pick(BitSpan(&w, requests.size()));
+  }
   void Commit(int winner) override;
   void Reset() override;
   void SaveState(SnapshotWriter& w) const override;

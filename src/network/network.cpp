@@ -159,15 +159,15 @@ PacketId Network::EnqueuePacket(NodeId src, NodeId dst, int size_flits,
   return id;
 }
 
-void Network::Schedule(Cycle at, Event ev) {
-  VIXNOC_DCHECK(at > now_);
-  VIXNOC_DCHECK(at - now_ < wheel_.size());
-  wheel_[at % wheel_.size()].push_back(std::move(ev));
+void Network::ScheduleIn(int delay, Event ev) {
+  VIXNOC_DCHECK(delay > 0 &&
+                static_cast<std::size_t>(delay) < wheel_.size());
+  wheel_[SlotAfter(delay)].push_back(std::move(ev));
   ++in_flight_events_;
 }
 
 void Network::DeliverDue() {
-  auto& slot = wheel_[now_ % wheel_.size()];
+  auto& slot = wheel_[now_slot_];
   for (Event& ev : slot) {
     switch (ev.kind) {
       case Event::Kind::kFlitToRouter:
@@ -319,7 +319,7 @@ void Network::StepNi(Ni& ni) {
     ev.target = ni.router;
     ev.port = ni.port;
     ev.flit = flit;
-    Schedule(now_ + params_.ni_link_delay, std::move(ev));
+    ScheduleIn(params_.ni_link_delay, std::move(ev));
 
     if (tx.sent == tx.size) {
       ni.vc_busy[tx.vc] = false;
@@ -360,10 +360,8 @@ void Network::Step() {
   sent_flits_.clear();
   sent_credits_.clear();
   const std::size_t radix = static_cast<std::size_t>(topology_->Radix());
-  std::vector<Event>& flit_slot =
-      wheel_[(now_ + params_.flit_delay) % wheel_.size()];
-  std::vector<Event>& credit_slot =
-      wheel_[(now_ + params_.credit_delay) % wheel_.size()];
+  std::vector<Event>& flit_slot = wheel_[SlotAfter(params_.flit_delay)];
+  std::vector<Event>& credit_slot = wheel_[SlotAfter(params_.credit_delay)];
   // Awake routers in ascending id order, as the full loop would: sleeping
   // ones would emit nothing. Clearing a bit mid-scan is safe (ForEach
   // reads each word once).
@@ -423,6 +421,7 @@ void Network::Step() {
   if (params_.telemetry != nullptr) params_.telemetry->Tick(now_);
 
   ++now_;
+  if (++now_slot_ == wheel_.size()) now_slot_ = 0;
 }
 
 bool Network::Quiescent() const {
@@ -592,6 +591,7 @@ void Network::LoadState(SnapshotReader& r) {
                  "restored event wheel has %u slots, this network has %zu "
                  "(link delays differ)",
                  num_slots, wheel_.size());
+  now_slot_ = static_cast<std::size_t>(now_ % wheel_.size());
   std::uint64_t counted = 0;
   for (auto& slot : wheel_) {
     slot.clear();

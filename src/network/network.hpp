@@ -251,7 +251,13 @@ class Network {
                      in_port];
   }
 
-  void Schedule(Cycle at, Event ev);
+  /// Wheel slot of cycle now_ + delay, for 0 <= delay < wheel size.
+  std::size_t SlotAfter(int delay) const {
+    std::size_t slot = now_slot_ + static_cast<std::size_t>(delay);
+    if (slot >= wheel_.size()) slot -= wheel_.size();
+    return slot;
+  }
+  void ScheduleIn(int delay, Event ev);
   void DeliverDue();
   void StepNi(Ni& ni);
   void HandleEjectedFlit(Ni& ni, const Flit& flit);
@@ -289,6 +295,7 @@ class Network {
   std::uint64_t in_flight_events_ = 0;
 
   Cycle now_ = 0;
+  std::size_t now_slot_ = 0;  ///< now_ % wheel size, advanced by compare
   Cycle last_progress_ = 0;
   PacketId next_packet_id_ = 1;
 

@@ -43,19 +43,21 @@ Router::Router(RouterId id, const RouterConfig& config,
   in_lookahead_.assign(total, kInvalidPort);
   in_next_dateline_.assign(total, 0);
   credits_.assign(total, config_.buffer_depth);
-  out_allocated_.assign(total, 0);
+  ovc_owner_.assign(total, -1);
   head_route_.resize(total);
 
+  num_vins_ = config_.NumVins();
   const int vcs = static_cast<int>(total);
   const int ports = config_.radix;
-  const int xins = config_.radix * config_.NumVins();
-  flag_words_.assign(4 * bits::WordCount(vcs) + 3 * bits::WordCount(ports) +
+  const int xins = config_.radix * num_vins_;
+  flag_words_.assign(5 * bits::WordCount(vcs) + 3 * bits::WordCount(ports) +
                          bits::WordCount(xins),
                      0);
   std::uint64_t* cursor = flag_words_.data();
   va_cand_ = BitView::Carve(&cursor, vcs);
   sa_cand_ = BitView::Carve(&cursor, vcs);
   parked_ = BitView::Carve(&cursor, vcs);
+  credit_stalled_ = BitView::Carve(&cursor, vcs);
   just_activated_ = BitView::Carve(&cursor, vcs);
   output_blocked_ = BitView::Carve(&cursor, ports);
   nonspec_wants_ = BitView::Carve(&cursor, ports);
@@ -66,11 +68,11 @@ Router::Router(RouterId id, const RouterConfig& config,
   geom.num_inports = config_.radix;
   geom.num_outports = config_.radix;
   geom.num_vcs = config_.num_vcs;
-  geom.num_vins = config_.NumVins();
+  geom.num_vins = num_vins_;
   geom.interleaved_vins = config_.interleaved_vins;
   if (config_.scheme == AllocScheme::kAugmentingPath &&
       !config_.ap_rotate_vcs) {
-    allocator_ = std::make_unique<AugmentingPathAllocator>(geom, false);
+    allocator_ = MakeAugmentingPathAllocator(geom, false);
   } else {
     // Randomized allocators get a distinct per-router stream derived from
     // the VC seed with a mixing constant different from the vc_rng_ one
@@ -124,17 +126,18 @@ void Router::AcceptCredit(PortId out_port, VcId out_vc) {
   const int ovc = OvcIndex(out_port, out_vc);
   ++credits_[ovc];
   VIXNOC_CHECK(credits_[ovc] <= config_.buffer_depth);
+  // The VC's holder (if any) can request the switch again.
+  if (ovc_owner_[ovc] >= 0) credit_stalled_.Clear(ovc_owner_[ovc]);
   // Under atomic reallocation the last returning credit frees the VC.
-  if (config_.atomic_vc_alloc) OnOutputVcFreed(ovc);
+  if (config_.atomic_vc_alloc) OnOutputVcFreed(out_port, ovc);
 }
 
-void Router::OnOutputVcFreed(int ovc) {
-  if (out_allocated_[ovc] ||
+void Router::OnOutputVcFreed(PortId out_port, int ovc) {
+  if (ovc_owner_[ovc] >= 0 ||
       (config_.atomic_vc_alloc && credits_[ovc] < config_.buffer_depth) ||
       !parked_.Any()) {
     return;
   }
-  const PortId out_port = static_cast<PortId>(ovc / config_.num_vcs);
   parked_.ForEach([&](int idx) {
     if (HeadFlit(idx).route_out == out_port) parked_.Clear(idx);
   });
@@ -147,6 +150,11 @@ void Router::ActivateVc(int idx, PortId out_port, VcId out_vc,
   in_out_port_[idx] = out_port;
   in_out_vc_[idx] = out_vc;
   in_lookahead_[idx] = lookahead;
+  if (!links_[out_port].IsEjection()) {
+    const int ovc = OvcIndex(out_port, out_vc);
+    ovc_owner_[ovc] = idx;
+    if (credits_[ovc] == 0) credit_stalled_.Set(idx);
+  }
   just_activated_.Set(idx);
   va_cand_.Clear(idx);
   sa_cand_.Set(idx);
@@ -154,7 +162,6 @@ void Router::ActivateVc(int idx, PortId out_port, VcId out_vc,
 }
 
 void Router::ConsiderVaCandidate(int idx, bool separable) {
-  const VcId c = static_cast<VcId>(idx % config_.num_vcs);
   const Flit& head = HeadFlit(idx);
   VIXNOC_CHECK(head.IsHead());
   ++activity_.va_requests;
@@ -170,8 +177,7 @@ void Router::ConsiderVaCandidate(int idx, bool separable) {
     // NIs accept any VC and reassemble; no allocation state is needed and
     // interleaving packets on the ejection port is harmless. Ejection
     // ports terminate at an NI, so there is no next hop.
-    ActivateVc(idx, out_port, c % config_.num_vcs, kInvalidPort,
-               head.dateline);
+    ActivateVc(idx, out_port, head.vc, kInvalidPort, head.dateline);
     return;
   }
 
@@ -202,7 +208,7 @@ void Router::ConsiderVaCandidate(int idx, bool separable) {
   const int ovc_base = OvcIndex(out_port, cls_base + route.range_lo);
   vc_view_scratch_.resize(span);
   for (VcId i = 0; i < span; ++i) {
-    bool busy = out_allocated_[ovc_base + i] != 0;
+    bool busy = ovc_owner_[ovc_base + i] >= 0;
     if (config_.atomic_vc_alloc &&
         credits_[ovc_base + i] < config_.buffer_depth) {
       busy = true;  // downstream buffer not empty: VC not reallocatable
@@ -211,7 +217,7 @@ void Router::ConsiderVaCandidate(int idx, bool separable) {
     vc_view_scratch_[i].credits = credits_[ovc_base + i];
   }
   VinLayout layout;
-  layout.num_vins = config_.NumVins();
+  layout.num_vins = num_vins_;
   layout.total_vcs = config_.num_vcs;
   layout.interleaved = config_.interleaved_vins;
   layout.first_vc = cls_base + route.range_lo;
@@ -233,12 +239,10 @@ void Router::ConsiderVaCandidate(int idx, bool separable) {
     return;
   }
 
-  out_allocated_[OvcIndex(out_port, out_vc)] = 1;
   ActivateVc(idx, out_port, out_vc, route.lookahead, route.next_dateline);
 }
 
 void Router::ConsiderVaCandidateAdaptive(int idx, bool separable) {
-  const VcId c = static_cast<VcId>(idx % config_.num_vcs);
   const Flit& head = HeadFlit(idx);
   VIXNOC_CHECK(head.IsHead());
   ++activity_.va_requests;
@@ -255,8 +259,7 @@ void Router::ConsiderVaCandidateAdaptive(int idx, bool separable) {
   // no allocation state is needed and interleaving packets on the ejection
   // port is harmless.
   if (links_[cands[0].out_port].IsEjection()) {
-    ActivateVc(idx, cands[0].out_port, c % config_.num_vcs, kInvalidPort,
-               head.dateline);
+    ActivateVc(idx, cands[0].out_port, head.vc, kInvalidPort, head.dateline);
     return;
   }
 
@@ -287,7 +290,7 @@ void Router::ConsiderVaCandidateAdaptive(int idx, bool separable) {
       // buffer mixing two packets' flits creates indirect dependencies
       // from the escape channels into the (cyclic) adaptive ones, voiding
       // Duato's deadlock-freedom argument.
-      const bool busy = out_allocated_[ovc_base + v] != 0 ||
+      const bool busy = ovc_owner_[ovc_base + v] >= 0 ||
                         credits_[ovc_base + v] < config_.buffer_depth;
       if (!busy && credits_[ovc_base + v] > usable_credits) {
         usable_credits = credits_[ovc_base + v];
@@ -316,12 +319,12 @@ void Router::ConsiderVaCandidateAdaptive(int idx, bool separable) {
   vc_view_scratch_.resize(span);
   for (VcId i = 0; i < span; ++i) {
     // Same atomic-reallocation rule as candidate scoring above.
-    vc_view_scratch_[i].allocated = out_allocated_[ovc_base + i] != 0 ||
+    vc_view_scratch_[i].allocated = ovc_owner_[ovc_base + i] >= 0 ||
                                     credits_[ovc_base + i] < config_.buffer_depth;
     vc_view_scratch_[i].credits = credits_[ovc_base + i];
   }
   VinLayout layout;
-  layout.num_vins = config_.NumVins();
+  layout.num_vins = num_vins_;
   layout.total_vcs = config_.num_vcs;
   layout.interleaved = config_.interleaved_vins;
   layout.first_vc = cls_base + range.lo;
@@ -336,7 +339,6 @@ void Router::ConsiderVaCandidateAdaptive(int idx, bool separable) {
     return;
   }
 
-  out_allocated_[OvcIndex(out_port, out_vc)] = 1;
   ActivateVc(idx, out_port, out_vc, lookahead, next_state);
 }
 
@@ -385,38 +387,43 @@ void Router::RunVcAllocation() {
     // which rotates every cycle, so losers cannot starve.
     for (const VaPreference& pref : va_prefs_) {
       const int ovc = OvcIndex(pref.out_port, pref.out_vc);
-      if (out_allocated_[ovc]) continue;  // lost this cycle
-      out_allocated_[ovc] = 1;
+      if (ovc_owner_[ovc] >= 0) continue;  // lost this cycle
       ActivateVc(pref.idx, pref.out_port, pref.out_vc, pref.lookahead,
                  pref.next_dateline);
     }
   }
 
-  va_rr_ptr_ = (va_rr_ptr_ + 1) % total;
+  va_rr_ptr_ = bits::NextWrapped(va_rr_ptr_, total);
 }
 
 void Router::BuildSaRequests() {
   // sa_cand_ holds exactly the VCs with `active && buffer non-empty`, and
-  // ascending mask order equals the (port, vc) nested-loop order.
+  // ascending mask order equals the (port, vc) nested-loop order. VCs
+  // without a downstream credit are left out up front (credit_stalled_);
+  // ejection consumes flits unconditionally (the NI drains one flit per
+  // ejection port per cycle by construction of the crossbar), so its VCs
+  // never stall. The port of each index advances by compare, not division.
   sa_requests_.clear();
-  sa_cand_.ForEach([&](int idx) {
-    const PortId p = static_cast<PortId>(idx / config_.num_vcs);
-    const VcId c = static_cast<VcId>(idx % config_.num_vcs);
-    if (!config_.speculative_sa && just_activated_.Test(idx)) {
-      return;  // VA this cycle, SA earliest next cycle (Fig 6a)
-    }
-    const PortId out = in_out_port_[idx];
-    // Down link: established packets hold their VC but send nothing until
-    // the link is repaired.
-    if (num_blocked_ > 0 && output_blocked_.Test(out)) return;
-    // Ejection consumes flits unconditionally (the NI drains one flit per
-    // ejection port per cycle by construction of the crossbar).
-    if (!links_[out].IsEjection() &&
-        credits_[OvcIndex(out, in_out_vc_[idx])] == 0) {
-      return;
-    }
-    sa_requests_.push_back(SaRequest{p, c, out});
-  });
+  const int vcs = config_.num_vcs;
+  PortId p = 0;
+  int port_base = 0;  // IvcIndex(p, 0)
+  bits::ForEachSetAndNotInRange(
+      sa_cand_.data(), credit_stalled_.data(), 0, config_.radix * vcs,
+      [&](int idx) {
+        while (idx >= port_base + vcs) {
+          ++p;
+          port_base += vcs;
+        }
+        if (!config_.speculative_sa && just_activated_.Test(idx)) {
+          return;  // VA this cycle, SA earliest next cycle (Fig 6a)
+        }
+        const PortId out = in_out_port_[idx];
+        // Down link: established packets hold their VC but send nothing
+        // until the link is repaired.
+        if (num_blocked_ > 0 && output_blocked_.Test(out)) return;
+        VIXNOC_DCHECK(!OutOfCredits(idx));
+        sa_requests_.push_back(SaRequest{p, idx - port_base, out});
+      });
 
   if (config_.prioritize_nonspeculative && config_.speculative_sa) {
     // Becker-style pessimistic masking: drop speculative requests whose
@@ -449,7 +456,7 @@ void Router::CommitGrants(Cycle now, std::vector<SentFlit>* sent_flits,
     // input, granted VC actually ready. Cheap enough to keep in release.
     VIXNOC_CHECK(!out_used_scratch_.Test(g.out_port));
     out_used_scratch_.Set(g.out_port);
-    const int xin = g.in_port * config_.NumVins() + g.vin;
+    const int xin = g.in_port * num_vins_ + g.vin;
     VIXNOC_CHECK(!xin_used_scratch_.Test(xin));
     xin_used_scratch_.Set(xin);
     VIXNOC_CHECK(in_active_[idx] && buf_count_[idx] > 0);
@@ -471,12 +478,15 @@ void Router::CommitGrants(Cycle now, std::vector<SentFlit>* sent_flits,
       --credits_[ovc];
       ++activity_.link_flits;
       if (flit.IsTail()) {
-        out_allocated_[ovc] = 0;
-        OnOutputVcFreed(ovc);
+        ovc_owner_[ovc] = -1;
+        OnOutputVcFreed(g.out_port, ovc);
+      } else if (credits_[ovc] == 0) {
+        credit_stalled_.Set(idx);
       }
     }
 
     if (flit.IsTail()) {
+      credit_stalled_.Clear(idx);
       in_active_[idx] = 0;
       in_out_port_[idx] = kInvalidPort;
       in_out_vc_[idx] = kInvalidVc;
@@ -543,11 +553,9 @@ void Router::CollectCycleTelemetry(Cycle now) {
       } else {
         const PortId out = in_out_port_[idx];
         const bool link_down = num_blocked_ > 0 && output_blocked_.Test(out);
-        const bool no_credit =
-            !links_[out].IsEjection() &&
-            credits_[OvcIndex(out, in_out_vc_[idx])] == 0;
-        s = (link_down || no_credit) ? RouterTelemetry::VcState::kCreditStall
-                                     : RouterTelemetry::VcState::kSaStall;
+        s = (link_down || OutOfCredits(idx))
+                ? RouterTelemetry::VcState::kCreditStall
+                : RouterTelemetry::VcState::kSaStall;
       }
       rt_->RecordVcState(p, c, s);
     }
@@ -604,6 +612,14 @@ void Router::SetOutputBlocked(PortId out_port, bool blocked) {
 
 int Router::CreditsFor(PortId out_port, VcId out_vc) const {
   return credits_[OvcIndex(out_port, out_vc)];
+}
+
+int Router::CreditStalledVcs() const {
+  int stalled = 0;
+  for (int idx = 0; idx < config_.radix * config_.num_vcs; ++idx) {
+    if (buf_count_[idx] > 0 && OutOfCredits(idx)) ++stalled;
+  }
+  return stalled;
 }
 
 void SaveFlit(SnapshotWriter& w, const Flit& f) {
@@ -691,7 +707,7 @@ void Router::SaveState(SnapshotWriter& w) const {
   // Output VCs: credit counters and allocation flags.
   for (int ovc = 0; ovc < total; ++ovc) {
     w.I32(credits_[ovc]);
-    w.B(out_allocated_[ovc] != 0);
+    w.B(ovc_owner_[ovc] >= 0);
   }
   w.I32(va_rr_ptr_);
   // Encoded as SnapshotWriter::VecBool.
@@ -708,7 +724,7 @@ void Router::LoadState(SnapshotReader& r) {
   const int vcs = config_.num_vcs;
   const int total = config_.radix * vcs;
   // Every index restored here is later used unchecked on the hot path
-  // (links_, credits_, out_allocated_), so a crafted checkpoint must fail
+  // (links_, credits_, ovc_owner_), so a crafted checkpoint must fail
   // now, as a SimError, rather than index out of bounds on the next Step.
   const auto connected_port = [&](PortId p) {
     return p >= 0 && p < config_.radix && links_[p].IsConnected();
@@ -761,14 +777,34 @@ void Router::LoadState(SnapshotReader& r) {
     in_lookahead_[idx] = lookahead;
     in_next_dateline_[idx] = next_dateline;
   }
+  // Output-VC allocation is stored as a flag per VC; its holder is the
+  // active input VC routed to it, so the owner map is rebuilt from the
+  // input VCs and must account for every flag exactly once.
+  std::vector<std::uint8_t> allocated(static_cast<std::size_t>(total));
   for (int ovc = 0; ovc < total; ++ovc) {
     const int credits = r.I32();
     VIXNOC_REQUIRE(credits >= 0 && credits <= depth,
                    "restored credit count %d outside [0, %d]", credits,
                    depth);
     credits_[ovc] = credits;
-    out_allocated_[ovc] = r.B() ? 1 : 0;
+    allocated[ovc] = r.B() ? 1 : 0;
   }
+  std::fill(ovc_owner_.begin(), ovc_owner_.end(), -1);
+  int owned = 0;
+  for (int idx = 0; idx < total; ++idx) {
+    if (!in_active_[idx] || links_[in_out_port_[idx]].IsEjection()) continue;
+    const int ovc = OvcIndex(in_out_port_[idx], in_out_vc_[idx]);
+    VIXNOC_REQUIRE(allocated[ovc] && ovc_owner_[ovc] < 0,
+                   "restored input VC %d holds output VC %d, which is not "
+                   "allocated to it alone",
+                   idx, ovc);
+    ovc_owner_[ovc] = idx;
+    ++owned;
+  }
+  VIXNOC_REQUIRE(owned == static_cast<int>(std::count(allocated.begin(),
+                                                      allocated.end(), 1)),
+                 "restored output VCs are allocated with no input VC "
+                 "holding them");
   const int ptr = r.I32();
   VIXNOC_REQUIRE(ptr >= 0 && ptr < total,
                  "restored VA pointer %d outside [0, %d)", ptr, total);
@@ -788,14 +824,17 @@ void Router::LoadState(SnapshotReader& r) {
   flits_per_out_ = std::move(per_out);
   LoadRng(r, &vc_rng_);
 
-  // Candidate masks, parked heads and cached head routes are derived
-  // state; rebuild from the restored buffers. Every head starts unparked
-  // with no cached route: its next VA attempt re-derives both exactly.
+  // Candidate masks, parked heads, credit stalls and cached head routes
+  // are derived state; rebuild from the restored buffers and credits.
+  // Every head starts unparked with no cached route: its next VA attempt
+  // re-derives both exactly.
   va_cand_.ClearAll();
   sa_cand_.ClearAll();
   parked_.ClearAll();
+  credit_stalled_.ClearAll();
   for (int idx = 0; idx < total; ++idx) {
     head_route_[idx] = HeadRoute{};
+    if (OutOfCredits(idx)) credit_stalled_.Set(idx);
     if (buf_count_[idx] == 0) continue;
     if (in_active_[idx]) {
       sa_cand_.Set(idx);

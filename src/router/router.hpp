@@ -19,9 +19,11 @@
 //
 // A cycle costs only its live work. A head flit's route at this hop is
 // computed once and cached until the packet's tail leaves; a head that
-// finds no free output VC parks until a VC on its port frees; and a router
-// with no candidates at all is Idle(): its cycle only advances rotating
-// pointers, which SkipIdleCycles replays in O(1) for any number of cycles.
+// finds no free output VC parks until a VC on its port frees; an active VC
+// whose output VC has no credit is left out of SA until a credit returns;
+// and a router with no candidates at all is Idle(): its cycle only
+// advances rotating pointers, which SkipIdleCycles replays in O(1) for any
+// number of cycles.
 #pragma once
 
 #include <cstdint>
@@ -207,6 +209,10 @@ class Router {
   int TotalBufferedFlits() const;
   /// Free credits the router believes exist for (out_port, out_vc).
   int CreditsFor(PortId out_port, VcId out_vc) const;
+  /// Input VCs holding a flit that cannot request the switch because
+  /// their downstream output VC has no credit (diagnostics and tests;
+  /// recomputed from the VC state, O(radix * num_vcs)).
+  int CreditStalledVcs() const;
 
   /// Fault hook: while an output port is blocked (its link is down), no VA
   /// grant targets it and no SA request leaves through it. Flits wait in
@@ -265,6 +271,14 @@ class Router {
 
   int IvcIndex(PortId p, VcId c) const { return p * config_.num_vcs + c; }
   int OvcIndex(PortId o, VcId c) const { return o * config_.num_vcs + c; }
+  /// The credit_stalled_ rule: input VC `idx` is active and its
+  /// non-ejection output VC has no credit.
+  bool OutOfCredits(int idx) const {
+    if (!in_active_[idx]) return false;
+    const PortId out = in_out_port_[idx];
+    return !links_[out].IsEjection() &&
+           credits_[OvcIndex(out, in_out_vc_[idx])] == 0;
+  }
 
   /// Ring-buffer slot of flit number `i` (0 = head) in input VC `idx`.
   const Flit& BufferedFlit(int idx, int i) const {
@@ -299,9 +313,9 @@ class Router {
   /// Grants input VC `idx` its output (VC ownership is the caller's).
   void ActivateVc(int idx, PortId out_port, VcId out_vc, PortId lookahead,
                   std::uint8_t next_dateline);
-  /// Output VC `ovc` just became assignable: unpark every head waiting on
-  /// its port so it retries next VA.
-  void OnOutputVcFreed(int ovc);
+  /// Output VC `ovc` of `out_port` may have become assignable: if so,
+  /// unpark every head waiting on that port so it retries next VA.
+  void OnOutputVcFreed(PortId out_port, int ovc);
   /// VA candidate under an adaptive routing algorithm: enumerates the
   /// candidate set at THIS router (the lookahead stamp is advisory) and
   /// selects an output by local credit/occupancy state, falling back to
@@ -333,7 +347,9 @@ class Router {
 
   // Output-VC state (SoA), indexed o * num_vcs + vc.
   std::vector<std::int32_t> credits_;
-  std::vector<std::uint8_t> out_allocated_;  // owned by one input VC here
+  /// Input VC (index) holding this output VC, -1 while unallocated.
+  /// Ejection outputs are never allocated.
+  std::vector<std::int32_t> ovc_owner_;
 
   std::vector<HeadRoute> head_route_;       // see HeadRoute
 
@@ -347,9 +363,15 @@ class Router {
   //            their range busy. VA skips them (counting their requests)
   //            until a VC on their output port frees; no VC can free
   //            otherwise, so the skipped attempts would have failed too.
+  //  credit_stalled_: active VCs whose (non-ejection) output VC has 0
+  //            credits. SA skips them: exactly the VCs its credit check
+  //            would reject. Set when a commit takes the last credit or VA
+  //            activates onto a creditless VC; cleared when a credit
+  //            returns (via ovc_owner_) and at the tail.
   BitView va_cand_;
   BitView sa_cand_;
   BitView parked_;
+  BitView credit_stalled_;
   /// Input VCs granted VA this cycle; excluded from SA when the router is
   /// configured non-speculative.
   BitView just_activated_;
@@ -360,6 +382,7 @@ class Router {
 
   std::vector<OutputLinkInfo> links_;
   std::unique_ptr<SwitchAllocator> allocator_;
+  int num_vins_ = 1;   ///< config_.NumVins(), cached for the hot path
   int va_rr_ptr_ = 0;  ///< rotating start for VA fairness
 
   // Per-cycle scratch, sized once at construction so the hot loop never

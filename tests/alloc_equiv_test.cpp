@@ -5,8 +5,11 @@
 // pointers) evolves with every commit, so per-cycle identity here pins the
 // full state machine, not just a single decision.
 //
-// Sizes cover 2..64 plus >64-input instances, which exercise the
-// multi-word (two-plus uint64_t) scan paths of every kernel.
+// Sizes cover 2..64 plus >64-input instances. MakeSwitchAllocator builds
+// each kernel with one-word rows when its rows fit 64 bits and multi-word
+// rows otherwise, so every scheme with a one-word kernel is compared at
+// both widths: radix 70 (and the wider VIX geometries) take the multi-word
+// rows, the paper's switches (radix 5-10, 6 VCs) the one-word ones.
 //
 // The idle-replay tests pin SwitchAllocator::AdvanceIdle, which lets a
 // sleeping router skip its empty cycles: it must leave exactly the state
@@ -112,29 +115,25 @@ std::string CaseName(const ::testing::TestParamInfo<EquivCase>& info) {
   return name;
 }
 
-class AllocEquivTest : public ::testing::TestWithParam<EquivCase> {};
-
-TEST_P(AllocEquivTest, RandomRequestMatricesMatchScalarReference) {
-  const EquivCase& c = GetParam();
-  SwitchGeometry g;
-  g.num_inports = c.radix;
-  g.num_outports = c.radix;
-  g.num_vcs = c.vcs;
-  g.num_vins = VirtualInputsForScheme(c.scheme, c.vcs);
+/// Drives the word-parallel allocator and the scalar reference for `g`
+/// through the same random request sequence; grants must match every cycle.
+void ExpectMatchesReference(AllocScheme scheme, const SwitchGeometry& g,
+                            ArbiterKind kind) {
+  const int radix = g.num_inports;
   // Randomized schemes (SERENADE) must see the same seed on both sides;
   // the deterministic schemes ignore it.
   const std::uint64_t seed =
-      0x5e7e9adeull ^ (static_cast<std::uint64_t>(c.radix) << 16);
-  auto fast = MakeSwitchAllocator(c.scheme, g, c.kind, seed);
-  auto ref = ref::MakeRefAllocator(c.scheme, g, c.kind, seed);
+      0x5e7e9adeull ^ (static_cast<std::uint64_t>(radix) << 16);
+  auto fast = MakeSwitchAllocator(scheme, g, kind, seed);
+  auto ref = ref::MakeRefAllocator(scheme, g, kind, seed);
   ASSERT_NE(ref, nullptr);
 
-  std::mt19937_64 rng(0xA110Cu ^ (static_cast<std::uint64_t>(c.radix) << 8) ^
-                      static_cast<std::uint64_t>(c.scheme));
+  std::mt19937_64 rng(0xA110Cu ^ (static_cast<std::uint64_t>(radix) << 8) ^
+                      static_cast<std::uint64_t>(scheme));
   std::vector<SaRequest> requests;
   std::vector<SaGrant> got;
   std::vector<SaGrant> expect;
-  const int cycles = c.radix > 64 ? 60 : 200;
+  const int cycles = radix > 64 ? 60 : 200;
   for (int cycle = 0; cycle < cycles; ++cycle) {
     requests.clear();
     // Each (in_port, vc) independently requests one random output with
@@ -148,8 +147,7 @@ TEST_P(AllocEquivTest, RandomRequestMatricesMatchScalarReference) {
     }
     fast->Allocate(requests, &got);
     ref->Allocate(requests, &expect);
-    ASSERT_EQ(got.size(), expect.size())
-        << CaseName({GetParam(), 0}) << " cycle=" << cycle;
+    ASSERT_EQ(got.size(), expect.size()) << "cycle=" << cycle;
     for (std::size_t i = 0; i < got.size(); ++i) {
       ASSERT_EQ(got[i].in_port, expect[i].in_port) << "cycle=" << cycle;
       ASSERT_EQ(got[i].vin, expect[i].vin) << "cycle=" << cycle;
@@ -158,6 +156,18 @@ TEST_P(AllocEquivTest, RandomRequestMatricesMatchScalarReference) {
     }
     ASSERT_TRUE(GrantsAreLegal(g, requests, got)) << "cycle=" << cycle;
   }
+}
+
+class AllocEquivTest : public ::testing::TestWithParam<EquivCase> {};
+
+TEST_P(AllocEquivTest, RandomRequestMatricesMatchScalarReference) {
+  const EquivCase& c = GetParam();
+  SwitchGeometry g;
+  g.num_inports = c.radix;
+  g.num_outports = c.radix;
+  g.num_vcs = c.vcs;
+  g.num_vins = VirtualInputsForScheme(c.scheme, c.vcs);
+  ExpectMatchesReference(c.scheme, g, c.kind);
 }
 
 std::vector<EquivCase> AllCases() {
@@ -175,14 +185,9 @@ std::vector<EquivCase> AllCases() {
   };
   for (int radix : radixes) {
     for (AllocScheme scheme : schemes) {
-      // Keep the >64 guard to three schemes so sanitizer runs stay fast.
-      // SERENADE stays in: its k-th-set-bit proposal scan walks whole
-      // multi-word rows and needs the >64 coverage.
-      if (radix > 64 && scheme != AllocScheme::kInputFirst &&
-          scheme != AllocScheme::kIslip &&
-          scheme != AllocScheme::kSerenade) {
-        continue;
-      }
+      // The >64 guard runs every scheme with a one-word kernel (all but
+      // iSLIP and SPAROFLO, which keep it for their multi-word rows).
+      if (radix > 64 && scheme == AllocScheme::kSparoflo) continue;
       cases.push_back(EquivCase{scheme, radix, 4, ArbiterKind::kRoundRobin});
     }
     // Matrix arbiters take a different Pick/Commit path; cover them on the
@@ -192,11 +197,74 @@ std::vector<EquivCase> AllCases() {
     cases.push_back(
         EquivCase{AllocScheme::kSparoflo, radix, 4, ArbiterKind::kMatrix});
   }
+  // The paper's 6-VC switches: VIX splits them into 3-VC sub-groups, and
+  // VIX-ideal's 60 crossbar inputs at radix 10 are the widest one-word
+  // rows (radix 11 crosses into two words).
+  for (int radix : {5, 8, 10, 11, 70}) {
+    for (AllocScheme scheme :
+         {AllocScheme::kInputFirst, AllocScheme::kVix, AllocScheme::kVixIdeal,
+          AllocScheme::kWavefront, AllocScheme::kAugmentingPath,
+          AllocScheme::kSerenade}) {
+      cases.push_back(EquivCase{scheme, radix, 6, ArbiterKind::kRoundRobin});
+    }
+    cases.push_back(
+        EquivCase{AllocScheme::kVix, radix, 6, ArbiterKind::kMatrix});
+  }
   return cases;
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, AllocEquivTest,
                          ::testing::ValuesIn(AllCases()), CaseName);
+
+// VIX crossbars with k virtual inputs per port, both VC wirings: the
+// contiguous sub-groups of the paper's Fig 2 and the interleaved vc % k.
+struct WiringCase {
+  int radix;
+  int vcs;
+  int vins;
+  bool interleaved;
+  ArbiterKind kind;
+};
+
+std::string WiringCaseName(const ::testing::TestParamInfo<WiringCase>& info) {
+  const WiringCase& c = info.param;
+  return "r" + std::to_string(c.radix) + "_v" + std::to_string(c.vcs) +
+         "_k" + std::to_string(c.vins) +
+         (c.interleaved ? "_interleaved" : "_contiguous") +
+         (c.kind == ArbiterKind::kMatrix ? "_matrix" : "_rr");
+}
+
+class VixWiringEquivTest : public ::testing::TestWithParam<WiringCase> {};
+
+TEST_P(VixWiringEquivTest, RandomRequestMatricesMatchScalarReference) {
+  const WiringCase& c = GetParam();
+  SwitchGeometry g;
+  g.num_inports = c.radix;
+  g.num_outports = c.radix;
+  g.num_vcs = c.vcs;
+  g.num_vins = c.vins;
+  g.interleaved_vins = c.interleaved;
+  ExpectMatchesReference(AllocScheme::kVix, g, c.kind);
+}
+
+std::vector<WiringCase> AllWiringCases() {
+  std::vector<WiringCase> cases;
+  // Radix 22 with k = 3 has 66 crossbar inputs: the multi-word rows.
+  for (int radix : {5, 10, 22}) {
+    for (int vins : {2, 3}) {
+      for (bool interleaved : {false, true}) {
+        cases.push_back(
+            WiringCase{radix, 6, vins, interleaved, ArbiterKind::kRoundRobin});
+      }
+    }
+    cases.push_back(WiringCase{radix, 6, 2, true, ArbiterKind::kMatrix});
+  }
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(Wirings, VixWiringEquivTest,
+                         ::testing::ValuesIn(AllWiringCases()),
+                         WiringCaseName);
 
 // ---------------------------------------------------------------------------
 // Idle replay: AdvanceIdle(n) == n empty Allocate calls.
@@ -224,7 +292,7 @@ std::unique_ptr<SwitchAllocator> MakeIdleCaseAllocator(const IdleCase& c) {
   g.num_vcs = 4;
   g.num_vins = VirtualInputsForScheme(c.scheme, g.num_vcs);
   if (!c.ap_rotate_vcs) {
-    return std::make_unique<AugmentingPathAllocator>(g, false);
+    return MakeAugmentingPathAllocator(g, false);
   }
   return MakeSwitchAllocator(c.scheme, g, ArbiterKind::kRoundRobin,
                              0x1d1eull + static_cast<std::uint64_t>(c.radix));

@@ -167,35 +167,35 @@ std::vector<SaRequest> RandomRequests(const SwitchGeometry& g, Rng& rng) {
 
 TEST(SerenadeAllocatorState, SnapshotRoundTripResumesIdentically) {
   const SwitchGeometry g = SerenadeGeom(8, 4);
-  SerenadeAllocator live(g, /*seed=*/77);
+  auto live = MakeSerenadeAllocator(g, /*seed=*/77);
   Rng traffic(3);
   std::vector<SaGrant> grants;
   std::vector<std::vector<SaRequest>> history;
   for (int t = 0; t < 120; ++t) {
     history.push_back(RandomRequests(g, traffic));
-    live.Allocate(history.back(), &grants);
+    live->Allocate(history.back(), &grants);
   }
 
   SnapshotWriter w;
   w.BeginSection("alloc");
-  live.SaveState(w);
+  live->SaveState(w);
   w.EndSection();
   const std::string bytes = w.Finish(0);
 
   // A differently-seeded instance, once restored, must produce the exact
   // grant sequence of the uninterrupted one: matching, VC pointers, and
   // RNG cursor all ride in the snapshot.
-  SerenadeAllocator restored(g, /*seed=*/999);
+  auto restored = MakeSerenadeAllocator(g, /*seed=*/999);
   SnapshotReader r(bytes);
   r.OpenSection("alloc");
-  restored.LoadState(r);
+  restored->LoadState(r);
   r.CloseSection();
 
   std::vector<SaGrant> a, b;
   for (int t = 0; t < 120; ++t) {
     const std::vector<SaRequest> reqs = RandomRequests(g, traffic);
-    live.Allocate(reqs, &a);
-    restored.Allocate(reqs, &b);
+    live->Allocate(reqs, &a);
+    restored->Allocate(reqs, &b);
     ASSERT_EQ(a.size(), b.size()) << "cycle " << t;
     for (std::size_t i = 0; i < a.size(); ++i) {
       EXPECT_EQ(a[i].in_port, b[i].in_port);
@@ -206,23 +206,23 @@ TEST(SerenadeAllocatorState, SnapshotRoundTripResumesIdentically) {
 }
 
 TEST(SerenadeAllocatorState, LoadRejectsForeignGeometry) {
-  SerenadeAllocator small(SerenadeGeom(4, 2), 1);
+  auto small = MakeSerenadeAllocator(SerenadeGeom(4, 2), 1);
   SnapshotWriter w;
   w.BeginSection("alloc");
-  small.SaveState(w);
+  small->SaveState(w);
   w.EndSection();
   const std::string bytes = w.Finish(0);
 
-  SerenadeAllocator big(SerenadeGeom(8, 2), 1);
+  auto big = MakeSerenadeAllocator(SerenadeGeom(8, 2), 1);
   SnapshotReader r(bytes);
   r.OpenSection("alloc");
-  EXPECT_THROW(big.LoadState(r), SimError);
+  EXPECT_THROW(big->LoadState(r), SimError);
 }
 
 TEST(SerenadeAllocatorState, ResetRestoresTheInitialStream) {
   const SwitchGeometry g = SerenadeGeom(6, 3);
-  SerenadeAllocator a(g, 42);
-  SerenadeAllocator b(g, 42);
+  auto a = MakeSerenadeAllocator(g, 42);
+  auto b = MakeSerenadeAllocator(g, 42);
   Rng traffic(5);
   std::vector<SaGrant> ga, gb;
   std::vector<std::vector<SaRequest>> reqs;
@@ -230,13 +230,13 @@ TEST(SerenadeAllocatorState, ResetRestoresTheInitialStream) {
 
   std::vector<std::size_t> first_counts;
   for (const auto& r : reqs) {
-    a.Allocate(r, &ga);
+    a->Allocate(r, &ga);
     first_counts.push_back(ga.size());
   }
-  a.Reset();
+  a->Reset();
   for (std::size_t t = 0; t < reqs.size(); ++t) {
-    a.Allocate(reqs[t], &ga);
-    b.Allocate(reqs[t], &gb);
+    a->Allocate(reqs[t], &ga);
+    b->Allocate(reqs[t], &gb);
     ASSERT_EQ(ga.size(), first_counts[t]) << "cycle " << t;
     ASSERT_EQ(ga.size(), gb.size()) << "cycle " << t;
     for (std::size_t i = 0; i < ga.size(); ++i) {

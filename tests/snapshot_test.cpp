@@ -356,10 +356,38 @@ NetworkSimConfig ShortConfig(TopologyKind topology, AllocScheme scheme) {
   return config;
 }
 
+/// Input VCs stalled on a creditless output VC, summed over the routers of
+/// the network section of the checkpoint at `path` (written by a run of
+/// `config` with default router knobs).
+int CreditStalledVcsIn(const NetworkSimConfig& config,
+                       const std::string& path) {
+  NetworkParams params;
+  std::shared_ptr<Topology> topology = MakeTopology64(config.topology);
+  params.router.radix = topology->Radix();
+  params.router.num_vcs = config.num_vcs;
+  params.router.buffer_depth = config.buffer_depth;
+  params.router.scheme = config.scheme;
+  params.router.vc_policy = RouterConfig::DefaultPolicyFor(config.scheme);
+  Network net(topology, params);
+  SnapshotReader r(ReadSnapshotFile(path));
+  r.OpenSection("network");
+  net.LoadState(r);
+  r.CloseSection();
+  int stalled = 0;
+  for (RouterId id = 0; id < net.NumRouters(); ++id) {
+    stalled += net.router(id).CreditStalledVcs();
+  }
+  return stalled;
+}
+
 /// Runs `config` three ways: straight through; with periodic checkpoints
 /// enabled (saving must not perturb anything); and restored from the last
-/// periodic checkpoint. All three must agree bitwise.
-void CheckResumeEquivalence(NetworkSimConfig config, const char* tag) {
+/// periodic checkpoint. All three must agree bitwise. With
+/// `min_credit_stalled` > 0 the restored checkpoint must also hold at
+/// least that many credit-stalled input VCs, whose SA skip mask is derived
+/// state rebuilt on restore.
+void CheckResumeEquivalence(NetworkSimConfig config, const char* tag,
+                            int min_credit_stalled = 0) {
   SCOPED_TRACE(tag);
   const NetworkSimResult straight = RunNetworkSim(config);
 
@@ -369,6 +397,9 @@ void CheckResumeEquivalence(NetworkSimConfig config, const char* tag) {
   saving.checkpoint_every = 700;  // last checkpoint lands mid-measurement
   const NetworkSimResult with_saves = RunNetworkSim(saving);
   ExpectResultsIdentical(straight, with_saves);
+  if (min_credit_stalled > 0) {
+    EXPECT_GE(CreditStalledVcsIn(config, path), min_credit_stalled);
+  }
 
   NetworkSimConfig resuming = config;
   resuming.restore_path = path;
@@ -415,6 +446,44 @@ TEST(ResumeEquivalence, FbflyAugmentingPath) {
   CheckResumeEquivalence(
       ShortConfig(TopologyKind::kFBfly, AllocScheme::kAugmentingPath),
       "fbfly_ap");
+}
+
+// Past the mesh knee (rate 0.16) a large share of VCs waits on credits at
+// any instant, so the checkpoints below are taken with many VCs
+// credit-stalled: 347-432 of the mesh's 1920 input VCs. The flattened
+// butterfly's express links leave fewer waiting at this rate (10 of 960).
+NetworkSimConfig SaturatedConfig(TopologyKind topology, AllocScheme scheme) {
+  NetworkSimConfig config = ShortConfig(topology, scheme);
+  config.injection_rate = 0.16;
+  return config;
+}
+
+constexpr int kManyStalledVcs = 100;
+
+TEST(ResumeEquivalence, SaturatedMeshVix) {
+  CheckResumeEquivalence(
+      SaturatedConfig(TopologyKind::kMesh, AllocScheme::kVix),
+      "sat_mesh_vix", kManyStalledVcs);
+}
+TEST(ResumeEquivalence, SaturatedMeshWavefront) {
+  CheckResumeEquivalence(
+      SaturatedConfig(TopologyKind::kMesh, AllocScheme::kWavefront),
+      "sat_mesh_wf", kManyStalledVcs);
+}
+TEST(ResumeEquivalence, SaturatedMeshAugmentingPath) {
+  CheckResumeEquivalence(
+      SaturatedConfig(TopologyKind::kMesh, AllocScheme::kAugmentingPath),
+      "sat_mesh_ap", kManyStalledVcs);
+}
+TEST(ResumeEquivalence, SaturatedMeshSerenade) {
+  CheckResumeEquivalence(
+      SaturatedConfig(TopologyKind::kMesh, AllocScheme::kSerenade),
+      "sat_mesh_serenade", kManyStalledVcs);
+}
+TEST(ResumeEquivalence, SaturatedFbflyVix) {
+  CheckResumeEquivalence(
+      SaturatedConfig(TopologyKind::kFBfly, AllocScheme::kVix),
+      "sat_fbfly_vix", /*min_credit_stalled=*/5);
 }
 
 TEST(ResumeEquivalence, WithFaultsMidSchedule) {
@@ -923,6 +992,10 @@ TEST(CraftedInput, OutOfRangeRouterIndicesThrow) {
   // active u8, out_port i32, out_vc i32, lookahead i32, dateline u8.
   const std::size_t flit = FindOnce(good, Le(kTag, 8)) - 45;
   const std::size_t state = flit + kFlitBytes;
+  // Another output VC of the same port: its allocation flag is clear, so
+  // no input VC may claim to hold it.
+  const int other_vc = (static_cast<unsigned char>(good[state + 5]) + 1) %
+                       params.router.num_vcs;
   const struct {
     const char* what;
     std::size_t at;
@@ -938,6 +1011,8 @@ TEST(CraftedInput, OutOfRangeRouterIndicesThrow) {
       {"lookahead", state + 9, Le(99, 4)},
       {"dateline state", state + 13, Le(9, 1)},
       {"inactive with output state", state, Le(0, 1)},
+      {"output vc not allocated", state + 5,
+       Le(static_cast<std::uint64_t>(other_vc), 4)},
   };
   for (const auto& c : crafted) {
     SCOPED_TRACE(c.what);
