@@ -15,8 +15,9 @@ Subcommands:
 
   append   Add a new trajectory entry from one or more bench_results.json
            files; with several, each arm records its median across them
-           (host timing is noisy, so pin a median of repeated runs).
-           Refuses non-NDEBUG builds.
+           (host timing is noisy, so pin a median of repeated runs) in
+           `arms`, and its median absolute deviation in `mad`, with the
+           number of runs in `runs`. Refuses non-NDEBUG builds.
 
 Typical workflow after a performance-relevant change:
 
@@ -134,6 +135,13 @@ def cmd_check(args):
     return 0
 
 
+def mad(values):
+    """Median absolute deviation from the median: the spread of an arm's
+    runs, robust to the odd run a busy host slows down."""
+    center = statistics.median(values)
+    return statistics.median(abs(v - center) for v in values)
+
+
 def cmd_append(args):
     samples = {}
     build = None
@@ -153,12 +161,19 @@ def cmd_append(args):
         "build": build,
         "arms": arms,
     }
+    if len(args.results) > 1:
+        entry["runs"] = len(args.results)
+        entry["mad"] = {name: round(mad(values), 3)
+                        for name, values in samples.items()}
     trajectory["entries"].append(entry)
     with open(args.trajectory, "w") as f:
         json.dump(trajectory, f, indent=2)
         f.write("\n")
     print(f"appended entry '{args.label}' with {len(arms)} arms "
           f"(median of {len(args.results)} run(s)) to {args.trajectory}")
+    for name in sorted(entry.get("mad", {})):
+        print(f"  {name:<24} median {arms[name]:>14.0f}  "
+              f"MAD {entry['mad'][name]:>12.0f}")
     return 0
 
 

@@ -92,7 +92,7 @@ cmake --build "${PREFIX}-asan" -j --target fault_test robustness_test \
 "${PREFIX}-asan/tests/snapshot_test"
 "${PREFIX}-asan/tests/path_golden_test"
 "${PREFIX}-asan/tests/routing_test"
-# serenade_test under ASan+UBSan covers the knot-decomposition DFS, the
+# serenade_test under ASan+UBSan covers the knot-decomposition walk, the
 # snapshot save/load path, and the checkpoint/restore plumbing.
 "${PREFIX}-asan/tests/serenade_test"
 # exec_test under ASan covers the fork/exec/pipe plumbing and the

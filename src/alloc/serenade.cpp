@@ -17,6 +17,8 @@ class SerenadeKernel final : public SerenadeAllocator {
       : SerenadeAllocator(g, seed) {
     request_.Resize(g.num_inports, g.num_outports);
     cell_vc_.Resize(g.num_inports * g.num_outports, g.num_vcs);
+    cell_w_.assign(static_cast<std::size_t>(g.num_inports) * g.num_outports,
+                   0);
   }
 
   void Allocate(const std::vector<SaRequest>& requests,
@@ -24,16 +26,18 @@ class SerenadeKernel final : public SerenadeAllocator {
 
  private:
   /// Live weight of edge (in, out): distinct requesting VCs, 0 if the pair
-  /// has no request this cycle.
+  /// has no request this cycle (or out is -1, no edge).
   int EdgeWeight(int in, int out) const {
-    if (out < 0 || !request_.Test(in, out)) return 0;
-    return cell_vc_.Row(in * geom_.num_outports + out).Count();
+    return out < 0 ? 0 : cell_w_[in * geom_.num_outports + out];
   }
 
   typename Rows::Matrix request_;  // row in: requested output bits
   // Row (in * num_outports + out): requesting VCs; set only under a bit of
   // request_, so clearing request_'s dirty rows' cells clears them all.
   typename Rows::Cells cell_vc_;
+  // Per cell: the number of bits in its cell_vc_ row, counted as requests
+  // enter and cleared with them.
+  std::vector<int> cell_w_;
 };
 
 template <typename Rows>
@@ -42,22 +46,30 @@ void SerenadeKernel<Rows>::Allocate(const std::vector<SaRequest>& requests,
   grants->clear();
   const int outs = geom_.num_outports;
   request_.DirtyRows().ForEach([&](int in) {
-    request_.Row(in).ForEach(
-        [&](int out) { cell_vc_.ClearRow(in * outs + out); });
+    request_.Row(in).ForEach([&](int out) {
+      cell_vc_.ClearRow(in * outs + out);
+      cell_w_[in * outs + out] = 0;
+    });
   });
   request_.ClearDirty();
   for (const SaRequest& r : requests) {
+    const int cell = r.in_port * outs + r.out_port;
     request_.Set(r.in_port, r.out_port);
-    cell_vc_.Set(r.in_port * outs + r.out_port, r.vc);
+    if (!cell_vc_.Test(cell, r.vc)) {
+      cell_vc_.Set(cell, r.vc);
+      ++cell_w_[cell];
+    }
   }
 
+  // Scratch invariant between calls: prop_in_, prop_out_ and prev_out_
+  // are all -1 and in_seen_ all 0; each phase below undoes exactly what it
+  // wrote, so no array is refilled whole.
+  //
   // Phase 1 — randomized proposal matching R. Every requesting input picks
   // one of its requested outputs uniformly at random (one RNG draw per
   // requesting input, ascending input order — the determinism contract);
   // each output accepts its heaviest proposer, earliest input on ties.
-  std::fill(prop_in_.begin(), prop_in_.end(), -1);
-  std::fill(prop_out_.begin(), prop_out_.end(), -1);
-  std::fill(prop_w_.begin(), prop_w_.end(), 0);
+  // prop_w_[out] is read only while prop_out_[out] names a proposer.
   request_.DirtyRows().ForEach([&](int in) {
     const auto row = request_.Row(in);
     const int count = row.Count();
@@ -78,60 +90,71 @@ void SerenadeKernel<Rows>::Allocate(const std::vector<SaRequest>& requests,
   // alternating paths and even cycles; each knot keeps whichever side
   // weighs more, preferring the fresh proposal on ties so zero-weight
   // stale knots dissolve rather than persist.
-  std::fill(prev_out_.begin(), prev_out_.end(), -1);
-  for (int in = 0; in < geom_.num_inports; ++in) {
+  //
+  // A knot is walked from its lowest input (the first one the ascending
+  // scan meets), in a straight line both ways: one way leaves each input
+  // by its P edge and each output by its R edge, the other way the
+  // reverse. A cycle comes back to the start on the first way. An input
+  // with neither edge is a knot of its own that keeps nothing, and stays
+  // unmatched. Knots are disjoint, so each one's result is written into
+  // prev_match_ as soon as it is decided.
+  const int ins = geom_.num_inports;
+  for (int in = 0; in < ins; ++in) {
     if (prev_match_[in] != -1) prev_out_[prev_match_[in]] = in;
   }
-  std::fill(match_in_.begin(), match_in_.end(), -1);
-  std::fill(in_seen_.begin(), in_seen_.end(), 0);
-  std::fill(out_seen_.begin(), out_seen_.end(), 0);
-  for (int start = 0; start < geom_.num_inports; ++start) {
-    if (in_seen_[start]) continue;
-    comp_in_.clear();
-    stack_.clear();
-    stack_.push_back(start);
-    in_seen_[start] = 1;
-    while (!stack_.empty()) {
-      const int v = stack_.back();
-      stack_.pop_back();
-      if (v >= 0) {
-        comp_in_.push_back(v);
-        for (const int out : {prev_match_[v], prop_in_[v]}) {
-          if (out != -1 && !out_seen_[out]) {
-            out_seen_[out] = 1;
-            stack_.push_back(-(out + 1));
-          }
-        }
-      } else {
-        const int out = -v - 1;
-        for (const int in : {prev_out_[out], prop_out_[out]}) {
-          if (in != -1 && !in_seen_[in]) {
-            in_seen_[in] = 1;
-            stack_.push_back(in);
-          }
-        }
-      }
+  walked_.clear();
+  for (int start = 0; start < ins; ++start) {
+    if (in_seen_[start] ||
+        (prev_match_[start] == -1 && prop_in_[start] == -1)) {
+      continue;
     }
+    const std::size_t first = walked_.size();
     int sum_p = 0;
     int sum_r = 0;
-    for (const int in : comp_in_) {
+    const auto visit = [&](int in) {
+      in_seen_[in] = 1;
+      walked_.push_back(in);
       sum_p += EdgeWeight(in, prev_match_[in]);
       sum_r += EdgeWeight(in, prop_in_[in]);
+    };
+    visit(start);
+    bool cycle = false;
+    for (int in = start;;) {  // P edge out of each input, R out of outputs
+      const int out = prev_match_[in];
+      in = out == -1 ? -1 : prop_out_[out];
+      if (in == -1) break;
+      if (in == start) {
+        cycle = true;
+        break;
+      }
+      visit(in);
+    }
+    for (int in = start; !cycle;) {  // R out of each input, P out of outputs
+      const int out = prop_in_[in];
+      in = out == -1 ? -1 : prev_out_[out];
+      if (in == -1) break;
+      visit(in);
     }
     const bool keep_r = sum_r >= sum_p;
-    for (const int in : comp_in_) {
-      const int out = keep_r ? prop_in_[in] : prev_match_[in];
-      if (out != -1) match_in_[in] = out;
+    for (std::size_t i = first; i < walked_.size(); ++i) {
+      const int in = walked_[i];
+      if (prev_match_[in] != -1) prev_out_[prev_match_[in]] = -1;
+      if (keep_r) prev_match_[in] = prop_in_[in];
     }
   }
-  prev_match_ = match_in_;
+  for (const int in : walked_) in_seen_[in] = 0;
 
   // Phase 3 — grants for matched pairs with a live request; VC chosen by
   // the per-(in,out) round-robin pointer, same idiom as iSLIP/AP.
   // Only inputs with a request can hold a live pair: the dirty rows, in
-  // ascending order.
+  // ascending order. They are also the only inputs with a proposal, so
+  // phase 1 is undone on the way.
   request_.DirtyRows().ForEach([&](int in) {
-    const int out = match_in_[in];
+    if (prop_in_[in] != -1) {
+      prop_out_[prop_in_[in]] = -1;
+      prop_in_[in] = -1;
+    }
+    const int out = prev_match_[in];
     if (out == -1 || !request_.Test(in, out)) return;
     const int cell = in * outs + out;
     int& ptr = vc_rr_[static_cast<std::size_t>(cell)];
@@ -142,7 +165,6 @@ void SerenadeKernel<Rows>::Allocate(const std::vector<SaRequest>& requests,
   });
 }
 
-
 }  // namespace
 
 SerenadeAllocator::SerenadeAllocator(const SwitchGeometry& g,
@@ -151,15 +173,12 @@ SerenadeAllocator::SerenadeAllocator(const SwitchGeometry& g,
   VIXNOC_CHECK(g.num_vins == 1);
   prev_match_.assign(g.num_inports, -1);
   vc_rr_.assign(static_cast<std::size_t>(g.num_inports) * g.num_outports, 0);
-  prop_in_.resize(g.num_inports);
-  prop_out_.resize(g.num_outports);
-  prop_w_.resize(g.num_outports);
-  prev_out_.resize(g.num_outports);
-  match_in_.resize(g.num_inports);
-  in_seen_.resize(g.num_inports);
-  out_seen_.resize(g.num_outports);
-  comp_in_.reserve(g.num_inports);
-  stack_.reserve(g.num_inports + g.num_outports);
+  prop_in_.assign(g.num_inports, -1);
+  prop_out_.assign(g.num_outports, -1);
+  prop_w_.assign(g.num_outports, 0);
+  prev_out_.assign(g.num_outports, -1);
+  in_seen_.assign(g.num_inports, 0);
+  walked_.reserve(g.num_inports);
 }
 
 void SerenadeAllocator::Reset() {
@@ -181,11 +200,19 @@ void SerenadeAllocator::LoadState(SnapshotReader& r) {
                      rr.size() == vc_rr_.size(),
                  "restored SERENADE state does not match this allocator's "
                  "geometry");
+  // The knot walk relies on the carried matching being one: at most one
+  // input per output.
+  std::vector<std::uint8_t> taken(static_cast<std::size_t>(geom_.num_outports));
   for (const int out : match) {
     VIXNOC_REQUIRE(out >= -1 && out < geom_.num_outports,
                    "restored SERENADE matching names output %d outside "
                    "[0, %d)",
                    out, geom_.num_outports);
+    if (out == -1) continue;
+    VIXNOC_REQUIRE(!taken[out],
+                   "restored SERENADE matching gives output %d two inputs",
+                   out);
+    taken[out] = 1;
   }
   for (const int ptr : rr) {
     VIXNOC_REQUIRE(ptr >= 0 && ptr < geom_.num_vcs,

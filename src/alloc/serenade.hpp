@@ -54,16 +54,14 @@ class SerenadeAllocator : public SwitchAllocator {
   // Persistent across cycles (checkpointed).
   std::vector<int> prev_match_;  // input -> output carried over (-1 free)
   std::vector<int> vc_rr_;       // per (in,out): VC round-robin pointer
-  // Per-cycle scratch, refilled every Allocate.
+  // Per-cycle scratch. Between Allocate calls prop_in_, prop_out_ and
+  // prev_out_ hold -1 and in_seen_ 0: each call undoes what it wrote.
   std::vector<int> prop_in_;    // proposal matching, input -> output
   std::vector<int> prop_out_;   // proposal matching, output -> input
   std::vector<int> prop_w_;     // per output: weight of accepted proposal
   std::vector<int> prev_out_;   // inverse of prev_match_
-  std::vector<int> match_in_;   // merged matching under construction
-  std::vector<signed char> in_seen_, out_seen_;  // knot-walk visited flags
-  std::vector<int> comp_in_;    // inputs of the knot being walked
-  std::vector<int> stack_;      // DFS stack: input i encoded i, output o
-                                // encoded -(o + 1)
+  std::vector<std::uint8_t> in_seen_;  // input already walked this cycle
+  std::vector<int> walked_;     // inputs walked this cycle, knot by knot
 };
 
 std::unique_ptr<SwitchAllocator> MakeSerenadeAllocator(const SwitchGeometry& g,

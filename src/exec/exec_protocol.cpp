@@ -203,7 +203,7 @@ ResultFrame DecodeResultFrame(const std::string& bytes) {
   return frame;
 }
 
-FrameRead ReadFrame(int fd, double timeout_seconds) {
+FrameRead ReadFrame(int fd, double timeout_seconds, std::uint64_t max_bytes) {
   FrameRead out;
   const bool bounded = timeout_seconds >= 0;
   // Millisecond budget for poll(); recomputed from the remaining total
@@ -263,7 +263,7 @@ FrameRead ReadFrame(int fd, double timeout_seconds) {
       for (int i = 7; i >= 0; --i) {
         length = (length << 8) | static_cast<std::uint8_t>(buffer[i]);
       }
-      if (length == 0 || length > kMaxFrameBytes) {
+      if (length == 0 || length > max_bytes) {
         out.status = FrameRead::Status::kError;
         out.detail = "implausible frame length " + std::to_string(length);
         return out;
@@ -271,7 +271,6 @@ FrameRead ReadFrame(int fd, double timeout_seconds) {
       have_length = true;
       want = length;
       buffer.clear();
-      buffer.reserve(length);
     } else if (have_length && buffer.size() == want) {
       out.status = FrameRead::Status::kOk;
       out.payload = std::move(buffer);

@@ -74,19 +74,23 @@ struct FrameRead {
   std::string detail;  ///< human-readable cause for non-kOk statuses
 };
 
+/// Hard upper bound on an accepted frame payload (a garbage length prefix
+/// must not drive a multi-gigabyte allocation).
+inline constexpr std::uint64_t kMaxFrameBytes = 1ull << 30;
+
 /// Reads one length-prefixed frame. `timeout_seconds` bounds the wall
 /// clock for the *whole* frame (negative = block forever); the fd does not
-/// need to be non-blocking — readiness is polled before every read.
-FrameRead ReadFrame(int fd, double timeout_seconds);
+/// need to be non-blocking — readiness is polled before every read. A
+/// length prefix above `max_bytes` is refused (kError) before any payload
+/// is read, and the payload buffer grows with the bytes that arrive, not
+/// with the length the prefix claims.
+FrameRead ReadFrame(int fd, double timeout_seconds,
+                    std::uint64_t max_bytes = kMaxFrameBytes);
 
 /// Writes one length-prefixed frame, retrying short writes. Returns false
 /// on failure (e.g. EPIPE from a dead peer) with `*error` describing why.
 /// Callers must have SIGPIPE blocked or ignored so a dead peer surfaces
 /// as EPIPE instead of killing the process.
 bool WriteFrame(int fd, const std::string& payload, std::string* error);
-
-/// Hard upper bound on an accepted frame payload (a garbage length prefix
-/// must not drive a multi-gigabyte allocation).
-inline constexpr std::uint64_t kMaxFrameBytes = 1ull << 30;
 
 }  // namespace vixnoc

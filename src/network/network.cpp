@@ -104,34 +104,34 @@ Network::Network(std::shared_ptr<Topology> topology,
     up.node = n;
   }
 
-  // Dispatch tables: resolve each (router, port) to its delivery target
-  // once, so Step's per-flit/per-credit loops avoid the link-table and
-  // upstream-table branching.
-  flit_dispatch_.resize(upstream_.size());
-  credit_dispatch_.resize(upstream_.size());
+  // Dispatch rows: resolve each (router, port) to its delivery target
+  // once, so a router's commit writes each flit and credit header with a
+  // row read instead of link-table and upstream-table branching.
+  const int radix = topology_->Radix();
+  link_dispatch_.resize(2 * upstream_.size());
   for (RouterId r = 0; r < num_routers; ++r) {
-    for (PortId p = 0; p < topology_->Radix(); ++p) {
-      const std::size_t at =
-          static_cast<std::size_t>(r) * topology_->Radix() + p;
+    LinkEvent* flit_row =
+        &link_dispatch_[2 * static_cast<std::size_t>(r) * radix];
+    LinkEvent* credit_row = flit_row + radix;
+    for (PortId p = 0; p < radix; ++p) {
       const OutputLinkInfo& link = routers_[r]->link(p);
       if (link.IsEjection()) {
-        flit_dispatch_[at] =
-            EventTemplate{Event::Kind::kFlitToNi, link.eject_node,
-                          kInvalidPort};
+        flit_row[p] = LinkEvent{LinkEvent::Kind::kFlitToNi, link.eject_node,
+                                kInvalidPort, kInvalidVc};
       } else if (link.IsConnected()) {
-        flit_dispatch_[at] =
-            EventTemplate{Event::Kind::kFlitToRouter, link.neighbor,
-                          link.neighbor_in_port};
+        flit_row[p] = LinkEvent{LinkEvent::Kind::kFlitToRouter, link.neighbor,
+                                link.neighbor_in_port, kInvalidVc};
       }  // unconnected ports keep the target=-1 default (never sent on)
-      const Upstream& up = upstream_[at];
+      const Upstream& up = UpstreamOf(r, p);
       if (up.node >= 0) {
-        credit_dispatch_[at] =
-            EventTemplate{Event::Kind::kCreditToNi, up.node, kInvalidPort};
+        credit_row[p] = LinkEvent{LinkEvent::Kind::kCreditToNi, up.node,
+                                  kInvalidPort, kInvalidVc};
       } else if (up.router >= 0) {
-        credit_dispatch_[at] = EventTemplate{Event::Kind::kCreditToRouter,
-                                             up.router, up.out_port};
+        credit_row[p] = LinkEvent{LinkEvent::Kind::kCreditToRouter,
+                                  up.router, up.out_port, kInvalidVc};
       }
     }
+    routers_[r]->SetLinkDispatch(flit_row, credit_row);
   }
 
   const int horizon = std::max({params_.flit_delay, params_.credit_delay,
@@ -159,28 +159,22 @@ PacketId Network::EnqueuePacket(NodeId src, NodeId dst, int size_flits,
   return id;
 }
 
-void Network::ScheduleIn(int delay, Event ev) {
-  VIXNOC_DCHECK(delay > 0 &&
-                static_cast<std::size_t>(delay) < wheel_.size());
-  wheel_[SlotAfter(delay)].push_back(std::move(ev));
-  ++in_flight_events_;
-}
-
 void Network::DeliverDue() {
-  auto& slot = wheel_[now_slot_];
-  for (Event& ev : slot) {
+  LinkSlot& slot = wheel_[now_slot_];
+  const Flit* payload = slot.flits.data();
+  for (const LinkEvent& ev : slot.events) {
     switch (ev.kind) {
-      case Event::Kind::kFlitToRouter:
+      case LinkEvent::Kind::kFlitToRouter:
         Wake(ev.target);
-        routers_[ev.target]->AcceptFlit(ev.port, ev.flit);
+        routers_[ev.target]->AcceptFlit(ev.port, *payload++);
         break;
-      case Event::Kind::kCreditToRouter:
+      case LinkEvent::Kind::kCreditToRouter:
         routers_[ev.target]->AcceptCredit(ev.port, ev.vc);
         break;
-      case Event::Kind::kFlitToNi:
-        HandleEjectedFlit(nis_[ev.target], ev.flit);
+      case LinkEvent::Kind::kFlitToNi:
+        HandleEjectedFlit(nis_[ev.target], *payload++);
         break;
-      case Event::Kind::kCreditToNi: {
+      case LinkEvent::Kind::kCreditToNi: {
         Ni& ni = nis_[ev.target];
         ++ni.credits[ev.vc];
         VIXNOC_CHECK(ni.credits[ev.vc] <= params_.router.buffer_depth);
@@ -188,8 +182,14 @@ void Network::DeliverDue() {
       }
     }
   }
-  in_flight_events_ -= slot.size();
-  slot.clear();
+  VIXNOC_DCHECK(payload == slot.flits.data() + slot.flits.size());
+  slot.Clear();
+}
+
+std::uint64_t Network::InFlightEvents() const {
+  std::uint64_t n = 0;
+  for (const LinkSlot& slot : wheel_) n += slot.events.size();
+  return n;
 }
 
 void Network::HandleEjectedFlit(Ni& ni, const Flit& flit) {
@@ -240,7 +240,7 @@ void Network::StepNi(Ni& ni) {
   // Start at most one new packet per cycle: pick an injection VC with the
   // same policy routers use for output-VC assignment, steering VIX packets
   // into the sub-group matching their first-hop direction.
-  if (!ni.source_queue.empty()) {
+  if (!ni.source_queue.empty() && !ni.front_parked) {
     const PendingPacket& pkt = ni.source_queue.front();
     if (!ni.front_routed) {
       ni.front_route = routing.Route(ni.router, pkt.dst);
@@ -270,6 +270,8 @@ void Network::StepNi(Ni& ni) {
                                    pkt.msg_class});
       ni.source_queue.pop_front();
       ni.front_routed = false;
+    } else {
+      ni.front_parked = true;
     }
   }
 
@@ -277,13 +279,17 @@ void Network::StepNi(Ni& ni) {
   // round-robin across active packets that hold a credit.
   if (ni.active.empty()) return;
   const int n = static_cast<int>(ni.active.size());
-  for (int off = 0; off < n; ++off) {
-    const int idx = (ni.rr + off) % n;
+  VIXNOC_DCHECK(ni.rr >= 0 && ni.rr < n);
+  for (int off = 0, idx = ni.rr; off < n;
+       ++off, idx = idx + 1 == n ? 0 : idx + 1) {
     ActiveTx& tx = ni.active[idx];
     if (ni.credits[tx.vc] <= 0) continue;
 
     if (tx.injected == kNeverCycle) tx.injected = now_;
-    Flit flit;
+    LinkSlot& slot = wheel_[SlotAfter(params_.ni_link_delay)];
+    slot.events.push_back(LinkEvent{LinkEvent::Kind::kFlitToRouter, ni.router,
+                                    ni.port, kInvalidVc});
+    Flit& flit = slot.flits.emplace_back();
     flit.packet_id = tx.id;
     flit.src = ni.node;
     flit.dst = tx.dst;
@@ -314,19 +320,13 @@ void Network::StepNi(Ni& ni) {
           FlitEvent{FlitEventKind::kInject, now_, -1, kInvalidPort, flit});
     }
 
-    Event ev;
-    ev.kind = Event::Kind::kFlitToRouter;
-    ev.target = ni.router;
-    ev.port = ni.port;
-    ev.flit = flit;
-    ScheduleIn(params_.ni_link_delay, std::move(ev));
-
     if (tx.sent == tx.size) {
       ni.vc_busy[tx.vc] = false;
+      ni.front_parked = false;
       ni.active.erase(ni.active.begin() + idx);
-      ni.rr = n - 1 > 0 ? ni.rr % (n - 1) : 0;
+      if (ni.rr >= n - 1) ni.rr = 0;  // wrap on the shortened list
     } else {
-      ni.rr = (idx + 1) % n;
+      ni.rr = idx + 1 == n ? 0 : idx + 1;
     }
     break;
   }
@@ -350,18 +350,16 @@ void Network::Step() {
 
   for (Ni& ni : nis_) StepNi(ni);
 
-  // Batched link/credit advancement: every flit leaving any router this
-  // cycle lands in the same wheel slot (now_ + flit_delay), and every
-  // credit in the slot at now_ + credit_delay, so both slots are resolved
-  // once up front and each emitted flit/credit becomes a dispatch-table
-  // read plus a push. Append order (per router: flits, then credits)
-  // matches the unbatched per-event scheduling exactly, so DeliverDue
-  // processes events in the identical order.
-  sent_flits_.clear();
-  sent_credits_.clear();
-  const std::size_t radix = static_cast<std::size_t>(topology_->Radix());
-  std::vector<Event>& flit_slot = wheel_[SlotAfter(params_.flit_delay)];
-  std::vector<Event>& credit_slot = wheel_[SlotAfter(params_.credit_delay)];
+  // Routers append straight into the wheel: every flit leaving any router
+  // this cycle lands in the slot at now_ + flit_delay, every credit in the
+  // slot at now_ + credit_delay (the same slot when the delays are equal).
+  // Per router, flits come before credits, and routers go in ascending id
+  // order, so DeliverDue sees the events in the order a per-event
+  // scheduler would have queued them.
+  LinkSlot& flit_slot = wheel_[SlotAfter(params_.flit_delay)];
+  LinkSlot& credit_slot = wheel_[SlotAfter(params_.credit_delay)];
+  const std::size_t flits_before = flit_slot.flits.size();
+  const bool hooked = tracer_ != nullptr || corruption_active_;
   // Awake routers in ascending id order, as the full loop would: sleeping
   // ones would emit nothing. Clearing a bit mid-scan is safe (ForEach
   // reads each word once).
@@ -370,53 +368,19 @@ void Network::Step() {
     // A stalled router's control pipeline is frozen: no VA/SA/ST this
     // cycle. Deliveries into its buffers (handled above) still land.
     if (!router_stalled_.empty() && router_stalled_[id]) return;
-    const std::size_t flit_mark = sent_flits_.size();
-    const std::size_t credit_mark = sent_credits_.size();
-    router->Step(now_, &sent_flits_, &sent_credits_);
-
-    const EventTemplate* fd = &flit_dispatch_[router->id() * radix];
-    for (std::size_t i = flit_mark; i < sent_flits_.size(); ++i) {
-      const Router::SentFlit& sf = sent_flits_[i];
-      if (tracer_) {
-        tracer_(FlitEvent{FlitEventKind::kTraverse, now_, router->id(),
-                          sf.out_port, sf.flit});
-      }
-      const EventTemplate& t = fd[sf.out_port];
-      VIXNOC_DCHECK(t.target >= 0);
-      Event ev;
-      ev.kind = t.kind;
-      ev.target = t.target;
-      ev.port = t.port;
-      ev.flit = sf.flit;
-      if (corruption_active_ && t.kind == Event::Kind::kFlitToRouter &&
-          params_.faults->CorruptsTraversal(router->id(), sf.out_port,
-                                            now_)) {
-        ev.flit.corrupted = true;
-      }
-      flit_slot.push_back(std::move(ev));
+    const std::size_t event_mark = flit_slot.events.size();
+    const std::size_t flit_mark = flit_slot.flits.size();
+    router->Step(now_, &flit_slot, &credit_slot);
+    if (hooked && flit_slot.flits.size() != flit_mark) {
+      OnFlitsSent(*router, flit_slot, event_mark, flit_mark);
     }
-
-    const EventTemplate* cd = &credit_dispatch_[router->id() * radix];
-    for (std::size_t i = credit_mark; i < sent_credits_.size(); ++i) {
-      const Router::SentCredit& sc = sent_credits_[i];
-      const EventTemplate& t = cd[sc.in_port];
-      VIXNOC_CHECK(t.target >= 0);
-      Event ev;
-      ev.kind = t.kind;
-      ev.target = t.target;
-      ev.port = t.port;
-      ev.vc = sc.vc;
-      credit_slot.push_back(std::move(ev));
-    }
-
     if (sleep_enabled_ && router->Idle()) {
       awake_.Clear(id);
       asleep_since_[id] = now_ + 1;
     }
   });
-  in_flight_events_ += sent_flits_.size() + sent_credits_.size();
 
-  if (!sent_flits_.empty()) last_progress_ = now_;
+  if (flit_slot.flits.size() != flits_before) last_progress_ = now_;
 
   if (params_.telemetry != nullptr) params_.telemetry->Tick(now_);
 
@@ -424,8 +388,29 @@ void Network::Step() {
   if (++now_slot_ == wheel_.size()) now_slot_ = 0;
 }
 
+void Network::OnFlitsSent(const Router& router, LinkSlot& slot,
+                          std::size_t event_mark, std::size_t flit_mark) {
+  // The router appended one flit per grant, in grant order, ahead of any
+  // credit it put in the same slot.
+  const std::vector<SaGrant>& grants = router.LastGrants();
+  VIXNOC_DCHECK(slot.flits.size() - flit_mark == grants.size());
+  for (std::size_t i = 0; i < grants.size(); ++i) {
+    Flit& flit = slot.flits[flit_mark + i];
+    const PortId out = grants[i].out_port;
+    if (tracer_) {
+      tracer_(FlitEvent{FlitEventKind::kTraverse, now_, router.id(), out,
+                        flit});
+    }
+    if (corruption_active_ &&
+        slot.events[event_mark + i].kind == LinkEvent::Kind::kFlitToRouter &&
+        params_.faults->CorruptsTraversal(router.id(), out, now_)) {
+      flit.corrupted = true;
+    }
+  }
+}
+
 bool Network::Quiescent() const {
-  if (in_flight_events_ != 0) return false;
+  if (InFlightEvents() != 0) return false;
   for (const auto& router : routers_) {
     if (!router->Quiescent()) return false;
   }
@@ -532,20 +517,23 @@ void Network::SaveState(SnapshotWriter& w) const {
   w.U64(now_);
   w.U64(last_progress_);
   w.U64(next_packet_id_);
-  w.U64(in_flight_events_);
+  w.U64(InFlightEvents());
   // Event wheel. A slot's index determines its due cycle relative to now_
   // (slot = cycle % wheel size), and the wheel size is a pure function of
   // the link delays covered by the structure fingerprint, so serializing
-  // slot-by-slot round-trips exactly.
+  // slot-by-slot round-trips exactly. Each event is encoded with a flit,
+  // the empty Flit{} for a credit, so the bytes do not depend on where
+  // the wheel keeps its payloads.
   w.U32(static_cast<std::uint32_t>(wheel_.size()));
-  for (const auto& slot : wheel_) {
-    w.U32(static_cast<std::uint32_t>(slot.size()));
-    for (const Event& ev : slot) {
+  for (const LinkSlot& slot : wheel_) {
+    w.U32(static_cast<std::uint32_t>(slot.events.size()));
+    const Flit* payload = slot.flits.data();
+    for (const LinkEvent& ev : slot.events) {
       w.U8(static_cast<std::uint8_t>(ev.kind));
       w.I32(ev.target);
       w.I32(ev.port);
       w.I32(ev.vc);
-      SaveFlit(w, ev.flit);
+      SaveFlit(w, ev.IsFlit() ? *payload++ : Flit{});
     }
   }
   for (const NodeCounters& c : counters_) SaveNodeCounters(w, c);
@@ -593,22 +581,35 @@ void Network::LoadState(SnapshotReader& r) {
                  num_slots, wheel_.size());
   now_slot_ = static_cast<std::size_t>(now_ % wheel_.size());
   std::uint64_t counted = 0;
-  for (auto& slot : wheel_) {
-    slot.clear();
+  for (LinkSlot& slot : wheel_) {
+    slot.Clear();
     // kind u8 + target/port/vc i32 + the encoded flit.
     const std::uint32_t n = r.CountU32(1 + 3 * 4 + kFlitBytes);
-    slot.reserve(n);
+    slot.events.reserve(n);
     for (std::uint32_t i = 0; i < n; ++i) {
-      Event ev;
+      LinkEvent ev;
       const std::uint8_t kind = r.U8();
-      VIXNOC_REQUIRE(kind <= static_cast<std::uint8_t>(Event::Kind::kCreditToNi),
-                     "restored link event has invalid kind %u", kind);
-      ev.kind = static_cast<Event::Kind>(kind);
+      VIXNOC_REQUIRE(
+          kind <= static_cast<std::uint8_t>(LinkEvent::Kind::kCreditToNi),
+          "restored link event has invalid kind %u", kind);
+      ev.kind = static_cast<LinkEvent::Kind>(kind);
       ev.target = r.I32();
       ev.port = r.I32();
       ev.vc = r.I32();
-      ev.flit = LoadFlit(r);
-      slot.push_back(std::move(ev));
+      // DeliverDue indexes routers, NIs, ports and VCs with these unchecked.
+      const bool to_router = ev.kind == LinkEvent::Kind::kFlitToRouter ||
+                             ev.kind == LinkEvent::Kind::kCreditToRouter;
+      VIXNOC_REQUIRE(
+          ev.target >= 0 &&
+              ev.target < (to_router ? NumRouters() : NumNodes()) &&
+              (!to_router || (ev.port >= 0 && ev.port < topology_->Radix())) &&
+              (ev.IsFlit() || (ev.vc >= 0 && ev.vc < params_.router.num_vcs)),
+          "restored link event (kind %u) targets %d, port %d, VC %d out of "
+          "range",
+          kind, ev.target, ev.port, ev.vc);
+      const Flit flit = LoadFlit(r);  // Flit{} after a credit: dropped
+      slot.events.push_back(ev);
+      if (ev.IsFlit()) slot.flits.push_back(flit);
     }
     counted += n;
   }
@@ -617,11 +618,11 @@ void Network::LoadState(SnapshotReader& r) {
                  "recorded %llu in flight",
                  static_cast<unsigned long long>(counted),
                  static_cast<unsigned long long>(in_flight));
-  in_flight_events_ = in_flight;
   for (NodeCounters& c : counters_) LoadNodeCounters(r, &c);
   for (Ni& ni : nis_) {
     ni.source_queue.clear();
     ni.front_routed = false;
+    ni.front_parked = false;
     const std::uint32_t nq = r.U32();
     for (std::uint32_t i = 0; i < nq; ++i) {
       PendingPacket p;
@@ -662,6 +663,10 @@ void Network::LoadState(SnapshotReader& r) {
                    busy.size(), ni.vc_busy.size());
     ni.vc_busy = std::move(busy);
     ni.rr = r.I32();
+    VIXNOC_REQUIRE(ni.rr >= 0 && ni.rr < std::max<int>(1, ni.active.size()),
+                   "restored NI round-robin pointer %d outside its %zu "
+                   "transmissions",
+                   ni.rr, ni.active.size());
     ni.corrupted_partial = r.VecU64();
     LoadRng(r, &ni.vc_rng);
   }

@@ -6,6 +6,12 @@
 // events, and each component only reads its own committed state, so a
 // simulation is bit-reproducible for a given seed regardless of platform.
 //
+// Link events: the event wheel has one LinkSlot per cycle of link delay.
+// NIs and routers append to it directly: a 16-byte header per event, and
+// for a flit event its payload in the slot's separate flit vector. A flit
+// is thus copied once into the wheel and once out of it, and a credit is a
+// header only.
+//
 // Sleeping routers: a router whose Step leaves it Router::Idle() leaves
 // the stepped set and rejoins it when a flit is delivered to it. Its
 // skipped cycles are replayed in O(1) (Router::SkipIdleCycles) when it
@@ -200,6 +206,11 @@ class Network {
     bool front_routed = false;
     PortId front_route = kInvalidPort;
     PortDimension front_dim = PortDimension::kLocal;
+    /// source_queue.front() found every injection VC of its class busy.
+    /// It waits without retrying until a tail frees one of this NI's VCs:
+    /// nothing else frees one, and a failed pick draws no randomness.
+    /// Derived state, never serialized.
+    bool front_parked = false;
     std::vector<ActiveTx> active;
     std::vector<int> credits;    ///< per injection VC
     std::vector<bool> vc_busy;   ///< NI-side allocation of injection VCs
@@ -211,32 +222,6 @@ class Network {
     /// Injection-VC randomness; drawn from only under
     /// VcAssignPolicy::kRandomFree (per-node stream, like routers').
     Rng vc_rng;
-  };
-
-  struct Event {
-    enum class Kind : std::uint8_t {
-      kFlitToRouter,
-      kCreditToRouter,
-      kFlitToNi,
-      kCreditToNi,
-    };
-    // Every field is initialized: checkpoints serialize all of them, so an
-    // unset one would make checkpoint bytes differ between builds.
-    Kind kind = Kind::kFlitToRouter;
-    std::int32_t target = -1;  ///< router id or node id
-    PortId port = kInvalidPort;  ///< input port (flit) or output port (credit)
-    VcId vc = kInvalidVc;        ///< credit VC
-    Flit flit;
-  };
-
-  /// Precomputed event header for one (router, port): where a flit sent on
-  /// an output port, or a credit freed on an input port, must be delivered.
-  /// Filled at construction so the per-flit path in Step is a table read
-  /// and a wheel push instead of link-table branching.
-  struct EventTemplate {
-    Event::Kind kind = Event::Kind::kFlitToRouter;
-    std::int32_t target = -1;
-    PortId port = kInvalidPort;
   };
 
   /// Who feeds input port `in_port` of `router`: either an upstream router
@@ -257,8 +242,13 @@ class Network {
     if (slot >= wheel_.size()) slot -= wheel_.size();
     return slot;
   }
-  void ScheduleIn(int delay, Event ev);
   void DeliverDue();
+  /// Tracer and link-corruption hooks over the flits `router` just
+  /// appended to `slot`, from header `event_mark` and payload `flit_mark`.
+  void OnFlitsSent(const Router& router, LinkSlot& slot,
+                   std::size_t event_mark, std::size_t flit_mark);
+  /// Link events in the wheel: flits and credits on their links.
+  std::uint64_t InFlightEvents() const;
   void StepNi(Ni& ni);
   void HandleEjectedFlit(Ni& ni, const Flit& flit);
   void UpdateFaultMasks();
@@ -283,16 +273,17 @@ class Network {
   BitWords awake_;                          // routers
   mutable std::vector<Cycle> asleep_since_;  // first cycle not yet replayed
   std::vector<Upstream> upstream_;  // routers * radix
-  std::vector<EventTemplate> flit_dispatch_;    // routers * radix, out port
-  std::vector<EventTemplate> credit_dispatch_;  // routers * radix, in port
+  /// Per router: its flit row (by output port), then its credit row (by
+  /// input port); see Router::SetLinkDispatch.
+  std::vector<LinkEvent> link_dispatch_;  // routers * 2 * radix
   std::vector<Ni> nis_;
   std::vector<NodeCounters> counters_;
   EjectCallback eject_cb_;
   FlitTracer tracer_;
 
-  // Event wheel: slot = cycle % wheel size.
-  std::vector<std::vector<Event>> wheel_;
-  std::uint64_t in_flight_events_ = 0;
+  // Event wheel: slot = cycle % wheel size. NIs, then routers in id
+  // order, append to it directly (see Step).
+  std::vector<LinkSlot> wheel_;
 
   Cycle now_ = 0;
   std::size_t now_slot_ = 0;  ///< now_ % wheel size, advanced by compare
@@ -300,8 +291,6 @@ class Network {
   PacketId next_packet_id_ = 1;
 
   // Per-cycle scratch.
-  std::vector<Router::SentFlit> sent_flits_;
-  std::vector<Router::SentCredit> sent_credits_;
   std::vector<OutputVcView> ni_vc_views_;  // VcsPerClass(), reused per NI
 };
 

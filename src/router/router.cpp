@@ -445,9 +445,17 @@ void Router::BuildSaRequests() {
   if (!sa_requests_.empty()) ++activity_.cycles_with_requests;
 }
 
-void Router::CommitGrants(Cycle now, std::vector<SentFlit>* sent_flits,
-                          std::vector<SentCredit>* sent_credits) {
-  (void)now;
+void Router::SetLinkDispatch(const LinkEvent* flit_row,
+                             const LinkEvent* credit_row) {
+  VIXNOC_CHECK(flit_row != nullptr && credit_row != nullptr);
+  flit_dispatch_ = flit_row;
+  credit_dispatch_ = credit_row;
+}
+
+void Router::CommitGrants(LinkSlot* flit_slot, LinkSlot* credit_slot) {
+  // Each granted flit is copied once, from its input buffer into the
+  // wheel slot, and its header comes from the dispatch row.
+  VIXNOC_DCHECK(flit_dispatch_ != nullptr && credit_dispatch_ != nullptr);
   out_used_scratch_.ClearAll();
   xin_used_scratch_.ClearAll();
   for (const SaGrant& g : sa_grants_) {
@@ -462,7 +470,8 @@ void Router::CommitGrants(Cycle now, std::vector<SentFlit>* sent_flits,
     VIXNOC_CHECK(in_active_[idx] && buf_count_[idx] > 0);
     VIXNOC_CHECK(in_out_port_[idx] == g.out_port);
 
-    Flit flit = HeadFlit(idx);
+    flit_slot->events.push_back(flit_dispatch_[g.out_port]);
+    Flit& flit = flit_slot->flits.emplace_back(HeadFlit(idx));
     PopFlit(idx);
     ++activity_.buffer_reads;
     ++activity_.xbar_traversals;
@@ -497,15 +506,19 @@ void Router::CommitGrants(Cycle now, std::vector<SentFlit>* sent_flits,
     } else if (buf_count_[idx] == 0) {
       sa_cand_.Clear(idx);
     }
-
-    sent_flits->push_back(SentFlit{g.out_port, flit});
-    sent_credits->push_back(SentCredit{g.in_port, g.vc});
+  }
+  // Credits go after every flit, so a slot the two share keeps each
+  // router's events in flits-then-credits order.
+  for (const SaGrant& g : sa_grants_) {
+    LinkEvent credit = credit_dispatch_[g.in_port];
+    VIXNOC_CHECK(credit.target >= 0);
+    credit.vc = g.vc;
+    credit_slot->events.push_back(credit);
   }
   activity_.sa_grants += sa_grants_.size();
 }
 
-void Router::Step(Cycle now, std::vector<SentFlit>* sent_flits,
-                  std::vector<SentCredit>* sent_credits) {
+void Router::Step(Cycle now, LinkSlot* flit_slot, LinkSlot* credit_slot) {
   // Telemetry records every cycle's (empty) VC states, so only an
   // unobserved idle cycle takes the replay.
   if (rt_ == nullptr && Idle()) {
@@ -520,7 +533,7 @@ void Router::Step(Cycle now, std::vector<SentFlit>* sent_flits,
   VIXNOC_DCHECK(GrantsAreLegal(allocator_->geometry(), sa_requests_,
                                sa_grants_));
   if (rt_ != nullptr) CollectCycleTelemetry(now);
-  CommitGrants(now, sent_flits, sent_credits);
+  CommitGrants(flit_slot, credit_slot);
 }
 
 void Router::SkipIdleCycles(std::uint64_t n) {

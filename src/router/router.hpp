@@ -17,6 +17,10 @@
 // order the straightforward full scans would, keeping behaviour bitwise
 // identical.
 //
+// Step writes each departing flit and each freed credit straight into the
+// owner's event-wheel slots (LinkSlot), with headers read from per-port
+// dispatch rows the owner installs once (SetLinkDispatch).
+//
 // A cycle costs only its live work. A head flit's route at this hop is
 // computed once and cached until the packet's tail leaves; a head that
 // finds no free output VC parks until a VC on its port frees; an active VC
@@ -147,6 +151,41 @@ struct RouterActivity {
   void Clear() { *this = RouterActivity{}; }
 };
 
+/// One link event in flight: a flit or a credit due at a router or an NI.
+/// A flit event's payload is not in the header: it sits in its slot's
+/// `flits`, in header order (see LinkSlot), so a credit costs 16 bytes.
+struct LinkEvent {
+  enum class Kind : std::uint8_t {
+    kFlitToRouter,
+    kCreditToRouter,
+    kFlitToNi,
+    kCreditToNi,
+  };
+  // Every field is initialized: checkpoints serialize all of them, so an
+  // unset one would make checkpoint bytes differ between builds.
+  Kind kind = Kind::kFlitToRouter;
+  std::int32_t target = -1;    ///< router id or node id
+  PortId port = kInvalidPort;  ///< input port (flit) or output port (credit)
+  VcId vc = kInvalidVc;        ///< credit VC
+
+  bool IsFlit() const {
+    return kind == Kind::kFlitToRouter || kind == Kind::kFlitToNi;
+  }
+};
+static_assert(sizeof(LinkEvent) == 16);
+
+/// The events due in one cycle: headers in push order, and one payload
+/// per flit event, in the order of those headers.
+struct LinkSlot {
+  std::vector<LinkEvent> events;
+  std::vector<Flit> flits;
+
+  void Clear() {
+    events.clear();
+    flits.clear();
+  }
+};
+
 /// Checkpoint encoding of an activity block (implemented in router.cpp).
 void SaveRouterActivity(SnapshotWriter& w, const RouterActivity& a);
 RouterActivity LoadRouterActivity(SnapshotReader& r);
@@ -171,22 +210,24 @@ class Router {
   /// Return a credit for (out_port, out_vc) from the downstream router.
   void AcceptCredit(PortId out_port, VcId out_vc);
 
-  /// A flit leaving on an output port this cycle (switch traversal done;
-  /// the network schedules its arrival downstream after link traversal).
-  struct SentFlit {
-    PortId out_port = kInvalidPort;
-    Flit flit;
-  };
-  /// A credit freed on an input port this cycle, to be returned upstream.
-  struct SentCredit {
-    PortId in_port = kInvalidPort;
-    VcId vc = kInvalidVc;
-  };
+  /// Where this router's links lead, set once by its owner before the
+  /// first Step: `flit_row[o]` is the header of a flit sent on output port
+  /// o, `credit_row[p]` that of a credit freed on input port p (Step fills
+  /// in the credit's VC). Each row holds radix headers; the owner keeps
+  /// them alive while it steps the router. Unconnected ports hold the
+  /// default header and are never sent on.
+  void SetLinkDispatch(const LinkEvent* flit_row, const LinkEvent* credit_row);
 
   /// Advance one cycle: VA, then (speculative, same-cycle) SA, then switch
-  /// traversal. Appends emitted flits/credits; does not clear the vectors.
-  void Step(Cycle now, std::vector<SentFlit>* sent_flits,
-            std::vector<SentCredit>* sent_credits);
+  /// traversal. Each flit leaving the router appends its header and
+  /// payload to *flit_slot; after them, each freed buffer slot appends a
+  /// credit header to *credit_slot. Both follow grant order, and the two
+  /// slots may be one.
+  void Step(Cycle now, LinkSlot* flit_slot, LinkSlot* credit_slot);
+
+  /// The grants of the last Step that ran allocation, in the order their
+  /// flits were appended: the output port of each flit a Step just sent.
+  const std::vector<SaGrant>& LastGrants() const { return sa_grants_; }
 
   /// True when every buffer is empty and no packet holds VC state — used by
   /// drain phases and the no-flit-loss property tests.
@@ -322,8 +363,7 @@ class Router {
   /// the escape candidate so deadlock freedom is preserved.
   void ConsiderVaCandidateAdaptive(int idx, bool separable);
   void BuildSaRequests();
-  void CommitGrants(Cycle now, std::vector<SentFlit>* sent_flits,
-                    std::vector<SentCredit>* sent_credits);
+  void CommitGrants(LinkSlot* flit_slot, LinkSlot* credit_slot);
   /// Records this cycle's counters and trace events into rt_/tcol_. Runs
   /// between Allocate and CommitGrants, while requests, grants and buffer
   /// heads are all still observable.
@@ -381,6 +421,8 @@ class Router {
   int num_blocked_ = 0;
 
   std::vector<OutputLinkInfo> links_;
+  const LinkEvent* flit_dispatch_ = nullptr;    // radix, by output port
+  const LinkEvent* credit_dispatch_ = nullptr;  // radix, by input port
   std::unique_ptr<SwitchAllocator> allocator_;
   int num_vins_ = 1;   ///< config_.NumVins(), cached for the hot path
   int va_rr_ptr_ = 0;  ///< rotating start for VA fairness

@@ -118,7 +118,7 @@ void SimDaemon::AcceptLoop() {
 
 void SimDaemon::ServeConnection(int fd) {
   for (;;) {
-    const FrameRead fr = ReadFrame(fd, -1.0);
+    const FrameRead fr = ReadFrame(fd, -1.0, kMaxRequestFrameBytes);
     if (fr.status != FrameRead::Status::kOk) break;
     {
       std::lock_guard<std::mutex> lock(mu_);

@@ -37,6 +37,13 @@
 
 namespace vixnoc {
 
+/// Largest request frame a daemon connection accepts, far below the
+/// transport's kMaxFrameBytes. A vixd_batch costs about 264 bytes per
+/// config, so this still holds batches of some 250,000 points, well past
+/// any sweep grid. A connection whose length prefix claims more is closed
+/// before any payload is read.
+inline constexpr std::uint64_t kMaxRequestFrameBytes = 64ull << 20;
+
 struct DaemonConfig {
   /// Unix-domain socket path; created on Start, unlinked on Stop. A stale
   /// file from a crashed daemon is unlinked before bind.

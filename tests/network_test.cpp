@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
+#include <utility>
 #include <memory>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "network/network.hpp"
+#include "snapshot/snapshot.hpp"
 #include "topology/topology.hpp"
 
 namespace vixnoc {
@@ -273,6 +276,61 @@ TEST(Network, DeterministicGivenSeedlessConfig) {
   }
   EXPECT_EQ(eject_a, eject_b);
 }
+
+// One node queues far more packets than it has injection VCs, into
+// background traffic, so its NI front waits for a free VC for many cycles
+// at a time. Its ejection cycles and final checkpoint bytes are frozen: a
+// front that waits must end exactly where one retrying every cycle did,
+// including the random policy's draws.
+class NiBacklogTest : public ::testing::TestWithParam<
+                          std::pair<VcAssignPolicy, std::uint64_t>> {};
+
+TEST_P(NiBacklogTest, BackloggedNodeMatchesFrozenDigest) {
+  std::shared_ptr<Topology> topo = MakeTopology64(TopologyKind::kMesh);
+  NetworkParams p = DefaultParams(*topo, AllocScheme::kVix);
+  p.router.vc_policy = GetParam().first;
+  p.router.vc_rng_seed = 21;
+  Network net(topo, p);
+  std::string log;
+  net.SetEjectCallback([&](const PacketRecord& r) {
+    log += std::to_string(r.id) + ":" + std::to_string(r.ejected) + ";";
+  });
+  for (int i = 0; i < 120; ++i) {
+    net.EnqueuePacket(27, static_cast<NodeId>((i * 7 + 1) % 64), 8);
+  }
+  Rng rng(17);
+  for (Cycle t = 0; t < 1'500; ++t) {
+    for (NodeId n = 0; n < 64; ++n) {
+      if (rng.NextBool(0.03)) {
+        net.EnqueuePacket(n, static_cast<NodeId>(rng.NextBounded(64)), 4);
+      }
+    }
+    net.Step();
+  }
+  RunCycles(net, 1'500);
+  EXPECT_EQ(net.SourceQueueLength(27), 0u);
+  SnapshotWriter w;
+  w.BeginSection("network");
+  net.SaveState(w);
+  w.EndSection();
+  const std::string bytes = w.Finish(0);
+  const std::uint64_t digest = Fnv1a64(log.data(), log.size()) ^
+                               Fnv1a64(bytes.data(), bytes.size());
+  EXPECT_EQ(digest, GetParam().second)
+      << std::hex << "0x" << digest << "ull";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Policies, NiBacklogTest,
+    ::testing::Values(
+        std::make_pair(VcAssignPolicy::kRandomFree, 0x6512d6978e5a39c0ull),
+        std::make_pair(VcAssignPolicy::kVixDimension,
+                       0x39b9728bda5eefaeull)),
+    [](const auto& info) {
+      return info.param.first == VcAssignPolicy::kRandomFree
+                 ? std::string("RandomFree")
+                 : std::string("VixDimension");
+    });
 
 }  // namespace
 }  // namespace vixnoc

@@ -8,7 +8,10 @@
 //
 // The values were captured before routers learned to sleep, park blocked
 // heads and cache routes; those are pure speed-ups, so every value must
-// stay bitwise identical. (The message-class digests include checkpoint
+// stay bitwise identical. The link-timing arms (equal link delays, and
+// pipeline_stages=5) digest checkpoint bytes taken every 100 cycles; they
+// were captured before routers wrote link events straight into the event
+// wheel. (The message-class digests include checkpoint
 // bytes, so they were captured once link events had every field
 // initialized.) A failure prints the row as it now is; update a row only
 // for an intentional behaviour change, and say so.
@@ -163,6 +166,90 @@ Golden RunMessageClassArm(double rate) {
                 Digest(log) ^ Digest(w.Finish(0))};
 }
 
+/// Link timing of a checkpoint-golden arm: the three link delays and
+/// whether SA may run in the same cycle as VA.
+struct LinkTiming {
+  const char* arm;
+  int flit_delay;
+  int credit_delay;
+  int ni_link_delay;
+  bool speculative_sa;
+};
+
+/// Equal delays put every flit and credit of a cycle in one wheel slot;
+/// pipeline_stages=5 (non-speculative SA, flit_delay 4) spreads them over
+/// three. The digests fold in the checkpoint bytes, so they pin the
+/// event wheel's encoding and its in-flight count, not only the results.
+const std::vector<LinkTiming>& CheckpointArms() {
+  static const std::vector<LinkTiming> arms = {
+      {"equal_delay_1", 1, 1, 1, true},
+      {"equal_delay_2", 2, 2, 2, true},
+      {"equal_delay_3", 3, 3, 3, true},
+      {"pipeline_stages_5", 4, 2, 1, false},
+  };
+  return arms;
+}
+
+NetworkParams CheckpointParams(const LinkTiming& t) {
+  NetworkParams p;
+  p.router.radix = 5;
+  p.router.num_vcs = 6;
+  p.router.buffer_depth = 5;
+  p.router.scheme = AllocScheme::kVix;
+  p.router.vc_policy = RouterConfig::DefaultPolicyFor(AllocScheme::kVix);
+  p.router.speculative_sa = t.speculative_sa;
+  p.flit_delay = t.flit_delay;
+  p.credit_delay = t.credit_delay;
+  p.ni_link_delay = t.ni_link_delay;
+  return p;
+}
+
+std::string CheckpointBytes(const Network& net) {
+  SnapshotWriter w;
+  w.BeginSection("network");
+  net.SaveState(w);
+  w.EndSection();
+  return w.Finish(0);
+}
+
+/// Uniform random 4-flit packets at `rate` per node per cycle.
+void Inject(Network& net, Rng& rng, double rate) {
+  for (NodeId n = 0; n < net.NumNodes(); ++n) {
+    if (!rng.NextBool(rate)) continue;
+    net.EnqueuePacket(n, static_cast<NodeId>(rng.NextBounded(net.NumNodes())),
+                      4);
+  }
+}
+
+constexpr Cycle kCheckpointCycles = 1'000;
+constexpr Cycle kCheckpointEvery = 100;
+
+/// Drives a mesh VIX network with link timing `t` and digests its
+/// ejection log plus its checkpoint bytes, saved every kCheckpointEvery
+/// cycles.
+Golden RunCheckpointArm(const LinkTiming& t, double rate) {
+  Network net(std::shared_ptr<Topology>(MakeMesh(8, 8)), CheckpointParams(t));
+  std::string log;
+  std::uint64_t ejected = 0;
+  net.SetEjectCallback([&](const PacketRecord& rec) {
+    ++ejected;
+    log += std::to_string(rec.id) + ":" + std::to_string(rec.ejected) + ";";
+  });
+  Rng rng(11);
+  std::uint64_t digest = 0;
+  for (Cycle c = 0; c < kCheckpointCycles; ++c) {
+    Inject(net, rng, rate);
+    net.Step();
+    if ((c + 1) % kCheckpointEvery == 0) {
+      digest = Fnv1a64(&digest, sizeof digest) ^
+               Digest(CheckpointBytes(net));
+    }
+  }
+  const RouterActivity a = net.TotalActivity();
+  return Golden{t.arm, rate, ejected, 0.0, a.va_requests, a.sa_grants,
+                digest ^ Digest(log)};
+}
+
 // clang-format off
 const std::vector<Golden> kGoldens = {
     {"atomic_vc_alloc", 0.01, 650u, 23.232307692307693, 4022u, 16096u, 0x72cf1c29f92fa025ull},
@@ -187,6 +274,10 @@ const std::vector<Golden> kGoldens = {
     {"serenade", 0.14, 7509u, 197.84352110800396, 262694u, 173462u, 0x514d155fe2f3b549ull},
     {"message_classes", 0.01, 891u, 0, 5605u, 22389u, 0x245d066a22a28f52ull},
     {"message_classes", 0.14, 10882u, 0, 263830u, 271510u, 0xa1a3315e0e74e5bdull},
+    {"equal_delay_1", 0.12, 6996u, 0, 82523u, 179604u, 0xfb819629d666652bull},
+    {"equal_delay_2", 0.12, 6923u, 0, 86354u, 178077u, 0xdf69cd4c8abfcffbull},
+    {"equal_delay_3", 0.12, 6857u, 0, 87373u, 176960u, 0x395310c4a34e6288ull},
+    {"pipeline_stages_5", 0.12, 6790u, 0, 89228u, 175395u, 0x96f318434bd7fd41ull},
 };
 // clang-format on
 
@@ -224,6 +315,54 @@ TEST_P(PathGoldenTest, SimArmsMatchFrozenGoldens) {
 
 TEST_P(PathGoldenTest, MessageClassArmMatchesFrozenGolden) {
   ExpectGolden(RunMessageClassArm(GetParam()));
+}
+
+TEST(CheckpointGoldenTest, LinkTimingArmsMatchFrozenGoldens) {
+  for (const LinkTiming& t : CheckpointArms()) {
+    SCOPED_TRACE(t.arm);
+    ExpectGolden(RunCheckpointArm(t, 0.12));
+  }
+}
+
+// A network restored mid-run from checkpoint bytes, with flits and credits
+// sharing wheel slots, continues exactly as the one that never stopped.
+TEST(CheckpointGoldenTest, ResumeAtEqualDelaysIsEquivalent) {
+  for (const LinkTiming& t : CheckpointArms()) {
+    if (t.flit_delay != t.credit_delay) continue;
+    SCOPED_TRACE(t.arm);
+    const auto topo = std::shared_ptr<Topology>(MakeMesh(8, 8));
+    Network a(topo, CheckpointParams(t));
+    Rng rng(13);
+    for (Cycle c = 0; c < 400; ++c) {
+      Inject(a, rng, 0.12);
+      a.Step();
+    }
+    Network b(topo, CheckpointParams(t));
+    SnapshotReader r(CheckpointBytes(a));
+    r.OpenSection("network");
+    b.LoadState(r);
+    r.CloseSection();
+    std::string log_a;
+    std::string log_b;
+    a.SetEjectCallback([&](const PacketRecord& rec) {
+      log_a += std::to_string(rec.id) + ":" + std::to_string(rec.ejected) +
+               ";";
+    });
+    b.SetEjectCallback([&](const PacketRecord& rec) {
+      log_b += std::to_string(rec.id) + ":" + std::to_string(rec.ejected) +
+               ";";
+    });
+    Rng rng_b = rng;
+    for (Cycle c = 0; c < 400; ++c) {
+      Inject(a, rng, 0.12);
+      Inject(b, rng_b, 0.12);
+      a.Step();
+      b.Step();
+    }
+    EXPECT_FALSE(log_a.empty());
+    EXPECT_EQ(log_a, log_b);
+    EXPECT_EQ(CheckpointBytes(a), CheckpointBytes(b));
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Rates, PathGoldenTest,

@@ -314,6 +314,42 @@ TEST(SimDaemonTest, MalformedFrameGetsStructuredErrorReply) {
   daemon.Stop();
 }
 
+TEST(SimDaemonTest, OversizeLengthPrefixIsRefusedAndServiceContinues) {
+  TempService svc("oversize");
+  SimDaemon daemon(svc.Config());
+  daemon.Start();
+
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::strncpy(addr.sun_path, svc.socket.c_str(),
+               sizeof(addr.sun_path) - 1);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                      sizeof(addr)),
+            0);
+  // A bare 8-byte prefix claiming one byte more than a request may hold
+  // (and far less than the transport's 1 GiB bound): the daemon must hang
+  // up at once instead of waiting for, or allocating, the claimed payload.
+  std::uint64_t length = kMaxRequestFrameBytes + 1;
+  char prefix[8];
+  for (char& byte : prefix) {
+    byte = static_cast<char>(length & 0xff);
+    length >>= 8;
+  }
+  ASSERT_EQ(::write(fd, prefix, sizeof prefix),
+            static_cast<ssize_t>(sizeof prefix));
+  const FrameRead reply = ReadFrame(fd, 10.0);
+  EXPECT_EQ(reply.status, FrameRead::Status::kEof) << reply.detail;
+  ::close(fd);
+
+  // Other clients are still served.
+  SimClient client(svc.socket, 10.0);
+  EXPECT_EQ(client.Point(ShortConfig()).status, ServeStatus::kOk);
+  EXPECT_EQ(daemon.stats().requests, 1u);  // the refused frame is not one
+  daemon.Stop();
+}
+
 TEST(SimDaemonTest, ShutdownFrameDrainsWaitAndUnlinksSocket) {
   TempService svc("shutdown");
   SimDaemon daemon(svc.Config());

@@ -979,6 +979,29 @@ TEST(CraftedInput, InflatedCheckpointTimelineCountThrows) {
   std::remove(path.c_str());
 }
 
+TEST(CraftedInput, OutOfRangeLinkEventFieldsThrow) {
+  const NetworkParams params = SmallMeshParams();
+  Network net(std::shared_ptr<Topology>(MakeMesh(4, 4)), params);
+  constexpr std::uint64_t kTag = 0xfeedfacecafebeefull;
+  net.EnqueuePacket(0, 15, 1, kTag);
+  net.Step();  // the NI sends the lone flit: one flit event in the wheel
+  const std::string good = NetworkBytes(net);
+  // The event header (kind u8, target, port, vc i32) precedes its flit,
+  // whose user tag sits 45 bytes in.
+  const std::size_t flit = FindOnce(good, Le(kTag, 8)) - 45;
+  const std::size_t target = flit - 12;
+  const std::size_t port = flit - 8;
+  Network restored(std::shared_ptr<Topology>(MakeMesh(4, 4)), params);
+  for (const auto& [at, value] :
+       {std::pair{target, 16u}, std::pair{target, 0xffffffffu},
+        std::pair{port, 5u}, std::pair{port, 0xffffffffu}}) {
+    SCOPED_TRACE(at == target ? "target" : "port");
+    EXPECT_THROW(LoadNetworkBytes(&restored, Patch(good, at, Le(value, 4))),
+                 SimError);
+  }
+  LoadNetworkBytes(&restored, good);
+}
+
 TEST(CraftedInput, OutOfRangeRouterIndicesThrow) {
   NetworkParams params = SmallMeshParams();
   params.router.speculative_sa = false;  // VA now, SA next cycle

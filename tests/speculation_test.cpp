@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "router/router.hpp"
+#include "router_slots.hpp"
 #include "sim/network_sim.hpp"
 
 namespace vixnoc {
@@ -51,33 +52,30 @@ RouterConfig MaskedConfig() {
 TEST(Speculation, EstablishedPacketBeatsNewHead) {
   PortIsDestRouting routing;
   Router r(0, MaskedConfig(), TestLinks(), &routing);
-  std::vector<Router::SentFlit> sent;
-  std::vector<Router::SentCredit> credits;
+  RouterSlots out(r);
 
   // Cycle 0: a 3-flit packet on port 0 establishes itself toward output 2.
   for (int s = 0; s < 3; ++s) r.AcceptFlit(0, MakeFlit(1, s, 3, 0, 2));
-  r.Step(0, &sent, &credits);
-  ASSERT_EQ(sent.size(), 1u);
-  EXPECT_EQ(sent[0].flit.packet_id, 1u);
+  out.Step(0);
+  ASSERT_EQ(out.sent(), 1u);
+  EXPECT_EQ(out.flit(0).packet_id, 1u);
 
   // Cycle 1: a new head on port 1 also wants output 2. It is speculative
   // (VA this cycle); the established packet's body flit must win.
   r.AcceptFlit(1, MakeFlit(2, 0, 1, 0, 2));
-  sent.clear();
-  r.Step(1, &sent, &credits);
-  ASSERT_EQ(sent.size(), 1u);
-  EXPECT_EQ(sent[0].flit.packet_id, 1u);
+  out.Step(1);
+  ASSERT_EQ(out.sent(), 1u);
+  EXPECT_EQ(out.flit(0).packet_id, 1u);
 }
 
 TEST(Speculation, SpeculativeGrantProceedsWhenOutputUncontested) {
   PortIsDestRouting routing;
   Router r(0, MaskedConfig(), TestLinks(), &routing);
-  std::vector<Router::SentFlit> sent;
-  std::vector<Router::SentCredit> credits;
+  RouterSlots out(r);
   // A lone new head must not be delayed by the masking rule.
   r.AcceptFlit(0, MakeFlit(1, 0, 1, 0, 2));
-  r.Step(0, &sent, &credits);
-  EXPECT_EQ(sent.size(), 1u);
+  out.Step(0);
+  EXPECT_EQ(out.sent(), 1u);
 }
 
 TEST(Speculation, MaskingCostsLittleThroughput) {

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "router/router.hpp"
+#include "router_slots.hpp"
 #include "sim/network_sim.hpp"
 
 namespace vixnoc {
@@ -54,12 +55,11 @@ TEST(VaOrganization, GreedyResolvesConflictSameCycle) {
   PortIsDestRouting routing;
   Router r(0, Config(VaOrganization::kGreedyRotating), TestLinks(),
            &routing);
-  std::vector<Router::SentFlit> sent;
-  std::vector<Router::SentCredit> credits;
+  RouterSlots out(r);
   r.AcceptFlit(0, HeadTail(1, 0, 2));
   r.AcceptFlit(1, HeadTail(2, 0, 3));  // different outputs: no SA conflict
-  r.Step(0, &sent, &credits);
-  EXPECT_EQ(sent.size(), 2u);
+  out.Step(0);
+  EXPECT_EQ(out.sent(), 2u);
 }
 
 TEST(VaOrganization, SeparableLoserWaitsACycle) {
@@ -70,15 +70,13 @@ TEST(VaOrganization, SeparableLoserWaitsACycle) {
   PortIsDestRouting routing;
   Router r(0, Config(VaOrganization::kSeparableArbitrated), TestLinks(),
            &routing);
-  std::vector<Router::SentFlit> sent;
-  std::vector<Router::SentCredit> credits;
+  RouterSlots out(r);
   r.AcceptFlit(0, HeadTail(1, 0, 2));
   r.AcceptFlit(1, HeadTail(2, 0, 2));
-  r.Step(0, &sent, &credits);
+  out.Step(0);
   EXPECT_EQ(r.activity().va_grants, 1u);  // one winner, one retry
-  sent.clear();
-  r.Step(1, &sent, &credits);
-  r.Step(2, &sent, &credits);
+  out.Step(1);
+  out.Step(2);
   EXPECT_EQ(r.activity().va_grants, 2u);  // loser got VC 1 next cycle
 }
 

@@ -8,6 +8,7 @@
 #include "common/rng.hpp"
 #include "network/network.hpp"
 #include "router/router.hpp"
+#include "router_slots.hpp"
 #include "topology/topology.hpp"
 
 namespace vixnoc {
@@ -52,18 +53,16 @@ TEST(Vnet, RouterAssignsOutputVcWithinClass) {
   PortIsDestRouting routing;
   Router r(0, config, TestLinks(), &routing);
 
-  std::vector<Router::SentFlit> sent;
-  std::vector<Router::SentCredit> credits;
+  RouterSlots out(r);
   r.AcceptFlit(0, ClassFlit(1, 0, /*msg_class=*/1, /*route_out=*/2));
-  r.Step(0, &sent, &credits);
-  ASSERT_EQ(sent.size(), 1u);
-  EXPECT_GE(sent[0].flit.vc, 3);  // class 1 VCs only
+  out.Step(0);
+  ASSERT_EQ(out.sent(), 1u);
+  EXPECT_GE(out.flit(0).vc, 3);  // class 1 VCs only
 
-  sent.clear();
   r.AcceptFlit(1, ClassFlit(2, 0, /*msg_class=*/0, /*route_out=*/3));
-  r.Step(1, &sent, &credits);
-  ASSERT_EQ(sent.size(), 1u);
-  EXPECT_LT(sent[0].flit.vc, 3);  // class 0 VCs only
+  out.Step(1);
+  ASSERT_EQ(out.sent(), 1u);
+  EXPECT_LT(out.flit(0).vc, 3);  // class 0 VCs only
 }
 
 TEST(Vnet, ClassStallsWhenItsVcsBusyEvenIfOthersFree) {
@@ -74,23 +73,21 @@ TEST(Vnet, ClassStallsWhenItsVcsBusyEvenIfOthersFree) {
   config.num_message_classes = 2;
   PortIsDestRouting routing;
   Router r(0, config, TestLinks(), &routing);
-  std::vector<Router::SentFlit> sent;
-  std::vector<Router::SentCredit> credits;
+  RouterSlots out(r);
 
   // Two class-1 packets from different ports to the same output: the
   // second must wait for VC 1 even though VC 0 (class 0) is free.
   r.AcceptFlit(0, ClassFlit(1, 1, 1, 2));
   r.AcceptFlit(1, ClassFlit(2, 1, 1, 2));
-  r.Step(0, &sent, &credits);
-  ASSERT_EQ(sent.size(), 1u);
-  EXPECT_EQ(sent[0].flit.vc, 1);
+  out.Step(0);
+  ASSERT_EQ(out.sent(), 1u);
+  EXPECT_EQ(out.flit(0).vc, 1);
   // The tail released the VC at send time (non-atomic), so the second
   // packet proceeds next cycle onto the SAME class-1 VC, never VC 0.
-  sent.clear();
   r.AcceptCredit(2, 1);
-  r.Step(1, &sent, &credits);
-  ASSERT_EQ(sent.size(), 1u);
-  EXPECT_EQ(sent[0].flit.vc, 1);
+  out.Step(1);
+  ASSERT_EQ(out.sent(), 1u);
+  EXPECT_EQ(out.flit(0).vc, 1);
 }
 
 TEST(Vnet, NetworkConservationWithTwoClasses) {
