@@ -5,7 +5,7 @@
 //   $ ./build/examples/mesh_latency_study
 //   $ ./build/examples/mesh_latency_study topology=fbfly threads=4
 //
-// Keys (all optional): topology=mesh|cmesh|fbfly threads=<N>
+// Keys (all optional): topology=mesh|cmesh|fbfly|torus threads=<N>
 //
 // Demonstrates: topology selection, scheme sweeps, saturation detection,
 // and running the whole rate x scheme grid concurrently on a SweepRunner

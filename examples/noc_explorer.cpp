@@ -6,8 +6,8 @@
 //         depth=3 packet=4 warmup=5000 measure=20000 csv=out.csv
 //   $ ./build/examples/noc_explorer sweep=1 scheme=vix csv=sweep.csv
 //
-// Keys (all optional): topology=mesh|cmesh|fbfly scheme=if|wf|ap|vix|
-// ideal|pc|islip|sparoflo|serenade pattern=uniform|transpose|bitcomp|
+// Keys (all optional): topology=mesh|cmesh|fbfly|torus scheme=if|wf|ap|
+// vix|ideal|pc|islip|sparoflo|serenade pattern=uniform|transpose|bitcomp|
 // bitrev|tornado|hotspot|incast routing=dor|adaptive_min|fault_aware
 // hotspot=<node> (hot node for pattern=hotspot, receiver for
 // pattern=incast; default derives an off-center node from the topology)

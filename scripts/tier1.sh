@@ -81,7 +81,7 @@ cmake -B "${PREFIX}-asan" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DVIXNOC_SANITIZE=address,undefined
 cmake --build "${PREFIX}-asan" -j --target fault_test robustness_test \
   sweep_test alloc_equiv_test exec_test routing_test serenade_test \
-  store_test server_test snapshot_test path_golden_test
+  store_test server_test snapshot_test path_golden_test app_test
 "${PREFIX}-asan/tests/fault_test"
 "${PREFIX}-asan/tests/robustness_test"
 "${PREFIX}-asan/tests/sweep_test"
@@ -104,6 +104,9 @@ cmake --build "${PREFIX}-asan" -j --target fault_test robustness_test \
 # SIGTERMs is the ASan build.
 "${PREFIX}-asan/tests/store_test"
 "${PREFIX}-asan/tests/server_test"
+# app_test under ASan+UBSan covers the CLI config parser, the other place
+# outside input (key=value arguments) enters a NetworkSimConfig.
+"${PREFIX}-asan/tests/app_test"
 
 echo "== tier1: telemetry gate (${PREFIX}) =="
 # telemetry_test asserts (a) telemetry-off results are bitwise identical to

@@ -1,42 +1,72 @@
 #include "app/sim_config_args.hpp"
 
 #include <cstdio>
+#include <type_traits>
 
 #include "common/types.hpp"
 #include "routing/registry.hpp"
+#include "sim/config_fields.hpp"
 #include "traffic/patterns.hpp"
 
 namespace vixnoc {
 
-bool SimConfigFromArgs(const ArgMap& args, NetworkSimConfig* config) {
-  if (!ParseTopologyKind(args.GetString("topology", "mesh"),
-                         &config->topology) ||
-      !ParseAllocScheme(args.GetString("scheme", "vix"), &config->scheme) ||
-      !ParsePatternKind(args.GetString("pattern", "uniform"),
-                        &config->pattern)) {
-    std::fprintf(stderr, "unrecognized topology/scheme/pattern name\n");
-    return false;
+namespace {
+
+// How each field type reads its key. Numbers go through ArgMap, which
+// exits 2 on malformed text; an unknown name, or a type with no CLI form,
+// returns false.
+template <class T>
+bool ParseArg(const ArgMap&, const char*, T*) {
+  return false;
+}
+template <class T>
+  requires std::is_arithmetic_v<T>
+bool ParseArg(const ArgMap& args, const char* key, T* v) {
+  if constexpr (std::is_floating_point_v<T>) {
+    *v = args.GetDouble(key, *v);
+  } else {
+    *v = static_cast<T>(args.GetInt(key, static_cast<std::int64_t>(*v)));
   }
-  config->routing = args.GetString("routing", "dor");
-  if (!IsRegisteredRouting(config->routing)) {
+  return true;
+}
+bool ParseArg(const ArgMap& args, const char* key, std::string* v) {
+  *v = args.GetString(key, *v);
+  return true;
+}
+bool ParseArg(const ArgMap& args, const char* key, TopologyKind* v) {
+  return !args.Has(key) || ParseTopologyKind(args.GetString(key, ""), v);
+}
+bool ParseArg(const ArgMap& args, const char* key, AllocScheme* v) {
+  return !args.Has(key) || ParseAllocScheme(args.GetString(key, ""), v);
+}
+bool ParseArg(const ArgMap& args, const char* key, PatternKind* v) {
+  return !args.Has(key) || ParsePatternKind(args.GetString(key, ""), v);
+}
+
+}  // namespace
+
+bool SimConfigFromArgs(const ArgMap& args, NetworkSimConfig* config) {
+  // The documented CLI defaults that differ from NetworkSimConfig's own.
+  config->scheme = AllocScheme::kVix;
+  config->injection_rate = 0.1;
+  config->warmup = 5'000;
+  config->measure = 15'000;
+  config->drain = 2'000;
+  bool ok = true;
+  VisitNetworkSimConfig(*config, [&](const ConfigField& f, auto& value) {
+    if (ok && f.cli_key != nullptr && !ParseArg(args, f.cli_key, &value)) {
+      std::fprintf(stderr, "unrecognized %s name '%s'\n", f.cli_key,
+                   args.GetString(f.cli_key, "").c_str());
+      ok = false;
+    }
+  });
+  if (ok && !IsRegisteredRouting(config->routing)) {
     std::fprintf(stderr, "routing=%s is not a registered plugin (%s)\n",
                  config->routing.c_str(),
                  RegisteredRoutingNamesJoined().c_str());
     return false;
   }
-  config->hotspot_node =
-      static_cast<NodeId>(args.GetInt("hotspot", kInvalidNode));
-  config->incast_fanin = static_cast<int>(args.GetInt("fanin", 0));
-  config->num_vcs = static_cast<int>(args.GetInt("vcs", 6));
-  config->buffer_depth = static_cast<int>(args.GetInt("depth", 5));
-  config->packet_size = static_cast<int>(args.GetInt("packet", 4));
-  config->injection_rate = args.GetDouble("rate", 0.1);
-  config->seed = static_cast<std::uint64_t>(args.GetInt("seed", 1));
-  config->warmup = static_cast<Cycle>(args.GetInt("warmup", 5'000));
-  config->measure = static_cast<Cycle>(args.GetInt("measure", 15'000));
-  config->drain = static_cast<Cycle>(args.GetInt("drain", 2'000));
-  config->pipeline_stages = static_cast<int>(args.GetInt("pipeline", 3));
-  return true;
+  return ok;
 }
 
 }  // namespace vixnoc

@@ -66,7 +66,7 @@ std::string ToString(TopologyKind kind);
 /// Returns false on unknown input.
 bool ParseAllocScheme(const std::string& text, AllocScheme* out);
 
-/// Case-insensitive parse of "mesh" / "cmesh" / "fbfly".
+/// Case-insensitive parse of "mesh" / "cmesh" / "fbfly" / "torus".
 bool ParseTopologyKind(const std::string& text, TopologyKind* out);
 
 }  // namespace vixnoc

@@ -16,143 +16,11 @@ namespace vixnoc {
 
 namespace {
 
-template <typename E>
-E CheckedEnum(std::uint8_t raw, E max, const char* what) {
-  VIXNOC_REQUIRE(raw <= static_cast<std::uint8_t>(max),
-                 "point frame has invalid %s value %u", what, raw);
-  return static_cast<E>(raw);
-}
-
 std::string ErrnoText(const char* op) {
   return std::string(op) + ": " + std::strerror(errno);
 }
 
 }  // namespace
-
-void SaveNetworkSimConfig(SnapshotWriter& w, const NetworkSimConfig& c) {
-  VIXNOC_REQUIRE(!c.topology_factory,
-                 "a config with a topology_factory cannot cross a process "
-                 "boundary (std::function has no serialized form); run such "
-                 "points in-process");
-  VIXNOC_REQUIRE(!c.routing_factory,
-                 "a config with a routing_factory cannot cross a process "
-                 "boundary (std::function has no serialized form); run such "
-                 "points in-process");
-  w.U8(static_cast<std::uint8_t>(c.topology));
-  w.U8(static_cast<std::uint8_t>(c.scheme));
-  w.I32(c.num_vcs);
-  w.I32(c.buffer_depth);
-  w.I32(c.packet_size);
-  w.F64(c.injection_rate);
-  w.U8(static_cast<std::uint8_t>(c.pattern));
-  w.U8(static_cast<std::uint8_t>(c.arbiter));
-  w.B(c.vc_policy.has_value());
-  w.U8(static_cast<std::uint8_t>(c.vc_policy.value_or(VcAssignPolicy::kMaxCredits)));
-  w.B(c.ap_rotate_vcs);
-  w.I32(c.pipeline_stages);
-  w.I32(c.vix_virtual_inputs);
-  w.B(c.interleaved_vins);
-  w.B(c.prioritize_nonspeculative);
-  w.U8(static_cast<std::uint8_t>(c.va_organization));
-  w.B(c.atomic_vc_alloc);
-  w.B(c.bursty);
-  w.F64(c.burst_on_rate);
-  w.F64(c.mean_burst_cycles);
-  w.U64(c.sample_interval);
-  w.F64(c.faults.link_down_rate);
-  w.F64(c.faults.transient_rate);
-  w.U64(c.faults.transient_period);
-  w.U64(c.faults.transient_duration);
-  w.F64(c.faults.router_stall_rate);
-  w.U64(c.faults.stall_period);
-  w.U64(c.faults.stall_duration);
-  w.F64(c.faults.corruption_rate);
-  w.U32(static_cast<std::uint32_t>(c.faults.forced_link_down.size()));
-  for (const auto& [router, port] : c.faults.forced_link_down) {
-    w.I32(router);
-    w.I32(port);
-  }
-  w.U64(c.faults.seed);
-  w.U64(c.watchdog_cycles);
-  w.B(c.telemetry.enabled);
-  w.U64(c.telemetry.window_cycles);
-  w.U64(c.telemetry.max_windows);
-  w.U64(c.telemetry.trace_sample_period);
-  w.U64(c.telemetry.max_trace_events);
-  w.Str(c.checkpoint_path);
-  w.U64(c.checkpoint_every);
-  w.Str(c.restore_path);
-  w.Str(c.deadlock_checkpoint_path);
-  w.U64(c.seed);
-  w.U64(c.warmup);
-  w.U64(c.measure);
-  w.U64(c.drain);
-  w.Str(c.routing);
-  w.I32(c.hotspot_node);
-  w.I32(c.incast_fanin);
-}
-
-NetworkSimConfig LoadNetworkSimConfig(SnapshotReader& r) {
-  NetworkSimConfig c;
-  c.topology = CheckedEnum(r.U8(), TopologyKind::kTorus, "topology");
-  c.scheme = CheckedEnum(r.U8(), AllocScheme::kSerenade, "scheme");
-  c.num_vcs = r.I32();
-  c.buffer_depth = r.I32();
-  c.packet_size = r.I32();
-  c.injection_rate = r.F64();
-  c.pattern = CheckedEnum(r.U8(), PatternKind::kIncast, "pattern");
-  c.arbiter = CheckedEnum(r.U8(), ArbiterKind::kMatrix, "arbiter");
-  const bool has_policy = r.B();
-  const VcAssignPolicy policy =
-      CheckedEnum(r.U8(), VcAssignPolicy::kRandomFree, "vc_policy");
-  if (has_policy) c.vc_policy = policy;
-  c.ap_rotate_vcs = r.B();
-  c.pipeline_stages = r.I32();
-  c.vix_virtual_inputs = r.I32();
-  c.interleaved_vins = r.B();
-  c.prioritize_nonspeculative = r.B();
-  c.va_organization = CheckedEnum(
-      r.U8(), VaOrganization::kSeparableArbitrated, "va_organization");
-  c.atomic_vc_alloc = r.B();
-  c.bursty = r.B();
-  c.burst_on_rate = r.F64();
-  c.mean_burst_cycles = r.F64();
-  c.sample_interval = r.U64();
-  c.faults.link_down_rate = r.F64();
-  c.faults.transient_rate = r.F64();
-  c.faults.transient_period = r.U64();
-  c.faults.transient_duration = r.U64();
-  c.faults.router_stall_rate = r.F64();
-  c.faults.stall_period = r.U64();
-  c.faults.stall_duration = r.U64();
-  c.faults.corruption_rate = r.F64();
-  const std::uint32_t forced = r.CountU32(2 * 4);  // (router, port) i32s
-  c.faults.forced_link_down.reserve(forced);
-  for (std::uint32_t i = 0; i < forced; ++i) {
-    const RouterId router = r.I32();
-    const PortId port = r.I32();
-    c.faults.forced_link_down.emplace_back(router, port);
-  }
-  c.faults.seed = r.U64();
-  c.watchdog_cycles = r.U64();
-  c.telemetry.enabled = r.B();
-  c.telemetry.window_cycles = r.U64();
-  c.telemetry.max_windows = static_cast<std::size_t>(r.U64());
-  c.telemetry.trace_sample_period = r.U64();
-  c.telemetry.max_trace_events = static_cast<std::size_t>(r.U64());
-  c.checkpoint_path = r.Str();
-  c.checkpoint_every = r.U64();
-  c.restore_path = r.Str();
-  c.deadlock_checkpoint_path = r.Str();
-  c.seed = r.U64();
-  c.warmup = r.U64();
-  c.measure = r.U64();
-  c.drain = r.U64();
-  c.routing = r.Str();
-  c.hotspot_node = r.I32();
-  c.incast_fanin = r.I32();
-  return c;
-}
 
 std::string EncodePointFrame(const PointFrame& frame) {
   SnapshotWriter w;

@@ -27,16 +27,6 @@
 
 namespace vixnoc {
 
-class SnapshotReader;
-class SnapshotWriter;
-
-/// Serializes every wire-transportable NetworkSimConfig field. Throws
-/// SimError when the config cannot cross a process boundary: a
-/// topology_factory is a live std::function and has no serialized form
-/// (the coordinator runs such points in-process instead).
-void SaveNetworkSimConfig(SnapshotWriter& w, const NetworkSimConfig& c);
-NetworkSimConfig LoadNetworkSimConfig(SnapshotReader& r);
-
 /// One dispatched sweep point. `attempt` counts subprocess tries (0 = the
 /// first); it rides along so the worker's deterministic test-failure hooks
 /// (crash on attempts < n) can exercise retry-then-succeed paths.

@@ -30,6 +30,18 @@ void BlockSigpipeOnThisThread() {
   pthread_sigmask(SIG_BLOCK, &sigpipe, nullptr);
 }
 
+/// Names the first field of `c` that would make the daemon touch a file
+/// the client chose, or returns nullptr. The daemon refuses those; the
+/// result key also leaves them out, so a coalesced or stored answer would
+/// silently skip the checkpoint the client asked for.
+const char* ClientPathField(const NetworkSimConfig& c) {
+  if (!c.checkpoint_path.empty()) return "checkpoint_path";
+  if (c.checkpoint_every != 0) return "checkpoint_every";
+  if (!c.restore_path.empty()) return "restore_path";
+  if (!c.deadlock_checkpoint_path.empty()) return "deadlock_checkpoint_path";
+  return nullptr;
+}
+
 }  // namespace
 
 SimDaemon::SimDaemon(DaemonConfig config) : config_(std::move(config)) {
@@ -130,20 +142,16 @@ void SimDaemon::ServeConnection(int fd) {
     try {
       const Request req = DecodeRequest(fr.payload);
       switch (req.kind) {
-        case RequestKind::kPoint: {
-          {
-            std::lock_guard<std::mutex> lock(mu_);
-            ++counters_.point_requests;
-          }
-          reply = EncodePointReply(ServePoint(req.configs.front()));
-          break;
-        }
+        case RequestKind::kPoint:
         case RequestKind::kBatch: {
+          const bool point = req.kind == RequestKind::kPoint;
           {
             std::lock_guard<std::mutex> lock(mu_);
-            ++counters_.batch_requests;
+            ++(point ? counters_.point_requests : counters_.batch_requests);
           }
-          reply = EncodeBatchReply(ServeBatch(req.configs));
+          const std::vector<PointReply> replies = ServeBatch(req.configs);
+          reply = point ? EncodePointReply(replies.front())
+                        : EncodeBatchReply(replies);
           break;
         }
         case RequestKind::kStats:
@@ -252,23 +260,6 @@ void SimDaemon::AwaitPoint(const ComputeHandle& handle, PointReply* out) {
   ++counters_.points_served;
 }
 
-PointReply SimDaemon::ServePoint(const NetworkSimConfig& config) {
-  PointReply out;
-  out.result_key = NetworkSimResultKey(config);
-  try {
-    ValidateNetworkSimConfig(config);
-  } catch (const SimError& e) {
-    out.status = ServeStatus::kError;
-    out.message = e.what();
-    std::lock_guard<std::mutex> lock(mu_);
-    ++counters_.error_replies;
-    return out;
-  }
-  const ComputeHandle handle = BeginPoint(config, &out);
-  if (handle.inflight) AwaitPoint(handle, &out);
-  return out;
-}
-
 std::vector<PointReply> SimDaemon::ServeBatch(
     const std::vector<NetworkSimConfig>& configs) {
   // Two phases so a batch's misses compute concurrently: begin (or join)
@@ -280,6 +271,10 @@ std::vector<PointReply> SimDaemon::ServeBatch(
     PointReply& out = replies[i];
     out.result_key = NetworkSimResultKey(configs[i]);
     try {
+      const char* path_field = ClientPathField(configs[i]);
+      VIXNOC_REQUIRE(path_field == nullptr,
+                     "the daemon does not accept %s in a request",
+                     path_field);
       ValidateNetworkSimConfig(configs[i]);
     } catch (const SimError& e) {
       out.status = ServeStatus::kError;

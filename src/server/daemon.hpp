@@ -114,7 +114,8 @@ class SimDaemon {
 
   void AcceptLoop();
   void ServeConnection(int fd);
-  PointReply ServePoint(const NetworkSimConfig& config);
+  /// Serves a point request (one config) or a batch. A config that sets a
+  /// checkpoint or restore field gets a kError reply naming it.
   std::vector<PointReply> ServeBatch(
       const std::vector<NetworkSimConfig>& configs);
   /// Probes the store and, on a miss, begins or joins a computation.

@@ -1,7 +1,6 @@
 #include "server/server_protocol.hpp"
 
 #include "common/error.hpp"
-#include "exec/exec_protocol.hpp"
 #include "snapshot/snapshot.hpp"
 
 namespace vixnoc {

@@ -1,15 +1,17 @@
 #include "sim/network_sim.hpp"
 
 #include <algorithm>
-#include <cstring>
+#include <bit>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "common/check.hpp"
 #include "common/error.hpp"
 #include "routing/registry.hpp"
+#include "sim/config_fields.hpp"
 #include "snapshot/snapshot.hpp"
 #include "snapshot/state_io.hpp"
 #include "traffic/injection.hpp"
@@ -99,6 +101,128 @@ SimOutcome LoadSimOutcome(SnapshotReader& r) {
   o.unreachable_packets = r.U64();
   o.checkpoint_path = r.Str();
   return o;
+}
+
+// Per-type rules for the config field table walks. A scalar field is one
+// u64 word, in the fingerprint and in frames alike: its value (signed
+// values sign-extend) or a double's bits. A string folds into the
+// fingerprint as its hash, a factory as its presence (it cannot be hashed
+// or sent), and an optional as its presence then its value.
+template <class T>
+std::uint64_t Word(T v) {
+  if constexpr (std::is_floating_point_v<T>) {
+    return std::bit_cast<std::uint64_t>(v);
+  } else {
+    return static_cast<std::uint64_t>(v);
+  }
+}
+
+/// Highest valid value of each enum; decoding refuses larger words.
+constexpr auto LastValue(TopologyKind) { return TopologyKind::kTorus; }
+constexpr auto LastValue(AllocScheme) { return AllocScheme::kSerenade; }
+constexpr auto LastValue(PatternKind) { return PatternKind::kIncast; }
+constexpr auto LastValue(ArbiterKind) { return ArbiterKind::kMatrix; }
+constexpr auto LastValue(VcAssignPolicy) { return VcAssignPolicy::kRandomFree; }
+constexpr auto LastValue(VaOrganization) {
+  return VaOrganization::kSeparableArbitrated;
+}
+
+using Words = std::vector<std::uint64_t>;
+using Links = std::vector<std::pair<RouterId, PortId>>;
+
+template <class T>
+void FoldField(Words& out, T v) { out.push_back(Word(v)); }
+void FoldField(Words& out, const std::string& s) {
+  out.push_back(Fnv1a64(s.data(), s.size()));
+}
+template <class S>
+void FoldField(Words& out, const std::function<S>& f) {
+  FoldField(out, static_cast<bool>(f));
+}
+template <class T>
+void FoldField(Words& out, const std::optional<T>& v) {
+  FoldField(out, v.has_value());
+  FoldField(out, v.value_or(T{}));
+}
+void FoldField(Words& out, const Links& links) {
+  for (const auto& [router, port] : links) {
+    FoldField(out, router);
+    FoldField(out, port);
+  }
+}
+
+std::uint64_t HashFields(const NetworkSimConfig& c, FieldClass kind,
+                         Words words) {
+  VisitNetworkSimConfig(c, [&](const ConfigField& f, const auto& v) {
+    if (f.kind == kind) FoldField(words, v);
+  });
+  return Fnv1a64(words.data(), words.size() * sizeof(std::uint64_t));
+}
+
+template <class T>
+void SaveField(SnapshotWriter& w, const ConfigField&, T v) { w.U64(Word(v)); }
+void SaveField(SnapshotWriter& w, const ConfigField&, const std::string& s) {
+  w.Str(s);
+}
+template <class S>
+void SaveField(SnapshotWriter&, const ConfigField& f,
+               const std::function<S>& v) {
+  VIXNOC_REQUIRE(!v,
+                 "a config with a %s cannot cross a process boundary "
+                 "(std::function has no serialized form); run such points "
+                 "in-process",
+                 f.name);
+}
+template <class T>
+void SaveField(SnapshotWriter& w, const ConfigField& f,
+               const std::optional<T>& v) {
+  SaveField(w, f, v.has_value());
+  SaveField(w, f, v.value_or(T{}));
+}
+void SaveField(SnapshotWriter& w, const ConfigField&, const Links& links) {
+  w.U32(static_cast<std::uint32_t>(links.size()));
+  for (const auto& [router, port] : links) {
+    w.I32(router);
+    w.I32(port);
+  }
+}
+
+template <class T>
+void LoadField(SnapshotReader& r, const ConfigField& f, T* v) {
+  const std::uint64_t word = r.U64();
+  if constexpr (std::is_floating_point_v<T>) {
+    *v = std::bit_cast<T>(word);
+  } else {
+    *v = static_cast<T>(word);
+    // Only canonical words: no integer out of range, no bool but 0 or 1.
+    bool valid = Word(*v) == word;
+    if constexpr (std::is_enum_v<T>) {
+      valid = valid && word <= Word(LastValue(T{}));
+    }
+    VIXNOC_REQUIRE(valid, "config frame has invalid %s value %llu", f.name,
+                   static_cast<unsigned long long>(word));
+  }
+}
+void LoadField(SnapshotReader& r, const ConfigField&, std::string* v) {
+  *v = r.Str();
+}
+template <class S>
+void LoadField(SnapshotReader&, const ConfigField&, std::function<S>*) {}
+template <class T>
+void LoadField(SnapshotReader& r, const ConfigField& f, std::optional<T>* v) {
+  bool has = false;
+  T value{};
+  LoadField(r, f, &has);
+  LoadField(r, f, &value);
+  *v = has ? std::optional<T>(value) : std::nullopt;
+}
+void LoadField(SnapshotReader& r, const ConfigField&, Links* links) {
+  const std::uint32_t n = r.CountU32(2 * 4);  // (router, port) i32s
+  links->reserve(n);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    const RouterId router = r.I32();
+    links->emplace_back(router, r.I32());
+  }
 }
 
 }  // namespace
@@ -650,76 +774,36 @@ NetworkSimResult RunNetworkSim(const NetworkSimConfig& config) {
 }
 
 std::uint64_t NetworkSimConfigFingerprint(const NetworkSimConfig& c) {
-  const auto dbl = [](double v) {
-    std::uint64_t bits;
-    static_assert(sizeof(bits) == sizeof(v));
-    std::memcpy(&bits, &v, sizeof(bits));
-    return bits;
-  };
-  std::vector<std::uint64_t> fields = {
-      static_cast<std::uint64_t>(c.topology),
-      static_cast<std::uint64_t>(c.scheme),
-      static_cast<std::uint64_t>(c.num_vcs),
-      static_cast<std::uint64_t>(c.buffer_depth),
-      static_cast<std::uint64_t>(c.packet_size),
-      dbl(c.injection_rate),
-      static_cast<std::uint64_t>(c.pattern),
-      static_cast<std::uint64_t>(c.arbiter),
-      static_cast<std::uint64_t>(c.vc_policy.has_value()),
-      static_cast<std::uint64_t>(
-          c.vc_policy.value_or(VcAssignPolicy::kMaxCredits)),
-      static_cast<std::uint64_t>(c.ap_rotate_vcs),
-      static_cast<std::uint64_t>(c.pipeline_stages),
-      static_cast<std::uint64_t>(c.vix_virtual_inputs),
-      static_cast<std::uint64_t>(c.interleaved_vins),
-      static_cast<std::uint64_t>(c.prioritize_nonspeculative),
-      static_cast<std::uint64_t>(c.va_organization),
-      static_cast<std::uint64_t>(c.atomic_vc_alloc),
-      static_cast<std::uint64_t>(c.bursty),
-      dbl(c.burst_on_rate),
-      dbl(c.mean_burst_cycles),
-      static_cast<std::uint64_t>(static_cast<bool>(c.topology_factory)),
-      Fnv1a64(c.routing.data(), c.routing.size()),
-      static_cast<std::uint64_t>(static_cast<bool>(c.routing_factory)),
-      static_cast<std::uint64_t>(c.sample_interval),
-      dbl(c.faults.link_down_rate),
-      dbl(c.faults.transient_rate),
-      static_cast<std::uint64_t>(c.faults.transient_period),
-      static_cast<std::uint64_t>(c.faults.transient_duration),
-      dbl(c.faults.router_stall_rate),
-      static_cast<std::uint64_t>(c.faults.stall_period),
-      static_cast<std::uint64_t>(c.faults.stall_duration),
-      dbl(c.faults.corruption_rate),
-      c.faults.seed,
-      static_cast<std::uint64_t>(c.watchdog_cycles),
-      c.seed,
-      static_cast<std::uint64_t>(c.warmup),
-      static_cast<std::uint64_t>(c.measure),
-      static_cast<std::uint64_t>(c.drain),
-      static_cast<std::uint64_t>(
-          static_cast<std::int64_t>(c.hotspot_node)),
-      static_cast<std::uint64_t>(
-          static_cast<std::int64_t>(c.incast_fanin)),
-  };
-  for (const auto& [router, port] : c.faults.forced_link_down) {
-    fields.push_back(static_cast<std::uint64_t>(router));
-    fields.push_back(static_cast<std::uint64_t>(port));
-  }
-  return Fnv1a64(fields.data(), fields.size() * sizeof(std::uint64_t));
+  return HashFields(c, FieldClass::kEvolution, {});
 }
 
 std::uint64_t NetworkSimResultKey(const NetworkSimConfig& c) {
-  const std::uint64_t fields[] = {
-      NetworkSimConfigFingerprint(c),
-      static_cast<std::uint64_t>(c.telemetry.enabled),
-      static_cast<std::uint64_t>(c.telemetry.window_cycles),
-      static_cast<std::uint64_t>(c.telemetry.max_windows),
-      c.telemetry.trace_sample_period,
-      static_cast<std::uint64_t>(c.telemetry.max_trace_events),
-      Fnv1a64(c.deadlock_checkpoint_path.data(),
-              c.deadlock_checkpoint_path.size()),
-  };
-  return Fnv1a64(fields, sizeof(fields));
+  return HashFields(c, FieldClass::kObservation,
+                    {NetworkSimConfigFingerprint(c)});
+}
+
+void SaveNetworkSimConfig(SnapshotWriter& w, const NetworkSimConfig& c) {
+  VisitNetworkSimConfig(c, [&](const ConfigField& f, const auto& v) {
+    SaveField(w, f, v);
+  });
+}
+
+NetworkSimConfig LoadNetworkSimConfig(SnapshotReader& r) {
+  NetworkSimConfig c;
+  VisitNetworkSimConfig(c, [&](const ConfigField& f, auto& v) {
+    LoadField(r, f, &v);
+  });
+  return c;
+}
+
+std::string NetworkSimKeyBytes(const NetworkSimConfig& c) {
+  SnapshotWriter w;
+  w.BeginSection("key");
+  VisitNetworkSimConfig(c, [&](const ConfigField& f, const auto& v) {
+    if (f.kind != FieldClass::kOperational) SaveField(w, f, v);
+  });
+  w.EndSection();
+  return w.Finish(0);
 }
 
 void SaveNetworkSimResult(SnapshotWriter& w, const NetworkSimResult& r) {

@@ -151,11 +151,9 @@ struct NetworkSimConfig {
   /// (atomic overwrite) every `checkpoint_every` cycles. Setting
   /// `restore_path` resumes a run from such a checkpoint instead of
   /// starting at cycle 0; the resumed run is bitwise identical to one that
-  /// never stopped. Checkpoints carry a fingerprint of the
-  /// evolution-relevant config fields (see NetworkSimConfigFingerprint);
-  /// restoring under a config that would evolve differently throws
-  /// SimError. Telemetry and checkpoint knobs themselves are excluded from
-  /// the fingerprint, so a post-mortem replay may switch tracing on.
+  /// never stopped. Checkpoints carry NetworkSimConfigFingerprint, so a
+  /// restore under a config that would evolve differently throws SimError,
+  /// while a post-mortem replay may still switch tracing on.
   std::string checkpoint_path;
   Cycle checkpoint_every = 0;
   std::string restore_path;
@@ -218,27 +216,28 @@ void ValidateNetworkSimConfig(const NetworkSimConfig& config);
 
 NetworkSimResult RunNetworkSim(const NetworkSimConfig& config);
 
-/// FNV-1a fingerprint over the config fields that determine how the
-/// simulation evolves. Stamped into checkpoint files and checked on
-/// restore. Telemetry settings are excluded (observability never changes
-/// simulated state — the contract pinned by telemetry_test), as are the
-/// checkpoint knobs themselves, so a replay run may re-point paths or
-/// enable tracing without invalidating the checkpoint. A topology_factory
-/// cannot be hashed; only its presence is, so factory users must ensure
-/// the factory builds the same topology on both sides (the network-level
-/// geometry checks catch most mismatches).
+/// FNV-1a fingerprint over the config's evolution fields (the kEvolution
+/// entries of sim/config_fields.hpp), stamped into checkpoint files and
+/// checked on restore. A factory cannot be hashed, only its presence, so
+/// factory users must ensure both sides build the same thing (the
+/// network-level geometry checks catch most mismatches).
 std::uint64_t NetworkSimConfigFingerprint(const NetworkSimConfig& config);
 
-/// Content key identifying the *result* a config produces, used by the
-/// content-addressed ResultStore and for request dedup/coalescing. It is
-/// the evolution fingerprint folded with the observation knobs that change
-/// the result payload without changing simulated state: the telemetry
-/// config (a telemetry-on run carries a populated TelemetrySummary) and
-/// deadlock_checkpoint_path (recorded in SimOutcome::checkpoint_path).
-/// checkpoint_path/checkpoint_every/restore_path stay excluded — the
-/// restore contract guarantees a resumed run's result is bitwise identical
-/// to an uninterrupted one. Same factory caveat as the fingerprint.
+/// Content key of the *result* a config produces: the fingerprint folded
+/// with the observation fields. Names ResultStore entries and drives
+/// request dedup and coalescing. Same factory caveat as the fingerprint.
 std::uint64_t NetworkSimResultKey(const NetworkSimConfig& config);
+
+/// Canonical encoding of the keyed (evolution and observation) fields:
+/// equal bytes mean equal keyed fields, with no hash in between. Throws
+/// SimError for factory configs.
+std::string NetworkSimKeyBytes(const NetworkSimConfig& config);
+
+/// The frame codec: every table entry, in order. Save throws SimError for
+/// a config with a factory (a live std::function has no serialized form;
+/// such points run in-process); Load throws on truncation or a bad enum.
+void SaveNetworkSimConfig(SnapshotWriter& w, const NetworkSimConfig& c);
+NetworkSimConfig LoadNetworkSimConfig(SnapshotReader& r);
 
 /// Full-fidelity (de)serialization of a finished result — metrics,
 /// outcome, timeline and telemetry — used by SweepRunner's per-point

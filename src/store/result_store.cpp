@@ -94,6 +94,12 @@ PointCacheStatus ResultStore::Load(const NetworkSimConfig& config,
                    path.c_str(),
                    static_cast<unsigned long long>(r.fingerprint()),
                    static_cast<unsigned long long>(key));
+    r.OpenSection("key");
+    VIXNOC_REQUIRE(r.Str() == NetworkSimKeyBytes(config),
+                   "store entry '%s' was filed for a config whose keyed "
+                   "fields differ from this one's",
+                   path.c_str());
+    r.CloseSection();
     r.OpenSection("result");
     *out = LoadNetworkSimResult(r);
     r.CloseSection();
@@ -145,6 +151,9 @@ void ResultStore::Put(const NetworkSimConfig& config,
   }
   try {
     SnapshotWriter w;
+    w.BeginSection("key");
+    w.Str(NetworkSimKeyBytes(config));
+    w.EndSection();
     w.BeginSection("result");
     SaveNetworkSimResult(w, result);
     w.EndSection();

@@ -10,17 +10,20 @@
 //
 // Layout: `<dir>/<key[0:2]>/<key>.res` where `key` is the 16-lowercase-hex
 // result key — two-level sharding keeps directory fan-out bounded at 256.
-// Entries are snapshot containers (section "result", container fingerprint
-// = the key) written atomically via unique-tmp+rename, so concurrent
-// writers racing the same key — even from different processes — each stage
-// a complete file and the last rename wins with identical bytes (results
-// are deterministic functions of the key).
+// Entries are snapshot containers (sections "key" = NetworkSimKeyBytes and
+// "result", container fingerprint = the key) written atomically via
+// unique-tmp+rename, so concurrent writers racing the same key — even from
+// different processes — each stage a complete file and the last rename
+// wins with identical bytes (results are deterministic functions of the
+// key).
 //
 // Trust model: the store is an accelerator, never a correctness input.
-// Load re-validates the container key and checksums; a defective entry
-// (truncated, corrupted, wrong key) warns on stderr, ticks a counter, and
-// reports kDefective so the caller recomputes. Put never throws — a full
-// disk degrades performance, not results.
+// Load re-validates the container key and checksums, and compares the
+// "key" section byte for byte with the looked-up config's, so a key
+// collision is never served. A defective entry (truncated, corrupted,
+// wrong key, differing or missing key bytes) warns on stderr, ticks a
+// counter, and reports kDefective so the caller recomputes. Put never
+// throws — a full disk degrades performance, not results.
 #pragma once
 
 #include <cstdint>
@@ -79,11 +82,11 @@ class ResultStore : public PointCache {
   std::string EntryPath(const NetworkSimConfig& config) const;
   std::string EntryPath(std::uint64_t key) const;
 
-  // PointCache interface. Load validates the container key + checksums and
-  // refreshes the entry's mtime on a hit (the GC's recency signal). Put is
-  // non-throwing and skips error slots and factory configs (the key only
-  // records factory presence — caching those would let two different
-  // factories collide).
+  // PointCache interface. Load validates the container key, checksums and
+  // key bytes, and refreshes the entry's mtime on a hit (the GC's recency
+  // signal). Put is non-throwing and skips error slots and factory configs
+  // (the key only records factory presence — caching those would let two
+  // different factories collide).
   PointCacheStatus Load(const NetworkSimConfig& config,
                         NetworkSimResult* out) override;
   void Put(const NetworkSimConfig& config,

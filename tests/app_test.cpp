@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <vector>
 
 #include "app/app_sim.hpp"
 #include "app/benchmarks.hpp"
+#include "app/sim_config_args.hpp"
+#include "sim/config_fields.hpp"
 
 namespace vixnoc::app {
 namespace {
@@ -149,6 +153,77 @@ TEST(AppSim, VixDoesNotHurtApplications) {
   const auto base = RunAppSim(QuickApp(AllocScheme::kInputFirst), cores);
   const auto vix = RunAppSim(QuickApp(AllocScheme::kVix), cores);
   EXPECT_GE(vix.aggregate_ipc, base.aggregate_ipc * 0.99);
+}
+
+ArgMap Args(std::vector<std::string> pairs) {
+  std::vector<char*> argv = {const_cast<char*>("app_test")};
+  for (std::string& kv : pairs) argv.push_back(kv.data());
+  return ArgMap::Parse(static_cast<int>(argv.size()), argv.data());
+}
+
+TEST(SimConfigFromArgs, NoKeysGiveTheDocumentedDefaults) {
+  NetworkSimConfig c;
+  ASSERT_TRUE(SimConfigFromArgs(Args({}), &c));
+  EXPECT_EQ(c.topology, TopologyKind::kMesh);
+  EXPECT_EQ(c.scheme, AllocScheme::kVix);
+  EXPECT_EQ(c.pattern, PatternKind::kUniform);
+  EXPECT_EQ(c.routing, "dor");
+  EXPECT_EQ(c.hotspot_node, kInvalidNode);
+  EXPECT_EQ(c.incast_fanin, 0);
+  EXPECT_EQ(c.injection_rate, 0.1);
+  EXPECT_EQ(c.num_vcs, 6);
+  EXPECT_EQ(c.buffer_depth, 5);
+  EXPECT_EQ(c.packet_size, 4);
+  EXPECT_EQ(c.seed, 1u);
+  EXPECT_EQ(c.warmup, 5'000u);
+  EXPECT_EQ(c.measure, 15'000u);
+  EXPECT_EQ(c.drain, 2'000u);
+  EXPECT_EQ(c.pipeline_stages, 3);
+}
+
+TEST(SimConfigFromArgs, EachKeySetsItsField) {
+  // The table carries exactly the fifteen historical keys.
+  std::set<std::string> keys;
+  const NetworkSimConfig defaults;
+  VisitNetworkSimConfig(defaults, [&](const ConfigField& f, const auto&) {
+    if (f.cli_key != nullptr) keys.insert(f.cli_key);
+  });
+  EXPECT_EQ(keys, (std::set<std::string>{
+                      "topology", "scheme", "pattern", "routing", "hotspot",
+                      "fanin", "vcs", "depth", "packet", "rate", "seed",
+                      "warmup", "measure", "drain", "pipeline"}));
+
+  const ArgMap args = Args({"topology=torus", "scheme=serenade",
+                            "pattern=incast", "routing=adaptive_min",
+                            "hotspot=9", "fanin=12", "vcs=4", "depth=3",
+                            "packet=2", "rate=0.17", "seed=42", "warmup=111",
+                            "measure=222", "drain=33", "pipeline=5"});
+  NetworkSimConfig c;
+  ASSERT_TRUE(SimConfigFromArgs(args, &c));
+  args.CheckAllConsumed();  // exits on any key the parser never read
+  EXPECT_EQ(c.topology, TopologyKind::kTorus);
+  EXPECT_EQ(c.scheme, AllocScheme::kSerenade);
+  EXPECT_EQ(c.pattern, PatternKind::kIncast);
+  EXPECT_EQ(c.routing, "adaptive_min");
+  EXPECT_EQ(c.hotspot_node, 9);
+  EXPECT_EQ(c.incast_fanin, 12);
+  EXPECT_EQ(c.num_vcs, 4);
+  EXPECT_EQ(c.buffer_depth, 3);
+  EXPECT_EQ(c.packet_size, 2);
+  EXPECT_EQ(c.injection_rate, 0.17);
+  EXPECT_EQ(c.seed, 42u);
+  EXPECT_EQ(c.warmup, 111u);
+  EXPECT_EQ(c.measure, 222u);
+  EXPECT_EQ(c.drain, 33u);
+  EXPECT_EQ(c.pipeline_stages, 5);
+}
+
+TEST(SimConfigFromArgs, UnknownNamesAreRejected) {
+  for (const char* kv : {"topology=ring", "scheme=greedy", "pattern=zigzag",
+                         "routing=teleport"}) {
+    NetworkSimConfig c;
+    EXPECT_FALSE(SimConfigFromArgs(Args({kv}), &c)) << kv;
+  }
 }
 
 }  // namespace

@@ -287,6 +287,41 @@ TEST(SimDaemonTest, SaturatedQueueAnswersRetryAfterThenRecovers) {
   daemon.Stop();
 }
 
+TEST(SimDaemonTest, ClientNamedPathsAreRefusedAndNeverTouched) {
+  TempService svc("paths");
+  SimDaemon daemon(svc.Config());
+  daemon.Start();
+  SimClient client(svc.socket, 10.0);
+
+  NetworkSimConfig checkpointing = ShortConfig();
+  checkpointing.checkpoint_path = svc.root + "/client.ckpt";
+  checkpointing.checkpoint_every = 100;
+  const PointReply point = client.Point(checkpointing);
+  EXPECT_EQ(point.status, ServeStatus::kError);
+  EXPECT_NE(point.message.find("checkpoint_path"), std::string::npos)
+      << point.message;
+  EXPECT_FALSE(fs::exists(checkpointing.checkpoint_path));
+
+  // Each of the other three fields alone, in one batch.
+  std::vector<NetworkSimConfig> batch(3, ShortConfig());
+  batch[0].checkpoint_every = 100;
+  batch[1].restore_path = svc.root + "/client.ckpt";
+  batch[2].deadlock_checkpoint_path = svc.root + "/deadlock.ckpt";
+  const std::vector<PointReply> replies = client.Batch(batch);
+  ASSERT_EQ(replies.size(), 3u);
+  const char* fields[] = {"checkpoint_every", "restore_path",
+                          "deadlock_checkpoint_path"};
+  for (std::size_t i = 0; i < replies.size(); ++i) {
+    EXPECT_EQ(replies[i].status, ServeStatus::kError) << fields[i];
+    EXPECT_NE(replies[i].message.find(fields[i]), std::string::npos)
+        << replies[i].message;
+  }
+  EXPECT_EQ(daemon.stats().computed_points, 0u);
+  EXPECT_EQ(daemon.stats().error_replies, 4u);
+  daemon.Stop();
+  EXPECT_FALSE(fs::exists(checkpointing.checkpoint_path));
+}
+
 TEST(SimDaemonTest, MalformedFrameGetsStructuredErrorReply) {
   TempService svc("malformed");
   SimDaemon daemon(svc.Config());

@@ -926,6 +926,36 @@ TEST(CraftedInput, InflatedForcedLinkDownCountThrows) {
   EXPECT_THROW(LoadNetworkSimConfig(r), SimError);
 }
 
+TEST(CraftedInput, OutOfRangeConfigWordsThrow) {
+  // Each scalar config field is one u64 word in table order, so a sentinel
+  // locates its neighbour: scheme precedes num_vcs, and ap_rotate_vcs
+  // precedes pipeline_stages.
+  NetworkSimConfig config;
+  config.num_vcs = 0x5a5a5a5a;
+  config.pipeline_stages = 0x3c3c3c3c;
+  SnapshotWriter w;
+  w.BeginSection("config");
+  SaveNetworkSimConfig(w, config);
+  w.EndSection();
+  const std::string good = w.Finish(0);
+  const std::size_t vcs = FindOnce(good, Le(0x5a5a5a5a, 8));
+  const std::size_t stages = FindOnce(good, Le(0x3c3c3c3c, 8));
+  const auto load = [](const std::string& bytes) {
+    SnapshotReader r(bytes);
+    r.OpenSection("config");
+    return LoadNetworkSimConfig(r);
+  };
+  const std::pair<std::size_t, std::uint64_t> bad[] = {
+      {vcs - 8, 9},             // scheme past kSerenade
+      {vcs, 0x15a5a5a5aull},    // num_vcs outside int
+      {stages - 8, 2},          // ap_rotate_vcs neither 0 nor 1
+  };
+  for (const auto& [at, word] : bad) {
+    EXPECT_THROW(load(Patch(good, at, Le(word, 8))), SimError) << word;
+  }
+  EXPECT_EQ(load(good).num_vcs, 0x5a5a5a5a);  // control
+}
+
 TEST(CraftedInput, InflatedResultListCountsThrow) {
   NetworkSimResult result;
   result.timeline = {IntervalSample{0x1122334455667788ull, 0.5, 2.0, 7}};

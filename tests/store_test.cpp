@@ -7,7 +7,9 @@
 // detected (never served as data); concurrent same-key writers — across
 // real process boundaries — leave a valid entry; GC evicts oldest-first
 // and respects max_bytes; and the SweepRunner/SweepCoordinator resume +
-// dedup behavior layered on the store is exact.
+// dedup behavior layered on the store is exact. The config field table
+// (sim/config_fields.hpp) that the key, the store's key bytes and the
+// frame codec walk is tested entry by entry.
 #include "store/result_store.hpp"
 
 #include <sys/wait.h>
@@ -17,12 +19,20 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <memory>
+#include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/error.hpp"
+#include "exec/exec_protocol.hpp"
+#include "routing/routing_algorithm.hpp"
+#include "server/server_protocol.hpp"
+#include "sim/config_fields.hpp"
 #include "sim/network_sim.hpp"
 #include "sim/sweep.hpp"
 #include "snapshot/snapshot.hpp"
@@ -141,6 +151,40 @@ TEST(ResultStoreTest, EveryTruncationAndCorruptionIsDetected) {
         << "corruption at byte " << i;
   }
   EXPECT_GE(store.stats().defective, good.size());
+  fs::remove_all(dir);
+}
+
+TEST(ResultStoreTest, EntryFiledForAnotherConfigIsNeverServed) {
+  const std::string dir = FreshDir("forged");
+  ResultStore store(dir);
+  const NetworkSimConfig a = ShortConfig(0.10, 1);
+  const NetworkSimConfig b = ShortConfig(0.10, 2);
+  const std::string path = store.EntryPath(a);
+  fs::create_directories(fs::path(path).parent_path());
+  NetworkSimResult out;
+
+  // A's path and container key over B's key bytes: what a 64-bit key
+  // collision between A and B, or a field missing from the key, leaves.
+  SnapshotWriter forged;
+  forged.BeginSection("key");
+  forged.Str(NetworkSimKeyBytes(b));
+  forged.EndSection();
+  forged.BeginSection("result");
+  SaveNetworkSimResult(forged, NetworkSimResult{});
+  forged.EndSection();
+  Spit(path, forged.Finish(NetworkSimResultKey(a)));
+  EXPECT_EQ(store.Load(a, &out), PointCacheStatus::kDefective);
+  EXPECT_FALSE(fs::exists(path)) << "defective entry not unlinked";
+
+  // An entry with no key section (written before entries carried one)
+  // takes the same path.
+  SnapshotWriter keyless;
+  keyless.BeginSection("result");
+  SaveNetworkSimResult(keyless, NetworkSimResult{});
+  keyless.EndSection();
+  Spit(path, keyless.Finish(NetworkSimResultKey(a)));
+  EXPECT_EQ(store.Load(a, &out), PointCacheStatus::kDefective);
+  EXPECT_EQ(store.stats().defective, 2u);
   fs::remove_all(dir);
 }
 
@@ -293,6 +337,178 @@ TEST(SweepRunnerTest, WithinBatchDuplicatesAreDeduplicated) {
   EXPECT_EQ(Bytes(results[0]), Bytes(RunNetworkSim(a)));
   EXPECT_EQ(Bytes(results[1]), Bytes(RunNetworkSim(b)));
   fs::remove_all(dir);
+}
+
+// ---------------------------------------------------------------------------
+// The config field table, entry by entry.
+
+/// An entry's value as bytes, so entries of any type compare for equality.
+template <class T>
+  requires std::is_arithmetic_v<T> || std::is_enum_v<T>
+std::string Repr(const T& v) {
+  return std::string(reinterpret_cast<const char*>(&v), sizeof v);
+}
+std::string Repr(const std::string& v) { return "s" + v; }
+template <class E>
+std::string Repr(const std::optional<E>& v) {
+  return v ? "1" + Repr(*v) : "0";
+}
+template <class S>
+std::string Repr(const std::function<S>& v) {
+  return v ? "factory" : "none";
+}
+std::string Repr(const std::vector<std::pair<RouterId, PortId>>& v) {
+  std::string out;
+  for (const auto& [router, port] : v) out += Repr(router) + Repr(port);
+  return out;
+}
+
+std::vector<std::string> Entries(const NetworkSimConfig& c) {
+  std::vector<std::string> out;
+  VisitNetworkSimConfig(c, [&](const ConfigField&, const auto& v) {
+    out.push_back(Repr(v));
+  });
+  return out;
+}
+
+/// Moves one entry off its current value, whatever its type.
+void Nudge(bool& v) { v = !v; }
+template <class T>
+  requires std::is_arithmetic_v<T>
+void Nudge(T& v) {
+  v += 1;
+}
+template <class E>
+  requires std::is_enum_v<E>
+void Nudge(E& v) {
+  v = static_cast<E>(static_cast<int>(v) == 0 ? 1 : 0);
+}
+void Nudge(std::string& v) { v += "x"; }
+template <class E>
+void Nudge(std::optional<E>& v) {
+  v = v ? std::nullopt : std::optional<E>(E{});
+}
+template <class S>
+void Nudge(std::function<S>& v) {
+  v = [](const auto&...) { return typename std::function<S>::result_type(); };
+}
+void Nudge(std::vector<std::pair<RouterId, PortId>>& v) {
+  v.emplace_back(1, 2);
+}
+
+NetworkSimConfig EveryFieldOffDefault() {
+  NetworkSimConfig c;
+  c.topology = TopologyKind::kTorus;
+  c.scheme = AllocScheme::kSerenade;
+  c.num_vcs = 4;
+  c.buffer_depth = 3;
+  c.packet_size = 2;
+  c.injection_rate = 0.17;
+  c.pattern = PatternKind::kIncast;
+  c.hotspot_node = 9;
+  c.incast_fanin = 12;
+  c.arbiter = ArbiterKind::kMatrix;
+  c.vc_policy = VcAssignPolicy::kVixBalance;
+  c.ap_rotate_vcs = false;
+  c.pipeline_stages = 5;
+  c.vix_virtual_inputs = 2;
+  c.interleaved_vins = true;
+  c.prioritize_nonspeculative = true;
+  c.va_organization = VaOrganization::kSeparableArbitrated;
+  c.atomic_vc_alloc = true;
+  c.bursty = true;
+  c.burst_on_rate = 0.4;
+  c.mean_burst_cycles = 17.5;
+  c.topology_factory = [] { return std::unique_ptr<Topology>(); };
+  c.routing = "adaptive_min";
+  c.routing_factory = [](const Topology&) {
+    return std::unique_ptr<RoutingAlgorithm>();
+  };
+  c.sample_interval = 123;
+  c.faults.link_down_rate = 0.01;
+  c.faults.transient_rate = 0.02;
+  c.faults.transient_period = 3'000;
+  c.faults.transient_duration = 150;
+  c.faults.router_stall_rate = 0.03;
+  c.faults.stall_period = 2'500;
+  c.faults.stall_duration = 90;
+  c.faults.corruption_rate = 0.001;
+  c.faults.forced_link_down = {{3, 1}, {7, 2}};
+  c.faults.seed = 99;
+  c.watchdog_cycles = 7'777;
+  c.telemetry.enabled = true;
+  c.telemetry.window_cycles = 512;
+  c.telemetry.max_windows = 32;
+  c.telemetry.trace_sample_period = 5;
+  c.telemetry.max_trace_events = 1'000;
+  c.checkpoint_path = "run.ckpt";
+  c.checkpoint_every = 400;
+  c.restore_path = "start.ckpt";
+  c.deadlock_checkpoint_path = "deadlock.ckpt";
+  c.seed = 42;
+  c.warmup = 111;
+  c.measure = 222;
+  c.drain = 33;
+  return c;
+}
+
+TEST(ConfigFieldTableTest, FingerprintAndResultKeyValuesArePinned) {
+  // Checkpoints stamp the fingerprint and store files are named by the
+  // result key, so neither value may move without a snapshot format bump.
+  const NetworkSimConfig defaults;
+  EXPECT_EQ(NetworkSimConfigFingerprint(defaults), 0x8238b983114fde64ull);
+  EXPECT_EQ(NetworkSimResultKey(defaults), 0x15cb8dacd79a02c5ull);
+  const NetworkSimConfig off = EveryFieldOffDefault();
+  EXPECT_EQ(NetworkSimConfigFingerprint(off), 0xd6ca2ad09b818fa8ull);
+  EXPECT_EQ(NetworkSimResultKey(off), 0xd9795582351d89b7ull);
+
+  // The second pin covers every entry of the table.
+  const std::vector<std::string> d = Entries(defaults);
+  const std::vector<std::string> o = Entries(off);
+  ASSERT_EQ(d.size(), o.size());
+  std::size_t i = 0;
+  VisitNetworkSimConfig(defaults, [&](const ConfigField& f, const auto&) {
+    EXPECT_NE(d[i], o[i]) << f.name << " is at its default";
+    ++i;
+  });
+}
+
+TEST(ConfigFieldTableTest, EachFieldReachesItsKeysAndCrossesEveryFrame) {
+  const NetworkSimConfig base = ShortConfig();
+  const std::uint64_t fingerprint = NetworkSimConfigFingerprint(base);
+  const std::uint64_t key = NetworkSimResultKey(base);
+  const std::string key_bytes = NetworkSimKeyBytes(base);
+  const std::size_t entries = Entries(base).size();
+  for (std::size_t i = 0; i < entries; ++i) {
+    NetworkSimConfig c = base;
+    ConfigField field{};
+    std::size_t at = 0;
+    VisitNetworkSimConfig(c, [&](const ConfigField& f, auto& v) {
+      if (at++ == i) {
+        field = f;
+        Nudge(v);
+      }
+    });
+    SCOPED_TRACE(field.name);
+    const bool keyed = field.kind != FieldClass::kOperational;
+    EXPECT_EQ(NetworkSimConfigFingerprint(c) != fingerprint,
+              field.kind == FieldClass::kEvolution);
+    EXPECT_EQ(NetworkSimResultKey(c) != key, keyed);
+    ASSERT_NE(Entries(c), Entries(base));
+
+    if (c.topology_factory || c.routing_factory) {
+      EXPECT_THROW(EncodePointFrame(PointFrame{0, 0, c}), SimError);
+      EXPECT_THROW(EncodeBatchRequest({c}), SimError);
+      continue;
+    }
+    EXPECT_EQ(NetworkSimKeyBytes(c) != key_bytes, keyed);
+    const PointFrame frame = DecodePointFrame(EncodePointFrame({7, 1, c}));
+    EXPECT_EQ(Entries(frame.config), Entries(c));
+    const Request batch = DecodeRequest(EncodeBatchRequest({base, c}));
+    ASSERT_EQ(batch.configs.size(), 2u);
+    EXPECT_EQ(Entries(batch.configs[0]), Entries(base));
+    EXPECT_EQ(Entries(batch.configs[1]), Entries(c));
+  }
 }
 
 }  // namespace
