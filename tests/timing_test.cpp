@@ -25,6 +25,11 @@ constexpr Table1Row kTable1[] = {
     {"FBfly+VIX", 10, 2, 360, 345, 359},
 };
 
+// Without this gtest prints the row's raw bytes, which include the address
+// of `design` and so change from one process to the next; the discovered
+// test names must stay the same across builds.
+void PrintTo(const Table1Row& row, std::ostream* os) { *os << row.design; }
+
 class Table1Test : public ::testing::TestWithParam<Table1Row> {};
 
 TEST_P(Table1Test, VaWithinTwoPercent) {
