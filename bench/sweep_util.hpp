@@ -91,34 +91,14 @@ class SweepHarness {
       policy.point_timeout_seconds = point_timeout_;
       policy.max_retries = retries_;
       policy.cache = store_;
-      SweepCoordinator coordinator(policy);
-      SweepExecResult exec = coordinator.Run(points);
+      SweepExecResult exec = SweepCoordinator(policy).Run(points);
       results = std::move(exec.results);
-      resumed_points_ += exec.cached_points;
-      defective_cache_points_ += exec.defective_cache_points;
-      deduped_points_ += exec.deduped_points;
-      exec_.crashes += exec.crashes;
-      exec_.timeouts += exec.timeouts;
-      exec_.bad_frames += exec.bad_frames;
-      exec_.spawn_failures += exec.spawn_failures;
-      exec_.retries += exec.retries;
-      exec_.workers_spawned += exec.workers_spawned;
-      exec_.exhausted_points += exec.exhausted_points;
-      exec_.fallback_points += exec.fallback_points;
-      exec_.cached_points += exec.cached_points;
-      for (const WorkerEvent& ev : exec.events) {
-        worker_events_.push_back(ToString(ev.kind) + " slot " +
-                                 std::to_string(ev.slot) + " pid " +
-                                 std::to_string(ev.pid) +
-                                 (ev.detail.empty() ? "" : ": " + ev.detail));
-      }
-      exec_points_.insert(exec_points_.end(), exec.points.begin(),
-                          exec.points.end());
+      exec_ += std::move(exec);
     } else {
       results = runner_->Run(points);
-      resumed_points_ += runner_->resumed_points();
-      defective_cache_points_ += runner_->defective_cache_points();
-      deduped_points_ += runner_->deduped_points();
+      exec_.cached_points += runner_->resumed_points();
+      exec_.defective_cache_points += runner_->defective_cache_points();
+      exec_.deduped_points += runner_->deduped_points();
     }
     wall_seconds_ += std::chrono::duration<double>(
                          std::chrono::steady_clock::now() - start)
@@ -154,13 +134,14 @@ class SweepHarness {
     // duplicate in-batch points were satisfied by copying a canonical
     // slot's result instead of re-simulating.
     std::string provenance =
-        "  \"deduped_points\": " + std::to_string(deduped_points_) + ",\n";
+        "  \"deduped_points\": " + std::to_string(exec_.deduped_points) +
+        ",\n";
     if (!checkpoint_dir_.empty()) {
       provenance += "  \"checkpoint_dir\": \"" + EscapeJson(checkpoint_dir_) +
                     "\",\n  \"resumed_points\": " +
-                    std::to_string(resumed_points_) +
+                    std::to_string(exec_.cached_points) +
                     ",\n  \"defective_cache_points\": " +
-                    std::to_string(defective_cache_points_) + ",\n";
+                    std::to_string(exec_.defective_cache_points) + ",\n";
     }
     if (client_ != nullptr) {
       // Service provenance: which vixnocd daemon served the sweep and how
@@ -198,8 +179,13 @@ class SweepHarness {
                     ", \"cached_points\": " +
                     std::to_string(exec_.cached_points) +
                     ",\n    \"worker_events\": [";
-      for (std::size_t i = 0; i < worker_events_.size(); ++i) {
-        provenance += (i ? ", \"" : "\"") + EscapeJson(worker_events_[i]) +
+      for (std::size_t i = 0; i < exec_.events.size(); ++i) {
+        const WorkerEvent& ev = exec_.events[i];
+        provenance += std::string(i ? ", \"" : "\"") +
+                      EscapeJson(ToString(ev.kind) + " slot " +
+                                 std::to_string(ev.slot) + " pid " +
+                                 std::to_string(ev.pid) +
+                                 (ev.detail.empty() ? "" : ": " + ev.detail)) +
                       "\"";
       }
       provenance += "]},\n";
@@ -235,11 +221,11 @@ class SweepHarness {
         outcome_json +=
             ", \"message\": \"" + EscapeJson(r.outcome.message) + "\"";
       }
-      if (i < exec_points_.size()) {
+      if (i < exec_.points.size()) {
         // Per-point execution provenance in process-isolation mode:
         // subprocess attempts and, when the point ever failed at the
         // process level, the classified cause.
-        const ExecStatus& es = exec_points_[i];
+        const ExecStatus& es = exec_.points[i];
         outcome_json += ", \"attempts\": " + std::to_string(es.attempts);
         if (es.from_cache) outcome_json += ", \"from_cache\": true";
         if (es.in_process_fallback) {
@@ -369,15 +355,10 @@ class SweepHarness {
   std::vector<NetworkSimResult> RunViaServer(
       const std::vector<NetworkSimConfig>& points) {
     std::vector<NetworkSimResult> results(points.size());
-    std::vector<PointReply> replies = client_->Batch(points);
+    SimClient::BatchReplies served = client_->BatchWithRetry(points);
+    server_retries_ += served.reasks;
+    std::vector<PointReply>& replies = served.replies;
     for (std::size_t i = 0; i < points.size(); ++i) {
-      // Daemon-at-capacity slots are re-asked individually with the
-      // daemon's own backoff hint.
-      while (replies[i].status == ServeStatus::kRetryAfter) {
-        ++server_retries_;
-        replies[i] = client_->PointWithRetry(points[i]);
-        if (server_retries_ > 10'000) break;  // daemon permanently saturated
-      }
       const PointReply& r = replies[i];
       if (r.status != ServeStatus::kOk) {
         results[i].outcome.status = SimStatus::kExecFailure;
@@ -400,9 +381,6 @@ class SweepHarness {
   bool isolate_process_ = false;
   double point_timeout_ = 0.0;
   int retries_ = 2;
-  std::size_t resumed_points_ = 0;
-  std::uint64_t defective_cache_points_ = 0;
-  std::size_t deduped_points_ = 0;
   std::uint64_t server_hits_ = 0;
   std::uint64_t server_computed_ = 0;
   std::uint64_t server_coalesced_ = 0;
@@ -413,11 +391,10 @@ class SweepHarness {
   double wall_seconds_ = 0.0;
   std::uint64_t sim_cycles_ = 0;
   std::vector<std::pair<NetworkSimConfig, NetworkSimResult>> records_;
-  // Process-isolation accumulators (cross-batch sums + per-point records
-  // parallel to records_; empty in isolate=thread mode).
+  // Cross-batch execution record: cache and dedup tallies on both paths;
+  // per-point statuses (parallel to records_), events and process-level
+  // tallies only with isolate=process.
   SweepExecResult exec_;
-  std::vector<ExecStatus> exec_points_;
-  std::vector<std::string> worker_events_;
 };
 
 }  // namespace vixnoc::bench

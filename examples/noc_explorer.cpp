@@ -148,14 +148,12 @@ int main(int argc, char** argv) {
     std::vector<NetworkSimResult> results;
     if (!server.empty()) {
       SimClient client(server, 10.0);
-      const std::vector<PointReply> replies = client.Batch(points);
+      std::vector<PointReply> replies =
+          client.BatchWithRetry(points).replies;
       std::size_t hits = 0, computed = 0, coalesced = 0;
       results.resize(points.size());
       for (std::size_t i = 0; i < points.size(); ++i) {
-        PointReply reply = replies[i];
-        while (reply.status == ServeStatus::kRetryAfter) {
-          reply = client.PointWithRetry(points[i]);
-        }
+        PointReply& reply = replies[i];
         if (reply.status != ServeStatus::kOk) {
           std::fprintf(stderr, "point %zu failed daemon-side: %s\n", i,
                        reply.message.c_str());
@@ -176,9 +174,10 @@ int main(int argc, char** argv) {
       policy.num_workers = threads;
       policy.point_timeout_seconds = point_timeout;
       policy.max_retries = retries;
-      policy.checkpoint_dir = checkpoint;
-      SweepCoordinator coordinator(policy);
-      SweepExecResult exec = coordinator.Run(points);
+      if (!checkpoint.empty()) {
+        policy.cache = std::make_shared<ResultStore>(checkpoint);
+      }
+      SweepExecResult exec = SweepCoordinator(policy).Run(points);
       results = std::move(exec.results);
       if (exec.cached_points > 0) {
         std::printf("resumed %llu/%zu points from %s\n",

@@ -3,7 +3,8 @@
 #
 #  1. standard Release-ish build + full ctest suite;
 #  2. ThreadSanitizer build (-DVIXNOC_SANITIZE=thread) running sweep_test,
-#     which drives SweepRunner at 1/2/8 threads — any data race in the
+#     which drives SweepRunner at 1/2/8 threads, and exec_test, which drives
+#     the subprocess coordinator on the same pool — any data race in the
 #     parallel sweep path fails the script;
 #  3. ASan+UBSan build (-DVIXNOC_SANITIZE=address,undefined) running the
 #     fault/robustness/sweep tests — the error-recovery paths (SimError
@@ -51,8 +52,14 @@ cmake -B "${PREFIX}-tsan" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DVIXNOC_SANITIZE=thread
 cmake --build "${PREFIX}-tsan" -j --target sweep_test alloc_equiv_test \
   routing_test serenade_test store_test server_test snapshot_test \
-  path_golden_test
+  path_golden_test exec_test
 "${PREFIX}-tsan/tests/sweep_test"
+# exec_test drives SweepCoordinator's slot threads (spawn, frames, inline
+# retries, in-process fallback) on the SweepRunner pool. The hang case is
+# left to the Release and ASan stages: the TSAN-built worker is too slow
+# for its 0.4 s deadline.
+"${PREFIX}-tsan/tests/exec_test" \
+  --gtest_filter=-SweepCoordinatorTest.HangPointIsKilledAndClassifiedTimeout
 # alloc_equiv_test now sweeps radixes 2..70 (multi-word rows included), so
 # the large-radix word-parallel paths run under the sanitizer too, as does
 # every scheme's idle replay (AdvanceIdle).

@@ -127,17 +127,10 @@ int RunSweep(SimClient& client, const ArgMap& args) {
     points.push_back(config);
   }
 
-  // Batch first; any retry-after slots (daemon at capacity) are re-asked
-  // individually with the daemon's own backoff hint.
-  std::vector<PointReply> replies = client.Batch(points);
-  std::uint64_t retries = 0;
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    while (replies[i].status == ServeStatus::kRetryAfter) {
-      ++retries;
-      replies[i] = client.PointWithRetry(points[i]);
-      if (retries > 10'000) break;  // daemon permanently saturated
-    }
-  }
+  // Retry-after slots (daemon at capacity) are re-asked after the
+  // daemon's own backoff hint.
+  const SimClient::BatchReplies served = client.BatchWithRetry(points);
+  const std::vector<PointReply>& replies = served.replies;
 
   bool ok = true;
   for (std::size_t i = 0; i < points.size(); ++i) {
@@ -145,7 +138,7 @@ int RunSweep(SimClient& client, const ArgMap& args) {
     if (replies[i].status != ServeStatus::kOk) ok = false;
   }
   if (!json.empty()) WriteSweepJson(json, client.socket_path(), points,
-                                    replies, retries);
+                                    replies, served.reasks);
   return ok ? 0 : 1;
 }
 

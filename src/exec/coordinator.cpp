@@ -1,15 +1,14 @@
 #include "exec/coordinator.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cmath>
-#include <condition_variable>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <deque>
 #include <filesystem>
 #include <mutex>
 #include <thread>
@@ -19,13 +18,10 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <unordered_map>
-
 #include "common/check.hpp"
 #include "common/error.hpp"
 #include "exec/exec_protocol.hpp"
 #include "sim/sweep.hpp"
-#include "store/result_store.hpp"
 
 namespace vixnoc {
 
@@ -61,7 +57,14 @@ std::string ToString(WorkerEvent::Kind kind) {
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
+/// Retry k (0-based) waits kBackoffInitialSeconds * 2^k, capped.
+constexpr double kBackoffInitialSeconds = 0.05;
+constexpr double kBackoffMaxSeconds = 2.0;
+
+double BackoffSeconds(int attempt) {
+  return std::min(kBackoffInitialSeconds * std::ldexp(1.0, attempt),
+                  kBackoffMaxSeconds);
+}
 
 /// One worker subprocess owned by a coordinator slot thread.
 struct Worker {
@@ -173,14 +176,70 @@ bool SpawnWorker(const std::string& path, Worker* w, std::string* error) {
   return true;
 }
 
-/// A queued dispatch: point `index`, subprocess attempt number, and the
-/// earliest time it may run (backoff gates retries without parking a
-/// worker slot on a sleep).
-struct Item {
-  std::size_t index = 0;
-  int attempt = 0;
-  Clock::time_point ready_at;
-};
+/// One attempt of `frame` on the live worker `w`. Success fills *result
+/// and returns kNone; a failure returns its class with *detail and the
+/// lifecycle *event, the worker already reaped or killed.
+ExecFailure AttemptPoint(Worker* w, const PointFrame& frame,
+                         double timeout_seconds, NetworkSimResult* result,
+                         std::string* detail, WorkerEvent::Kind* event) {
+  *event = WorkerEvent::Kind::kExit;
+  std::string werr;
+  if (!WriteFrame(w->in_fd, EncodePointFrame(frame), &werr)) {
+    // The worker died before (or while) reading the point.
+    *detail = ReapWorker(w) + " before accepting the point";
+    return detail->rfind("signal", 0) == 0 ? ExecFailure::kSignal
+                                           : ExecFailure::kExit;
+  }
+  const FrameRead rr =
+      ReadFrame(w->out_fd, timeout_seconds > 0 ? timeout_seconds : -1.0);
+  switch (rr.status) {
+    case FrameRead::Status::kOk:
+      *event = WorkerEvent::Kind::kKill;
+      try {
+        ResultFrame rf = DecodeResultFrame(rr.payload);
+        if (rf.index != frame.index ||
+            rf.config_fingerprint != NetworkSimConfigFingerprint(frame.config)) {
+          *detail = "result frame for point " + std::to_string(rf.index) +
+                    " (expected " + std::to_string(frame.index) +
+                    ") or mismatched fingerprint; " + KillWorker(w);
+          return ExecFailure::kBadFrame;
+        }
+        *result = std::move(rf.result);
+        return ExecFailure::kNone;
+      } catch (const SimError& e) {
+        // Right length, rotten bytes: the worker's stream state is
+        // untrustworthy, so it is replaced.
+        *detail = std::string("undecodable result frame: ") + e.what() +
+                  "; " + KillWorker(w);
+        return ExecFailure::kBadFrame;
+      }
+    case FrameRead::Status::kTimeout: {
+      char buf[128];
+      std::snprintf(buf, sizeof buf,
+                    "point exceeded its %.3fs deadline; worker killed",
+                    timeout_seconds);
+      *detail = std::string(buf) + " (" + KillWorker(w) + ")";
+      *event = WorkerEvent::Kind::kKill;
+      return ExecFailure::kTimeout;
+    }
+    case FrameRead::Status::kEof:
+    case FrameRead::Status::kShort: {
+      *detail = ReapWorker(w);
+      if (detail->rfind("signal", 0) == 0) return ExecFailure::kSignal;
+      if (*detail != "exit status 0") return ExecFailure::kExit;
+      *detail = "worker exited cleanly mid-point";
+      if (rr.status == FrameRead::Status::kShort) {
+        *detail += " (" + rr.detail + ")";
+      }
+      return ExecFailure::kBadFrame;
+    }
+    case FrameRead::Status::kError:
+      break;
+  }
+  *detail = "frame read failed: " + rr.detail + "; " + KillWorker(w);
+  *event = WorkerEvent::Kind::kKill;
+  return ExecFailure::kBadFrame;
+}
 
 }  // namespace
 
@@ -204,89 +263,40 @@ std::string DefaultWorkerPath() {
   return {};
 }
 
+SweepExecResult& SweepExecResult::operator+=(SweepExecResult later) {
+  const auto append = [](auto* to, auto& from) {
+    to->insert(to->end(), std::make_move_iterator(from.begin()),
+               std::make_move_iterator(from.end()));
+  };
+  append(&results, later.results);
+  append(&points, later.points);
+  append(&events, later.events);
+  crashes += later.crashes;
+  timeouts += later.timeouts;
+  bad_frames += later.bad_frames;
+  spawn_failures += later.spawn_failures;
+  retries += later.retries;
+  workers_spawned += later.workers_spawned;
+  exhausted_points += later.exhausted_points;
+  fallback_points += later.fallback_points;
+  cached_points += later.cached_points;
+  defective_cache_points += later.defective_cache_points;
+  deduped_points += later.deduped_points;
+  return *this;
+}
+
 SweepCoordinator::SweepCoordinator(ExecPolicy policy)
     : policy_(std::move(policy)) {
   policy_.num_workers = ResolveThreadCount(policy_.num_workers);
   if (policy_.worker_path.empty()) policy_.worker_path = DefaultWorkerPath();
   policy_.max_retries = std::max(policy_.max_retries, 0);
-  policy_.backoff_initial_seconds =
-      std::max(policy_.backoff_initial_seconds, 0.0);
-  policy_.backoff_multiplier = std::max(policy_.backoff_multiplier, 1.0);
-  policy_.backoff_max_seconds =
-      std::max(policy_.backoff_max_seconds, policy_.backoff_initial_seconds);
 }
 
 SweepExecResult SweepCoordinator::Run(
     const std::vector<NetworkSimConfig>& configs) {
   SweepExecResult out;
-  const std::size_t n = configs.size();
-  out.results.resize(n);
-  out.points.resize(n);
-  if (n == 0) return out;
-
-  // checkpoint_dir= compatibility shim: mount a content-addressed
-  // ResultStore at the named directory. The ResultStore constructor throws
-  // SimError when the directory is unusable — same contract the old
-  // index-keyed cache had.
-  if (!policy_.cache && !policy_.checkpoint_dir.empty()) {
-    policy_.cache = std::make_shared<ResultStore>(policy_.checkpoint_dir);
-  }
-  PointCache* const cache = policy_.cache.get();
-
-  // Shared scheduler state. Result slots are per-index so writes never
-  // alias, but everything is mutated under one lock anyway — the costs
-  // here are process spawns and multi-millisecond simulations, not lock
-  // contention.
-  std::mutex mu;
-  std::condition_variable cv;
-  std::deque<Item> queue;
-  std::size_t outstanding = 0;  // queued + in-flight, not yet finalized
-  bool spawn_broken = false;
-  std::vector<std::size_t> fallback;  // runs in-process after the pool
-
-  // Pre-pass: serve cached points, route points a worker cannot execute
-  // (a live topology_factory has no wire form) straight to the in-process
-  // path, and collapse within-batch duplicates (same NetworkSimResultKey)
-  // onto one canonical dispatch each — the duplicates' slots are fanned
-  // out from the canonical result once everything completes.
-  std::vector<std::pair<std::size_t, std::size_t>> dups;  // (dup, canonical)
-  {
-    std::unordered_map<std::uint64_t, std::size_t> first_by_key;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (cache != nullptr) {
-        const PointCacheStatus status = cache->Load(configs[i], &out.results[i]);
-        if (status == PointCacheStatus::kHit) {
-          out.points[i].from_cache = true;
-          ++out.cached_points;
-          continue;
-        }
-        if (status == PointCacheStatus::kDefective) {
-          ++out.defective_cache_points;
-        }
-      }
-      if (configs[i].topology_factory) {
-        out.points[i].failure_detail =
-            "topology_factory cannot cross a process boundary";
-        fallback.push_back(i);
-        continue;
-      }
-      // Factory-free configs are safe to dedupe; routing_factory configs
-      // are not (the key only hashes factory presence).
-      if (!configs[i].routing_factory) {
-        const auto [it, inserted] =
-            first_by_key.try_emplace(NetworkSimResultKey(configs[i]), i);
-        if (!inserted) {
-          dups.emplace_back(i, it->second);
-          out.points[i].deduped = true;
-          ++out.deduped_points;
-          continue;
-        }
-      }
-      queue.push_back(Item{i, 0, Clock::now()});
-      ++outstanding;
-    }
-  }
-
+  out.points.resize(configs.size());
+  if (configs.empty()) return out;
   if (policy_.worker_path.empty()) {
     // No worker binary anywhere: degrade the whole batch to in-process
     // execution rather than wedging or throwing.
@@ -294,298 +304,140 @@ SweepExecResult SweepCoordinator::Run(
                  "vixnoc: warning: no vixnoc_sweep_worker binary found "
                  "(set VIXNOC_SWEEP_WORKER); running sweep in-process "
                  "without crash isolation\n");
-    for (const Item& item : queue) {
-      out.points[item.index].last_failure = ExecFailure::kSpawn;
-      out.points[item.index].failure_detail = "no worker binary found";
-      fallback.push_back(item.index);
-    }
-    queue.clear();
-    outstanding = 0;
   }
 
-  const int num_workers =
-      static_cast<int>(std::min<std::size_t>(policy_.num_workers,
-                                             std::max<std::size_t>(n, 1)));
+  // One worker subprocess per pool thread, spawned on the thread's first
+  // point and touched only by that thread until Run reaps it below. `mu`
+  // guards the batch tallies and the event log; each out.points[index]
+  // belongs to the one thread running that point.
+  const int num_slots = static_cast<int>(
+      std::min<std::size_t>(policy_.num_workers, configs.size()));
+  std::vector<Worker> workers(num_slots);
+  std::mutex mu;
+  std::atomic<bool> spawn_broken{false};
 
-  const auto backoff_for = [this](int attempt) {
-    const double raw = policy_.backoff_initial_seconds *
-                       std::pow(policy_.backoff_multiplier, attempt);
-    return std::min(raw, policy_.backoff_max_seconds);
-  };
-
-  // Finalization helpers; all called with `mu` held.
-  const auto finalize = [&]() {
-    --outstanding;
-    if (outstanding == 0) cv.notify_all();
-  };
-  const auto tally_failure = [&](ExecFailure kind) {
-    switch (kind) {
-      case ExecFailure::kExit:
-      case ExecFailure::kSignal:
-        ++out.crashes;
-        break;
-      case ExecFailure::kTimeout:
-        ++out.timeouts;
-        break;
-      case ExecFailure::kBadFrame:
-        ++out.bad_frames;
-        break;
-      case ExecFailure::kSpawn:
-        ++out.spawn_failures;
-        break;
-      case ExecFailure::kNone:
-        break;
-    }
-  };
-
-  const auto slot_loop = [&](int slot) {
-    // A dead peer must surface as EPIPE from write(), not SIGPIPE.
-    sigset_t sigpipe;
-    sigemptyset(&sigpipe);
-    sigaddset(&sigpipe, SIGPIPE);
-    pthread_sigmask(SIG_BLOCK, &sigpipe, nullptr);
-
-    Worker w;
-    for (;;) {
-      Item item;
-      bool done = false;
-      bool route_to_fallback = false;
-      {
-        std::unique_lock<std::mutex> lock(mu);
-        for (;;) {
-          if (outstanding == 0) {
-            done = true;
-            break;
-          }
-          const auto now = Clock::now();
-          auto ready = queue.end();
-          auto earliest = queue.end();
-          for (auto it = queue.begin(); it != queue.end(); ++it) {
-            if (it->ready_at <= now) {
-              ready = it;
-              break;
-            }
-            if (earliest == queue.end() ||
-                it->ready_at < earliest->ready_at) {
-              earliest = it;
-            }
-          }
-          if (ready != queue.end()) {
-            item = *ready;
-            queue.erase(ready);
-            break;
-          }
-          if (earliest != queue.end()) {
-            cv.wait_until(lock, earliest->ready_at);
-          } else {
-            cv.wait(lock);  // everything in flight elsewhere
-          }
-        }
-        if (!done && spawn_broken) {
-          // A slot already proved subprocesses cannot be spawned; route
-          // everything else to the in-process path without more attempts.
-          out.points[item.index].last_failure = ExecFailure::kSpawn;
-          out.points[item.index].failure_detail =
-              "subprocess spawning unavailable";
-          fallback.push_back(item.index);
-          finalize();
-          route_to_fallback = true;
-        }
-      }
-      if (route_to_fallback) continue;
-      if (done) {
-        // Batch complete: shut the worker down by closing its stdin (it
-        // exits on EOF) and reap it.
-        if (w.alive()) {
-          const pid_t pid = w.pid;
-          const std::string wait = ReapWorker(&w);
-          std::lock_guard<std::mutex> lock(mu);
-          out.events.push_back(WorkerEvent{WorkerEvent::Kind::kExit, slot,
-                                           static_cast<long>(pid),
-                                           "shutdown: " + wait});
-        }
-        return;
-      }
-
-      // ---- dispatch one attempt, unlocked ----
-      if (!w.alive()) {
-        std::string err;
-        if (!SpawnWorker(policy_.worker_path, &w, &err)) {
-          std::lock_guard<std::mutex> lock(mu);
-          spawn_broken = true;
-          tally_failure(ExecFailure::kSpawn);
-          out.points[item.index].last_failure = ExecFailure::kSpawn;
-          out.points[item.index].failure_detail = err;
-          fallback.push_back(item.index);
-          finalize();
-          cv.notify_all();  // wake slots so they drain via spawn_broken
-          continue;
-        }
-        std::lock_guard<std::mutex> lock(mu);
-        ++out.workers_spawned;
-        out.events.push_back(WorkerEvent{WorkerEvent::Kind::kSpawn, slot,
-                                         static_cast<long>(w.pid), ""});
-      }
-      const pid_t worker_pid = w.pid;
-
-      PointFrame pf;
-      pf.index = item.index;
-      pf.attempt = static_cast<std::uint32_t>(item.attempt);
-      pf.config = configs[item.index];
-      const std::uint64_t fp = NetworkSimConfigFingerprint(pf.config);
-
-      ExecFailure failure = ExecFailure::kNone;
-      std::string detail;
-      WorkerEvent::Kind event_kind = WorkerEvent::Kind::kExit;
-      NetworkSimResult result;
-
-      std::string werr;
-      if (!WriteFrame(w.in_fd, EncodePointFrame(pf), &werr)) {
-        // The worker died before (or while) reading the point.
-        detail = ReapWorker(&w) + " before accepting the point";
-        failure = detail.rfind("signal", 0) == 0 ? ExecFailure::kSignal
-                                                 : ExecFailure::kExit;
-      } else {
-        const FrameRead rr =
-            ReadFrame(w.out_fd, policy_.point_timeout_seconds > 0
-                                    ? policy_.point_timeout_seconds
-                                    : -1.0);
-        switch (rr.status) {
-          case FrameRead::Status::kOk:
-            try {
-              ResultFrame rf = DecodeResultFrame(rr.payload);
-              if (rf.index != item.index || rf.config_fingerprint != fp) {
-                failure = ExecFailure::kBadFrame;
-                detail = "result frame for point " +
-                         std::to_string(rf.index) + " (expected " +
-                         std::to_string(item.index) +
-                         ") or mismatched fingerprint; " + KillWorker(&w);
-                event_kind = WorkerEvent::Kind::kKill;
-              } else {
-                result = std::move(rf.result);
-              }
-            } catch (const SimError& e) {
-              // Right length, rotten bytes: the worker's stream state is
-              // untrustworthy, so it is replaced.
-              failure = ExecFailure::kBadFrame;
-              detail = std::string("undecodable result frame: ") + e.what() +
-                       "; " + KillWorker(&w);
-              event_kind = WorkerEvent::Kind::kKill;
-            }
-            break;
-          case FrameRead::Status::kTimeout: {
-            char buf[128];
-            std::snprintf(buf, sizeof buf,
-                          "point exceeded its %.3fs deadline; worker killed",
-                          policy_.point_timeout_seconds);
-            failure = ExecFailure::kTimeout;
-            detail = std::string(buf) + " (" + KillWorker(&w) + ")";
-            event_kind = WorkerEvent::Kind::kKill;
-            break;
-          }
-          case FrameRead::Status::kEof:
-          case FrameRead::Status::kShort: {
-            const std::string wait = ReapWorker(&w);
-            if (wait.rfind("signal", 0) == 0) {
-              failure = ExecFailure::kSignal;
-              detail = wait;
-            } else if (wait == "exit status 0") {
-              failure = ExecFailure::kBadFrame;
-              detail = "worker exited cleanly mid-point";
-              if (rr.status == FrameRead::Status::kShort) {
-                detail += " (" + rr.detail + ")";
-              }
-            } else {
-              failure = ExecFailure::kExit;
-              detail = wait;
-            }
-            break;
-          }
-          case FrameRead::Status::kError:
-            failure = ExecFailure::kBadFrame;
-            detail = "frame read failed: " + rr.detail + "; " + KillWorker(&w);
-            event_kind = WorkerEvent::Kind::kKill;
-            break;
-        }
-      }
-
-      if (failure == ExecFailure::kNone) {
-        // Success. Cache best-effort (the cache is an accelerator, never a
-        // correctness input; Put is non-throwing), then publish the slot.
-        if (cache != nullptr) cache->Put(pf.config, result);
-        std::lock_guard<std::mutex> lock(mu);
-        out.results[item.index] = std::move(result);
-        out.points[item.index].isolated = true;
-        out.points[item.index].attempts = item.attempt + 1;
-        finalize();
-        continue;
-      }
-
-      // Failure: classify, then retry with backoff or give the point its
-      // final error slot. The worker (if any survived classification) is
-      // already dead — the next dispatch on this slot respawns one.
+  // Graceful degradation: a point no worker can run executes in-process on
+  // the slot's own thread, with ExecutePoint's error-slot convention.
+  const auto run_in_process = [&](const NetworkSimConfig& config,
+                                  ExecStatus* st, ExecFailure failure,
+                                  std::string detail) {
+    st->in_process_fallback = true;
+    if (failure != ExecFailure::kNone) st->last_failure = failure;
+    st->failure_detail = std::move(detail);
+    {
       std::lock_guard<std::mutex> lock(mu);
-      tally_failure(failure);
-      ExecStatus& st = out.points[item.index];
-      st.attempts = item.attempt + 1;
+      ++out.fallback_points;
+    }
+    return SweepRunner::ExecutePoint(config);
+  };
+
+  // The execute step: the point on this slot's worker, retried inline on a
+  // respawned worker with the backoff slept here, until it succeeds or its
+  // retries run out.
+  const auto step = [&](const NetworkSimConfig& config, std::size_t index,
+                        int slot) {
+    ExecStatus& st = out.points[index];
+    if (config.topology_factory) {
+      return run_in_process(config, &st, ExecFailure::kNone,
+                            "topology_factory cannot cross a process "
+                            "boundary");
+    }
+    if (policy_.worker_path.empty()) {
+      return run_in_process(config, &st, ExecFailure::kSpawn,
+                            "no worker binary found");
+    }
+    Worker& w = workers[slot];
+    for (int attempt = 0;; ++attempt) {
+      if (!w.alive()) {
+        if (spawn_broken) {
+          // A slot already proved subprocesses cannot be spawned.
+          return run_in_process(config, &st, ExecFailure::kSpawn,
+                                "subprocess spawning unavailable");
+        }
+        // A dead peer must surface as EPIPE from write(), not SIGPIPE.
+        sigset_t sigpipe;
+        sigemptyset(&sigpipe);
+        sigaddset(&sigpipe, SIGPIPE);
+        pthread_sigmask(SIG_BLOCK, &sigpipe, nullptr);
+        std::string err;
+        const bool spawned = SpawnWorker(policy_.worker_path, &w, &err);
+        {
+          std::lock_guard<std::mutex> lock(mu);
+          if (spawned) {
+            ++out.workers_spawned;
+            out.events.push_back(WorkerEvent{WorkerEvent::Kind::kSpawn, slot,
+                                             static_cast<long>(w.pid), ""});
+          } else {
+            ++out.spawn_failures;
+          }
+        }
+        if (!spawned) {
+          spawn_broken = true;
+          return run_in_process(config, &st, ExecFailure::kSpawn, err);
+        }
+      }
+
+      const long pid = w.pid;
+      NetworkSimResult result;
+      std::string detail;
+      WorkerEvent::Kind event;
+      const ExecFailure failure = AttemptPoint(
+          &w, PointFrame{index, static_cast<std::uint32_t>(attempt), config},
+          policy_.point_timeout_seconds, &result, &detail, &event);
+      st.attempts = attempt + 1;
+      if (failure == ExecFailure::kNone) {
+        st.isolated = true;
+        return result;
+      }
+      // The worker is already dead; a retry respawns one.
       st.last_failure = failure;
       st.failure_detail = detail;
-      out.events.push_back(WorkerEvent{
-          event_kind, slot, static_cast<long>(worker_pid),
-          "point " + std::to_string(item.index) + ": " + detail});
-      if (item.attempt < policy_.max_retries) {
-        const double backoff = backoff_for(item.attempt);
-        st.backoff_seconds += backoff;
-        ++out.retries;
-        queue.push_back(Item{
-            item.index, item.attempt + 1,
-            Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                               std::chrono::duration<double>(backoff))});
-        cv.notify_all();
-      } else {
-        ++out.exhausted_points;
-        NetworkSimResult& slot_result = out.results[item.index];
-        slot_result = NetworkSimResult{};
-        slot_result.outcome.status = SimStatus::kExecFailure;
-        slot_result.outcome.message =
-            "worker " + ToString(failure) + " failure: " + detail + " (" +
-            std::to_string(item.attempt + 1) + " attempts)";
-        finalize();
+      const bool retry = attempt < policy_.max_retries;
+      {
+        std::lock_guard<std::mutex> lock(mu);
+        ++(failure == ExecFailure::kTimeout    ? out.timeouts
+           : failure == ExecFailure::kBadFrame ? out.bad_frames
+                                               : out.crashes);
+        ++(retry ? out.retries : out.exhausted_points);
+        out.events.push_back(WorkerEvent{
+            event, slot, pid, "point " + std::to_string(index) + ": " + detail});
       }
+      if (!retry) {
+        result.outcome.status = SimStatus::kExecFailure;
+        result.outcome.message = "worker " + ToString(failure) +
+                                 " failure: " + detail + " (" +
+                                 std::to_string(attempt + 1) + " attempts)";
+        return result;
+      }
+      const double backoff = BackoffSeconds(attempt);
+      st.backoff_seconds += backoff;
+      std::this_thread::sleep_for(std::chrono::duration<double>(backoff));
     }
   };
 
-  std::vector<std::thread> slots;
-  slots.reserve(num_workers);
-  for (int s = 0; s < num_workers; ++s) {
-    slots.emplace_back(slot_loop, s);
-  }
-  for (std::thread& t : slots) t.join();
+  SweepRunner runner(num_slots, step);
+  runner.SetCache(policy_.cache);
+  out.results = runner.Run(configs);
 
-  // Graceful degradation: everything routed to the in-process path runs
-  // on a SweepRunner (which converts exceptions into error slots, exactly
-  // like a non-isolated sweep would).
-  if (!fallback.empty()) {
-    std::vector<NetworkSimConfig> cfgs;
-    cfgs.reserve(fallback.size());
-    for (const std::size_t index : fallback) cfgs.push_back(configs[index]);
-    const std::vector<NetworkSimResult> res =
-        RunSweep(cfgs, policy_.num_workers);
-    for (std::size_t k = 0; k < fallback.size(); ++k) {
-      const std::size_t index = fallback[k];
-      out.results[index] = res[k];
-      out.points[index].in_process_fallback = true;
-      ++out.fallback_points;
-      // Put itself skips exception slots and factory configs.
-      if (cache != nullptr) cache->Put(configs[index], out.results[index]);
-    }
+  // Batch complete: shut the workers down by closing their stdin (each
+  // exits on EOF), all before reaping any so that their exits overlap.
+  for (Worker& w : workers) CloseFd(&w.in_fd);
+  for (int slot = 0; slot < num_slots; ++slot) {
+    Worker& w = workers[slot];
+    if (!w.alive()) continue;
+    const long pid = w.pid;
+    out.events.push_back(WorkerEvent{WorkerEvent::Kind::kExit, slot, pid,
+                                     "shutdown: " + ReapWorker(&w)});
   }
 
-  // Fan deduplicated slots out from their canonical results (which by now
-  // all exist — worker, fallback, or final error slot alike).
-  for (const auto& [dup, canon] : dups) {
-    out.results[dup] = out.results[canon];
+  // Provenance the runner recorded once for every slot.
+  for (std::size_t i = 0; i < configs.size(); ++i) {
+    out.points[i].from_cache = runner.origins()[i] == PointOrigin::kCache;
+    out.points[i].deduped = runner.origins()[i] == PointOrigin::kDuplicate;
   }
+  out.cached_points = runner.resumed_points();
+  out.defective_cache_points = runner.defective_cache_points();
+  out.deduped_points = runner.deduped_points();
   return out;
 }
 

@@ -12,17 +12,18 @@
 //  * worker failure detected and classified (nonzero exit, death by
 //    signal, malformed/short result frame, deadline exceeded, spawn
 //    failure) into a structured per-point ExecStatus;
-//  * failed points retried with bounded exponential backoff on a
-//    respawned worker, up to ExecPolicy::max_retries times;
-//  * already-completed points served from the PR-5 per-point checkpoint
-//    cache (same point_<i>.ckpt files SweepRunner writes), so restarting
-//    a partially finished sweep — or a straggler retry after a crash —
-//    never re-simulates healthy work;
-//  * graceful degradation: when subprocess spawning is unavailable (no
-//    worker binary, fork failure) the remaining points run on the
-//    in-process SweepRunner path; a point that exhausts its retries gets
-//    a final error slot (SimStatus::kExecFailure) instead of wedging the
-//    batch.
+//  * failed points retried inline on the same slot, on a respawned
+//    worker, after a bounded exponential backoff (0.05 s * 2^k, capped at
+//    2 s) slept on that slot, up to ExecPolicy::max_retries times;
+//  * graceful degradation: a point no worker can run (no worker binary,
+//    spawning broken, a topology_factory config) runs in-process on the
+//    same slot; a point that exhausts its retries gets a final error slot
+//    (SimStatus::kExecFailure) instead of wedging the batch.
+//
+// The coordinator is a SweepRunner whose execute step is "run this point
+// on my slot's worker": within-batch dedup, the result-store probe and
+// write-back (ExecPolicy::cache) and the fan-out of duplicates are the
+// runner's, exactly as for an in-process sweep.
 //
 // Determinism contract: results are merged in submission order, and every
 // point that completes — in a worker, from cache, or via the in-process
@@ -59,15 +60,15 @@ std::string ToString(ExecFailure failure);
 /// how many process-level attempts it took, and what the last failure was.
 struct ExecStatus {
   bool isolated = false;     ///< completed inside a worker subprocess
-  bool from_cache = false;   ///< served from the point cache / result store
+  bool from_cache = false;   ///< origin PointOrigin::kCache
   bool in_process_fallback = false;  ///< ran on the in-process path
-  /// Within-batch duplicate of an earlier point (same NetworkSimResultKey):
-  /// its slot was fanned out from the canonical point's result.
+  /// Origin PointOrigin::kDuplicate: a within-batch duplicate whose slot
+  /// was fanned out from the canonical point's result.
   bool deduped = false;
   int attempts = 0;          ///< subprocess attempts dispatched
   ExecFailure last_failure = ExecFailure::kNone;
   std::string failure_detail;       ///< e.g. "signal 11 (Segmentation fault)"
-  double backoff_seconds = 0.0;     ///< total retry backoff scheduled
+  double backoff_seconds = 0.0;     ///< total retry backoff slept
 };
 
 /// Worker lifecycle event, recorded for provenance (bench_results.json).
@@ -95,21 +96,11 @@ struct ExecPolicy {
   /// Process-level retries after the first attempt before the point is
   /// given a final error slot.
   int max_retries = 2;
-  /// Exponential backoff before retry k: initial * multiplier^k, capped.
-  double backoff_initial_seconds = 0.05;
-  double backoff_multiplier = 2.0;
-  double backoff_max_seconds = 2.0;
   /// Per-point result cache shared with SweepRunner (normally a
-  /// content-addressed ResultStore, store/result_store.hpp). Consulted in
-  /// a pre-pass before any worker dispatch; completed points are written
-  /// back best-effort. Null disables caching (unless checkpoint_dir is
-  /// set).
+  /// content-addressed ResultStore, store/result_store.hpp), probed and
+  /// written back by the runner on the slot thread that runs the point.
+  /// Null disables caching.
   std::shared_ptr<PointCache> cache;
-  /// Compatibility shim for the pre-store `checkpoint_dir=` surface: when
-  /// set and `cache` is null, Run constructs a ResultStore rooted here.
-  /// Entries are content-keyed (`<fp[0:2]>/<fp>.res`), not the old
-  /// point_<i>.ckpt index files.
-  std::string checkpoint_dir;
 };
 
 struct SweepExecResult {
@@ -126,9 +117,16 @@ struct SweepExecResult {
   std::uint64_t workers_spawned = 0;
   std::uint64_t exhausted_points = 0;  ///< final kExecFailure error slots
   std::uint64_t fallback_points = 0;   ///< completed in-process
+  // From the SweepRunner's record of the batch (origins() and
+  // defective_cache_points()), not counted a second time.
   std::uint64_t cached_points = 0;     ///< served from the point cache
   std::uint64_t defective_cache_points = 0;
   std::uint64_t deduped_points = 0;    ///< within-batch duplicate slots
+
+  /// Appends a later batch: its results, points and events follow this
+  /// one's and every tally adds up, so a caller running many batches keeps
+  /// one record of them all.
+  SweepExecResult& operator+=(SweepExecResult later);
 };
 
 /// Resolves the worker binary: $VIXNOC_SWEEP_WORKER if set, else a
@@ -144,9 +142,9 @@ class SweepCoordinator {
   /// Resolved policy (worker count and worker path filled in).
   const ExecPolicy& policy() const { return policy_; }
 
-  /// Runs every point and blocks until all have a result slot. Never
-  /// throws for per-point or per-worker failures; only for coordinator
-  /// bugs (VIXNOC_CHECK) or an unusable checkpoint_dir.
+  /// Runs every point and blocks until all have a result slot, then reaps
+  /// the batch's workers. Never throws for per-point or per-worker
+  /// failures; only for coordinator bugs (VIXNOC_CHECK).
   SweepExecResult Run(const std::vector<NetworkSimConfig>& configs);
 
  private:

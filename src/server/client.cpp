@@ -1,5 +1,6 @@
 #include "server/client.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <csignal>
 #include <cstring>
@@ -143,6 +144,32 @@ PointReply SimClient::PointWithRetry(const NetworkSimConfig& config,
     std::this_thread::sleep_for(std::chrono::duration<double>(delay));
   }
   return reply;
+}
+
+SimClient::BatchReplies SimClient::BatchWithRetry(
+    const std::vector<NetworkSimConfig>& configs, int max_attempts) {
+  BatchReplies out;
+  out.replies = Batch(configs);
+  for (int attempt = 1; attempt < max_attempts; ++attempt) {
+    std::vector<std::size_t> pending;
+    std::vector<NetworkSimConfig> again;
+    double delay = 0.0;
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+      if (out.replies[i].status != ServeStatus::kRetryAfter) continue;
+      pending.push_back(i);
+      again.push_back(configs[i]);
+      delay = std::max(delay, out.replies[i].retry_after_seconds);
+    }
+    if (pending.empty()) break;
+    std::this_thread::sleep_for(
+        std::chrono::duration<double>(delay > 0.0 ? delay : 0.05));
+    std::vector<PointReply> replies = Batch(again);
+    for (std::size_t k = 0; k < pending.size(); ++k) {
+      out.replies[pending[k]] = std::move(replies[k]);
+    }
+    out.reasks += pending.size();
+  }
+  return out;
 }
 
 }  // namespace vixnoc

@@ -8,6 +8,7 @@
 // per thread (connections are cheap; the daemon handles many).
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -50,6 +51,17 @@ class SimClient {
   /// is returned.
   PointReply PointWithRetry(const NetworkSimConfig& config,
                             int max_attempts = 50);
+
+  /// A batch with retry-after handling: after the first batch, the slots
+  /// still answered retry-after are re-sent as one batch once the longest
+  /// hint has passed, up to `max_attempts` batches in all. A slot still
+  /// retry-after when the attempts run out comes back as last answered.
+  struct BatchReplies {
+    std::vector<PointReply> replies;  ///< positional, like Batch
+    std::uint64_t reasks = 0;         ///< slots re-sent after retry-after
+  };
+  BatchReplies BatchWithRetry(const std::vector<NetworkSimConfig>& configs,
+                              int max_attempts = 50);
 
  private:
   std::string Roundtrip(const std::string& payload);

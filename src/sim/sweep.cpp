@@ -1,5 +1,6 @@
 #include "sim/sweep.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
@@ -52,11 +53,12 @@ int ResolveThreadCount(int requested) {
   return hw > 0 ? static_cast<int>(hw) : 1;
 }
 
-SweepRunner::SweepRunner(int num_threads) {
+SweepRunner::SweepRunner(int num_threads, ExecuteFn execute)
+    : execute_(std::move(execute)) {
   const int n = ResolveThreadCount(num_threads);
   workers_.reserve(n);
   for (int i = 0; i < n; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
+    workers_.emplace_back([this, i] { WorkerLoop(i); });
   }
 }
 
@@ -73,6 +75,11 @@ void SweepRunner::SetCache(std::shared_ptr<PointCache> cache) {
   std::lock_guard<std::mutex> lock(mu_);
   VIXNOC_CHECK(batch_ == nullptr);  // not against a batch in flight
   cache_ = std::move(cache);
+}
+
+std::size_t SweepRunner::Count(PointOrigin origin) const {
+  return static_cast<std::size_t>(
+      std::count(origins_.begin(), origins_.end(), origin));
 }
 
 NetworkSimResult SweepRunner::ExecutePoint(const NetworkSimConfig& config) {
@@ -95,7 +102,7 @@ NetworkSimResult SweepRunner::ExecutePoint(const NetworkSimConfig& config) {
   }
 }
 
-void SweepRunner::WorkerLoop() {
+void SweepRunner::WorkerLoop(int thread) {
   for (;;) {
     std::size_t pos = 0;
     Job job;
@@ -136,50 +143,41 @@ void SweepRunner::WorkerLoop() {
     // falls through to a normal run with a warning and a
     // defective_cache_points() tick; the cache is an accelerator, never
     // a correctness input.
-    bool from_cache = false;
+    PointCacheStatus cached = PointCacheStatus::kMiss;
     NetworkSimResult result;
-    if (cache_) {
-      const PointCacheStatus cache = cache_->Load(config, &result);
-      if (cache == PointCacheStatus::kHit) {
-        from_cache = true;
-      } else if (cache == PointCacheStatus::kDefective) {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++defective_;
-      }
-    }
-
-    if (!from_cache) {
-      // The point runs unlocked: RunNetworkSim touches only its own state.
-      result = ExecutePoint(config);
+    if (cache_) cached = cache_->Load(config, &result);
+    if (cached != PointCacheStatus::kHit) {
+      // The step runs unlocked: it touches only this point's state (and
+      // whatever per-thread state it keeps under `thread`).
+      result = execute_ ? execute_(config, index, thread)
+                        : ExecutePoint(config);
       if (cache_) cache_->Put(config, result);  // non-throwing by contract
     }
 
     {
       std::lock_guard<std::mutex> lock(mu_);
       (*results_)[index] = std::move(result);
-      if (from_cache) ++resumed_;
-      ++done_;
-      done_points_ += satisfies_[pos];
-      if (progress_) progress_(done_points_, batch_->size());
-      if (done_ == work_.size()) done_cv_.notify_all();
+      if (cached == PointCacheStatus::kHit) {
+        origins_[index] = PointOrigin::kCache;
+      } else if (cached == PointCacheStatus::kDefective) {
+        ++defective_;
+      }
+      if (++done_ == work_.size()) done_cv_.notify_all();
     }
   }
 }
 
 std::vector<NetworkSimResult> SweepRunner::Run(
     const std::vector<NetworkSimConfig>& configs) {
-  std::vector<NetworkSimResult> results(configs.size());
-  if (configs.empty()) return results;
-
   // Within-batch dedup: identical points (same NetworkSimResultKey) are
-  // simulated once and fanned out to every slot afterwards. Configs with
-  // live factory callbacks are exempt — the key only hashes factory
+  // run once and fanned out to every slot afterwards. Configs with live
+  // factory callbacks are exempt — the key only hashes factory
   // *presence*, so two different factories would collide.
   const std::size_t n = configs.size();
+  std::vector<NetworkSimResult> results(n);
   std::vector<std::size_t> canonical(n);
   std::vector<std::size_t> work;
-  std::vector<std::size_t> satisfies;
-  std::vector<std::size_t> work_pos(n, n);
+  std::vector<PointOrigin> origins(n, PointOrigin::kExecuted);
   {
     std::unordered_map<std::uint64_t, std::size_t> first_by_key;
     first_by_key.reserve(n);
@@ -190,36 +188,25 @@ std::vector<NetworkSimResult> SweepRunner::Run(
             first_by_key.try_emplace(NetworkSimResultKey(configs[i]), i);
         if (!inserted) {
           canonical[i] = it->second;
+          origins[i] = PointOrigin::kDuplicate;
           continue;
         }
       }
-      work_pos[i] = work.size();
       work.push_back(i);
-      satisfies.push_back(1);
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      if (canonical[i] != i) ++satisfies[work_pos[canonical[i]]];
     }
   }
 
   {
-    std::lock_guard<std::mutex> lock(mu_);
+    std::unique_lock<std::mutex> lock(mu_);
     VIXNOC_CHECK(batch_ == nullptr);  // one batch at a time
     batch_ = &configs;
     results_ = &results;
     work_ = std::move(work);
-    satisfies_ = std::move(satisfies);
+    origins_ = std::move(origins);
     next_ = 0;
     done_ = 0;
-    done_points_ = 0;
-    resumed_ = 0;
     defective_ = 0;
-    deduped_ = n - work_.size();
-  }
-  work_cv_.notify_all();
-
-  {
-    std::unique_lock<std::mutex> lock(mu_);
+    work_cv_.notify_all();
     done_cv_.wait(lock, [&] { return done_ == work_.size(); });
     batch_ = nullptr;
     results_ = nullptr;
@@ -245,8 +232,7 @@ std::vector<NetworkSimResult> RunSweep(
     const std::vector<NetworkSimConfig>& configs, int num_threads) {
   if (num_threads == 0) {
     // The common auto-threaded call reuses one process-wide pool: callers
-    // that loop over RunSweep (benches, the coordinator's in-process
-    // fallback) stop paying a full thread spawn/join per call. Run() takes
+    // that loop over RunSweep stop paying a full thread spawn/join per call. Run() takes
     // one batch at a time, so concurrent callers are serialized here. The
     // pool joins its workers in its static destructor at exit.
     static SweepRunner shared(0);

@@ -14,9 +14,15 @@
 // router scratch are per-instance members), and (c) results are written
 // into a preallocated slot indexed by submission position. sweep_test.cpp
 // and the TSAN build (-DVIXNOC_SANITIZE=thread) enforce this.
+//
+// Run is the one place a batch becomes results: within-batch dedup by
+// result key, the cache probe and write-back, the execute step and the
+// fan-out of duplicates. The step is pluggable — SweepCoordinator
+// (exec/coordinator.hpp) runs each point in a worker subprocess through it.
 #pragma once
 
 #include <condition_variable>
+#include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
@@ -74,11 +80,26 @@ class PointCache {
                    const NetworkSimResult& result) = 0;
 };
 
+/// Where a batch slot's result came from in the most recent Run.
+enum class PointOrigin : std::uint8_t {
+  kExecuted,   ///< run by the execute step (after a miss, with a cache set)
+  kCache,      ///< loaded from the PointCache
+  kDuplicate,  ///< copied from an earlier slot with the same result key
+};
+
 class SweepRunner {
  public:
+  /// The execute step: runs one batch point and returns its result, with
+  /// failures as error slots (never exceptions). `index` is the point's
+  /// batch position and `thread` the pool thread running it
+  /// (0..num_threads-1), so a step can keep per-thread state such as a
+  /// worker subprocess. A null step runs ExecutePoint.
+  using ExecuteFn = std::function<NetworkSimResult(
+      const NetworkSimConfig& config, std::size_t index, int thread)>;
+
   /// Starts the worker pool. `num_threads` follows ResolveThreadCount's
   /// convention (0 = auto).
-  explicit SweepRunner(int num_threads = 0);
+  explicit SweepRunner(int num_threads = 0, ExecuteFn execute = nullptr);
   ~SweepRunner();
 
   SweepRunner(const SweepRunner&) = delete;
@@ -86,18 +107,12 @@ class SweepRunner {
 
   int num_threads() const { return static_cast<int>(workers_.size()); }
 
-  /// Called after each point completes, with the number of finished points
-  /// and the batch size. Invoked from worker threads under the runner's
-  /// lock: keep it cheap (progress printing is fine). A deduplicated
-  /// group of identical points reports all its slots the moment its one
-  /// simulation completes.
-  using ProgressFn = std::function<void(std::size_t done, std::size_t total)>;
-  void SetProgress(ProgressFn fn) { progress_ = std::move(fn); }
-
   /// Per-point result caching, making a killed sweep resumable and letting
   /// independent sweeps share work. Set before Run (not thread-safe against
-  /// a batch in flight). Every completed point stores its NetworkSimResult
-  /// under its content key; a later Run over any batch containing the same
+  /// a batch in flight). Each point to be executed is first looked up with
+  /// PointCache::Load on the pool thread about to run it; on a miss the
+  /// step runs and the same thread Puts the result as soon as it exists,
+  /// before Run returns. A later Run over any batch containing the same
   /// point — same batch re-run, reordered grid, a different bench entirely
   /// — loads it instead of re-simulating. Because cached results were
   /// produced by the same deterministic RunNetworkSim, a resumed sweep's
@@ -106,9 +121,12 @@ class SweepRunner {
   /// tick of defective_cache_points().
   void SetCache(std::shared_ptr<PointCache> cache);
 
+  /// Per-slot origin of the most recent Run, parallel to its results.
+  const std::vector<PointOrigin>& origins() const { return origins_; }
+
   /// Points of the most recent Run that were satisfied from the cache
   /// instead of being simulated.
-  std::size_t resumed_points() const { return resumed_; }
+  std::size_t resumed_points() const { return Count(PointOrigin::kCache); }
 
   /// Points of the most recent Run whose cache entry existed but was
   /// defective (unreadable, corrupt, or key-mismatched) and was therefore
@@ -122,7 +140,9 @@ class SweepRunner {
   /// result fanned out to every duplicate slot. Configs carrying live
   /// factory callbacks never dedupe (the key only records factory
   /// presence, not identity).
-  std::size_t deduped_points() const { return deduped_; }
+  std::size_t deduped_points() const {
+    return Count(PointOrigin::kDuplicate);
+  }
 
   /// Runs every point and blocks until all complete. results[i] is the
   /// point configs[i] would produce through a direct RunNetworkSim call.
@@ -138,14 +158,18 @@ class SweepRunner {
   /// Asynchronous single-point execution on the same pool, for callers
   /// (the vixnocd daemon) that schedule points one at a time rather than
   /// in batches. `done` is invoked exactly once from a worker thread with
-  /// the point's result (error slots follow Run's convention); it must not
-  /// block the worker for long and must not re-enter Run on the same
-  /// thread. Submitted jobs do not consult the cache — single-point
-  /// callers manage their own store probe (the daemon serves hits without
-  /// touching the pool). Jobs still pending at destruction are drained,
-  /// not dropped: the destructor completes all submitted work first.
+  /// the point's ExecutePoint result; it must not block the worker for
+  /// long and must not re-enter Run on the same thread. Submitted jobs
+  /// bypass the batch pipeline (no cache, no dedup, no execute step) —
+  /// the daemon serves hits without touching the pool. Jobs still pending
+  /// at destruction are drained, not dropped: the destructor completes all
+  /// submitted work first.
   void Submit(NetworkSimConfig config,
               std::function<void(NetworkSimResult)> done);
+
+  /// RunNetworkSim with Run's exception-to-error-slot convention: the
+  /// default execute step.
+  static NetworkSimResult ExecutePoint(const NetworkSimConfig& config);
 
  private:
   struct Job {
@@ -153,15 +177,14 @@ class SweepRunner {
     std::function<void(NetworkSimResult)> done;
   };
 
-  void WorkerLoop();
-  /// RunNetworkSim with Run's exception-to-error-slot convention.
-  static NetworkSimResult ExecutePoint(const NetworkSimConfig& config);
+  void WorkerLoop(int thread);
+  std::size_t Count(PointOrigin origin) const;
 
   std::vector<std::thread> workers_;
+  ExecuteFn execute_;
   std::shared_ptr<PointCache> cache_;
-  std::size_t resumed_ = 0;
+  std::vector<PointOrigin> origins_;
   std::size_t defective_ = 0;
-  std::size_t deduped_ = 0;
 
   std::mutex mu_;
   std::condition_variable work_cv_;  // workers wait for work / shutdown
@@ -169,19 +192,14 @@ class SweepRunner {
   bool stop_ = false;
 
   // Current batch (valid while batch_ != nullptr). work_ holds the indices
-  // actually simulated (one per dedup group, in submission order);
-  // satisfies_[pos] is how many batch slots work_[pos] stands for.
+  // actually run (one per dedup group, in submission order).
   const std::vector<NetworkSimConfig>* batch_ = nullptr;
   std::vector<NetworkSimResult>* results_ = nullptr;
   std::vector<std::size_t> work_;
-  std::vector<std::size_t> satisfies_;
-  std::size_t next_ = 0;         // next unclaimed position in work_
-  std::size_t done_ = 0;         // completed work items
-  std::size_t done_points_ = 0;  // batch slots satisfied (for progress)
+  std::size_t next_ = 0;  // next unclaimed position in work_
+  std::size_t done_ = 0;  // completed work items
 
   std::deque<Job> jobs_;  // pending async Submit work
-
-  ProgressFn progress_;
 };
 
 /// One-shot convenience. With `num_threads` == 0 (the default) the batch

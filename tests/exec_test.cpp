@@ -18,7 +18,10 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -78,11 +81,6 @@ ExecPolicy TestPolicy(int workers = 3) {
   ExecPolicy policy;
   policy.num_workers = workers;
   policy.worker_path = VIXNOC_SWEEP_WORKER_PATH;
-  // Fast backoff so retry tests stay quick while still exercising the
-  // exponential schedule.
-  policy.backoff_initial_seconds = 0.01;
-  policy.backoff_multiplier = 2.0;
-  policy.backoff_max_seconds = 0.1;
   return policy;
 }
 
@@ -354,7 +352,7 @@ TEST(SweepCoordinatorTest, CheckpointCacheServesCompletedPoints) {
   const std::string dir = FreshDir("cache");
 
   ExecPolicy policy = TestPolicy(2);
-  policy.checkpoint_dir = dir;
+  policy.cache = std::make_shared<ResultStore>(dir);
   const SweepExecResult first = SweepCoordinator(policy).Run(points);
   ASSERT_EQ(first.cached_points, 0u);
 
@@ -386,7 +384,7 @@ TEST(SweepCoordinatorTest, CrashedPointRecoversFromCacheAssistedRerun) {
   const std::string dir = FreshDir("crash_cache");
 
   ExecPolicy policy = TestPolicy(2);
-  policy.checkpoint_dir = dir;
+  policy.cache = std::make_shared<ResultStore>(dir);
   policy.max_retries = 1;
   {
     // First run: point 3 crashes out; the healthy points land in cache.
@@ -404,6 +402,111 @@ TEST(SweepCoordinatorTest, CrashedPointRecoversFromCacheAssistedRerun) {
     EXPECT_EQ(Bytes(rerun.results[i]), Bytes(serial[i])) << "point " << i;
   }
   std::filesystem::remove_all(dir);
+}
+
+TEST(SweepCoordinatorTest, WithinBatchDuplicatesRunOnceAndFanOut) {
+  const std::vector<NetworkSimConfig> abc = TestBatch(3);
+  const std::vector<NetworkSimConfig> points = {abc[0], abc[1], abc[0],
+                                                abc[0], abc[2]};
+  const std::vector<NetworkSimResult> serial = SerialReference(points);
+  const std::string dir = FreshDir("dedup");
+
+  auto store = std::make_shared<ResultStore>(dir);
+  ExecPolicy policy = TestPolicy(2);
+  policy.cache = store;
+  const SweepExecResult exec = SweepCoordinator(policy).Run(points);
+  EXPECT_EQ(exec.deduped_points, 2u);
+  EXPECT_TRUE(exec.points[2].deduped && exec.points[3].deduped);
+  EXPECT_EQ(store->stats().writes, 3u);
+  ASSERT_EQ(exec.results.size(), points.size());
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    EXPECT_EQ(Bytes(exec.results[i]), Bytes(serial[i])) << "point " << i;
+  }
+  std::filesystem::remove_all(dir);
+}
+
+/// A PointCache that logs every call with its thread and hits only for the
+/// points it was seeded with.
+class RecordingCache : public PointCache {
+ public:
+  struct Call {
+    bool put = false;
+    std::uint64_t key = 0;
+    std::thread::id thread;
+  };
+
+  void Seed(const NetworkSimConfig& config, NetworkSimResult result) {
+    hits_[NetworkSimResultKey(config)] = std::move(result);
+  }
+
+  PointCacheStatus Load(const NetworkSimConfig& config,
+                        NetworkSimResult* out) override {
+    const std::uint64_t key = NetworkSimResultKey(config);
+    std::lock_guard<std::mutex> lock(mu_);
+    calls_.push_back(Call{false, key, std::this_thread::get_id()});
+    const auto it = hits_.find(key);
+    if (it == hits_.end()) return PointCacheStatus::kMiss;
+    *out = it->second;
+    return PointCacheStatus::kHit;
+  }
+
+  void Put(const NetworkSimConfig& config, const NetworkSimResult&) override {
+    std::lock_guard<std::mutex> lock(mu_);
+    calls_.push_back(
+        Call{true, NetworkSimResultKey(config), std::this_thread::get_id()});
+  }
+
+  std::vector<Call> calls() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return calls_;
+  }
+
+ private:
+  mutable std::mutex mu_;
+  std::unordered_map<std::uint64_t, NetworkSimResult> hits_;
+  std::vector<Call> calls_;
+};
+
+// The cache contract both backends share, which perfbench's PointClock
+// times points by: every executed point is Loaded and then Put on the one
+// thread that ran it, a cache hit is never Put, and every Put has happened
+// by the time Run returns.
+TEST(SweepPipelineTest, CacheLoadAndPutBracketEachPointOnItsThread) {
+  const std::vector<NetworkSimConfig> points = TestBatch(4);
+  const std::size_t hit = 1;
+  for (const bool isolated : {false, true}) {
+    SCOPED_TRACE(isolated ? "SweepCoordinator" : "SweepRunner");
+    auto cache = std::make_shared<RecordingCache>();
+    cache->Seed(points[hit], RunNetworkSim(points[hit]));
+    std::vector<RecordingCache::Call> calls;
+    if (isolated) {
+      ExecPolicy policy = TestPolicy(2);
+      policy.cache = cache;
+      SweepCoordinator(policy).Run(points);
+      calls = cache->calls();
+    } else {
+      SweepRunner runner(2);
+      runner.SetCache(cache);
+      runner.Run(points);
+      calls = cache->calls();
+    }
+    for (std::size_t i = 0; i < points.size(); ++i) {
+      SCOPED_TRACE(testing::Message() << "point " << i);
+      const std::uint64_t key = NetworkSimResultKey(points[i]);
+      std::vector<std::size_t> loads, puts;
+      for (std::size_t k = 0; k < calls.size(); ++k) {
+        if (calls[k].key == key) (calls[k].put ? puts : loads).push_back(k);
+      }
+      ASSERT_EQ(loads.size(), 1u);
+      if (i == hit) {
+        EXPECT_TRUE(puts.empty());
+        continue;
+      }
+      ASSERT_EQ(puts.size(), 1u);
+      EXPECT_LT(loads[0], puts[0]);
+      EXPECT_EQ(calls[loads[0]].thread, calls[puts[0]].thread);
+    }
+  }
 }
 
 }  // namespace

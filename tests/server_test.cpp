@@ -287,6 +287,55 @@ TEST(SimDaemonTest, SaturatedQueueAnswersRetryAfterThenRecovers) {
   daemon.Stop();
 }
 
+TEST(SimDaemonTest, BatchWithRetryReasksRetryAfterSlotsUntilServed) {
+  TempService svc("batch_retry");
+  DaemonConfig dc = svc.Config();
+  dc.max_queue = 1;
+  dc.test_compute_delay_ms = 200;
+  dc.retry_after_seconds = 0.02;
+  SimDaemon daemon(dc);
+  daemon.Start();
+  SimClient client(svc.socket, 10.0);
+
+  // Three distinct misses against a one-point queue: the first batch
+  // admits one and refuses the rest, which are re-asked until served.
+  const std::vector<NetworkSimConfig> batch = {
+      ShortConfig(0.05), ShortConfig(0.07), ShortConfig(0.09)};
+  const SimClient::BatchReplies served = client.BatchWithRetry(batch);
+  ASSERT_EQ(served.replies.size(), batch.size());
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    EXPECT_EQ(served.replies[i].status, ServeStatus::kOk) << "slot " << i;
+  }
+  EXPECT_GT(served.reasks, 0u);
+  daemon.Stop();
+}
+
+TEST(SimDaemonTest, BatchWithRetryGivesUpWhenAttemptsRunOut) {
+  TempService svc("batch_give_up");
+  DaemonConfig dc = svc.Config();
+  dc.max_queue = 1;
+  dc.test_compute_delay_ms = 500;
+  dc.retry_after_seconds = 0.02;
+  SimDaemon daemon(dc);
+  daemon.Start();
+
+  std::thread occupant([&] {
+    SimClient c(svc.socket, 10.0);
+    EXPECT_EQ(c.Point(ShortConfig(0.05)).status, ServeStatus::kOk);
+  });
+  // With the queue held by another client, a single attempt comes back
+  // retry-after instead of re-asking forever.
+  std::this_thread::sleep_for(std::chrono::milliseconds(150));
+  SimClient client(svc.socket, 10.0);
+  const SimClient::BatchReplies served =
+      client.BatchWithRetry({ShortConfig(0.09)}, /*max_attempts=*/1);
+  ASSERT_EQ(served.replies.size(), 1u);
+  EXPECT_EQ(served.replies[0].status, ServeStatus::kRetryAfter);
+  EXPECT_EQ(served.reasks, 0u);
+  occupant.join();
+  daemon.Stop();
+}
+
 TEST(SimDaemonTest, ClientNamedPathsAreRefusedAndNeverTouched) {
   TempService svc("paths");
   SimDaemon daemon(svc.Config());

@@ -142,22 +142,6 @@ TEST(SweepRunnerTest, MoreThreadsThanPoints) {
   ExpectIdentical(serial0, results[0]);
 }
 
-TEST(SweepRunnerTest, ProgressCallbackCountsEveryPoint) {
-  const std::vector<NetworkSimConfig> points = TestBatch();
-  SweepRunner runner(3);
-  std::size_t calls = 0;
-  std::size_t last_done = 0;
-  // Called under the runner's lock, so plain variables are safe here.
-  runner.SetProgress([&](std::size_t done, std::size_t total) {
-    ++calls;
-    last_done = done;
-    EXPECT_EQ(total, points.size());
-  });
-  runner.Run(points);
-  EXPECT_EQ(calls, points.size());
-  EXPECT_EQ(last_done, points.size());
-}
-
 // A point whose config is invalid throws SimError inside a worker. The
 // batch must still complete: the bad slot comes back as
 // kInvariantViolation with the message, every other slot matches the
