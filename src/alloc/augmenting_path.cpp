@@ -1,6 +1,6 @@
 #include "alloc/augmenting_path.hpp"
 #include "common/error.hpp"
-#include "snapshot/snapshot.hpp"
+#include "snapshot/state_archive.hpp"
 
 #include <algorithm>
 
@@ -122,23 +122,9 @@ void AugmentingPathAllocator::Reset() {
   last_iterations_ = 0;
 }
 
-void AugmentingPathAllocator::SaveState(SnapshotWriter& w) const {
-  w.VecI32(vc_rr_);
-  w.I32(last_iterations_);
-}
-
-void AugmentingPathAllocator::LoadState(SnapshotReader& r) {
-  std::vector<int> rr = r.VecI32();
-  VIXNOC_REQUIRE(rr.size() == vc_rr_.size(),
-                 "restored AP VC pointers have %zu entries, expected %zu",
-                 rr.size(), vc_rr_.size());
-  for (const int ptr : rr) {
-    VIXNOC_REQUIRE(ptr >= 0 && ptr < geom_.num_vcs,
-                   "restored AP VC pointer %d outside [0, %d)", ptr,
-                   geom_.num_vcs);
-  }
-  vc_rr_ = std::move(rr);
-  last_iterations_ = r.I32();
+void AugmentingPathAllocator::Visit(StateArchive& ar) {
+  ar.VecI32(vc_rr_, 0, geom_.num_vcs, "AP VC pointers");
+  ar.I32(last_iterations_);
 }
 
 std::unique_ptr<SwitchAllocator> MakeAugmentingPathAllocator(

@@ -27,8 +27,7 @@ namespace vixnoc {
 class AugmentingPathAllocator : public SwitchAllocator {
  public:
   void Reset() override;
-  void SaveState(SnapshotWriter& w) const override;
-  void LoadState(SnapshotReader& r) override;
+  void Visit(StateArchive& ar) override;
   std::string Name() const override { return "augmenting-path"; }
 
   /// Number of augmenting-path iterations executed on the last Allocate

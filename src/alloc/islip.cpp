@@ -1,6 +1,5 @@
 #include "alloc/islip.hpp"
-#include "common/error.hpp"
-#include "snapshot/snapshot.hpp"
+#include "snapshot/state_archive.hpp"
 
 #include <algorithm>
 
@@ -89,24 +88,10 @@ void IslipAllocator::Reset() {
   std::fill(vc_rr_.begin(), vc_rr_.end(), 0);
 }
 
-void IslipAllocator::SaveState(SnapshotWriter& w) const {
-  w.VecI32(grant_ptr_);
-  w.VecI32(accept_ptr_);
-  w.VecI32(vc_rr_);
-}
-
-void IslipAllocator::LoadState(SnapshotReader& r) {
-  std::vector<int> grant = r.VecI32();
-  std::vector<int> accept = r.VecI32();
-  std::vector<int> rr = r.VecI32();
-  VIXNOC_REQUIRE(grant.size() == grant_ptr_.size() &&
-                     accept.size() == accept_ptr_.size() &&
-                     rr.size() == vc_rr_.size(),
-                 "restored iSLIP pointer state does not match this "
-                 "allocator's geometry");
-  grant_ptr_ = std::move(grant);
-  accept_ptr_ = std::move(accept);
-  vc_rr_ = std::move(rr);
+void IslipAllocator::Visit(StateArchive& ar) {
+  ar.VecI32(grant_ptr_, 0, geom_.num_inports, "iSLIP grant pointers");
+  ar.VecI32(accept_ptr_, 0, geom_.num_outports, "iSLIP accept pointers");
+  ar.VecI32(vc_rr_, 0, geom_.num_vcs, "iSLIP VC pointers");
 }
 
 }  // namespace vixnoc

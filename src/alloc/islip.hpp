@@ -26,8 +26,7 @@ class IslipAllocator final : public SwitchAllocator {
   void Allocate(const std::vector<SaRequest>& requests,
                 std::vector<SaGrant>* grants) override;
   void Reset() override;
-  void SaveState(SnapshotWriter& w) const override;
-  void LoadState(SnapshotReader& r) override;
+  void Visit(StateArchive& ar) override;
   std::string Name() const override {
     return "islip-" + std::to_string(iterations_);
   }

@@ -1,6 +1,5 @@
 #include "alloc/packet_chaining.hpp"
-#include "common/error.hpp"
-#include "snapshot/snapshot.hpp"
+#include "snapshot/state_archive.hpp"
 
 #include <algorithm>
 
@@ -78,24 +77,11 @@ void PacketChainingAllocator::Reset() {
   chained_grants_ = 0;
 }
 
-void PacketChainingAllocator::SaveState(SnapshotWriter& w) const {
-  w.VecI32(chain_);
-  w.VecI32(chain_vc_rr_);
-  separable_->SaveState(w);
-  w.U64(chained_grants_);
-}
-
-void PacketChainingAllocator::LoadState(SnapshotReader& r) {
-  std::vector<int> chain = r.VecI32();
-  std::vector<int> rr = r.VecI32();
-  VIXNOC_REQUIRE(chain.size() == chain_.size() &&
-                     rr.size() == chain_vc_rr_.size(),
-                 "restored packet-chaining state does not match this "
-                 "allocator's geometry");
-  chain_ = std::move(chain);
-  chain_vc_rr_ = std::move(rr);
-  separable_->LoadState(r);
-  chained_grants_ = r.U64();
+void PacketChainingAllocator::Visit(StateArchive& ar) {
+  ar.VecI32(chain_, -1, geom_.num_inports, "packet-chaining chains");
+  ar.VecI32(chain_vc_rr_, 0, geom_.num_vcs, "packet-chaining VC pointers");
+  separable_->Visit(ar);
+  ar.U64(chained_grants_);
 }
 
 }  // namespace vixnoc

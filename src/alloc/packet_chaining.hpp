@@ -25,8 +25,7 @@ class PacketChainingAllocator final : public SwitchAllocator {
   void Allocate(const std::vector<SaRequest>& requests,
                 std::vector<SaGrant>* grants) override;
   void Reset() override;
-  void SaveState(SnapshotWriter& w) const override;
-  void LoadState(SnapshotReader& r) override;
+  void Visit(StateArchive& ar) override;
   std::string Name() const override { return "packet-chaining"; }
 
   /// Grants made by renewing a previous-cycle connection (diagnostics).

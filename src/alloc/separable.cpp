@@ -3,7 +3,7 @@
 #include <vector>
 
 #include "common/error.hpp"
-#include "snapshot/snapshot.hpp"
+#include "snapshot/state_archive.hpp"
 
 namespace vixnoc {
 
@@ -44,14 +44,9 @@ class SeparableAllocator final : public SwitchAllocator {
     return "separable-vix-" + std::to_string(geom_.num_vins);
   }
 
-  void SaveState(SnapshotWriter& w) const override {
-    for (const Arb& a : input_arbiters_) a.SaveState(w);
-    for (const Arb& a : output_arbiters_) a.SaveState(w);
-  }
-
-  void LoadState(SnapshotReader& r) override {
-    for (Arb& a : input_arbiters_) a.LoadState(r);
-    for (Arb& a : output_arbiters_) a.LoadState(r);
+  void Visit(StateArchive& ar) override {
+    for (Arb& a : input_arbiters_) a.Visit(ar);
+    for (Arb& a : output_arbiters_) a.Visit(ar);
   }
 
  private:

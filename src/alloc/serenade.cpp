@@ -2,9 +2,7 @@
 
 #include <algorithm>
 
-#include "common/error.hpp"
-#include "snapshot/snapshot.hpp"
-#include "snapshot/state_io.hpp"
+#include "snapshot/state_archive.hpp"
 
 namespace vixnoc {
 
@@ -187,41 +185,20 @@ void SerenadeAllocator::Reset() {
   rng_.Reseed(seed_);
 }
 
-void SerenadeAllocator::SaveState(SnapshotWriter& w) const {
-  w.VecI32(prev_match_);
-  w.VecI32(vc_rr_);
-  SaveRng(w, rng_);
-}
-
-void SerenadeAllocator::LoadState(SnapshotReader& r) {
-  std::vector<int> match = r.VecI32();
-  std::vector<int> rr = r.VecI32();
-  VIXNOC_REQUIRE(match.size() == prev_match_.size() &&
-                     rr.size() == vc_rr_.size(),
-                 "restored SERENADE state does not match this allocator's "
-                 "geometry");
+void SerenadeAllocator::Visit(StateArchive& ar) {
+  ar.VecI32(prev_match_, -1, geom_.num_outports, "SERENADE matching");
+  ar.VecI32(vc_rr_, 0, geom_.num_vcs, "SERENADE VC pointers");
+  ar.Object(rng_);
+  if (!ar.loading()) return;
   // The knot walk relies on the carried matching being one: at most one
   // input per output.
   std::vector<std::uint8_t> taken(static_cast<std::size_t>(geom_.num_outports));
-  for (const int out : match) {
-    VIXNOC_REQUIRE(out >= -1 && out < geom_.num_outports,
-                   "restored SERENADE matching names output %d outside "
-                   "[0, %d)",
-                   out, geom_.num_outports);
+  for (const int out : prev_match_) {
     if (out == -1) continue;
-    VIXNOC_REQUIRE(!taken[out],
-                   "restored SERENADE matching gives output %d two inputs",
-                   out);
+    ar.Require(!taken[out],
+               "restored SERENADE matching gives output %d two inputs", out);
     taken[out] = 1;
   }
-  for (const int ptr : rr) {
-    VIXNOC_REQUIRE(ptr >= 0 && ptr < geom_.num_vcs,
-                   "restored SERENADE VC pointer %d outside [0, %d)", ptr,
-                   geom_.num_vcs);
-  }
-  prev_match_ = std::move(match);
-  vc_rr_ = std::move(rr);
-  LoadRng(r, &rng_);
 }
 
 std::unique_ptr<SwitchAllocator> MakeSerenadeAllocator(const SwitchGeometry& g,

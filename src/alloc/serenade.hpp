@@ -42,8 +42,7 @@ namespace vixnoc {
 class SerenadeAllocator : public SwitchAllocator {
  public:
   void Reset() override;
-  void SaveState(SnapshotWriter& w) const override;
-  void LoadState(SnapshotReader& r) override;
+  void Visit(StateArchive& ar) override;
   std::string Name() const override { return "serenade"; }
 
  protected:

@@ -1,6 +1,5 @@
 #include "alloc/sparoflo.hpp"
-#include "common/error.hpp"
-#include "snapshot/snapshot.hpp"
+#include "snapshot/state_archive.hpp"
 
 #include <algorithm>
 
@@ -109,18 +108,11 @@ void SparofloAllocator::Reset() {
   last_killed_grants_ = 0;
 }
 
-void SparofloAllocator::SaveState(SnapshotWriter& w) const {
-  for (const auto& a : input_arbiters_) a->SaveState(w);
-  for (const auto& a : output_arbiters_) a->SaveState(w);
-  for (const auto& a : conflict_arbiters_) a->SaveState(w);
-  w.I32(last_killed_grants_);
-}
-
-void SparofloAllocator::LoadState(SnapshotReader& r) {
-  for (auto& a : input_arbiters_) a->LoadState(r);
-  for (auto& a : output_arbiters_) a->LoadState(r);
-  for (auto& a : conflict_arbiters_) a->LoadState(r);
-  last_killed_grants_ = r.I32();
+void SparofloAllocator::Visit(StateArchive& ar) {
+  for (auto& a : input_arbiters_) a->Visit(ar);
+  for (auto& a : output_arbiters_) a->Visit(ar);
+  for (auto& a : conflict_arbiters_) a->Visit(ar);
+  ar.I32(last_killed_grants_);
 }
 
 }  // namespace vixnoc

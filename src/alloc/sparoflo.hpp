@@ -28,8 +28,7 @@ class SparofloAllocator final : public SwitchAllocator {
   void Allocate(const std::vector<SaRequest>& requests,
                 std::vector<SaGrant>* grants) override;
   void Reset() override;
-  void SaveState(SnapshotWriter& w) const override;
-  void LoadState(SnapshotReader& r) override;
+  void Visit(StateArchive& ar) override;
   std::string Name() const override { return "sparoflo"; }
 
   /// Output grants killed by the one-crossbar-input-per-port constraint on

@@ -35,8 +35,7 @@
 
 namespace vixnoc {
 
-class SnapshotReader;
-class SnapshotWriter;
+class StateArchive;
 
 /// Static shape of one router's switch.
 struct SwitchGeometry {
@@ -181,8 +180,7 @@ class SwitchAllocator {
   /// construction-time and excluded. Restoring into an allocator built with
   /// the same configuration makes subsequent Allocate calls bitwise
   /// identical to one that never stopped.
-  virtual void SaveState(SnapshotWriter& w) const = 0;
-  virtual void LoadState(SnapshotReader& r) = 0;
+  virtual void Visit(StateArchive& ar) = 0;
 
   /// Attach (or detach, with nullptr) a per-arbiter telemetry sink. Only
   /// the separable allocators fill it; matching-based schemes (WF, AP)

@@ -1,6 +1,5 @@
 #include "alloc/wavefront.hpp"
-#include "common/error.hpp"
-#include "snapshot/snapshot.hpp"
+#include "snapshot/state_archive.hpp"
 
 #include <algorithm>
 
@@ -97,28 +96,9 @@ void WavefrontAllocator::AdvanceIdle(std::uint64_t n) {
       (static_cast<std::uint64_t>(priority_diagonal_) + n) % n_);
 }
 
-void WavefrontAllocator::SaveState(SnapshotWriter& w) const {
-  w.I32(priority_diagonal_);
-  w.VecI32(vc_rr_);
-}
-
-void WavefrontAllocator::LoadState(SnapshotReader& r) {
-  const int diagonal = r.I32();
-  VIXNOC_REQUIRE(diagonal >= 0 && diagonal < n_,
-                 "restored wavefront diagonal %d outside [0, %d)", diagonal,
-                 n_);
-  priority_diagonal_ = diagonal;
-  std::vector<int> rr = r.VecI32();
-  VIXNOC_REQUIRE(rr.size() == vc_rr_.size(),
-                 "restored wavefront VC pointers have %zu entries, expected "
-                 "%zu",
-                 rr.size(), vc_rr_.size());
-  for (const int ptr : rr) {
-    VIXNOC_REQUIRE(ptr >= 0 && ptr < geom_.num_vcs,
-                   "restored wavefront VC pointer %d outside [0, %d)", ptr,
-                   geom_.num_vcs);
-  }
-  vc_rr_ = std::move(rr);
+void WavefrontAllocator::Visit(StateArchive& ar) {
+  ar.I32(priority_diagonal_, 0, n_, "wavefront diagonal");
+  ar.VecI32(vc_rr_, 0, geom_.num_vcs, "wavefront VC pointers");
 }
 
 std::unique_ptr<SwitchAllocator> MakeWavefrontAllocator(

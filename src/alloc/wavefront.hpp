@@ -34,8 +34,7 @@ class WavefrontAllocator : public SwitchAllocator {
   void Reset() override;
   /// An empty Allocate only rotates the priority diagonal.
   void AdvanceIdle(std::uint64_t n) override;
-  void SaveState(SnapshotWriter& w) const override;
-  void LoadState(SnapshotReader& r) override;
+  void Visit(StateArchive& ar) override;
   std::string Name() const override { return "wavefront"; }
 
  protected:

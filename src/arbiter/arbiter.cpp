@@ -3,19 +3,12 @@
 #include <algorithm>
 
 #include "common/error.hpp"
-#include "snapshot/snapshot.hpp"
+#include "snapshot/state_archive.hpp"
 
 namespace vixnoc {
 
-void RoundRobinArbiter::SaveState(SnapshotWriter& w) const {
-  w.I32(next_priority_);
-}
-
-void RoundRobinArbiter::LoadState(SnapshotReader& r) {
-  const int p = r.I32();
-  VIXNOC_REQUIRE(p >= 0 && p < n_,
-                 "restored round-robin pointer %d outside [0, %d)", p, n_);
-  next_priority_ = p;
+void RoundRobinArbiter::Visit(StateArchive& ar) {
+  ar.I32(next_priority_, 0, n_, "round-robin pointer");
 }
 
 MatrixArbiter::MatrixArbiter(int num_requesters)
@@ -78,32 +71,24 @@ void MatrixArbiter::Commit(int winner) {
   col[ww] &= ~wbit;
 }
 
-void MatrixArbiter::SaveState(SnapshotWriter& w) const {
-  // Keep the pre-bitmask snapshot layout: the full row-major pri_[i][j]
+void MatrixArbiter::Visit(StateArchive& ar) {
+  // Stored in the pre-bitmask layout: the full row-major pri_[i][j]
   // matrix as VecBool. pri_[i][j] ("i beats j") == bit i of column j.
-  std::vector<bool> pri(static_cast<std::size_t>(n_) * n_);
-  for (int j = 0; j < n_; ++j) {
-    const std::uint64_t* col = beaters_of_.data() +
-                               static_cast<std::size_t>(j) * words_;
-    for (int i = 0; i < n_; ++i) {
-      pri[static_cast<std::size_t>(i) * n_ + j] =
-          (col[i / bits::kWordBits] >> (i % bits::kWordBits)) & 1;
+  const std::size_t n = static_cast<std::size_t>(n_);
+  std::vector<bool> pri(n * n);
+  for (std::size_t j = 0; j < n; ++j) {
+    const std::uint64_t* col = beaters_of_.data() + j * words_;
+    for (std::size_t i = 0; i < n; ++i) {
+      pri[i * n + j] = (col[i / bits::kWordBits] >> (i % bits::kWordBits)) & 1;
     }
   }
-  w.VecBool(pri);
-}
-
-void MatrixArbiter::LoadState(SnapshotReader& r) {
-  std::vector<bool> pri = r.VecBool();
-  VIXNOC_REQUIRE(pri.size() == static_cast<std::size_t>(n_) * n_,
-                 "restored matrix arbiter state has %zu entries, expected %zu",
-                 pri.size(), static_cast<std::size_t>(n_) * n_);
+  ar.VecBool(pri, "matrix arbiter state");
+  if (!ar.loading()) return;
   std::fill(beaters_of_.begin(), beaters_of_.end(), 0);
-  for (int i = 0; i < n_; ++i) {
-    for (int j = 0; j < n_; ++j) {
-      if (pri[static_cast<std::size_t>(i) * n_ + j]) {
-        beaters_of_[static_cast<std::size_t>(j) * words_ +
-                    i / bits::kWordBits] |=
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      if (pri[i * n + j]) {
+        beaters_of_[j * words_ + i / bits::kWordBits] |=
             std::uint64_t{1} << (i % bits::kWordBits);
       }
     }

@@ -23,8 +23,7 @@
 
 namespace vixnoc {
 
-class SnapshotReader;
-class SnapshotWriter;
+class StateArchive;
 
 class Arbiter {
  public:
@@ -48,11 +47,10 @@ class Arbiter {
   /// Reset priority state to the post-construction value.
   virtual void Reset() = 0;
 
-  /// Checkpoint/restore of the priority state (snapshot/snapshot.hpp).
+  /// Checkpoint/restore of the priority state (snapshot/state_archive.hpp).
   /// Restoring makes subsequent Pick/Commit sequences bitwise identical to
   /// an arbiter that never stopped.
-  virtual void SaveState(SnapshotWriter& w) const = 0;
-  virtual void LoadState(SnapshotReader& r) = 0;
+  virtual void Visit(StateArchive& ar) = 0;
 
  protected:
   // Movable so allocators can hold their concrete arbiters by value.
@@ -83,8 +81,7 @@ class RoundRobinArbiter final : public Arbiter {
     next_priority_ = bits::NextWrapped(winner, n_);
   }
   void Reset() override { next_priority_ = 0; }
-  void SaveState(SnapshotWriter& w) const override;
-  void LoadState(SnapshotReader& r) override;
+  void Visit(StateArchive& ar) override;
 
   int PriorityPointer() const { return next_priority_; }
 
@@ -110,8 +107,7 @@ class MatrixArbiter final : public Arbiter {
   }
   void Commit(int winner) override;
   void Reset() override;
-  void SaveState(SnapshotWriter& w) const override;
-  void LoadState(SnapshotReader& r) override;
+  void Visit(StateArchive& ar) override;
 
  private:
   int words_ = 0;  // words per column mask

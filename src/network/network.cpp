@@ -1,12 +1,12 @@
 #include "network/network.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/error.hpp"
 #include "router/vc_assign.hpp"
 #include "routing/registry.hpp"
-#include "snapshot/snapshot.hpp"
-#include "snapshot/state_io.hpp"
+#include "snapshot/state_archive.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace vixnoc {
@@ -514,163 +514,108 @@ std::uint64_t Network::StructureFingerprint() const {
 
 void Network::SaveState(SnapshotWriter& w) const {
   CatchUpAll();
-  w.U64(now_);
-  w.U64(last_progress_);
-  w.U64(next_packet_id_);
-  w.U64(InFlightEvents());
-  // Event wheel. A slot's index determines its due cycle relative to now_
-  // (slot = cycle % wheel size), and the wheel size is a pure function of
-  // the link delays covered by the structure fingerprint, so serializing
-  // slot-by-slot round-trips exactly. Each event is encoded with a flit,
-  // the empty Flit{} for a credit, so the bytes do not depend on where
-  // the wheel keeps its payloads.
-  w.U32(static_cast<std::uint32_t>(wheel_.size()));
-  for (const LinkSlot& slot : wheel_) {
-    w.U32(static_cast<std::uint32_t>(slot.events.size()));
-    const Flit* payload = slot.flits.data();
-    for (const LinkEvent& ev : slot.events) {
-      w.U8(static_cast<std::uint8_t>(ev.kind));
-      w.I32(ev.target);
-      w.I32(ev.port);
-      w.I32(ev.vc);
-      SaveFlit(w, ev.IsFlit() ? *payload++ : Flit{});
-    }
-  }
-  for (const NodeCounters& c : counters_) SaveNodeCounters(w, c);
-  for (const Ni& ni : nis_) {
-    w.U32(static_cast<std::uint32_t>(ni.source_queue.size()));
-    for (const PendingPacket& p : ni.source_queue) {
-      w.U64(p.id);
-      w.I32(p.dst);
-      w.I32(p.size);
-      w.U64(p.created);
-      w.U64(p.user_tag);
-      w.I32(p.msg_class);
-    }
-    w.U32(static_cast<std::uint32_t>(ni.active.size()));
-    for (const ActiveTx& tx : ni.active) {
-      w.U64(tx.id);
-      w.I32(tx.dst);
-      w.I32(tx.size);
-      w.I32(tx.sent);
-      w.U64(tx.created);
-      w.U64(tx.injected);
-      w.U64(tx.user_tag);
-      w.I32(tx.route_out);
-      w.I32(tx.vc);
-      w.I32(tx.msg_class);
-    }
-    w.VecI32(ni.credits);
-    w.VecBool(ni.vc_busy);
-    w.I32(ni.rr);
-    w.VecU64(ni.corrupted_partial);
-    SaveRng(w, ni.vc_rng);
-  }
-  for (const auto& router : routers_) router->SaveState(w);
+  StateArchive ar(w);
+  const_cast<Network*>(this)->Visit(ar);  // saving only reads
 }
 
 void Network::LoadState(SnapshotReader& r) {
-  now_ = r.U64();
-  last_progress_ = r.U64();
-  next_packet_id_ = r.U64();
-  const std::uint64_t in_flight = r.U64();
-  const std::uint32_t num_slots = r.U32();
-  VIXNOC_REQUIRE(num_slots == wheel_.size(),
-                 "restored event wheel has %u slots, this network has %zu "
-                 "(link delays differ)",
-                 num_slots, wheel_.size());
-  now_slot_ = static_cast<std::size_t>(now_ % wheel_.size());
-  std::uint64_t counted = 0;
+  StateArchive ar(r);
+  Visit(ar);
+}
+
+void Network::Visit(StateArchive& ar) {
+  const RouterConfig& rc = params_.router;
+  const int radix = topology_->Radix();
+  const int max_size = std::numeric_limits<std::uint16_t>::max() + 1;
+  ar.U64(now_);
+  ar.U64(last_progress_);
+  ar.U64(next_packet_id_);
+  std::uint64_t in_flight = InFlightEvents();
+  ar.U64(in_flight);
+  // Event wheel. A slot's index determines its due cycle relative to now_
+  // (slot = cycle % wheel size), and the wheel size is a pure function of
+  // the link delays covered by the structure fingerprint, so serializing
+  // slot-by-slot round-trips exactly. Each event is stored with a flit,
+  // the empty Flit{} for a credit, so the bytes do not depend on where
+  // the wheel keeps its payloads. DeliverDue indexes routers, NIs, ports
+  // and VCs with the header fields unchecked.
+  auto num_slots = static_cast<std::uint32_t>(wheel_.size());
+  ar.U32(num_slots);
+  ar.Require(num_slots == wheel_.size(),
+             "restored event wheel has %u slots, this network has %zu (link "
+             "delays differ)",
+             num_slots, wheel_.size());
   for (LinkSlot& slot : wheel_) {
-    slot.Clear();
-    // kind u8 + target/port/vc i32 + the encoded flit.
-    const std::uint32_t n = r.CountU32(1 + 3 * 4 + kFlitBytes);
-    slot.events.reserve(n);
-    for (std::uint32_t i = 0; i < n; ++i) {
-      LinkEvent ev;
-      const std::uint8_t kind = r.U8();
-      VIXNOC_REQUIRE(
-          kind <= static_cast<std::uint8_t>(LinkEvent::Kind::kCreditToNi),
-          "restored link event has invalid kind %u", kind);
-      ev.kind = static_cast<LinkEvent::Kind>(kind);
-      ev.target = r.I32();
-      ev.port = r.I32();
-      ev.vc = r.I32();
-      // DeliverDue indexes routers, NIs, ports and VCs with these unchecked.
+    if (ar.loading()) slot.flits.clear();
+    const Flit* payload = slot.flits.data();
+    // kind u8 + target/port/vc i32 + the stored flit.
+    ar.List(slot.events, 1 + 3 * 4 + kFlitBytes, [&](LinkEvent& ev) {
+      ar.Enum8(ev.kind, LinkEvent::Kind::kCreditToNi, "link event kind");
       const bool to_router = ev.kind == LinkEvent::Kind::kFlitToRouter ||
                              ev.kind == LinkEvent::Kind::kCreditToRouter;
-      VIXNOC_REQUIRE(
-          ev.target >= 0 &&
-              ev.target < (to_router ? NumRouters() : NumNodes()) &&
-              (!to_router || (ev.port >= 0 && ev.port < topology_->Radix())) &&
-              (ev.IsFlit() || (ev.vc >= 0 && ev.vc < params_.router.num_vcs)),
-          "restored link event (kind %u) targets %d, port %d, VC %d out of "
-          "range",
-          kind, ev.target, ev.port, ev.vc);
-      const Flit flit = LoadFlit(r);  // Flit{} after a credit: dropped
-      slot.events.push_back(ev);
-      if (ev.IsFlit()) slot.flits.push_back(flit);
-    }
-    counted += n;
+      ar.I32(ev.target, 0, to_router ? NumRouters() : NumNodes(),
+             "link event target");
+      ar.I32(ev.port, to_router ? 0 : kInvalidPort,
+             to_router ? radix : kInvalidPort + 1, "link event port");
+      ar.I32(ev.vc, ev.IsFlit() ? kInvalidVc : 0,
+             ev.IsFlit() ? kInvalidVc + 1 : rc.num_vcs, "link event VC");
+      Flit flit = ar.loading() || !ev.IsFlit() ? Flit{} : *payload++;
+      ar.Object(flit);
+      if (!ev.IsFlit()) return;  // a credit's Flit{} is dropped
+      ar.Require(flit.src >= 0 && flit.src < NumNodes() &&
+                     (ev.kind == LinkEvent::Kind::kFlitToNi ||
+                      (flit.vc >= 0 && flit.vc < rc.num_vcs &&
+                       flit.route_out >= 0 && flit.route_out < radix)),
+                 "restored flit on a link has source %d, vc %d, route %d "
+                 "out of range",
+                 flit.src, flit.vc, flit.route_out);
+      if (ar.loading()) slot.flits.push_back(flit);
+    });
   }
-  VIXNOC_REQUIRE(counted == in_flight,
-                 "restored wheel holds %llu events but the checkpoint "
-                 "recorded %llu in flight",
-                 static_cast<unsigned long long>(counted),
-                 static_cast<unsigned long long>(in_flight));
-  for (NodeCounters& c : counters_) LoadNodeCounters(r, &c);
+  for (NodeCounters& c : counters_) ar.Object(c);
   for (Ni& ni : nis_) {
-    ni.source_queue.clear();
-    ni.front_routed = false;
-    ni.front_parked = false;
-    const std::uint32_t nq = r.U32();
-    for (std::uint32_t i = 0; i < nq; ++i) {
-      PendingPacket p;
-      p.id = r.U64();
-      p.dst = r.I32();
-      p.size = r.I32();
-      p.created = r.U64();
-      p.user_tag = r.U64();
-      p.msg_class = r.I32();
-      ni.source_queue.push_back(std::move(p));
-    }
-    ni.active.clear();
+    // Three u64 and three i32 fields per queued packet.
+    ar.List(ni.source_queue, 3 * 8 + 3 * 4, [&](PendingPacket& p) {
+      ar.U64(p.id);
+      ar.I32(p.dst, 0, NumNodes(), "queued packet destination");
+      ar.I32(p.size, 1, max_size, "queued packet size");
+      ar.U64(p.created);
+      ar.U64(p.user_tag);
+      ar.I32(p.msg_class, 0, rc.num_message_classes, "queued packet class");
+    });
     // Four u64 and six i32 fields per transmission.
-    const std::uint32_t na = r.CountU32(4 * 8 + 6 * 4);
-    ni.active.reserve(na);
-    for (std::uint32_t i = 0; i < na; ++i) {
-      ActiveTx tx;
-      tx.id = r.U64();
-      tx.dst = r.I32();
-      tx.size = r.I32();
-      tx.sent = r.I32();
-      tx.created = r.U64();
-      tx.injected = r.U64();
-      tx.user_tag = r.U64();
-      tx.route_out = r.I32();
-      tx.vc = r.I32();
-      tx.msg_class = r.I32();
-      ni.active.push_back(std::move(tx));
-    }
-    std::vector<int> credits = r.VecI32();
-    VIXNOC_REQUIRE(credits.size() == ni.credits.size(),
-                   "restored NI credit vector has %zu VCs, expected %zu",
-                   credits.size(), ni.credits.size());
-    ni.credits = std::move(credits);
-    std::vector<bool> busy = r.VecBool();
-    VIXNOC_REQUIRE(busy.size() == ni.vc_busy.size(),
-                   "restored NI vc_busy vector has %zu VCs, expected %zu",
-                   busy.size(), ni.vc_busy.size());
-    ni.vc_busy = std::move(busy);
-    ni.rr = r.I32();
-    VIXNOC_REQUIRE(ni.rr >= 0 && ni.rr < std::max<int>(1, ni.active.size()),
-                   "restored NI round-robin pointer %d outside its %zu "
-                   "transmissions",
-                   ni.rr, ni.active.size());
-    ni.corrupted_partial = r.VecU64();
-    LoadRng(r, &ni.vc_rng);
+    ar.List(ni.active, 4 * 8 + 6 * 4, [&](ActiveTx& tx) {
+      ar.U64(tx.id);
+      ar.I32(tx.dst, 0, NumNodes(), "transmission destination");
+      ar.I32(tx.size, 1, max_size, "transmission size");
+      ar.I32(tx.sent, 0, tx.size, "transmission flits sent");
+      ar.U64(tx.created);
+      ar.U64(tx.injected);
+      ar.U64(tx.user_tag);
+      ar.I32(tx.route_out, 0, radix, "transmission route");
+      ar.Require(routers_[ni.router]->link(tx.route_out).IsConnected(),
+                 "restored transmission routes to unconnected port %d",
+                 tx.route_out);
+      ar.I32(tx.vc, 0, rc.num_vcs, "transmission VC");
+      ar.I32(tx.msg_class, 0, rc.num_message_classes, "transmission class");
+    });
+    ar.VecI32(ni.credits, 0, rc.buffer_depth + 1, "NI credits");
+    ar.VecBool(ni.vc_busy, "NI vc_busy vector");
+    ar.I32(ni.rr, 0, std::max<int>(1, ni.active.size()),
+           "NI round-robin pointer");
+    ar.VecU64(ni.corrupted_partial);
+    ar.Object(ni.vc_rng);
   }
-  for (auto& router : routers_) router->LoadState(r);
+  for (auto& router : routers_) router->Visit(ar);
+  if (!ar.loading()) return;
+
+  ar.Require(InFlightEvents() == in_flight,
+             "restored wheel holds %llu events but the checkpoint recorded "
+             "%llu in flight",
+             static_cast<unsigned long long>(InFlightEvents()),
+             static_cast<unsigned long long>(in_flight));
+  now_slot_ = static_cast<std::size_t>(now_ % wheel_.size());
+  for (Ni& ni : nis_) ni.front_routed = ni.front_parked = false;
   awake_.SetAll();  // each sleeps again after its first idle Step
   // Fault masks are a pure function of (fault model, now_) plus the
   // permanent blocks installed at construction; transient masks are

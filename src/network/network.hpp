@@ -34,6 +34,7 @@ namespace vixnoc {
 
 class SnapshotReader;
 class SnapshotWriter;
+class StateArchive;
 class TelemetryCollector;
 
 /// Timing of the links around the 3-stage router pipeline (Fig 6b).
@@ -249,6 +250,9 @@ class Network {
                    std::size_t event_mark, std::size_t flit_mark);
   /// Link events in the wheel: flits and credits on their links.
   std::uint64_t InFlightEvents() const;
+  /// The stored state behind SaveState/LoadState, each field once with its
+  /// bound; a load then rebuilds the derived state.
+  void Visit(StateArchive& ar);
   void StepNi(Ni& ni);
   void HandleEjectedFlit(Ni& ni, const Flit& flit);
   void UpdateFaultMasks();

@@ -8,8 +8,7 @@
 
 namespace vixnoc {
 
-class SnapshotReader;
-class SnapshotWriter;
+class StateArchive;
 
 enum class FlitType : std::uint8_t {
   kHead,      ///< first flit of a multi-flit packet; carries routing info
@@ -69,10 +68,10 @@ struct Flit {
 };
 
 /// Checkpoint encoding of a flit, field by field in declaration order
-/// (implemented in router.cpp).
-void SaveFlit(SnapshotWriter& w, const Flit& f);
-Flit LoadFlit(SnapshotReader& r);
-/// Bytes SaveFlit writes per flit: the lower bound decoders check element
+/// (implemented in router.cpp). Only the type is bounded here; where the
+/// flit sits bounds the rest.
+void Visit(StateArchive& ar, Flit& f);
+/// Bytes a stored flit takes: the lower bound decoders check element
 /// counts against before reserving.
 inline constexpr std::size_t kFlitBytes = 56;
 

@@ -4,8 +4,7 @@
 
 #include "alloc/augmenting_path.hpp"
 #include "common/error.hpp"
-#include "snapshot/snapshot.hpp"
-#include "snapshot/state_io.hpp"
+#include "snapshot/state_archive.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace vixnoc {
@@ -635,173 +634,113 @@ int Router::CreditStalledVcs() const {
   return stalled;
 }
 
-void SaveFlit(SnapshotWriter& w, const Flit& f) {
-  w.U64(f.packet_id);
-  w.I32(f.src);
-  w.I32(f.dst);
-  w.U8(static_cast<std::uint8_t>(f.type));
-  w.U16(f.seq);
-  w.U16(f.packet_size);
-  w.U64(f.created);
-  w.U64(f.injected);
-  w.I32(f.vc);
-  w.I32(f.route_out);
-  w.U64(f.user_tag);
-  w.U8(f.msg_class);
-  w.U8(f.dateline);
-  w.B(f.corrupted);
+void Visit(StateArchive& ar, Flit& f) {
+  ar.U64(f.packet_id);
+  ar.I32(f.src);
+  ar.I32(f.dst);
+  ar.Enum8(f.type, FlitType::kHeadTail, "flit type");
+  ar.U16(f.seq);
+  ar.U16(f.packet_size);
+  ar.U64(f.created);
+  ar.U64(f.injected);
+  ar.I32(f.vc);
+  ar.I32(f.route_out);
+  ar.U64(f.user_tag);
+  ar.U8(f.msg_class);
+  ar.U8(f.dateline);
+  ar.B(f.corrupted);
 }
 
-Flit LoadFlit(SnapshotReader& r) {
-  Flit f;
-  f.packet_id = r.U64();
-  f.src = r.I32();
-  f.dst = r.I32();
-  const std::uint8_t type = r.U8();
-  VIXNOC_REQUIRE(type <= static_cast<std::uint8_t>(FlitType::kHeadTail),
-                 "restored flit has invalid type %u", type);
-  f.type = static_cast<FlitType>(type);
-  f.seq = r.U16();
-  f.packet_size = r.U16();
-  f.created = r.U64();
-  f.injected = r.U64();
-  f.vc = r.I32();
-  f.route_out = r.I32();
-  f.user_tag = r.U64();
-  f.msg_class = r.U8();
-  f.dateline = r.U8();
-  f.corrupted = r.B();
-  return f;
+void Visit(StateArchive& ar, RouterActivity& a) {
+  ar.U64(a.buffer_writes);
+  ar.U64(a.buffer_reads);
+  ar.U64(a.xbar_traversals);
+  ar.U64(a.link_flits);
+  ar.U64(a.sa_requests);
+  ar.U64(a.sa_grants);
+  ar.U64(a.va_requests);
+  ar.U64(a.va_grants);
+  ar.U64(a.cycles);
+  ar.U64(a.cycles_with_requests);
 }
 
-void SaveRouterActivity(SnapshotWriter& w, const RouterActivity& a) {
-  w.U64(a.buffer_writes);
-  w.U64(a.buffer_reads);
-  w.U64(a.xbar_traversals);
-  w.U64(a.link_flits);
-  w.U64(a.sa_requests);
-  w.U64(a.sa_grants);
-  w.U64(a.va_requests);
-  w.U64(a.va_grants);
-  w.U64(a.cycles);
-  w.U64(a.cycles_with_requests);
-}
-
-RouterActivity LoadRouterActivity(SnapshotReader& r) {
-  RouterActivity a;
-  a.buffer_writes = r.U64();
-  a.buffer_reads = r.U64();
-  a.xbar_traversals = r.U64();
-  a.link_flits = r.U64();
-  a.sa_requests = r.U64();
-  a.sa_grants = r.U64();
-  a.va_requests = r.U64();
-  a.va_grants = r.U64();
-  a.cycles = r.U64();
-  a.cycles_with_requests = r.U64();
-  return a;
-}
-
-void Router::SaveState(SnapshotWriter& w) const {
-  // Input VCs: buffered flits plus the per-packet VC-allocation state. The
-  // byte layout predates the SoA storage and is kept bit-identical.
-  const int total = config_.radix * config_.num_vcs;
-  for (int idx = 0; idx < total; ++idx) {
-    w.U32(static_cast<std::uint32_t>(buf_count_[idx]));
-    for (int i = 0; i < buf_count_[idx]; ++i) {
-      SaveFlit(w, BufferedFlit(idx, i));
-    }
-    w.B(in_active_[idx] != 0);
-    w.I32(in_out_port_[idx]);
-    w.I32(in_out_vc_[idx]);
-    w.I32(in_lookahead_[idx]);
-    w.U8(in_next_dateline_[idx]);
-  }
-  // Output VCs: credit counters and allocation flags.
-  for (int ovc = 0; ovc < total; ++ovc) {
-    w.I32(credits_[ovc]);
-    w.B(ovc_owner_[ovc] >= 0);
-  }
-  w.I32(va_rr_ptr_);
-  // Encoded as SnapshotWriter::VecBool.
-  w.U64(static_cast<std::uint64_t>(total));
-  for (int idx = 0; idx < total; ++idx) w.B(just_activated_.Test(idx));
-  allocator_->SaveState(w);
-  SaveRouterActivity(w, activity_);
-  w.VecU64(flits_per_out_);
-  SaveRng(w, vc_rng_);
-}
-
-void Router::LoadState(SnapshotReader& r) {
+void Router::Visit(StateArchive& ar) {
   const int depth = config_.buffer_depth;
   const int vcs = config_.num_vcs;
   const int total = config_.radix * vcs;
-  // Every index restored here is later used unchecked on the hot path
-  // (links_, credits_, ovc_owner_), so a crafted checkpoint must fail
-  // now, as a SimError, rather than index out of bounds on the next Step.
   const auto connected_port = [&](PortId p) {
     return p >= 0 && p < config_.radix && links_[p].IsConnected();
   };
+  // Input VCs: buffered flits plus the per-packet VC-allocation state. The
+  // byte layout predates the SoA storage and is kept bit-identical.
   for (int idx = 0; idx < total; ++idx) {
-    const std::uint32_t n = r.U32();
-    VIXNOC_REQUIRE(n <= static_cast<std::uint32_t>(depth),
-                   "restored input VC holds %u flits, buffer depth is %d", n,
-                   depth);
-    buf_head_[idx] = 0;
-    buf_count_[idx] = 0;
+    auto n = static_cast<std::uint32_t>(buf_count_[idx]);
+    ar.U32(n, depth + 1, "input VC flit count");
+    if (ar.loading()) buf_head_[idx] = buf_count_[idx] = 0;
     for (std::uint32_t i = 0; i < n; ++i) {
-      const Flit f = LoadFlit(r);
-      VIXNOC_REQUIRE(f.vc == idx % vcs && connected_port(f.route_out) &&
-                         f.msg_class < config_.num_message_classes &&
-                         f.dateline <= kMaxDatelineState,
-                     "restored flit in input VC %d has vc %d, route %d, "
-                     "class %u, dateline state %u out of range",
-                     idx, f.vc, f.route_out, f.msg_class, f.dateline);
-      PushFlit(idx, f);
+      Flit f = ar.loading() ? Flit{} : BufferedFlit(idx, i);
+      ar.Object(f);
+      ar.Require(f.vc == idx % vcs && connected_port(f.route_out) &&
+                     f.msg_class < config_.num_message_classes &&
+                     f.dateline <= kMaxDatelineState,
+                 "restored flit in input VC %d has vc %d, route %d, class "
+                 "%u, dateline state %u out of range",
+                 idx, f.vc, f.route_out, f.msg_class, f.dateline);
+      if (ar.loading()) PushFlit(idx, f);
     }
-    const bool active = r.B();
-    const PortId out_port = r.I32();
-    const VcId out_vc = r.I32();
-    const PortId lookahead = r.I32();
-    const std::uint8_t next_dateline = r.U8();
-    if (active) {
-      const bool ejection =
-          connected_port(out_port) && links_[out_port].IsEjection();
-      VIXNOC_REQUIRE(
-          connected_port(out_port) && out_vc >= 0 && out_vc < vcs &&
-              (ejection ? lookahead == kInvalidPort
-                        : lookahead >= 0 && lookahead < config_.radix),
-          "restored input VC %d holds output %d, VC %d, lookahead %d out "
-          "of range",
-          idx, out_port, out_vc, lookahead);
-    } else {
-      VIXNOC_REQUIRE(out_port == kInvalidPort && out_vc == kInvalidVc &&
-                         lookahead == kInvalidPort &&
-                         (n == 0 || BufferedFlit(idx, 0).IsHead()),
-                     "restored idle input VC %d has output state or a "
-                     "non-head flit at its front",
-                     idx);
-    }
-    VIXNOC_REQUIRE(next_dateline <= kMaxDatelineState,
-                   "restored dateline state %u out of range", next_dateline);
+    bool active = in_active_[idx] != 0;
+    ar.B(active);
     in_active_[idx] = active ? 1 : 0;
-    in_out_port_[idx] = out_port;
-    in_out_vc_[idx] = out_vc;
-    in_lookahead_[idx] = lookahead;
-    in_next_dateline_[idx] = next_dateline;
+    ar.I32(in_out_port_[idx]);
+    ar.I32(in_out_vc_[idx]);
+    ar.I32(in_lookahead_[idx]);
+    ar.U8(in_next_dateline_[idx], kMaxDatelineState + 1, "dateline state");
+    const PortId out = in_out_port_[idx];
+    const PortId lookahead = in_lookahead_[idx];
+    if (active) {
+      const bool ejection = connected_port(out) && links_[out].IsEjection();
+      ar.Require(connected_port(out) && in_out_vc_[idx] >= 0 &&
+                     in_out_vc_[idx] < vcs &&
+                     (ejection ? lookahead == kInvalidPort
+                               : lookahead >= 0 && lookahead < config_.radix),
+                 "restored input VC %d holds output %d, VC %d, lookahead %d "
+                 "out of range",
+                 idx, out, in_out_vc_[idx], lookahead);
+    } else {
+      ar.Require(out == kInvalidPort && in_out_vc_[idx] == kInvalidVc &&
+                     lookahead == kInvalidPort &&
+                     (n == 0 || BufferedFlit(idx, 0).IsHead()),
+                 "restored idle input VC %d has output state or a non-head "
+                 "flit at its front",
+                 idx);
+    }
   }
-  // Output-VC allocation is stored as a flag per VC; its holder is the
-  // active input VC routed to it, so the owner map is rebuilt from the
-  // input VCs and must account for every flag exactly once.
+  // Output VCs: credit counters and allocation flags. The holder of an
+  // allocated VC is the active input VC routed to it (see RebuildOwners).
   std::vector<std::uint8_t> allocated(static_cast<std::size_t>(total));
   for (int ovc = 0; ovc < total; ++ovc) {
-    const int credits = r.I32();
-    VIXNOC_REQUIRE(credits >= 0 && credits <= depth,
-                   "restored credit count %d outside [0, %d]", credits,
-                   depth);
-    credits_[ovc] = credits;
-    allocated[ovc] = r.B() ? 1 : 0;
+    ar.I32(credits_[ovc], 0, depth + 1, "credit count");
+    bool held = ovc_owner_[ovc] >= 0;
+    ar.B(held);
+    allocated[ovc] = held ? 1 : 0;
   }
+  ar.I32(va_rr_ptr_, 0, total, "VA pointer");
+  // Stored as a VecBool.
+  std::vector<bool> just(static_cast<std::size_t>(total));
+  for (int idx = 0; idx < total; ++idx) just[idx] = just_activated_.Test(idx);
+  ar.VecBool(just, "VA-grant mask");
+  allocator_->Visit(ar);
+  ar.Object(activity_);
+  ar.VecU64(flits_per_out_, "per-output flit counters");
+  ar.Object(vc_rng_);
+  if (!ar.loading()) return;
+  for (int idx = 0; idx < total; ++idx) just_activated_.Assign(idx, just[idx]);
+  RebuildAfterLoad(allocated);
+}
+
+void Router::RebuildAfterLoad(const std::vector<std::uint8_t>& allocated) {
+  // The owner map must account for every allocation flag exactly once.
+  const int total = config_.radix * config_.num_vcs;
   std::fill(ovc_owner_.begin(), ovc_owner_.end(), -1);
   int owned = 0;
   for (int idx = 0; idx < total; ++idx) {
@@ -818,24 +757,6 @@ void Router::LoadState(SnapshotReader& r) {
                                                       allocated.end(), 1)),
                  "restored output VCs are allocated with no input VC "
                  "holding them");
-  const int ptr = r.I32();
-  VIXNOC_REQUIRE(ptr >= 0 && ptr < total,
-                 "restored VA pointer %d outside [0, %d)", ptr, total);
-  va_rr_ptr_ = ptr;
-  const std::size_t just = r.Count(1);
-  VIXNOC_REQUIRE(just == static_cast<std::size_t>(total),
-                 "restored VA-grant mask has %zu entries, expected %d", just,
-                 total);
-  for (int idx = 0; idx < total; ++idx) just_activated_.Assign(idx, r.B());
-  allocator_->LoadState(r);
-  activity_ = LoadRouterActivity(r);
-  std::vector<std::uint64_t> per_out = r.VecU64();
-  VIXNOC_REQUIRE(per_out.size() == flits_per_out_.size(),
-                 "restored per-output flit counters have %zu entries, "
-                 "expected %zu",
-                 per_out.size(), flits_per_out_.size());
-  flits_per_out_ = std::move(per_out);
-  LoadRng(r, &vc_rng_);
 
   // Candidate masks, parked heads, credit stalls and cached head routes
   // are derived state; rebuild from the restored buffers and credits.

@@ -45,6 +45,7 @@
 namespace vixnoc {
 
 class RouterTelemetry;
+class StateArchive;
 class TelemetryCollector;
 
 /// How the VA stage resolves competition for output VCs.
@@ -187,8 +188,7 @@ struct LinkSlot {
 };
 
 /// Checkpoint encoding of an activity block (implemented in router.cpp).
-void SaveRouterActivity(SnapshotWriter& w, const RouterActivity& a);
-RouterActivity LoadRouterActivity(SnapshotReader& r);
+void Visit(StateArchive& ar, RouterActivity& a);
 
 class Router {
  public:
@@ -235,7 +235,7 @@ class Router {
 
   /// True when no input VC is a VA or SA candidate: a Step would only
   /// advance the cycle counter, the VA pointer and the allocator's idle
-  /// rotation. Only AcceptFlit (or LoadState) can end it.
+  /// rotation. Only AcceptFlit (or a restore) can end it.
   bool Idle() const { return !va_cand_.Any() && !sa_cand_.Any(); }
 
   /// Replays the state change of `n` consecutive Steps of an Idle() router
@@ -279,9 +279,10 @@ class Router {
   /// and the telemetry attachment are owner-managed and excluded — the
   /// network re-derives them after restore. Restoring into a router built
   /// with the same RouterConfig and links makes subsequent Step calls
-  /// bitwise identical to a router that never stopped.
-  void SaveState(SnapshotWriter& w) const;
-  void LoadState(SnapshotReader& r);
+  /// bitwise identical to a router that never stopped. Every restored
+  /// index is bounded, so a crafted checkpoint throws SimError here rather
+  /// than overrunning on the next Step.
+  void Visit(StateArchive& ar);
 
   /// Flits sent on output port `out` since the last ClearActivity() —
   /// per-link utilization for hotspot analysis.
@@ -362,6 +363,9 @@ class Router {
   /// selects an output by local credit/occupancy state, falling back to
   /// the escape candidate so deadlock freedom is preserved.
   void ConsiderVaCandidateAdaptive(int idx, bool separable);
+  /// After a restore: rebuilds ovc_owner_ from the input VCs (checking it
+  /// against the stored allocation flags) and every derived mask.
+  void RebuildAfterLoad(const std::vector<std::uint8_t>& allocated);
   void BuildSaRequests();
   void CommitGrants(LinkSlot* flit_slot, LinkSlot* credit_slot);
   /// Records this cycle's counters and trace events into rt_/tcol_. Runs

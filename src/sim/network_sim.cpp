@@ -13,94 +13,44 @@
 #include "routing/registry.hpp"
 #include "sim/config_fields.hpp"
 #include "snapshot/snapshot.hpp"
-#include "snapshot/state_io.hpp"
+#include "snapshot/state_archive.hpp"
 #include "traffic/injection.hpp"
 
 namespace vixnoc {
 
 namespace {
 
-/// Encoded IntervalSample: start u64, accepted_ppc f64, avg_latency f64,
+/// Stored IntervalSample: start u64, accepted_ppc f64, avg_latency f64,
 /// packets u64.
 constexpr std::size_t kIntervalSampleBytes = 4 * 8;
 
 /// Scalar aggregates of a TelemetrySummary (windows and trace are handled
 /// by the callers: the checkpoint stores the collector's live state, the
-/// result cache stores them verbatim).
-void SaveTelemetryScalars(SnapshotWriter& w, const TelemetrySummary& s) {
-  w.B(s.enabled);
-  w.U64(s.cycles);
-  w.U64(s.sa_requests);
-  w.U64(s.sa_grants);
-  w.U64(s.input_arbiter_requests);
-  w.U64(s.input_arbiter_grants);
-  w.U64(s.output_arbiter_requests);
-  w.U64(s.output_arbiter_grants);
-  w.U64(s.output_conflict_cycles);
-  w.U64(s.port_multi_request_cycles);
-  w.U64(s.vin_conflict_distinct_output);
-  w.U64(s.vin_conflict_same_output);
-  w.U64(s.single_vin_serialized);
-  w.U64(s.stall_empty);
-  w.U64(s.stall_va);
-  w.U64(s.stall_credit);
-  w.U64(s.stall_sa);
-  w.U64(s.vc_moving);
-  w.F64(s.crossbar_utilization);
-  w.F64(s.same_output_conflict_rate);
-  w.F64(s.distinct_output_conflict_rate);
-  w.F64(s.mean_port_occupancy);
-  w.F64(s.p99_port_occupancy);
-}
-
-void LoadTelemetryScalars(SnapshotReader& r, TelemetrySummary* s) {
-  s->enabled = r.B();
-  s->cycles = r.U64();
-  s->sa_requests = r.U64();
-  s->sa_grants = r.U64();
-  s->input_arbiter_requests = r.U64();
-  s->input_arbiter_grants = r.U64();
-  s->output_arbiter_requests = r.U64();
-  s->output_arbiter_grants = r.U64();
-  s->output_conflict_cycles = r.U64();
-  s->port_multi_request_cycles = r.U64();
-  s->vin_conflict_distinct_output = r.U64();
-  s->vin_conflict_same_output = r.U64();
-  s->single_vin_serialized = r.U64();
-  s->stall_empty = r.U64();
-  s->stall_va = r.U64();
-  s->stall_credit = r.U64();
-  s->stall_sa = r.U64();
-  s->vc_moving = r.U64();
-  s->crossbar_utilization = r.F64();
-  s->same_output_conflict_rate = r.F64();
-  s->distinct_output_conflict_rate = r.F64();
-  s->mean_port_occupancy = r.F64();
-  s->p99_port_occupancy = r.F64();
-}
-
-void SaveSimOutcome(SnapshotWriter& w, const SimOutcome& o) {
-  w.U8(static_cast<std::uint8_t>(o.status));
-  w.Str(o.message);
-  w.U64(o.cycle);
-  w.VecU32(o.router_occupancy);
-  w.U64(o.unreachable_packets);
-  w.Str(o.checkpoint_path);
-}
-
-SimOutcome LoadSimOutcome(SnapshotReader& r) {
-  SimOutcome o;
-  const std::uint8_t status = r.U8();
-  VIXNOC_REQUIRE(
-      status <= static_cast<std::uint8_t>(SimStatus::kExecFailure),
-      "restored outcome has invalid status %u", status);
-  o.status = static_cast<SimStatus>(status);
-  o.message = r.Str();
-  o.cycle = r.U64();
-  o.router_occupancy = r.VecU32();
-  o.unreachable_packets = r.U64();
-  o.checkpoint_path = r.Str();
-  return o;
+/// result stores them verbatim).
+void VisitTelemetryScalars(StateArchive& ar, TelemetrySummary& s) {
+  ar.B(s.enabled);
+  ar.U64(s.cycles);
+  ar.U64(s.sa_requests);
+  ar.U64(s.sa_grants);
+  ar.U64(s.input_arbiter_requests);
+  ar.U64(s.input_arbiter_grants);
+  ar.U64(s.output_arbiter_requests);
+  ar.U64(s.output_arbiter_grants);
+  ar.U64(s.output_conflict_cycles);
+  ar.U64(s.port_multi_request_cycles);
+  ar.U64(s.vin_conflict_distinct_output);
+  ar.U64(s.vin_conflict_same_output);
+  ar.U64(s.single_vin_serialized);
+  ar.U64(s.stall_empty);
+  ar.U64(s.stall_va);
+  ar.U64(s.stall_credit);
+  ar.U64(s.stall_sa);
+  ar.U64(s.vc_moving);
+  ar.F64(s.crossbar_utilization);
+  ar.F64(s.same_output_conflict_rate);
+  ar.F64(s.distinct_output_conflict_rate);
+  ar.F64(s.mean_port_occupancy);
+  ar.F64(s.p99_port_occupancy);
 }
 
 // Per-type rules for the config field table walks. A scalar field is one
@@ -505,45 +455,48 @@ NetworkSimResult RunNetworkSim(const NetworkSimConfig& config) {
   // router arbitration — replays bitwise identically. Serialization only
   // reads state (no RNG draws), so saving never perturbs the run.
   const std::uint64_t config_fp = NetworkSimConfigFingerprint(config);
+  const auto visit_sim = [&](StateArchive& ar, Cycle& next) {
+    ar.U64(next, sim_end + 1, "resume cycle");
+    ar.Object(rng);
+    std::string injector_name = injector->Name();
+    ar.Str(injector_name);
+    ar.Require(injector_name == injector->Name(),
+               "checkpoint used injection process '%s', this config builds "
+               "'%s'",
+               injector_name.c_str(), injector->Name().c_str());
+    injector->Visit(ar);
+    ar.Object(latency);
+    ar.Object(net_latency);
+    ar.Object(latency_hist);
+    ar.Object(interval_latency);
+    ar.U64(interval_packets);
+    ar.U64(packets_corrupted);
+    ar.U64(last_delivery);
+    ar.U64(offered_packets);
+    ar.B(measure_window_closed);
+    for (NodeCounters& c : at_measure_start) ar.Object(c);
+    for (NodeCounters& c : at_measure_end) ar.Object(c);
+    ar.Object(activity_snapshot);
+    ar.List(result.timeline, kIntervalSampleBytes);
+    ar.U64(outcome.unreachable_packets);
+    // The counter aggregates frozen at measure_end (windows and trace are
+    // re-read from the collector after the loop).
+    bool frozen = measure_window_closed && telemetry != nullptr;
+    ar.B(frozen);
+    if (frozen) VisitTelemetryScalars(ar, result.telemetry);
+  };
   const auto serialize_sim = [&](Cycle next) {
     SnapshotWriter w;
     w.BeginSection("sim");
-    w.U64(next);
-    SaveRng(w, rng);
-    w.Str(injector->Name());
-    injector->SaveState(w);
-    SaveRunningStat(w, latency);
-    SaveRunningStat(w, net_latency);
-    SaveHistogram(w, latency_hist);
-    SaveRunningStat(w, interval_latency);
-    w.U64(interval_packets);
-    w.U64(packets_corrupted);
-    w.U64(last_delivery);
-    w.U64(offered_packets);
-    w.B(measure_window_closed);
-    for (const NodeCounters& c : at_measure_start) SaveNodeCounters(w, c);
-    for (const NodeCounters& c : at_measure_end) SaveNodeCounters(w, c);
-    SaveRouterActivity(w, activity_snapshot);
-    w.U32(static_cast<std::uint32_t>(result.timeline.size()));
-    for (const IntervalSample& s : result.timeline) {
-      w.U64(s.start);
-      w.F64(s.accepted_ppc);
-      w.F64(s.avg_latency);
-      w.U64(s.packets);
-    }
-    w.U64(outcome.unreachable_packets);
-    // The counter aggregates frozen at measure_end (windows and trace are
-    // re-read from the collector after the loop).
-    const bool frozen = measure_window_closed && telemetry != nullptr;
-    w.B(frozen);
-    if (frozen) SaveTelemetryScalars(w, result.telemetry);
+    StateArchive ar(w);
+    visit_sim(ar, next);
     w.EndSection();
     w.BeginSection("network");
     net.SaveState(w);
     w.EndSection();
     if (telemetry != nullptr) {
       w.BeginSection("telemetry");
-      telemetry->SaveState(w);
+      StateArchive::Save(w, *telemetry);
       w.EndSection();
     }
     return w.Finish(config_fp);
@@ -559,50 +512,15 @@ NetworkSimResult RunNetworkSim(const NetworkSimConfig& config) {
                    static_cast<unsigned long long>(r.fingerprint()),
                    static_cast<unsigned long long>(config_fp));
     r.OpenSection("sim");
-    start_cycle = r.U64();
-    VIXNOC_REQUIRE(start_cycle <= sim_end,
-                   "checkpoint resumes at cycle %llu, past the end of this "
-                   "run (%llu)",
-                   static_cast<unsigned long long>(start_cycle),
-                   static_cast<unsigned long long>(sim_end));
-    LoadRng(r, &rng);
-    const std::string injector_name = r.Str();
-    VIXNOC_REQUIRE(injector_name == injector->Name(),
-                   "checkpoint used injection process '%s', this config "
-                   "builds '%s'",
-                   injector_name.c_str(), injector->Name().c_str());
-    injector->LoadState(r);
-    LoadRunningStat(r, &latency);
-    LoadRunningStat(r, &net_latency);
-    LoadHistogram(r, &latency_hist);
-    LoadRunningStat(r, &interval_latency);
-    interval_packets = r.U64();
-    packets_corrupted = r.U64();
-    last_delivery = r.U64();
-    offered_packets = r.U64();
-    measure_window_closed = r.B();
-    for (NodeCounters& c : at_measure_start) LoadNodeCounters(r, &c);
-    for (NodeCounters& c : at_measure_end) LoadNodeCounters(r, &c);
-    activity_snapshot = LoadRouterActivity(r);
-    const std::uint32_t nts = r.CountU32(kIntervalSampleBytes);
-    result.timeline.reserve(nts);
-    for (std::uint32_t i = 0; i < nts; ++i) {
-      IntervalSample s;
-      s.start = r.U64();
-      s.accepted_ppc = r.F64();
-      s.avg_latency = r.F64();
-      s.packets = r.U64();
-      result.timeline.push_back(s);
-    }
-    outcome.unreachable_packets = r.U64();
-    if (r.B()) LoadTelemetryScalars(r, &result.telemetry);
+    StateArchive ar(r);
+    visit_sim(ar, start_cycle);
     r.CloseSection();
     r.OpenSection("network");
     net.LoadState(r);
     r.CloseSection();
     if (telemetry != nullptr && r.HasSection("telemetry")) {
       r.OpenSection("telemetry");
-      telemetry->LoadState(r);
+      StateArchive::Load(r, *telemetry);
       r.CloseSection();
     }
   }
@@ -806,111 +724,52 @@ std::string NetworkSimKeyBytes(const NetworkSimConfig& c) {
   return w.Finish(0);
 }
 
+void Visit(StateArchive& ar, SimOutcome& o) {
+  ar.Enum8(o.status, SimStatus::kExecFailure, "outcome status");
+  ar.Str(o.message);
+  ar.U64(o.cycle);
+  ar.VecU32(o.router_occupancy);
+  ar.U64(o.unreachable_packets);
+  ar.Str(o.checkpoint_path);
+}
+
+void Visit(StateArchive& ar, IntervalSample& s) {
+  ar.U64(s.start);
+  ar.F64(s.accepted_ppc);
+  ar.F64(s.avg_latency);
+  ar.U64(s.packets);
+}
+
+void Visit(StateArchive& ar, NetworkSimResult& r) {
+  ar.F64(r.offered_ppc);
+  ar.F64(r.accepted_ppc);
+  ar.F64(r.accepted_fpc);
+  ar.F64(r.avg_latency);
+  ar.F64(r.avg_net_latency);
+  ar.F64(r.p99_latency);
+  ar.F64(r.min_node_ppc);
+  ar.F64(r.max_node_ppc);
+  ar.F64(r.max_min_ratio);
+  ar.U64(r.packets_measured);
+  ar.B(r.saturated);
+  ar.Object(r.activity);
+  ar.U64(r.measure_cycles);
+  ar.I32(r.num_nodes);
+  ar.U64(r.packets_corrupted);
+  ar.Object(r.outcome);
+  ar.List(r.timeline, kIntervalSampleBytes);
+  VisitTelemetryScalars(ar, r.telemetry);
+  ar.List(r.telemetry.windows, kTelemetryWindowBytes);
+  ar.List(r.telemetry.trace, kPacketTraceEventBytes);
+}
+
 void SaveNetworkSimResult(SnapshotWriter& w, const NetworkSimResult& r) {
-  w.F64(r.offered_ppc);
-  w.F64(r.accepted_ppc);
-  w.F64(r.accepted_fpc);
-  w.F64(r.avg_latency);
-  w.F64(r.avg_net_latency);
-  w.F64(r.p99_latency);
-  w.F64(r.min_node_ppc);
-  w.F64(r.max_node_ppc);
-  w.F64(r.max_min_ratio);
-  w.U64(r.packets_measured);
-  w.B(r.saturated);
-  SaveRouterActivity(w, r.activity);
-  w.U64(r.measure_cycles);
-  w.I32(r.num_nodes);
-  w.U64(r.packets_corrupted);
-  SaveSimOutcome(w, r.outcome);
-  w.U32(static_cast<std::uint32_t>(r.timeline.size()));
-  for (const IntervalSample& s : r.timeline) {
-    w.U64(s.start);
-    w.F64(s.accepted_ppc);
-    w.F64(s.avg_latency);
-    w.U64(s.packets);
-  }
-  SaveTelemetryScalars(w, r.telemetry);
-  w.U32(static_cast<std::uint32_t>(r.telemetry.windows.size()));
-  for (const TelemetryWindow& win : r.telemetry.windows) {
-    w.U64(win.start);
-    w.U64(win.width);
-    w.U64(win.sa_requests);
-    w.U64(win.sa_grants);
-    w.U64(win.vin_conflicts_distinct);
-    w.U64(win.vin_conflicts_same);
-    w.U64(win.packets_ejected);
-  }
-  w.U32(static_cast<std::uint32_t>(r.telemetry.trace.size()));
-  for (const PacketTraceEvent& ev : r.telemetry.trace) {
-    w.U64(ev.packet);
-    w.U8(static_cast<std::uint8_t>(ev.kind));
-    w.U64(ev.cycle);
-    w.I32(ev.router);
-    w.I32(ev.src);
-    w.I32(ev.dst);
-  }
+  StateArchive::Save(w, r);
 }
 
 NetworkSimResult LoadNetworkSimResult(SnapshotReader& r) {
   NetworkSimResult out;
-  out.offered_ppc = r.F64();
-  out.accepted_ppc = r.F64();
-  out.accepted_fpc = r.F64();
-  out.avg_latency = r.F64();
-  out.avg_net_latency = r.F64();
-  out.p99_latency = r.F64();
-  out.min_node_ppc = r.F64();
-  out.max_node_ppc = r.F64();
-  out.max_min_ratio = r.F64();
-  out.packets_measured = r.U64();
-  out.saturated = r.B();
-  out.activity = LoadRouterActivity(r);
-  out.measure_cycles = r.U64();
-  out.num_nodes = r.I32();
-  out.packets_corrupted = r.U64();
-  out.outcome = LoadSimOutcome(r);
-  const std::uint32_t nts = r.CountU32(kIntervalSampleBytes);
-  out.timeline.reserve(nts);
-  for (std::uint32_t i = 0; i < nts; ++i) {
-    IntervalSample s;
-    s.start = r.U64();
-    s.accepted_ppc = r.F64();
-    s.avg_latency = r.F64();
-    s.packets = r.U64();
-    out.timeline.push_back(s);
-  }
-  LoadTelemetryScalars(r, &out.telemetry);
-  const std::uint32_t nw = r.CountU32(7 * 8);  // seven u64 fields
-  out.telemetry.windows.reserve(nw);
-  for (std::uint32_t i = 0; i < nw; ++i) {
-    TelemetryWindow win;
-    win.start = r.U64();
-    win.width = r.U64();
-    win.sa_requests = r.U64();
-    win.sa_grants = r.U64();
-    win.vin_conflicts_distinct = r.U64();
-    win.vin_conflicts_same = r.U64();
-    win.packets_ejected = r.U64();
-    out.telemetry.windows.push_back(win);
-  }
-  // packet u64, kind u8, cycle u64, router/src/dst i32.
-  const std::uint32_t nt = r.CountU32(8 + 1 + 8 + 3 * 4);
-  out.telemetry.trace.reserve(nt);
-  for (std::uint32_t i = 0; i < nt; ++i) {
-    PacketTraceEvent ev;
-    ev.packet = r.U64();
-    const std::uint8_t kind = r.U8();
-    VIXNOC_REQUIRE(kind <= static_cast<std::uint8_t>(
-                               PacketTraceEvent::Kind::kEject),
-                   "restored trace event has invalid kind %u", kind);
-    ev.kind = static_cast<PacketTraceEvent::Kind>(kind);
-    ev.cycle = r.U64();
-    ev.router = r.I32();
-    ev.src = r.I32();
-    ev.dst = r.I32();
-    out.telemetry.trace.push_back(ev);
-  }
+  StateArchive::Load(r, out);
   return out;
 }
 

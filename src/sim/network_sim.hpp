@@ -20,6 +20,7 @@ namespace vixnoc {
 
 class SnapshotReader;
 class SnapshotWriter;
+class StateArchive;
 
 /// How a simulation point ended. Anything but kOk means the metric fields
 /// of the result must not be trusted as steady-state measurements.
@@ -244,5 +245,11 @@ NetworkSimConfig LoadNetworkSimConfig(SnapshotReader& r);
 /// result cache to resume partially completed sweeps.
 void SaveNetworkSimResult(SnapshotWriter& w, const NetworkSimResult& result);
 NetworkSimResult LoadNetworkSimResult(SnapshotReader& r);
+
+/// The stored forms behind them (snapshot/state_archive.hpp); checkpoints
+/// share the outcome and interval-sample ones.
+void Visit(StateArchive& ar, SimOutcome& o);
+void Visit(StateArchive& ar, IntervalSample& s);
+void Visit(StateArchive& ar, NetworkSimResult& r);
 
 }  // namespace vixnoc

@@ -4,7 +4,7 @@
 
 #include "common/error.hpp"
 #include "snapshot/snapshot.hpp"
-#include "snapshot/state_io.hpp"
+#include "snapshot/state_archive.hpp"
 
 namespace vixnoc {
 
@@ -78,18 +78,24 @@ NetworkSimResult RunTraceSim(const NetworkSimConfig& config,
     trace_fp = Fnv1a64(text.data(), text.size(),
                        NetworkSimConfigFingerprint(config));
   }
+  const auto visit_sim = [&](StateArchive& ar, Cycle& next) {
+    ar.U64(next, sim_end + 1, "resume cycle");
+    std::uint64_t position = replayer.position();
+    ar.U64(position, trace.size() + 1, "trace replay position");
+    if (ar.loading()) replayer.set_position(position);
+    ar.Object(latency);
+    ar.Object(net_latency);
+    ar.Object(latency_hist);
+    ar.U64(offered);
+    for (NodeCounters& c : at_start) ar.Object(c);
+    for (NodeCounters& c : at_end) ar.Object(c);
+    ar.Object(activity_snapshot);
+  };
   const auto serialize_sim = [&](Cycle next) {
     SnapshotWriter w;
     w.BeginSection("trace_sim");
-    w.U64(next);
-    w.U64(static_cast<std::uint64_t>(replayer.position()));
-    SaveRunningStat(w, latency);
-    SaveRunningStat(w, net_latency);
-    SaveHistogram(w, latency_hist);
-    w.U64(offered);
-    for (const NodeCounters& c : at_start) SaveNodeCounters(w, c);
-    for (const NodeCounters& c : at_end) SaveNodeCounters(w, c);
-    SaveRouterActivity(w, activity_snapshot);
+    StateArchive ar(w);
+    visit_sim(ar, next);
     w.EndSection();
     w.BeginSection("network");
     net.SaveState(w);
@@ -108,20 +114,8 @@ NetworkSimResult RunTraceSim(const NetworkSimConfig& config,
                    static_cast<unsigned long long>(r.fingerprint()),
                    static_cast<unsigned long long>(trace_fp));
     r.OpenSection("trace_sim");
-    start_cycle = r.U64();
-    VIXNOC_REQUIRE(start_cycle <= sim_end,
-                   "checkpoint resumes at cycle %llu, past the end of this "
-                   "run (%llu)",
-                   static_cast<unsigned long long>(start_cycle),
-                   static_cast<unsigned long long>(sim_end));
-    replayer.set_position(static_cast<std::size_t>(r.U64()));
-    LoadRunningStat(r, &latency);
-    LoadRunningStat(r, &net_latency);
-    LoadHistogram(r, &latency_hist);
-    offered = r.U64();
-    for (NodeCounters& c : at_start) LoadNodeCounters(r, &c);
-    for (NodeCounters& c : at_end) LoadNodeCounters(r, &c);
-    activity_snapshot = LoadRouterActivity(r);
+    StateArchive ar(r);
+    visit_sim(ar, start_cycle);
     r.CloseSection();
     r.OpenSection("network");
     net.LoadState(r);

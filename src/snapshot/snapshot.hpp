@@ -111,12 +111,14 @@ class SnapshotReader {
   /// `elem_size`-byte (at least) elements; call it before reserve().
   std::uint32_t CountU32(std::size_t elem_size);
 
+  /// Throws SimError naming the open section and offset.
+  [[noreturn]] void Fail(const std::string& why) const;
+
  private:
   std::size_t CheckCount(std::uint64_t n, std::size_t elem_size) const;
   struct Section {
     std::string payload;
   };
-  [[noreturn]] void Fail(const std::string& why) const;
   const std::string& Payload() const;
 
   std::vector<std::pair<std::string, Section>> sections_;

@@ -4,7 +4,7 @@
 
 #include "common/check.hpp"
 #include "common/error.hpp"
-#include "snapshot/snapshot.hpp"
+#include "snapshot/state_archive.hpp"
 
 namespace vixnoc {
 
@@ -314,173 +314,67 @@ void TelemetryCollector::WriteTraceJsonl(std::FILE* f) const {
   for (const PacketTraceEvent& ev : trace_) WriteTraceEventJson(f, ev);
 }
 
-namespace {
-
-void SavePortConflicts(SnapshotWriter& w, const PortConflictCounters& c) {
-  w.U64(c.multi_request_cycles);
-  w.U64(c.vin_distinct_output_cycles);
-  w.U64(c.vin_same_output_cycles);
-  w.U64(c.single_vin_serialized_cycles);
+void Visit(StateArchive& ar, PacketTraceEvent& ev) {
+  ar.U64(ev.packet);
+  ar.Enum8(ev.kind, PacketTraceEvent::Kind::kEject, "trace event kind");
+  ar.U64(ev.cycle);
+  ar.I32(ev.router);
+  ar.I32(ev.src);
+  ar.I32(ev.dst);
 }
 
-PortConflictCounters LoadPortConflicts(SnapshotReader& r) {
-  PortConflictCounters c;
-  c.multi_request_cycles = r.U64();
-  c.vin_distinct_output_cycles = r.U64();
-  c.vin_same_output_cycles = r.U64();
-  c.single_vin_serialized_cycles = r.U64();
-  return c;
+void Visit(StateArchive& ar, TelemetryWindow& win) {
+  ar.U64(win.start);
+  ar.U64(win.width);
+  ar.U64(win.sa_requests);
+  ar.U64(win.sa_grants);
+  ar.U64(win.vin_conflicts_distinct);
+  ar.U64(win.vin_conflicts_same);
+  ar.U64(win.packets_ejected);
 }
 
-void SaveVcStalls(SnapshotWriter& w, const VcStallCounters& c) {
-  w.U64(c.empty);
-  w.U64(c.va_stall);
-  w.U64(c.credit_stall);
-  w.U64(c.sa_stall);
-  w.U64(c.moving);
+void RouterTelemetry::Visit(StateArchive& ar) {
+  ar.VecU64(alloc.input_requests, "telemetry input_requests");
+  ar.VecU64(alloc.input_grants, "telemetry input_grants");
+  ar.VecU64(alloc.output_requests, "telemetry output_requests");
+  ar.VecU64(alloc.output_grants, "telemetry output_grants");
+  ar.U64(alloc.output_conflict_cycles);
+  ar.FixedList(port_conflicts, "telemetry port_conflicts",
+               [&](PortConflictCounters& c) {
+                 ar.U64(c.multi_request_cycles);
+                 ar.U64(c.vin_distinct_output_cycles);
+                 ar.U64(c.vin_same_output_cycles);
+                 ar.U64(c.single_vin_serialized_cycles);
+               });
+  ar.FixedList(vc_stalls, "telemetry vc_stalls", [&](VcStallCounters& c) {
+    ar.U64(c.empty);
+    ar.U64(c.va_stall);
+    ar.U64(c.credit_stall);
+    ar.U64(c.sa_stall);
+    ar.U64(c.moving);
+  });
+  ar.VecU64(grants_per_out, "telemetry grants_per_out");
+  ar.VecU64(occupancy_counts_, "telemetry occupancy histogram");
+  ar.U64(cycles);
+  ar.U64(sa_requests);
+  ar.U64(sa_grants);
 }
 
-VcStallCounters LoadVcStalls(SnapshotReader& r) {
-  VcStallCounters c;
-  c.empty = r.U64();
-  c.va_stall = r.U64();
-  c.credit_stall = r.U64();
-  c.sa_stall = r.U64();
-  c.moving = r.U64();
-  return c;
-}
-
-void CheckSameSize(std::size_t got, std::size_t expected, const char* what) {
-  VIXNOC_REQUIRE(got == expected,
-                 "restored telemetry %s has %zu entries, expected %zu", what,
-                 got, expected);
-}
-
-}  // namespace
-
-void RouterTelemetry::SaveState(SnapshotWriter& w) const {
-  w.VecU64(alloc.input_requests);
-  w.VecU64(alloc.input_grants);
-  w.VecU64(alloc.output_requests);
-  w.VecU64(alloc.output_grants);
-  w.U64(alloc.output_conflict_cycles);
-  w.U32(static_cast<std::uint32_t>(port_conflicts.size()));
-  for (const PortConflictCounters& c : port_conflicts) SavePortConflicts(w, c);
-  w.U32(static_cast<std::uint32_t>(vc_stalls.size()));
-  for (const VcStallCounters& c : vc_stalls) SaveVcStalls(w, c);
-  w.VecU64(grants_per_out);
-  w.VecU64(occupancy_counts_);
-  w.U64(cycles);
-  w.U64(sa_requests);
-  w.U64(sa_grants);
-}
-
-void RouterTelemetry::LoadState(SnapshotReader& r) {
-  std::vector<std::uint64_t> v = r.VecU64();
-  CheckSameSize(v.size(), alloc.input_requests.size(), "input_requests");
-  alloc.input_requests = std::move(v);
-  v = r.VecU64();
-  CheckSameSize(v.size(), alloc.input_grants.size(), "input_grants");
-  alloc.input_grants = std::move(v);
-  v = r.VecU64();
-  CheckSameSize(v.size(), alloc.output_requests.size(), "output_requests");
-  alloc.output_requests = std::move(v);
-  v = r.VecU64();
-  CheckSameSize(v.size(), alloc.output_grants.size(), "output_grants");
-  alloc.output_grants = std::move(v);
-  alloc.output_conflict_cycles = r.U64();
-  const std::uint32_t npc = r.U32();
-  CheckSameSize(npc, port_conflicts.size(), "port_conflicts");
-  for (auto& c : port_conflicts) c = LoadPortConflicts(r);
-  const std::uint32_t nvs = r.U32();
-  CheckSameSize(nvs, vc_stalls.size(), "vc_stalls");
-  for (auto& c : vc_stalls) c = LoadVcStalls(r);
-  v = r.VecU64();
-  CheckSameSize(v.size(), grants_per_out.size(), "grants_per_out");
-  grants_per_out = std::move(v);
-  v = r.VecU64();
-  CheckSameSize(v.size(), occupancy_counts_.size(), "occupancy histogram");
-  occupancy_counts_ = std::move(v);
-  cycles = r.U64();
-  sa_requests = r.U64();
-  sa_grants = r.U64();
-}
-
-void TelemetryCollector::SaveState(SnapshotWriter& w) const {
-  w.U32(static_cast<std::uint32_t>(routers_.size()));
-  for (const RouterTelemetry& rt : routers_) rt.SaveState(w);
-  w.U32(static_cast<std::uint32_t>(windows_.size()));
-  for (const TelemetryWindow& win : windows_) {
-    w.U64(win.start);
-    w.U64(win.width);
-    w.U64(win.sa_requests);
-    w.U64(win.sa_grants);
-    w.U64(win.vin_conflicts_distinct);
-    w.U64(win.vin_conflicts_same);
-    w.U64(win.packets_ejected);
-  }
-  w.U64(window_width_);
-  w.U64(window_start_);
-  w.U64(last_totals_.sa_requests);
-  w.U64(last_totals_.sa_grants);
-  w.U64(last_totals_.conflicts_distinct);
-  w.U64(last_totals_.conflicts_same);
-  w.U64(last_totals_.packets_ejected);
-  w.U64(packets_ejected_);
-  w.U32(static_cast<std::uint32_t>(trace_.size()));
-  for (const PacketTraceEvent& ev : trace_) {
-    w.U64(ev.packet);
-    w.U8(static_cast<std::uint8_t>(ev.kind));
-    w.U64(ev.cycle);
-    w.I32(ev.router);
-    w.I32(ev.src);
-    w.I32(ev.dst);
-  }
-}
-
-void TelemetryCollector::LoadState(SnapshotReader& r) {
-  const std::uint32_t nr = r.U32();
-  CheckSameSize(nr, routers_.size(), "router blocks");
-  for (RouterTelemetry& rt : routers_) rt.LoadState(r);
-  const std::uint32_t nw = r.U32();
-  windows_.clear();
-  windows_.reserve(nw);
-  for (std::uint32_t i = 0; i < nw; ++i) {
-    TelemetryWindow win;
-    win.start = r.U64();
-    win.width = r.U64();
-    win.sa_requests = r.U64();
-    win.sa_grants = r.U64();
-    win.vin_conflicts_distinct = r.U64();
-    win.vin_conflicts_same = r.U64();
-    win.packets_ejected = r.U64();
-    windows_.push_back(win);
-  }
-  window_width_ = r.U64();
-  window_start_ = r.U64();
-  last_totals_.sa_requests = r.U64();
-  last_totals_.sa_grants = r.U64();
-  last_totals_.conflicts_distinct = r.U64();
-  last_totals_.conflicts_same = r.U64();
-  last_totals_.packets_ejected = r.U64();
-  packets_ejected_ = r.U64();
-  const std::uint32_t nt = r.U32();
-  trace_.clear();
-  trace_.reserve(nt);
-  for (std::uint32_t i = 0; i < nt; ++i) {
-    PacketTraceEvent ev;
-    ev.packet = r.U64();
-    const std::uint8_t kind = r.U8();
-    VIXNOC_REQUIRE(kind <= static_cast<std::uint8_t>(
-                               PacketTraceEvent::Kind::kEject),
-                   "restored trace event has invalid kind %u", kind);
-    ev.kind = static_cast<PacketTraceEvent::Kind>(kind);
-    ev.cycle = r.U64();
-    ev.router = r.I32();
-    ev.src = r.I32();
-    ev.dst = r.I32();
-    trace_.push_back(ev);
-  }
+void TelemetryCollector::Visit(StateArchive& ar) {
+  ar.FixedList(routers_, "telemetry router blocks",
+               [&](RouterTelemetry& rt) { rt.Visit(ar); });
+  ar.List(windows_, kTelemetryWindowBytes);
+  ar.U64(window_width_);
+  // Tick advances the open window by its width.
+  ar.Require(window_width_ >= 1, "restored telemetry window width is 0");
+  ar.U64(window_start_);
+  ar.U64(last_totals_.sa_requests);
+  ar.U64(last_totals_.sa_grants);
+  ar.U64(last_totals_.conflicts_distinct);
+  ar.U64(last_totals_.conflicts_same);
+  ar.U64(last_totals_.packets_ejected);
+  ar.U64(packets_ejected_);
+  ar.List(trace_, kPacketTraceEventBytes);
 }
 
 }  // namespace vixnoc

@@ -24,8 +24,7 @@
 
 namespace vixnoc {
 
-class SnapshotReader;
-class SnapshotWriter;
+class StateArchive;
 
 /// Knobs carried by NetworkSimConfig. Default = disabled = zero cost.
 struct TelemetryConfig {
@@ -89,6 +88,11 @@ struct PacketTraceEvent {
 
 const char* ToString(PacketTraceEvent::Kind kind);
 
+/// Stored form of a trace event, shared by checkpoints and results:
+/// packet u64, kind u8, cycle u64, router/src/dst i32.
+void Visit(StateArchive& ar, PacketTraceEvent& ev);
+inline constexpr std::size_t kPacketTraceEventBytes = 8 + 1 + 8 + 3 * 4;
+
 /// Per-router counter block. The router drives it from its Step (between
 /// switch allocation and grant commit, when requests, grants and buffer
 /// state are all still visible).
@@ -122,8 +126,7 @@ class RouterTelemetry {
 
   /// Checkpoint/restore of the counter block (per-cycle scratch excluded;
   /// it is rebuilt by the next RecordAllocationCycle).
-  void SaveState(SnapshotWriter& w) const;
-  void LoadState(SnapshotReader& r);
+  void Visit(StateArchive& ar);
 
   /// Per-arbiter counters, filled by the attached separable allocator.
   AllocTelemetry alloc;
@@ -160,6 +163,11 @@ struct TelemetryWindow {
   std::uint64_t vin_conflicts_same = 0;
   std::uint64_t packets_ejected = 0;
 };
+
+/// Stored form of a window, shared by checkpoints and results: its seven
+/// u64 fields in declaration order.
+void Visit(StateArchive& ar, TelemetryWindow& win);
+inline constexpr std::size_t kTelemetryWindowBytes = 7 * 8;
 
 /// Aggregates surfaced in NetworkSimResult (and the sweep JSON records).
 /// Counter fields cover the measurement window; `windows` and `trace`
@@ -245,8 +253,7 @@ class TelemetryCollector {
   /// matches the saved one; the checkpoint's own config (window width,
   /// trace sampling) may legitimately differ on a replay run — windows and
   /// trace are restored as recorded and continue under the new config.
-  void SaveState(SnapshotWriter& w) const;
-  void LoadState(SnapshotReader& r);
+  void Visit(StateArchive& ar);
 
   /// Emits the packet event trace as JSONL (schema: see PacketTraceEvent).
   void WriteTraceJsonl(std::FILE* f) const;

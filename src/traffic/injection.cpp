@@ -1,8 +1,7 @@
 #include "traffic/injection.hpp"
 
 #include "common/check.hpp"
-#include "common/error.hpp"
-#include "snapshot/snapshot.hpp"
+#include "snapshot/state_archive.hpp"
 
 namespace vixnoc {
 
@@ -38,18 +37,8 @@ bool OnOffInjection::ShouldInject(NodeId node, Rng& rng) {
   return on_[node] && rng.NextBool(on_rate_);
 }
 
-void BernoulliInjection::SaveState(SnapshotWriter&) const {}
-
-void BernoulliInjection::LoadState(SnapshotReader&) {}
-
-void OnOffInjection::SaveState(SnapshotWriter& w) const { w.VecBool(on_); }
-
-void OnOffInjection::LoadState(SnapshotReader& r) {
-  std::vector<bool> on = r.VecBool();
-  VIXNOC_REQUIRE(on.size() == on_.size(),
-                 "restored on-off state has %zu nodes, expected %zu",
-                 on.size(), on_.size());
-  on_ = std::move(on);
+void OnOffInjection::Visit(StateArchive& ar) {
+  ar.VecBool(on_, "on-off node states");
 }
 
 }  // namespace vixnoc

@@ -17,8 +17,7 @@
 
 namespace vixnoc {
 
-class SnapshotReader;
-class SnapshotWriter;
+class StateArchive;
 
 class InjectionProcess {
  public:
@@ -33,8 +32,7 @@ class InjectionProcess {
   /// Checkpoint/restore of the process's mutable state (the Markov state of
   /// on-off traffic; Bernoulli is stateless). The caller's Rng stream is
   /// serialized separately.
-  virtual void SaveState(SnapshotWriter& w) const = 0;
-  virtual void LoadState(SnapshotReader& r) = 0;
+  virtual void Visit(StateArchive& ar) = 0;
 };
 
 /// Independent Bernoulli(rate) trials.
@@ -43,8 +41,7 @@ class BernoulliInjection final : public InjectionProcess {
   explicit BernoulliInjection(double rate);
   bool ShouldInject(NodeId node, Rng& rng) override;
   std::string Name() const override { return "bernoulli"; }
-  void SaveState(SnapshotWriter& w) const override;
-  void LoadState(SnapshotReader& r) override;
+  void Visit(StateArchive&) override {}
 
  private:
   double rate_;
@@ -60,8 +57,7 @@ class OnOffInjection final : public InjectionProcess {
                  double mean_burst_cycles);
   bool ShouldInject(NodeId node, Rng& rng) override;
   std::string Name() const override { return "on-off"; }
-  void SaveState(SnapshotWriter& w) const override;
-  void LoadState(SnapshotReader& r) override;
+  void Visit(StateArchive& ar) override;
 
   /// Fraction of time a node spends ON in steady state.
   double DutyCycle() const { return duty_; }

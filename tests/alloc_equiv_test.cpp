@@ -30,6 +30,7 @@
 #include "arbiter/arbiter.hpp"
 #include "reference_alloc.hpp"
 #include "snapshot/snapshot.hpp"
+#include "snapshot/state_archive.hpp"
 
 namespace vixnoc {
 namespace {
@@ -301,13 +302,13 @@ std::unique_ptr<SwitchAllocator> MakeIdleCaseAllocator(const IdleCase& c) {
 std::string StateBytes(const SwitchAllocator& alloc) {
   SnapshotWriter w;
   w.BeginSection("alloc");
-  alloc.SaveState(w);
+  StateArchive::Save(w, alloc);
   w.EndSection();
   return w.Finish(0);
 }
 
 /// Makes `n` empty Allocate calls. The allocator is a deterministic state
-/// machine and SaveState captures all of its state (the checkpoint
+/// machine and its Visit stores all of its state (the checkpoint
 /// contract), so once a state repeats the remaining calls skip whole
 /// periods — keeping n = 10^6 affordable under the sanitizers.
 void AllocateEmpty(SwitchAllocator* alloc, std::uint64_t n) {

@@ -18,6 +18,7 @@
 #include "exec/exec_protocol.hpp"
 #include "sim/sweep.hpp"
 #include "snapshot/snapshot.hpp"
+#include "snapshot/state_archive.hpp"
 
 namespace vixnoc {
 namespace {
@@ -178,7 +179,7 @@ TEST(SerenadeAllocatorState, SnapshotRoundTripResumesIdentically) {
 
   SnapshotWriter w;
   w.BeginSection("alloc");
-  live->SaveState(w);
+  StateArchive::Save(w, *live);
   w.EndSection();
   const std::string bytes = w.Finish(0);
 
@@ -188,7 +189,7 @@ TEST(SerenadeAllocatorState, SnapshotRoundTripResumesIdentically) {
   auto restored = MakeSerenadeAllocator(g, /*seed=*/999);
   SnapshotReader r(bytes);
   r.OpenSection("alloc");
-  restored->LoadState(r);
+  StateArchive::Load(r, *restored);
   r.CloseSection();
 
   std::vector<SaGrant> a, b;
@@ -209,14 +210,14 @@ TEST(SerenadeAllocatorState, LoadRejectsForeignGeometry) {
   auto small = MakeSerenadeAllocator(SerenadeGeom(4, 2), 1);
   SnapshotWriter w;
   w.BeginSection("alloc");
-  small->SaveState(w);
+  StateArchive::Save(w, *small);
   w.EndSection();
   const std::string bytes = w.Finish(0);
 
   auto big = MakeSerenadeAllocator(SerenadeGeom(8, 2), 1);
   SnapshotReader r(bytes);
   r.OpenSection("alloc");
-  EXPECT_THROW(big->LoadState(r), SimError);
+  EXPECT_THROW(StateArchive::Load(r, *big), SimError);
 }
 
 TEST(SerenadeAllocatorState, ResetRestoresTheInitialStream) {

@@ -24,6 +24,7 @@
 #include "network/network.hpp"
 #include "sim/sweep.hpp"
 #include "snapshot/snapshot.hpp"
+#include "snapshot/state_archive.hpp"
 #include "store/result_store.hpp"
 #include "telemetry/telemetry.hpp"
 #include "topology/topology.hpp"
@@ -878,7 +879,7 @@ TEST(CraftedInput, FlitEncodingSizeMatchesTheBound) {
   none.EndSection();
   SnapshotWriter one;
   one.BeginSection("f");
-  SaveFlit(one, Flit{});
+  StateArchive::Save(one, Flit{});
   one.EndSection();
   EXPECT_EQ(one.Finish(0).size() - none.Finish(0).size(), kFlitBytes);
 }
