@@ -88,7 +88,7 @@ cmake -B "${PREFIX}-asan" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DVIXNOC_SANITIZE=address,undefined
 cmake --build "${PREFIX}-asan" -j --target fault_test robustness_test \
   sweep_test alloc_equiv_test exec_test routing_test serenade_test \
-  store_test server_test snapshot_test path_golden_test app_test
+  store_test server_test snapshot_test path_golden_test app_test trace_test
 "${PREFIX}-asan/tests/fault_test"
 "${PREFIX}-asan/tests/robustness_test"
 "${PREFIX}-asan/tests/sweep_test"
@@ -114,6 +114,9 @@ cmake --build "${PREFIX}-asan" -j --target fault_test robustness_test \
 # app_test under ASan+UBSan covers the CLI config parser, the other place
 # outside input (key=value arguments) enters a NetworkSimConfig.
 "${PREFIX}-asan/tests/app_test"
+# trace_test covers the trace-sim checkpoint codec: save, resume, and a
+# crafted replay position that must throw, never overrun.
+"${PREFIX}-asan/tests/trace_test"
 
 echo "== tier1: telemetry gate (${PREFIX}) =="
 # telemetry_test asserts (a) telemetry-off results are bitwise identical to

@@ -562,13 +562,14 @@ void Network::Visit(StateArchive& ar) {
       Flit flit = ar.loading() || !ev.IsFlit() ? Flit{} : *payload++;
       ar.Object(flit);
       if (!ev.IsFlit()) return;  // a credit's Flit{} is dropped
-      ar.Require(flit.src >= 0 && flit.src < NumNodes() &&
+      ar.Require(flit.src >= 0 && flit.src < NumNodes() && flit.dst >= 0 &&
+                     flit.dst < NumNodes() &&
                      (ev.kind == LinkEvent::Kind::kFlitToNi ||
                       (flit.vc >= 0 && flit.vc < rc.num_vcs &&
                        flit.route_out >= 0 && flit.route_out < radix)),
-                 "restored flit on a link has source %d, vc %d, route %d "
-                 "out of range",
-                 flit.src, flit.vc, flit.route_out);
+                 "restored flit on a link has source %d, destination %d, "
+                 "vc %d, route %d out of range",
+                 flit.src, flit.dst, flit.vc, flit.route_out);
       if (ar.loading()) slot.flits.push_back(flit);
     });
   }
@@ -606,7 +607,7 @@ void Network::Visit(StateArchive& ar) {
     ar.VecU64(ni.corrupted_partial);
     ar.Object(ni.vc_rng);
   }
-  for (auto& router : routers_) router->Visit(ar);
+  for (auto& router : routers_) router->Visit(ar, NumNodes());
   if (!ar.loading()) return;
 
   ar.Require(InFlightEvents() == in_flight,

@@ -664,7 +664,7 @@ void Visit(StateArchive& ar, RouterActivity& a) {
   ar.U64(a.cycles_with_requests);
 }
 
-void Router::Visit(StateArchive& ar) {
+void Router::Visit(StateArchive& ar, int num_nodes) {
   const int depth = config_.buffer_depth;
   const int vcs = config_.num_vcs;
   const int total = config_.radix * vcs;
@@ -680,12 +680,16 @@ void Router::Visit(StateArchive& ar) {
     for (std::uint32_t i = 0; i < n; ++i) {
       Flit f = ar.loading() ? Flit{} : BufferedFlit(idx, i);
       ar.Object(f);
-      ar.Require(f.vc == idx % vcs && connected_port(f.route_out) &&
+      ar.Require(f.src >= 0 && f.src < num_nodes && f.dst >= 0 &&
+                     f.dst < num_nodes && f.vc == idx % vcs &&
+                     connected_port(f.route_out) &&
                      f.msg_class < config_.num_message_classes &&
                      f.dateline <= kMaxDatelineState,
-                 "restored flit in input VC %d has vc %d, route %d, class "
-                 "%u, dateline state %u out of range",
-                 idx, f.vc, f.route_out, f.msg_class, f.dateline);
+                 "restored flit in input VC %d has source %d, destination "
+                 "%d, vc %d, route %d, class %u, dateline state %u out of "
+                 "range",
+                 idx, f.src, f.dst, f.vc, f.route_out, f.msg_class,
+                 f.dateline);
       if (ar.loading()) PushFlit(idx, f);
     }
     bool active = in_active_[idx] != 0;

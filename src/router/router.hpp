@@ -281,8 +281,9 @@ class Router {
   /// with the same RouterConfig and links makes subsequent Step calls
   /// bitwise identical to a router that never stopped. Every restored
   /// index is bounded, so a crafted checkpoint throws SimError here rather
-  /// than overrunning on the next Step.
-  void Visit(StateArchive& ar);
+  /// than overrunning on the next Step; `num_nodes` bounds the source and
+  /// destination of each buffered flit.
+  void Visit(StateArchive& ar, int num_nodes);
 
   /// Flits sent on output port `out` since the last ClearActivity() —
   /// per-link utilization for hotspot analysis.

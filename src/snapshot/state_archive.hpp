@@ -1,10 +1,9 @@
 // One function per stateful type names each stored field once, and the
 // same function both saves and restores it:
 //
-//   void Router::Visit(StateArchive& ar) {
-//     ar.I32(va_rr_ptr_, 0, total, "VA pointer");
-//     allocator_->Visit(ar);
-//     ...
+//   void WavefrontAllocator::Visit(StateArchive& ar) {
+//     ar.I32(priority_diagonal_, 0, n_, "wavefront diagonal");
+//     ar.VecI32(vc_rr_, 0, geom_.num_vcs, "wavefront VC pointers");
 //   }
 //
 // A StateArchive wraps either a SnapshotWriter or a SnapshotReader. Each

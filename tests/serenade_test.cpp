@@ -123,7 +123,7 @@ TEST(SerenadeDeterminism, CheckpointRestoreMidRunIsEquivalent) {
   const NetworkSimResult uninterrupted = RunNetworkSim(base);
   ASSERT_EQ(uninterrupted.outcome.status, SimStatus::kOk);
 
-  // Checkpointing must not perturb a single flit — SaveState draws
+  // Checkpointing must not perturb a single flit — saving draws
   // nothing from the allocator RNG.
   NetworkSimConfig writing = base;
   writing.checkpoint_path = path;

@@ -14,10 +14,12 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <initializer_list>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "alloc/switch_allocator.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "exec/exec_protocol.hpp"
@@ -1042,7 +1044,7 @@ TEST(CraftedInput, OutOfRangeRouterIndicesThrow) {
   net.Step();  // injected
   net.Step();  // delivered to router 0 and granted a VC, not yet sent
   const std::string good = NetworkBytes(net);
-  // SaveFlit field offsets; the VC record continues after the flit with
+  // Stored flit field offsets; the VC record continues after the flit with
   // active u8, out_port i32, out_vc i32, lookahead i32, dateline u8.
   const std::size_t flit = FindOnce(good, Le(kTag, 8)) - 45;
   const std::size_t state = flit + kFlitBytes;
@@ -1079,6 +1081,214 @@ TEST(CraftedInput, OutOfRangeRouterIndicesThrow) {
   LoadNetworkBytes(&restored, good);
   for (int t = 0; t < 100; ++t) restored.Step();
   EXPECT_TRUE(restored.Quiescent());
+}
+
+TEST(CraftedInput, OutOfRangeNiPacketFieldsThrow) {
+  const NetworkParams params = SmallMeshParams();  // 16 nodes, 4 VCs, depth 3
+  Network net(std::shared_ptr<Topology>(MakeMesh(4, 4)), params);
+  const PacketId sending = net.EnqueuePacket(0, 15, 4);
+  const PacketId queued = net.EnqueuePacket(0, 10, 2);
+  net.Step();  // NI 0 starts the first packet; the second stays queued
+  const std::string good = NetworkBytes(net);
+  // NI 0's queued packet: id u64, dst i32, size i32, created u64,
+  // user_tag u64, msg_class i32. Its transmission: id u64, dst, size,
+  // sent i32, created, injected, user_tag u64, route_out, vc, msg_class
+  // i32; then its credit vector (u64 length, one i32 per VC).
+  const std::size_t pend = FindOnce(good, Le(queued, 8) + Le(10, 4) +
+                                              Le(2, 4));
+  const std::size_t tx = FindOnce(good, Le(sending, 8) + Le(15, 4) +
+                                            Le(4, 4) + Le(1, 4));
+  const std::size_t credits = tx + 56 + 8;
+  const struct {
+    const char* what;
+    std::size_t at;
+    std::uint64_t value;
+  } crafted[] = {
+      {"queued destination", pend + 8, 16},
+      {"queued size", pend + 12, 0},
+      {"queued class", pend + 32, 1},
+      {"transmission destination", tx + 8, 0xffffffffu},
+      {"transmission size", tx + 12, 0},
+      {"transmission sent", tx + 16, 4},
+      {"transmission route", tx + 44, 99},
+      {"transmission vc", tx + 48, 99},
+      {"negative transmission vc", tx + 48, 0xffffffffu},
+      {"transmission class", tx + 52, 1},
+      {"NI credit", credits, 4},
+      {"negative NI credit", credits + 4, 0xffffffffu},
+  };
+  for (const auto& c : crafted) {
+    SCOPED_TRACE(c.what);
+    Network restored(std::shared_ptr<Topology>(MakeMesh(4, 4)), params);
+    EXPECT_THROW(
+        LoadNetworkBytes(&restored, Patch(good, c.at, Le(c.value, 4))),
+        SimError);
+  }
+  // Control: the unpatched state restores and delivers both packets.
+  Network restored(std::shared_ptr<Topology>(MakeMesh(4, 4)), params);
+  LoadNetworkBytes(&restored, good);
+  for (int t = 0; t < 100; ++t) restored.Step();
+  EXPECT_TRUE(restored.Quiescent());
+}
+
+TEST(CraftedInput, OutOfRangeFlitNodesThrow) {
+  NetworkParams params = SmallMeshParams();
+  params.router.speculative_sa = false;  // VA now, SA next cycle
+  constexpr std::uint64_t kTag = 0xfeedfacecafebeefull;
+  // After one Step the lone flit is on the injection link; after two it
+  // sits in router 0's input buffer. Its source and destination follow
+  // the packet id, 45 bytes before the user tag.
+  for (const int steps : {1, 2}) {
+    SCOPED_TRACE(steps == 1 ? "on a link" : "in a buffer");
+    Network net(std::shared_ptr<Topology>(MakeMesh(4, 4)), params);
+    net.EnqueuePacket(0, 15, 1, kTag);
+    for (int t = 0; t < steps; ++t) net.Step();
+    const std::string good = NetworkBytes(net);
+    const std::size_t flit = FindOnce(good, Le(kTag, 8)) - 45;
+    for (const auto& [at, value] :
+         {std::pair{flit + 8, 16u}, std::pair{flit + 8, 0xffffffffu},
+          std::pair{flit + 12, 16u}, std::pair{flit + 12, 0xffffffffu}}) {
+      Network restored(std::shared_ptr<Topology>(MakeMesh(4, 4)), params);
+      EXPECT_THROW(LoadNetworkBytes(&restored, Patch(good, at, Le(value, 4))),
+                   SimError);
+    }
+    Network restored(std::shared_ptr<Topology>(MakeMesh(4, 4)), params);
+    LoadNetworkBytes(&restored, good);  // control
+  }
+}
+
+TEST(CraftedInput, InflatedTelemetryCountsThrow) {
+  // A collector section with no router blocks: the window count, then
+  // (after an empty window list) the scalars and the trace count.
+  const auto section = [](std::uint32_t windows, std::uint32_t trace) {
+    SnapshotWriter w;
+    w.BeginSection("telemetry");
+    w.U32(0);  // router blocks
+    w.U32(windows);
+    for (int i = 0; i < 8; ++i) w.U64(1);  // width, start, totals
+    w.U32(trace);
+    w.EndSection();
+    return w.Finish(0);
+  };
+  const auto load = [](const std::string& bytes) {
+    TelemetryCollector collector{TelemetryConfig{}};
+    SnapshotReader r(bytes);
+    r.OpenSection("telemetry");
+    StateArchive::Load(r, collector);
+    r.CloseSection();
+  };
+  EXPECT_THROW(load(section(0xffffffffu, 0)), SimError);
+  EXPECT_THROW(load(section(0, 0xffffffffu)), SimError);
+  load(section(0, 0));  // control
+}
+
+TEST(CraftedInput, MismatchedHistogramBucketsThrow) {
+  NetworkSimConfig config =
+      ShortConfig(TopologyKind::kMesh, AllocScheme::kVix);
+  const std::string path = TempPath("histogram.ckpt");
+  config.checkpoint_path = path;
+  config.checkpoint_every = 700;
+  (void)RunNetworkSim(config);
+  const std::string good = Slurp(path);
+  // The "sim" section opens the file. Its latency histogram follows the
+  // resume cycle, the RNG (4 u64), the injector name ("bernoulli"), two
+  // running stats (6 x 8 bytes each) and the histogram's total; the
+  // length of its bucket vector (4096 buckets plus overflow) is next.
+  const std::size_t at =
+      8 + 4 + 8 + 4 + 4 + 3 + 8 + 8 + 4 * 8 + (8 + 9) + 2 * 48 + 8;
+  ASSERT_EQ(good.substr(at, 8), Le(4097, 8));
+  Spit(path, Patch(good, at, Le(1, 8)));
+  NetworkSimConfig restore = config;
+  restore.checkpoint_path.clear();
+  restore.checkpoint_every = 0;
+  restore.restore_path = path;
+  EXPECT_THROW(RunNetworkSim(restore), SimError);
+  std::remove(path.c_str());
+}
+
+/// The bytes of a freshly built allocator's state, alone in a section.
+std::string AllocatorBytes(const SwitchAllocator& alloc) {
+  SnapshotWriter w;
+  w.BeginSection("alloc");
+  StateArchive::Save(w, alloc);
+  w.EndSection();
+  return w.Finish(0);
+}
+
+void LoadAllocatorBytes(SwitchAllocator* alloc, const std::string& bytes) {
+  SnapshotReader r(bytes);
+  r.OpenSection("alloc");
+  StateArchive::Load(r, *alloc);
+  r.CloseSection();
+}
+
+/// Offset of the first element of the `k`-th VecI32 at the start of an
+/// "alloc" section whose vectors before it hold `lens` elements.
+std::size_t AllocVecAt(std::initializer_list<std::size_t> lens) {
+  std::size_t at = 8 + 4 + 8 + 4 + 4 + 5 + 8;  // frame, section "alloc"
+  for (const std::size_t n : lens) at += 8 + 4 * n;
+  return at + 8;
+}
+
+SwitchGeometry FivePortGeometry() {
+  SwitchGeometry g;
+  g.num_inports = 5;
+  g.num_outports = 5;
+  g.num_vcs = 4;
+  return g;
+}
+
+TEST(CraftedInput, OutOfRangeIslipPointersThrow) {
+  const SwitchGeometry g = FivePortGeometry();
+  auto alloc = MakeSwitchAllocator(AllocScheme::kIslip, g,
+                                   ArbiterKind::kRoundRobin, 1);
+  const std::string good = AllocatorBytes(*alloc);
+  // grant pointers (per output), accept pointers (per input), then the
+  // per-(input, output) VC pointers.
+  const struct {
+    const char* what;
+    std::size_t at;
+    std::uint64_t value;
+  } crafted[] = {
+      {"negative grant pointer", AllocVecAt({}), 0xffffffffu},
+      {"grant pointer", AllocVecAt({}) + 4, 5},
+      {"negative accept pointer", AllocVecAt({5}), 0xffffffffu},
+      {"accept pointer", AllocVecAt({5}) + 8, 5},
+      {"VC pointer", AllocVecAt({5, 5}), 4},
+  };
+  for (const auto& c : crafted) {
+    SCOPED_TRACE(c.what);
+    EXPECT_THROW(LoadAllocatorBytes(alloc.get(),
+                                    Patch(good, c.at, Le(c.value, 4))),
+                 SimError);
+  }
+  LoadAllocatorBytes(alloc.get(), good);  // control
+}
+
+TEST(CraftedInput, OutOfRangePacketChainingStateThrows) {
+  const SwitchGeometry g = FivePortGeometry();
+  auto alloc = MakeSwitchAllocator(AllocScheme::kPacketChaining, g,
+                                   ArbiterKind::kRoundRobin, 1);
+  const std::string good = AllocatorBytes(*alloc);
+  // The chain per output (an input, or -1), then the per-(input, output)
+  // VC pointers.
+  const struct {
+    const char* what;
+    std::size_t at;
+    std::uint64_t value;
+  } crafted[] = {
+      {"chain input", AllocVecAt({}), 5},
+      {"negative chain input", AllocVecAt({}) + 4, 0xfffffffeu},
+      {"chain VC pointer", AllocVecAt({5}), 4},
+      {"negative chain VC pointer", AllocVecAt({5}) + 4, 0xffffffffu},
+  };
+  for (const auto& c : crafted) {
+    SCOPED_TRACE(c.what);
+    EXPECT_THROW(LoadAllocatorBytes(alloc.get(),
+                                    Patch(good, c.at, Le(c.value, 4))),
+                 SimError);
+  }
+  LoadAllocatorBytes(alloc.get(), good);  // control
 }
 
 // ---------------------------------------------------------------------------

@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <string>
 
 #include "common/error.hpp"
 #include "sim/trace_sim.hpp"
+#include "snapshot/snapshot.hpp"
 #include "traffic/trace.hpp"
 
 namespace vixnoc {
@@ -172,6 +175,38 @@ TEST(TraceSim, RestoreRejectsADifferentTrace) {
   NetworkSimConfig resumed = config;
   resumed.restore_path = path;
   EXPECT_THROW(RunTraceSim(resumed, other), SimError);
+  std::remove(path.c_str());
+}
+
+TEST(TraceSim, OutOfRangeReplayPositionThrows) {
+  const PacketTrace trace = GeneratePatternTrace(
+      PatternKind::kUniform, 0.05, 64, 2'000, 4, 13);
+  NetworkSimConfig config;
+  config.warmup = 500;
+  config.measure = 1'000;
+  config.drain = 500;
+  const std::string path = ::testing::TempDir() + "/trace_position.ckpt";
+  NetworkSimConfig writing = config;
+  writing.checkpoint_path = path;
+  writing.checkpoint_every = 1'000;
+  RunTraceSim(writing, trace);
+
+  // The first section is "trace_sim": its payload starts with the resume
+  // cycle, then the replay position. Point the position past the trace
+  // and re-seal the section checksum so only the decoder can object.
+  std::string bytes = ReadSnapshotFile(path);
+  constexpr std::size_t kPayload = 8 + 4 + 8 + 4 + 4 + 9 + 8;
+  std::uint64_t len = 0;
+  std::memcpy(&len, bytes.data() + kPayload - 8, sizeof len);
+  const std::uint64_t position = trace.size() + 1;
+  std::memcpy(bytes.data() + kPayload + 8, &position, sizeof position);
+  const std::uint64_t sum = Fnv1a64(bytes.data() + kPayload, len);
+  std::memcpy(bytes.data() + kPayload + len, &sum, sizeof sum);
+  WriteSnapshotFile(path, bytes);
+
+  NetworkSimConfig resumed = config;
+  resumed.restore_path = path;
+  EXPECT_THROW(RunTraceSim(resumed, trace), SimError);
   std::remove(path.c_str());
 }
 
