@@ -1159,13 +1159,16 @@ TEST(CraftedInput, OutOfRangeFlitNodesThrow) {
 
 TEST(CraftedInput, InflatedTelemetryCountsThrow) {
   // A collector section with no router blocks: the window count, then
-  // (after an empty window list) the scalars and the trace count.
-  const auto section = [](std::uint32_t windows, std::uint32_t trace) {
+  // (after an empty window list) the window width, seven more scalars and
+  // the trace count.
+  const auto section = [](std::uint32_t windows, std::uint32_t trace,
+                          std::uint64_t width = 1) {
     SnapshotWriter w;
     w.BeginSection("telemetry");
     w.U32(0);  // router blocks
     w.U32(windows);
-    for (int i = 0; i < 8; ++i) w.U64(1);  // width, start, totals
+    w.U64(width);
+    for (int i = 0; i < 7; ++i) w.U64(1);  // start, totals
     w.U32(trace);
     w.EndSection();
     return w.Finish(0);
@@ -1179,6 +1182,8 @@ TEST(CraftedInput, InflatedTelemetryCountsThrow) {
   };
   EXPECT_THROW(load(section(0xffffffffu, 0)), SimError);
   EXPECT_THROW(load(section(0, 0xffffffffu)), SimError);
+  // A zero-width window would never close: Tick would spin forever.
+  EXPECT_THROW(load(section(0, 0, 0)), SimError);
   load(section(0, 0));  // control
 }
 
