@@ -3,7 +3,8 @@
 // never reaches: atomic VC reallocation, separable VA, random VC choice,
 // non-speculative SA and its priority rule, message classes, torus
 // datelines, adaptive routing, transient faults with stalls and
-// corruption, telemetry, and the randomized SERENADE allocator — each at
+// corruption, telemetry, the randomized SERENADE allocator, the VIX
+// balancing policy, three virtual inputs, and 72-VC windows — each at
 // a rate where most routers idle (0.01) and one past saturation (0.14).
 //
 // The values were captured before routers learned to sleep, park blocked
@@ -13,7 +14,9 @@
 // were captured before routers wrote link events straight into the event
 // wheel. (The message-class digests include checkpoint
 // bytes, so they were captured once link events had every field
-// initialized.) A failure prints the row as it now is; update a row only
+// initialized.) The vix_balance, vix_three_inputs and wide_vcs rows were
+// captured before the allocators read the router's request and free-VC
+// words in place. A failure prints the row as it now is; update a row only
 // for an intentional behaviour change, and say so.
 #include <gtest/gtest.h>
 
@@ -104,6 +107,20 @@ SimArms() {
            }},
           {"serenade",
            [](NetworkSimConfig* c) { c->scheme = AllocScheme::kSerenade; }},
+          {"vix_balance",
+           [](NetworkSimConfig* c) {
+             c->vc_policy = VcAssignPolicy::kVixBalance;
+           }},
+          // Three virtual inputs: the Y-preferred group (1 % 3) is neither
+          // the X group nor the balancing fallback's usual pick.
+          {"vix_three_inputs",
+           [](NetworkSimConfig* c) { c->vix_virtual_inputs = 3; }},
+          // 72 VCs: every VC window and request row crosses a 64-bit word.
+          {"wide_vcs",
+           [](NetworkSimConfig* c) {
+             c->num_vcs = 72;
+             c->interleaved_vins = true;
+           }},
       };
   return arms;
 }
@@ -272,6 +289,12 @@ const std::vector<Golden> kGoldens = {
     {"telemetry", 0.14, 7890u, 160.22940430925203, 209309u, 183125u, 0x885fd52f15b0fa33ull},
     {"serenade", 0.01, 650u, 23.081538461538457, 4023u, 16102u, 0xbcface5cc52b2406ull},
     {"serenade", 0.14, 7509u, 197.84352110800396, 262694u, 173462u, 0x514d155fe2f3b549ull},
+    {"vix_balance", 0.01, 650u, 23.230769230769226, 4022u, 16096u, 0xa2c00b82d4655688ull},
+    {"vix_balance", 0.14, 7860u, 159.01666666666713, 224034u, 183324u, 0xbf9a53f44fd443acull},
+    {"vix_three_inputs", 0.01, 650u, 23.223076923076928, 4023u, 16095u, 0x22ee1bde528c5bcaull},
+    {"vix_three_inputs", 0.14, 7948u, 155.09360845495746, 213120u, 185937u, 0x187795c567097ae2ull},
+    {"wide_vcs", 0.01, 650u, 23.223076923076928, 4022u, 16096u, 0x8f6fa731bf6149a3ull},
+    {"wide_vcs", 0.14, 8502u, 174.95177605269399, 51889u, 203136u, 0x2e1bcaf35d84837cull},
     {"message_classes", 0.01, 891u, 0, 5605u, 22389u, 0x245d066a22a28f52ull},
     {"message_classes", 0.14, 10882u, 0, 263830u, 271510u, 0xa1a3315e0e74e5bdull},
     {"equal_delay_1", 0.12, 6996u, 0, 82523u, 179604u, 0xfb819629d666652bull},
