@@ -18,8 +18,8 @@ class AugmentingPathKernel final : public AugmentingPathAllocator {
     visited_.Resize(g.num_outports);
   }
 
-  void Allocate(const std::vector<SaRequest>& requests,
-                std::vector<SaGrant>* grants) override;
+  void Kernel(const SwitchRequestView& requests,
+              std::vector<SaGrant>* grants) override;
 
  private:
   bool TryAugment(int in);
@@ -59,8 +59,8 @@ bool AugmentingPathKernel<Rows>::TryAugment(int in) {
 }
 
 template <typename Rows>
-void AugmentingPathKernel<Rows>::Allocate(
-    const std::vector<SaRequest>& requests, std::vector<SaGrant>* grants) {
+void AugmentingPathKernel<Rows>::Kernel(const SwitchRequestView& requests,
+                                        std::vector<SaGrant>* grants) {
   grants->clear();
   last_iterations_ = 0;
   std::fill(match_of_out_.begin(), match_of_out_.end(), -1);
@@ -72,10 +72,10 @@ void AugmentingPathKernel<Rows>::Allocate(
   });
   request_.ClearDirty();
 
-  for (const SaRequest& r : requests) {
-    request_.Set(r.in_port, r.out_port);
-    cell_vc_.Set(r.in_port * outs + r.out_port, r.vc);
-  }
+  requests.ForEach([&](PortId in, VcId vc, PortId out) {
+    request_.Set(in, out);
+    cell_vc_.Set(in * outs + out, vc);
+  });
 
   // Kuhn's algorithm: process inputs in fixed ascending order. Inputs with
   // no requests cannot augment, so only dirty rows are visited.

@@ -20,15 +20,15 @@ IslipAllocator::IslipAllocator(const SwitchGeometry& g, int iterations)
   match_out_.resize(g.num_outports);
 }
 
-void IslipAllocator::Allocate(const std::vector<SaRequest>& requests,
-                              std::vector<SaGrant>* grants) {
+void IslipAllocator::Kernel(const SwitchRequestView& requests,
+                            std::vector<SaGrant>* grants) {
   grants->clear();
   out_req_.ClearDirty();
   cell_vc_.ClearDirty();
-  for (const SaRequest& r : requests) {
-    out_req_.Set(r.out_port, r.in_port);
-    cell_vc_.Set(r.in_port * geom_.num_outports + r.out_port, r.vc);
-  }
+  requests.ForEach([&](PortId in, VcId vc, PortId out) {
+    out_req_.Set(out, in);
+    cell_vc_.Set(in * geom_.num_outports + out, vc);
+  });
 
   std::fill(match_in_.begin(), match_in_.end(), -1);
   std::fill(match_out_.begin(), match_out_.end(), -1);

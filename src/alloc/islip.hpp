@@ -23,13 +23,15 @@ class IslipAllocator final : public SwitchAllocator {
  public:
   IslipAllocator(const SwitchGeometry& g, int iterations = 2);
 
-  void Allocate(const std::vector<SaRequest>& requests,
-                std::vector<SaGrant>* grants) override;
   void Reset() override;
   void Visit(StateArchive& ar) override;
   std::string Name() const override {
     return "islip-" + std::to_string(iterations_);
   }
+
+ protected:
+  void Kernel(const SwitchRequestView& requests,
+              std::vector<SaGrant>* grants) override;
 
  private:
   int iterations_;

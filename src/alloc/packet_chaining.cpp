@@ -11,12 +11,14 @@ PacketChainingAllocator::PacketChainingAllocator(const SwitchGeometry& g,
       chain_(g.num_outports, -1),
       chain_vc_rr_(static_cast<std::size_t>(g.num_inports) * g.num_outports,
                    0),
-      separable_(MakeSeparableAllocator(g, kind)) {
+      separable_(MakeSeparableAllocator(g, kind)),
+      residual_ready_(static_cast<std::size_t>(
+          bits::WordCount(g.num_inports * g.num_vcs))) {
   VIXNOC_CHECK(g.num_vins == 1);
 }
 
-void PacketChainingAllocator::Allocate(const std::vector<SaRequest>& requests,
-                                       std::vector<SaGrant>* grants) {
+void PacketChainingAllocator::Kernel(const SwitchRequestView& requests,
+                                     std::vector<SaGrant>* grants) {
   grants->clear();
 
   std::vector<bool> in_busy(static_cast<std::size_t>(geom_.num_inports),
@@ -39,11 +41,11 @@ void PacketChainingAllocator::Allocate(const std::vector<SaRequest>& requests,
         static_cast<std::size_t>(in) * geom_.num_outports + out;
     int& ptr = chain_vc_rr_[cell];
     VcId wrap_best = kInvalidVc;
-    for (const SaRequest& r : requests) {
-      if (r.in_port != in || r.out_port != out) continue;
-      if (r.vc >= ptr && (best == kInvalidVc || r.vc < best)) best = r.vc;
-      if (wrap_best == kInvalidVc || r.vc < wrap_best) wrap_best = r.vc;
-    }
+    requests.ForEachOf(in, [&](VcId vc, PortId vc_out) {
+      if (vc_out != out) return;
+      if (vc >= ptr && best == kInvalidVc) best = vc;
+      if (wrap_best == kInvalidVc) wrap_best = vc;
+    });
     if (best == kInvalidVc) best = wrap_best;
     if (best == kInvalidVc) continue;  // chain broken: no request this cycle
     ptr = (best + 1) % geom_.num_vcs;
@@ -56,12 +58,16 @@ void PacketChainingAllocator::Allocate(const std::vector<SaRequest>& requests,
 
   // Phase B: separable IF over the residual request matrix (unchained
   // inputs requesting unchained outputs).
-  residual_requests_.clear();
-  for (const SaRequest& r : requests) {
-    if (in_busy[r.in_port] || out_busy[r.out_port]) continue;
-    residual_requests_.push_back(r);
-  }
-  separable_->Allocate(residual_requests_, &residual_grants_);
+  SwitchRequestView residual = requests;
+  residual.ready = residual_ready_.data();
+  BitView residual_bits(residual_ready_.data(), requests.size());
+  residual_bits.CopyFrom(BitSpan(requests.ready, requests.size()));
+  requests.ForEach([&](PortId in, VcId vc, PortId out) {
+    if (in_busy[in] || out_busy[out]) {
+      residual_bits.Clear(in * geom_.num_vcs + vc);
+    }
+  });
+  separable_->Allocate(residual, &residual_grants_);
   for (const SaGrant& g : residual_grants_) {
     new_chain[g.out_port] = g.in_port;
     grants->push_back(g);

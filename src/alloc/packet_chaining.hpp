@@ -22,8 +22,6 @@ class PacketChainingAllocator final : public SwitchAllocator {
  public:
   PacketChainingAllocator(const SwitchGeometry& g, ArbiterKind kind);
 
-  void Allocate(const std::vector<SaRequest>& requests,
-                std::vector<SaGrant>* grants) override;
   void Reset() override;
   void Visit(StateArchive& ar) override;
   std::string Name() const override { return "packet-chaining"; }
@@ -31,13 +29,17 @@ class PacketChainingAllocator final : public SwitchAllocator {
   /// Grants made by renewing a previous-cycle connection (diagnostics).
   std::uint64_t chained_grants() const { return chained_grants_; }
 
+ protected:
+  void Kernel(const SwitchRequestView& requests,
+              std::vector<SaGrant>* grants) override;
+
  private:
   // chain_[out] = input port chained to this output last cycle, or -1.
   std::vector<int> chain_;
   // Per (in,out) round-robin over VCs continuing a chain.
   std::vector<int> chain_vc_rr_;
   std::unique_ptr<SwitchAllocator> separable_;  // residual IF pass
-  std::vector<SaRequest> residual_requests_;
+  std::vector<std::uint64_t> residual_ready_;    // the residual requests
   std::vector<SaGrant> residual_grants_;
   std::uint64_t chained_grants_ = 0;
 };

@@ -129,6 +129,17 @@ inline int FirstSetAndNot(const std::uint64_t* a, const std::uint64_t* b,
   return -1;
 }
 
+/// Bits [pos, pos + len) of `words` as one word, bit pos in bit 0, for
+/// 1 <= len <= 64. The word after pos's is read only when the range
+/// reaches into it, so every shift stays below 64.
+inline std::uint64_t Extract(const std::uint64_t* words, int pos, int len) {
+  const int w = pos / kWordBits;
+  const int off = pos % kWordBits;
+  std::uint64_t v = words[w] >> off;
+  if (off + len > kWordBits) v |= words[w + 1] << (kWordBits - off);
+  return len == kWordBits ? v : v & ((std::uint64_t{1} << len) - 1);
+}
+
 /// `(i + 1) % n` for 0 <= i < n, with a compare instead of a division:
 /// rotating priority pointers advance on every grant.
 inline constexpr int NextWrapped(int i, int n) {
@@ -150,17 +161,15 @@ inline int CountSet(const std::uint64_t* words, int nwords) {
   return count;
 }
 
-/// Invoke `f(index)` for every bit set in `a` but not in `b` with
+/// Invoke `f(index)` for every bit set in the words `word(w)` with
 /// lo <= index < hi, ascending.
-template <typename F>
-inline void ForEachSetAndNotInRange(const std::uint64_t* a,
-                                    const std::uint64_t* b, int lo, int hi,
-                                    F&& f) {
+template <typename Word, typename F>
+inline void ForEachSetInRangeOf(int lo, int hi, Word&& word, F&& f) {
   if (lo >= hi) return;
   const int wlo = lo / kWordBits;
   const int whi = (hi - 1) / kWordBits;
   for (int w = wlo; w <= whi; ++w) {
-    std::uint64_t cur = a[w] & ~b[w];
+    std::uint64_t cur = word(w);
     if (w == wlo) cur &= ~std::uint64_t{0} << (lo % kWordBits);
     if (w == whi) {
       const int rem = hi - w * kWordBits;
@@ -171,6 +180,24 @@ inline void ForEachSetAndNotInRange(const std::uint64_t* a,
       cur &= cur - 1;
     }
   }
+}
+
+/// Invoke `f(index)` for every bit set in `a` but not in `b` with
+/// lo <= index < hi, ascending.
+template <typename F>
+inline void ForEachSetAndNotInRange(const std::uint64_t* a,
+                                    const std::uint64_t* b, int lo, int hi,
+                                    F&& f) {
+  ForEachSetInRangeOf(
+      lo, hi, [a, b](int w) { return a[w] & ~b[w]; }, static_cast<F&&>(f));
+}
+
+/// Invoke `f(index)` for every bit set in `a` with lo <= index < hi,
+/// ascending.
+template <typename F>
+inline void ForEachSetInRange(const std::uint64_t* a, int lo, int hi, F&& f) {
+  ForEachSetInRangeOf(
+      lo, hi, [a](int w) { return a[w]; }, static_cast<F&&>(f));
 }
 
 /// Invoke `f(index)` for every set bit in ascending order.

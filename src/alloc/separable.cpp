@@ -1,5 +1,6 @@
 #include "alloc/separable.hpp"
 
+#include <type_traits>
 #include <vector>
 
 #include "common/error.hpp"
@@ -16,6 +17,9 @@ class SeparableAllocator final : public SwitchAllocator {
       : SwitchAllocator(g),
         update_on_grant_only_(update_on_grant_only),
         vcs_per_vin_(g.VcsPerVin()),
+        rows_in_place_(std::is_same_v<Rows, OneWordRows> &&
+                       (!g.interleaved_vins || g.num_vins == 1 ||
+                        g.num_vins == g.num_vcs)),
         map_(g) {
     const int xins = g.NumCrossbarInputs();
     input_arbiters_.reserve(xins);
@@ -24,14 +28,13 @@ class SeparableAllocator final : public SwitchAllocator {
     for (int o = 0; o < g.num_outports; ++o) {
       output_arbiters_.emplace_back(xins);
     }
-    vc_req_.Resize(xins, vcs_per_vin_);
+    if (!rows_in_place_) vc_req_.Resize(xins, vcs_per_vin_);
     out_req_.Resize(g.num_outports, xins);
     phase1_vc_.resize(xins);
-    out_port_of_.resize(static_cast<std::size_t>(xins) * vcs_per_vin_);
   }
 
-  void Allocate(const std::vector<SaRequest>& requests,
-                std::vector<SaGrant>* grants) override;
+  void Kernel(const SwitchRequestView& requests,
+              std::vector<SaGrant>* grants) override;
 
   void Reset() override {
     for (Arb& a : input_arbiters_) a.Reset();
@@ -52,6 +55,10 @@ class SeparableAllocator final : public SwitchAllocator {
  private:
   bool update_on_grant_only_;
   int vcs_per_vin_;
+  /// Crossbar input xin's VCs are ready bits [xin * vpv, (xin + 1) * vpv)
+  /// (contiguous wiring, or one or num_vcs virtual inputs) and fit a word:
+  /// phase 1 reads each row in place instead of gathering it.
+  bool rows_in_place_;
   CrossbarMap map_;
   // Indexed by crossbar input = in_port * num_vins + vin.
   std::vector<Arb> input_arbiters_;
@@ -59,40 +66,23 @@ class SeparableAllocator final : public SwitchAllocator {
   std::vector<Arb> output_arbiters_;
 
   // Scratch, reused across cycles; the matrices clear dirty rows only.
-  typename Rows::Matrix vc_req_;   // row xin: requesting sub-VC bits
+  typename Rows::Matrix vc_req_;   // row xin: requesting sub-VC bits, when
+                                   // gathered (!rows_in_place_)
   typename Rows::Matrix out_req_;  // row out: phase-1 winner xin bits
   std::vector<int> phase1_vc_;     // winning sub-vc per xin (valid if won)
-  std::vector<PortId> out_port_of_;  // requested output per (xin, sub-vc);
-                                     // valid only where vc_req_ has the bit
 };
 
 template <typename Rows, typename Arb>
-void SeparableAllocator<Rows, Arb>::Allocate(
-    const std::vector<SaRequest>& requests, std::vector<SaGrant>* grants) {
+void SeparableAllocator<Rows, Arb>::Kernel(const SwitchRequestView& requests,
+                                           std::vector<SaGrant>* grants) {
   grants->clear();
   const int vpv = vcs_per_vin_;
-
-  // Index requests by (crossbar input, vc-within-vin) for phase 1. Only the
-  // rows touched last cycle need clearing; out_port_of_ entries are read
-  // only under a set request bit, so they never need a sentinel fill.
-  vc_req_.ClearDirty();
   out_req_.ClearDirty();
-  for (const SaRequest& r : requests) {
-    VIXNOC_DCHECK(r.in_port >= 0 && r.in_port < geom_.num_inports);
-    VIXNOC_DCHECK(r.vc >= 0 && r.vc < geom_.num_vcs);
-    VIXNOC_DCHECK(r.out_port >= 0 && r.out_port < geom_.num_outports);
-    const int xin = r.in_port * geom_.num_vins + map_.VinOfVc(r.vc);
-    const int sub = map_.SubIndexOfVc(r.vc);
-    VIXNOC_DCHECK(!vc_req_.Test(xin, sub));
-    vc_req_.Set(xin, sub);
-    out_port_of_[static_cast<std::size_t>(xin) * vpv + sub] = r.out_port;
-  }
 
-  // Phase 1: each requesting crossbar input's arbiter picks one VC. Dirty
-  // rows are exactly the xins with at least one request, visited ascending
-  // like the original full scan (empty xins contributed nothing there).
-  vc_req_.DirtyRows().ForEach([&](int xin) {
-    const auto row = vc_req_.Row(xin);
+  // Phase 1: each requesting crossbar input's arbiter picks one VC, in
+  // ascending crossbar-input order like the original full scan (empty
+  // xins contributed nothing there).
+  const auto pick = [&](int xin, const auto& row) {
     if (telemetry_ != nullptr) {
       telemetry_->input_requests[xin] +=
           static_cast<std::uint64_t>(row.Count());
@@ -103,9 +93,32 @@ void SeparableAllocator<Rows, Arb>::Allocate(
     if (!update_on_grant_only_) {
       input_arbiters_[xin].Commit(sub);
     }
-    out_req_.Set(out_port_of_[static_cast<std::size_t>(xin) * vpv + sub],
-                 xin);
-  });
+    const int idx = map_.PortOfXin(xin) * geom_.num_vcs +
+                    map_.VcOf(map_.VinOfXin(xin), sub);
+    out_req_.Set(requests.out_port[idx], xin);
+  };
+  if (rows_in_place_) {
+    // Each row is one shift-and-mask of the ready words; the scan jumps
+    // from one requesting crossbar input to the next.
+    const int nwords = requests.word_count();
+    int idx = bits::FirstSetAtOrAfter(requests.ready, nwords, 0);
+    while (idx >= 0) {
+      const int xin = idx / vpv;
+      pick(xin, WordSpan(bits::Extract(requests.ready, xin * vpv, vpv), vpv));
+      idx = bits::FirstSetAtOrAfter(requests.ready, nwords, (xin + 1) * vpv);
+    }
+  } else {
+    // Interleaved or multi-word rows: gather each request into its
+    // crossbar input's row; only the rows touched last cycle need
+    // clearing.
+    vc_req_.ClearDirty();
+    requests.ForEach([&](PortId p, VcId vc, PortId) {
+      vc_req_.Set(p * geom_.num_vins + map_.VinOfVc(vc),
+                  map_.SubIndexOfVc(vc));
+    });
+    vc_req_.DirtyRows().ForEach(
+        [&](int xin) { pick(xin, vc_req_.Row(xin)); });
+  }
 
   // Phase 2: each requested output's arbiter picks one crossbar input among
   // phase-1 winners.

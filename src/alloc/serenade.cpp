@@ -19,8 +19,8 @@ class SerenadeKernel final : public SerenadeAllocator {
                    0);
   }
 
-  void Allocate(const std::vector<SaRequest>& requests,
-                std::vector<SaGrant>* grants) override;
+  void Kernel(const SwitchRequestView& requests,
+              std::vector<SaGrant>* grants) override;
 
  private:
   /// Live weight of edge (in, out): distinct requesting VCs, 0 if the pair
@@ -39,8 +39,8 @@ class SerenadeKernel final : public SerenadeAllocator {
 };
 
 template <typename Rows>
-void SerenadeKernel<Rows>::Allocate(const std::vector<SaRequest>& requests,
-                                    std::vector<SaGrant>* grants) {
+void SerenadeKernel<Rows>::Kernel(const SwitchRequestView& requests,
+                                  std::vector<SaGrant>* grants) {
   grants->clear();
   const int outs = geom_.num_outports;
   request_.DirtyRows().ForEach([&](int in) {
@@ -50,14 +50,14 @@ void SerenadeKernel<Rows>::Allocate(const std::vector<SaRequest>& requests,
     });
   });
   request_.ClearDirty();
-  for (const SaRequest& r : requests) {
-    const int cell = r.in_port * outs + r.out_port;
-    request_.Set(r.in_port, r.out_port);
-    if (!cell_vc_.Test(cell, r.vc)) {
-      cell_vc_.Set(cell, r.vc);
-      ++cell_w_[cell];
-    }
-  }
+  // A view holds at most one request per input VC, so each one adds a
+  // distinct VC to its cell.
+  requests.ForEach([&](PortId in, VcId vc, PortId out) {
+    const int cell = in * outs + out;
+    request_.Set(in, out);
+    cell_vc_.Set(cell, vc);
+    ++cell_w_[cell];
+  });
 
   // Scratch invariant between calls: prop_in_, prop_out_ and prev_out_
   // are all -1 and in_seen_ all 0; each phase below undoes exactly what it

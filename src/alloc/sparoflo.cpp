@@ -17,7 +17,6 @@ SparofloAllocator::SparofloAllocator(const SwitchGeometry& g,
   for (int o = 0; o < g.num_outports; ++o) {
     output_arbiters_.push_back(MakeArbiter(kind, g.num_inports * g.num_vcs));
   }
-  out_of_.resize(static_cast<std::size_t>(g.num_inports) * g.num_vcs);
   port_req_.Resize(g.num_inports, g.num_vcs);
   out_req_.Resize(g.num_outports, g.num_inports * g.num_vcs);
   candidate_.Resize(g.num_vcs);
@@ -25,20 +24,19 @@ SparofloAllocator::SparofloAllocator(const SwitchGeometry& g,
   outs_.Resize(g.num_outports);
 }
 
-void SparofloAllocator::Allocate(const std::vector<SaRequest>& requests,
-                                 std::vector<SaGrant>* grants) {
+void SparofloAllocator::Kernel(const SwitchRequestView& requests,
+                               std::vector<SaGrant>* grants) {
   grants->clear();
   last_killed_grants_ = 0;
   const int vcs = geom_.num_vcs;
 
-  // Index requests: out_of[port*vcs + vc] = requested output, with the
-  // presence bit in port_req_ (so no sentinel fill of out_of_ is needed).
+  // Index requests by port; out_of[port * vcs + vc] is the requested
+  // output, read only under a request bit.
+  const PortId* out_of = requests.out_port;
   port_req_.ClearDirty();
   out_req_.ClearDirty();
-  for (const SaRequest& r : requests) {
-    port_req_.Set(r.in_port, r.vc);
-    out_of_[static_cast<std::size_t>(r.in_port) * vcs + r.vc] = r.out_port;
-  }
+  requests.ForEach(
+      [&](PortId in, VcId vc, PortId) { port_req_.Set(in, vc); });
 
   // Phase 1: each input port exposes up to max_exposed_ VCs requesting
   // *distinct* outputs, chosen by repeated rotating arbitration. The
@@ -51,12 +49,11 @@ void SparofloAllocator::Allocate(const std::vector<SaRequest>& requests,
       const int winner = input_arbiters_[p]->Pick(candidate_);
       VIXNOC_DCHECK(winner >= 0);
       input_arbiters_[p]->Commit(winner);
-      const PortId taken =
-          out_of_[static_cast<std::size_t>(p) * vcs + winner];
+      const PortId taken = out_of[p * vcs + winner];
       out_req_.Set(taken, p * vcs + winner);
       candidate_.Clear(winner);
       candidate_.ForEach([&](int c) {
-        if (out_of_[static_cast<std::size_t>(p) * vcs + c] == taken) {
+        if (out_of[p * vcs + c] == taken) {
           candidate_.Clear(c);
         }
       });

@@ -25,8 +25,6 @@ class SparofloAllocator final : public SwitchAllocator {
   SparofloAllocator(const SwitchGeometry& g, ArbiterKind kind,
                     int max_exposed = 2);
 
-  void Allocate(const std::vector<SaRequest>& requests,
-                std::vector<SaGrant>* grants) override;
   void Reset() override;
   void Visit(StateArchive& ar) override;
   std::string Name() const override { return "sparoflo"; }
@@ -34,6 +32,10 @@ class SparofloAllocator final : public SwitchAllocator {
   /// Output grants killed by the one-crossbar-input-per-port constraint on
   /// the last Allocate call (the mechanism VIX removes).
   int last_killed_grants() const { return last_killed_grants_; }
+
+ protected:
+  void Kernel(const SwitchRequestView& requests,
+              std::vector<SaGrant>* grants) override;
 
  private:
   struct Tentative {
@@ -48,9 +50,7 @@ class SparofloAllocator final : public SwitchAllocator {
   std::vector<std::unique_ptr<Arbiter>> conflict_arbiters_;  // per in port
   int last_killed_grants_ = 0;
 
-  // Per-cycle scratch, sized once at construction. out_of_ entries are
-  // valid only where port_req_ has the request bit set.
-  std::vector<PortId> out_of_;        // (port, vc) -> requested output
+  // Per-cycle scratch, sized once at construction.
   RequestMatrix port_req_;   // row port: requesting VC bits
   RequestMatrix out_req_;    // row out: exposed (port * vcs + vc) bits
   BitWords candidate_;       // per-VC exposure candidates

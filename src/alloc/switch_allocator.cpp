@@ -14,15 +14,52 @@
 
 namespace vixnoc {
 
-bool GrantsAreLegal(const SwitchGeometry& geom,
-                    const std::vector<SaRequest>& requests,
-                    const std::vector<SaGrant>& grants) {
-  std::set<std::pair<PortId, VcId>> req_index;
-  std::set<std::tuple<PortId, VcId, PortId>> req_full;
+void SwitchRequestSet::Resize(const SwitchGeometry& g) {
+  num_inports_ = g.num_inports;
+  num_vcs_ = g.num_vcs;
+  const int n = num_inports_ * num_vcs_;
+  ready_.assign(static_cast<std::size_t>(bits::WordCount(n)), 0);
+  out_port_.assign(static_cast<std::size_t>(n), kInvalidPort);
+}
+
+void SwitchRequestSet::Assign(const std::vector<SaRequest>& requests) {
+  BitView bits = ready();
+  bits.ClearAll();
   for (const SaRequest& r : requests) {
-    req_index.emplace(r.in_port, r.vc);
-    req_full.emplace(r.in_port, r.vc, r.out_port);
+    VIXNOC_CHECK(r.in_port >= 0 && r.in_port < num_inports_ && r.vc >= 0 &&
+                 r.vc < num_vcs_);
+    const int idx = r.in_port * num_vcs_ + r.vc;
+    bits.Set(idx);
+    out_port_[idx] = r.out_port;
   }
+}
+
+void DropRequestsTo(BitView ready, const PortId* out_port, BitSpan blocked) {
+  ready.ForEach([&](int idx) {
+    if (blocked.Test(out_port[idx])) ready.Clear(idx);
+  });
+}
+
+void DropSpeculativeConflicts(BitView ready, const PortId* out_port,
+                              BitSpan speculative, BitView wants) {
+  wants.ClearAll();
+  bits::ForEachSetAndNotInRange(
+      ready.data(), speculative.words(), 0, ready.size(),
+      [&](int idx) { wants.Set(out_port[idx]); });
+  ForEachSetAnd(ready.Span(), speculative, [&](int idx) {
+    if (wants.Test(out_port[idx])) ready.Clear(idx);
+  });
+}
+
+void SwitchAllocator::Allocate(const std::vector<SaRequest>& requests,
+                               std::vector<SaGrant>* grants) {
+  if (list_requests_.view().num_inports == 0) list_requests_.Resize(geom_);
+  list_requests_.Assign(requests);
+  Kernel(list_requests_.view(), grants);
+}
+
+bool GrantsAreLegal(const SwitchGeometry& geom, const SwitchRequestView& requests,
+                    const std::vector<SaGrant>& grants) {
   std::set<PortId> outs_used;
   std::set<std::pair<PortId, VinId>> xins_used;
   for (const SaGrant& g : grants) {
@@ -30,11 +67,20 @@ bool GrantsAreLegal(const SwitchGeometry& geom,
     if (g.out_port < 0 || g.out_port >= geom.num_outports) return false;
     if (g.vc < 0 || g.vc >= geom.num_vcs) return false;
     if (g.vin != geom.VinOfVc(g.vc)) return false;
-    if (!req_full.count({g.in_port, g.vc, g.out_port})) return false;
+    if (!requests.Test(g.in_port, g.vc) ||
+        requests.out_port[g.in_port * requests.num_vcs + g.vc] != g.out_port) {
+      return false;
+    }
     if (!outs_used.insert(g.out_port).second) return false;
     if (!xins_used.insert({g.in_port, g.vin}).second) return false;
   }
   return true;
+}
+
+bool GrantsAreLegal(const SwitchGeometry& geom,
+                    const std::vector<SaRequest>& requests,
+                    const std::vector<SaGrant>& grants) {
+  return GrantsAreLegal(geom, SwitchRequestSet(geom, requests).view(), grants);
 }
 
 CrossbarMap::CrossbarMap(const SwitchGeometry& g)
@@ -56,9 +102,8 @@ CrossbarMap::CrossbarMap(const SwitchGeometry& g)
 
 void SwitchAllocator::AdvanceIdle(std::uint64_t n) {
   if (n == 0) return;
-  static const std::vector<SaRequest> kNoRequests;
   std::vector<SaGrant> no_grants;  // stays empty: nothing to allocate
-  Allocate(kNoRequests, &no_grants);
+  Allocate(std::vector<SaRequest>{}, &no_grants);
 }
 
 std::unique_ptr<SwitchAllocator> MakeSwitchAllocator(AllocScheme scheme,

@@ -1,10 +1,12 @@
 // Switch-allocator interface.
 //
-// Every cycle the router presents the *request matrix*: for each input VC
-// whose head-of-line flit is ready (route computed, output VC assigned,
-// downstream credit available), one request naming its output port. The
-// allocator returns a set of grants subject to the crossbar's structural
-// constraints:
+// Every cycle the router presents the *request matrix* in place, as an
+// SwitchRequestView over words it already keeps: one ready bit per input VC
+// whose head-of-line flit may request the switch (output VC held, buffer
+// non-empty, downstream credit available, not masked this cycle), and the
+// output port each input VC holds. Nothing is copied into a request list.
+// The allocator returns a set of grants subject to the crossbar's
+// structural constraints:
 //
 //   * at most one grant per output port, and
 //   * at most one grant per crossbar input, where a crossbar input is a
@@ -15,6 +17,12 @@
 // partitioned across the k = num_vins virtual inputs, either in contiguous
 // sub-groups (paper §2.1, Fig 2: vc's virtual input is vc / (num_vcs / k))
 // or interleaved (SwitchGeometry::interleaved_vins: vc % k).
+//
+// Each scheme has one kernel, which reads the view: separable allocators
+// take a crossbar input's row straight out of the ready words, the others
+// walk the set bits into the rows they keep. A request list (SaRequest)
+// is still accepted by a thin adapter that fills a view first, for
+// benchmarks, tools and tests.
 //
 // MakeSwitchAllocator picks each kernel's row storage once, from the
 // geometry: single-word rows when every row fits 64 bits (all switches of
@@ -104,6 +112,86 @@ struct SaRequest {
   PortId out_port = kInvalidPort;
 };
 
+/// One cycle's switch requests, read in place: input VC
+/// idx = in_port * num_vcs + vc requests output `out_port[idx]` when bit
+/// idx of `ready` is set. The ready words' bits past num_inports * num_vcs
+/// are zero; `out_port` is read only under a set bit.
+struct SwitchRequestView {
+  const std::uint64_t* ready = nullptr;
+  const PortId* out_port = nullptr;
+  int num_inports = 0;
+  int num_vcs = 0;
+
+  int size() const { return num_inports * num_vcs; }
+  int word_count() const { return bits::WordCount(size()); }
+  int Count() const { return bits::CountSet(ready, word_count()); }
+  bool Test(PortId in, VcId vc) const {
+    return BitSpan(ready, size()).Test(in * num_vcs + vc);
+  }
+  /// f(in_port, vc, out_port) for every request, in ascending
+  /// (in_port, vc) order. The port advances by compare, not division.
+  template <typename F>
+  void ForEach(F&& f) const {
+    PortId p = 0;
+    int port_base = 0;
+    bits::ForEachSet(ready, word_count(), [&](int idx) {
+      while (idx >= port_base + num_vcs) {
+        ++p;
+        port_base += num_vcs;
+      }
+      f(p, idx - port_base, out_port[idx]);
+    });
+  }
+  /// f(vc, out_port) for every request of input port `in`, ascending.
+  template <typename F>
+  void ForEachOf(PortId in, F&& f) const {
+    const int base = in * num_vcs;
+    bits::ForEachSetInRange(ready, base, base + num_vcs, [&](int idx) {
+      f(idx - base, out_port[idx]);
+    });
+  }
+};
+
+/// Owning storage behind an SwitchRequestView, filled from a request list (a
+/// later request for the same input VC replaces an earlier one).
+class SwitchRequestSet {
+ public:
+  SwitchRequestSet() = default;
+  explicit SwitchRequestSet(const SwitchGeometry& g) { Resize(g); }
+  SwitchRequestSet(const SwitchGeometry& g,
+               const std::vector<SaRequest>& requests) {
+    Resize(g);
+    Assign(requests);
+  }
+
+  void Resize(const SwitchGeometry& g);
+  void Assign(const std::vector<SaRequest>& requests);
+  SwitchRequestView view() const {
+    return SwitchRequestView{ready_.data(), out_port_.data(), num_inports_,
+                         num_vcs_};
+  }
+  /// The ready bits, for masking in place (see DropRequestsTo).
+  BitView ready() { return BitView(ready_.data(), num_inports_ * num_vcs_); }
+  const PortId* out_port() const { return out_port_.data(); }
+
+ private:
+  int num_inports_ = 0;
+  int num_vcs_ = 0;
+  std::vector<std::uint64_t> ready_;
+  std::vector<PortId> out_port_;
+};
+
+/// Request masks a router applies to the ready bits before handing them
+/// over; each clears requests in place and only touches set bits.
+///
+/// Clears every request whose output port is set in `blocked`.
+void DropRequestsTo(BitView ready, const PortId* out_port, BitSpan blocked);
+/// Becker & Dally's priority rule: clears every request in `speculative`
+/// whose output port is also requested by a request outside it. `wants`
+/// is scratch with one bit per output port.
+void DropSpeculativeConflicts(BitView ready, const PortId* out_port,
+                              BitSpan speculative, BitView wants);
+
 /// A granted crossbar connection for this cycle.
 struct SaGrant {
   PortId in_port = kInvalidPort;
@@ -162,8 +250,14 @@ class SwitchAllocator {
   const SwitchGeometry& geometry() const { return geom_; }
 
   /// Compute this cycle's grants. `grants` is cleared first.
-  virtual void Allocate(const std::vector<SaRequest>& requests,
-                        std::vector<SaGrant>* grants) = 0;
+  void Allocate(const SwitchRequestView& requests, std::vector<SaGrant>* grants) {
+    VIXNOC_DCHECK(requests.num_inports == geom_.num_inports &&
+                  requests.num_vcs == geom_.num_vcs);
+    Kernel(requests, grants);
+  }
+  /// The same from a request list: fills a view, then runs the kernel.
+  void Allocate(const std::vector<SaRequest>& requests,
+                std::vector<SaGrant>* grants);
 
   virtual void Reset() = 0;
 
@@ -189,14 +283,24 @@ class SwitchAllocator {
   void set_telemetry(AllocTelemetry* sink) { telemetry_ = sink; }
 
  protected:
+  /// The scheme's allocation kernel (see Allocate).
+  virtual void Kernel(const SwitchRequestView& requests,
+                      std::vector<SaGrant>* grants) = 0;
+
   SwitchGeometry geom_;
   AllocTelemetry* telemetry_ = nullptr;
+
+ private:
+  SwitchRequestSet list_requests_;  ///< the list adapter's view, sized on use
 };
 
 /// Returns true iff `grants` is structurally legal for `geom` against
 /// `requests`: every grant matches a presented request, no output port is
 /// granted twice, and no (in_port, vin) crossbar input is granted twice.
-/// Used by tests and by the router's debug checks.
+/// Used by tests and by the router's debug checks; the list form fills a
+/// view first.
+bool GrantsAreLegal(const SwitchGeometry& geom, const SwitchRequestView& requests,
+                    const std::vector<SaGrant>& grants);
 bool GrantsAreLegal(const SwitchGeometry& geom,
                     const std::vector<SaRequest>& requests,
                     const std::vector<SaGrant>& grants);

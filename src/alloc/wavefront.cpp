@@ -17,8 +17,8 @@ class WavefrontKernel final : public WavefrontAllocator {
     col_free_.Resize(g.num_outports);
   }
 
-  void Allocate(const std::vector<SaRequest>& requests,
-                std::vector<SaGrant>* grants) override;
+  void Kernel(const SwitchRequestView& requests,
+              std::vector<SaGrant>* grants) override;
 
  private:
   // Scratch, rebuilt each cycle. cell_vc_ rows are set only under a bit of
@@ -30,18 +30,18 @@ class WavefrontKernel final : public WavefrontAllocator {
 };
 
 template <typename Rows>
-void WavefrontKernel<Rows>::Allocate(const std::vector<SaRequest>& requests,
-                                     std::vector<SaGrant>* grants) {
+void WavefrontKernel<Rows>::Kernel(const SwitchRequestView& requests,
+                                   std::vector<SaGrant>* grants) {
   grants->clear();
   const int outs = geom_.num_outports;
   out_req_.DirtyRows().ForEach([&](int i) {
     out_req_.Row(i).ForEach([&](int j) { cell_vc_.ClearRow(i * outs + j); });
   });
   out_req_.ClearDirty();
-  for (const SaRequest& r : requests) {
-    out_req_.Set(r.in_port, r.out_port);
-    cell_vc_.Set(r.in_port * outs + r.out_port, r.vc);
-  }
+  requests.ForEach([&](PortId in, VcId vc, PortId out) {
+    out_req_.Set(in, out);
+    cell_vc_.Set(in * outs + out, vc);
+  });
 
   row_free_.SetAll();
   col_free_.SetAll();

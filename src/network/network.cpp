@@ -90,7 +90,8 @@ Network::Network(std::shared_ptr<Topology> topology,
     ni.port = topology_->InjectPortOfNode(n);
     VIXNOC_CHECK(ni.port == topology_->EjectPortOfNode(n));
     ni.credits.assign(params_.router.num_vcs, params_.router.buffer_depth);
-    ni.vc_busy.assign(params_.router.num_vcs, false);
+    ni.vc_free.Resize(params_.router.num_vcs);
+    ni.vc_free.SetAll();
     // Per-node stream offset from the routers' (id + 1) spacing so NI and
     // router streams never coincide.
     ni.vc_rng.Reseed(params_.router.vc_rng_seed +
@@ -138,7 +139,8 @@ Network::Network(std::shared_ptr<Topology> topology,
                                 params_.ni_link_delay}) +
                       1;
   wheel_.resize(horizon);
-  ni_vc_views_.resize(params_.router.VcsPerClass());
+  vin_masks_ = VinMasks(params_.router.NumVins(), params_.router.num_vcs,
+                        params_.router.interleaved_vins);
 }
 
 PacketId Network::EnqueuePacket(NodeId src, NodeId dst, int size_flits,
@@ -250,21 +252,13 @@ void Network::StepNi(Ni& ni) {
     const PortId route_out = ni.front_route;
     const int vpc = rc.VcsPerClass();
     const VcId cls_base = pkt.msg_class * vpc;
-    std::vector<OutputVcView>& views = ni_vc_views_;
-    for (VcId i = 0; i < vpc; ++i) {
-      views[i].allocated = ni.vc_busy[cls_base + i];
-      views[i].credits = ni.credits[cls_base + i];
-    }
-    VinLayout layout;
-    layout.num_vins = rc.NumVins();
-    layout.total_vcs = rc.num_vcs;
-    layout.interleaved = rc.interleaved_vins;
-    layout.first_vc = cls_base;
-    const int pick =
-        PickOutputVc(rc.vc_policy, views, layout, ni.front_dim, &ni.vc_rng);
+    const int pick = PickOutputVc(
+        rc.vc_policy,
+        VcWindow{ni.vc_free.data(), ni.credits.data(), 0, cls_base, vpc},
+        vin_masks_, ni.front_dim, &ni.vc_rng);
     if (pick >= 0) {
       const VcId vc = cls_base + pick;
-      ni.vc_busy[vc] = true;
+      ni.vc_free.Clear(vc);
       ni.active.push_back(ActiveTx{pkt.id, pkt.dst, pkt.size, 0, pkt.created,
                                    kNeverCycle, pkt.user_tag, route_out, vc,
                                    pkt.msg_class});
@@ -321,7 +315,7 @@ void Network::StepNi(Ni& ni) {
     }
 
     if (tx.sent == tx.size) {
-      ni.vc_busy[tx.vc] = false;
+      ni.vc_free.Set(tx.vc);
       ni.front_parked = false;
       ni.active.erase(ni.active.begin() + idx);
       if (ni.rr >= n - 1) ni.rr = 0;  // wrap on the shortened list
@@ -601,7 +595,16 @@ void Network::Visit(StateArchive& ar) {
       ar.I32(tx.msg_class, 0, rc.num_message_classes, "transmission class");
     });
     ar.VecI32(ni.credits, 0, rc.buffer_depth + 1, "NI credits");
-    ar.VecBool(ni.vc_busy, "NI vc_busy vector");
+    std::vector<bool> vc_busy(static_cast<std::size_t>(rc.num_vcs));
+    for (VcId vc = 0; vc < rc.num_vcs; ++vc) {
+      vc_busy[vc] = !ni.vc_free.Test(vc);
+    }
+    ar.VecBool(vc_busy, "NI vc_busy vector");
+    if (ar.loading()) {
+      for (VcId vc = 0; vc < rc.num_vcs; ++vc) {
+        ni.vc_free.Assign(vc, !vc_busy[vc]);
+      }
+    }
     ar.I32(ni.rr, 0, std::max<int>(1, ni.active.size()),
            "NI round-robin pointer");
     ar.VecU64(ni.corrupted_partial);
@@ -609,6 +612,7 @@ void Network::Visit(StateArchive& ar) {
   }
   for (auto& router : routers_) router->Visit(ar, NumNodes());
   if (!ar.loading()) return;
+  RequireConsistentLinks(ar);
 
   ar.Require(InFlightEvents() == in_flight,
              "restored wheel holds %llu events but the checkpoint recorded "
@@ -621,6 +625,83 @@ void Network::Visit(StateArchive& ar) {
   // Fault masks are a pure function of (fault model, now_) plus the
   // permanent blocks installed at construction; transient masks are
   // recomputed at the top of the next Step.
+}
+
+void Network::RequireConsistentLinks(const StateArchive& ar) const {
+  const RouterConfig& rc = params_.router;
+  const int depth = rc.buffer_depth;
+  const int vcs = rc.num_vcs;
+  const auto per_router_vc = [&](std::int32_t router, PortId port, VcId vc) {
+    return (static_cast<std::size_t>(router) * topology_->Radix() + port) *
+               vcs +
+           vc;
+  };
+  // What the wheel will deliver: flits per router input VC, credits per
+  // router output VC and per NI VC. Header fields were bounded on load.
+  std::vector<int> flits_due(routers_.size() * topology_->Radix() * vcs);
+  std::vector<int> credits_due(flits_due.size());
+  std::vector<int> ni_credits_due(nis_.size() * vcs);
+  for (const LinkSlot& slot : wheel_) {
+    const Flit* payload = slot.flits.data();
+    for (const LinkEvent& ev : slot.events) {
+      switch (ev.kind) {
+        case LinkEvent::Kind::kFlitToRouter:
+          ++flits_due[per_router_vc(ev.target, ev.port, payload++->vc)];
+          break;
+        case LinkEvent::Kind::kCreditToRouter:
+          ++credits_due[per_router_vc(ev.target, ev.port, ev.vc)];
+          break;
+        case LinkEvent::Kind::kFlitToNi:
+          ++payload;
+          break;
+        case LinkEvent::Kind::kCreditToNi:
+          ++ni_credits_due[static_cast<std::size_t>(ev.target) * vcs + ev.vc];
+          break;
+      }
+    }
+  }
+  for (RouterId r = 0; r < NumRouters(); ++r) {
+    const Router& router = *routers_[r];
+    for (PortId p = 0; p < topology_->Radix(); ++p) {
+      for (VcId vc = 0; vc < vcs; ++vc) {
+        const std::size_t i = per_router_vc(r, p, vc);
+        ar.Require(router.BufferOccupancy(p, vc) + flits_due[i] <= depth,
+                   "restored router %d input VC (%d, %d) holds %d flits with "
+                   "%d more due, over its depth %d",
+                   r, p, vc, router.BufferOccupancy(p, vc), flits_due[i],
+                   depth);
+        ar.Require(router.CreditsFor(p, vc) + credits_due[i] <= depth,
+                   "restored router %d output VC (%d, %d) holds %d credits "
+                   "with %d more due, over its depth %d",
+                   r, p, vc, router.CreditsFor(p, vc), credits_due[i], depth);
+      }
+    }
+  }
+  const int vpc = rc.VcsPerClass();
+  std::vector<bool> tx_vc(static_cast<std::size_t>(vcs));
+  for (const Ni& ni : nis_) {
+    for (VcId vc = 0; vc < vcs; ++vc) {
+      const int due = ni_credits_due[static_cast<std::size_t>(ni.node) * vcs +
+                                     vc];
+      ar.Require(ni.credits[vc] + due <= depth,
+                 "restored NI %d VC %d holds %d credits with %d more due, "
+                 "over its depth %d",
+                 ni.node, vc, ni.credits[vc], due, depth);
+    }
+    std::fill(tx_vc.begin(), tx_vc.end(), false);
+    for (const ActiveTx& tx : ni.active) {
+      ar.Require(!tx_vc[tx.vc] && tx.vc / vpc == tx.msg_class,
+                 "restored NI %d has a second transmission on VC %d, or one "
+                 "outside class %d",
+                 ni.node, tx.vc, tx.msg_class);
+      tx_vc[tx.vc] = true;
+    }
+    for (VcId vc = 0; vc < vcs; ++vc) {
+      ar.Require(tx_vc[vc] != ni.vc_free.Test(vc),
+                 "restored NI %d marks VC %d %s, unlike its transmissions",
+                 ni.node, vc, tx_vc[vc] ? "free" : "busy");
+    }
+  }
 }
 
 void Network::SaveCheckpoint(const std::string& path) const {

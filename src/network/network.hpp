@@ -214,7 +214,9 @@ class Network {
     bool front_parked = false;
     std::vector<ActiveTx> active;
     std::vector<int> credits;    ///< per injection VC
-    std::vector<bool> vc_busy;   ///< NI-side allocation of injection VCs
+    /// Injection VCs with no active transmission: the word the VC pick
+    /// reads. Stored as its complement, the vc_busy vector.
+    BitWords vc_free;
     int rr = 0;                  ///< round-robin pointer over active txs
     /// Packets with a corrupted non-tail flit already ejected here; the
     /// tail flit resolves them into PacketRecord::corrupted. Touched only
@@ -253,6 +255,11 @@ class Network {
   /// The stored state behind SaveState/LoadState, each field once with its
   /// bound; a load then rebuilds the derived state.
   void Visit(StateArchive& ar);
+  /// After a load: the bounds that span objects, which no single Visit can
+  /// check. Every buffer and credit count must absorb what the wheel will
+  /// deliver to it, and each NI's busy VCs must be exactly those of its
+  /// transmissions, one per VC, inside the packet's class.
+  void RequireConsistentLinks(const StateArchive& ar) const;
   void StepNi(Ni& ni);
   void HandleEjectedFlit(Ni& ni, const Flit& flit);
   void UpdateFaultMasks();
@@ -293,9 +300,8 @@ class Network {
   std::size_t now_slot_ = 0;  ///< now_ % wheel size, advanced by compare
   Cycle last_progress_ = 0;
   PacketId next_packet_id_ = 1;
-
-  // Per-cycle scratch.
-  std::vector<OutputVcView> ni_vc_views_;  // VcsPerClass(), reused per NI
+  /// Virtual input of each injection VC at the NI's router.
+  VinMasks vin_masks_;
 };
 
 }  // namespace vixnoc

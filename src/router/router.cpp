@@ -45,11 +45,14 @@ Router::Router(RouterId id, const RouterConfig& config,
   ovc_owner_.assign(total, -1);
   head_route_.resize(total);
 
+  atomic_realloc_ = config_.atomic_vc_alloc || routing_->IsAdaptive();
+
   num_vins_ = config_.NumVins();
+  vin_masks_ = VinMasks(num_vins_, config_.num_vcs, config_.interleaved_vins);
   const int vcs = static_cast<int>(total);
   const int ports = config_.radix;
   const int xins = config_.radix * num_vins_;
-  flag_words_.assign(5 * bits::WordCount(vcs) + 3 * bits::WordCount(ports) +
+  flag_words_.assign(7 * bits::WordCount(vcs) + 3 * bits::WordCount(ports) +
                          bits::WordCount(xins),
                      0);
   std::uint64_t* cursor = flag_words_.data();
@@ -57,7 +60,10 @@ Router::Router(RouterId id, const RouterConfig& config,
   sa_cand_ = BitView::Carve(&cursor, vcs);
   parked_ = BitView::Carve(&cursor, vcs);
   credit_stalled_ = BitView::Carve(&cursor, vcs);
+  sa_ready_ = BitView::Carve(&cursor, vcs);
   just_activated_ = BitView::Carve(&cursor, vcs);
+  ovc_free_ = BitView::Carve(&cursor, vcs);
+  ovc_free_.SetAll();
   output_blocked_ = BitView::Carve(&cursor, ports);
   nonspec_wants_ = BitView::Carve(&cursor, ports);
   out_used_scratch_ = BitView::Carve(&cursor, ports);
@@ -83,7 +89,6 @@ Router::Router(RouterId id, const RouterConfig& config,
     allocator_ = MakeSwitchAllocator(config_.scheme, geom,
                                      config_.arbiter_kind, alloc_seed);
   }
-  vc_view_scratch_.resize(config_.num_vcs);
   va_prefs_.reserve(total);
   flits_per_out_.assign(config_.radix, 0);
   // Distinct stream per router: mix the id into the base seed before the
@@ -128,15 +133,16 @@ void Router::AcceptCredit(PortId out_port, VcId out_vc) {
   // The VC's holder (if any) can request the switch again.
   if (ovc_owner_[ovc] >= 0) credit_stalled_.Clear(ovc_owner_[ovc]);
   // Under atomic reallocation the last returning credit frees the VC.
-  if (config_.atomic_vc_alloc) OnOutputVcFreed(out_port, ovc);
+  if (atomic_realloc_) OnOutputVcFreed(out_port, ovc);
 }
 
 void Router::OnOutputVcFreed(PortId out_port, int ovc) {
   if (ovc_owner_[ovc] >= 0 ||
-      (config_.atomic_vc_alloc && credits_[ovc] < config_.buffer_depth) ||
-      !parked_.Any()) {
+      (atomic_realloc_ && credits_[ovc] < config_.buffer_depth)) {
     return;
   }
+  ovc_free_.Set(ovc);
+  if (!parked_.Any()) return;
   parked_.ForEach([&](int idx) {
     if (HeadFlit(idx).route_out == out_port) parked_.Clear(idx);
   });
@@ -152,6 +158,7 @@ void Router::ActivateVc(int idx, PortId out_port, VcId out_vc,
   if (!links_[out_port].IsEjection()) {
     const int ovc = OvcIndex(out_port, out_vc);
     ovc_owner_[ovc] = idx;
+    ovc_free_.Clear(ovc);
     if (credits_[ovc] == 0) credit_stalled_.Set(idx);
   }
   just_activated_.Set(idx);
@@ -203,26 +210,11 @@ void Router::ConsiderVaCandidate(int idx, bool separable) {
         static_cast<std::uint8_t>(routing_->DimensionOf(lookahead));
     route.next_dateline = next_state;
   }
-  const int span = route.range_hi - route.range_lo;
-  const int ovc_base = OvcIndex(out_port, cls_base + route.range_lo);
-  vc_view_scratch_.resize(span);
-  for (VcId i = 0; i < span; ++i) {
-    bool busy = ovc_owner_[ovc_base + i] >= 0;
-    if (config_.atomic_vc_alloc &&
-        credits_[ovc_base + i] < config_.buffer_depth) {
-      busy = true;  // downstream buffer not empty: VC not reallocatable
-    }
-    vc_view_scratch_[i].allocated = busy;
-    vc_view_scratch_[i].credits = credits_[ovc_base + i];
-  }
-  VinLayout layout;
-  layout.num_vins = num_vins_;
-  layout.total_vcs = config_.num_vcs;
-  layout.interleaved = config_.interleaved_vins;
-  layout.first_vc = cls_base + route.range_lo;
   const int pick = PickOutputVc(
-      config_.vc_policy, vc_view_scratch_, layout,
-      static_cast<PortDimension>(route.downstream_dim), &vc_rng_);
+      config_.vc_policy,
+      OutputWindow(out_port, cls_base + route.range_lo,
+                   route.range_hi - route.range_lo),
+      vin_masks_, static_cast<PortDimension>(route.downstream_dim), &vc_rng_);
   if (pick < 0) {
     // All usable VCs busy: stall. Every policy fails without drawing
     // randomness when nothing is free, so retrying is side-effect free
@@ -267,9 +259,16 @@ void Router::ConsiderVaCandidateAdaptive(int idx, bool separable) {
   // candidate order, i.e. the DOR direction); the escape candidate — by
   // contract last — whenever no adaptive VC is usable, so a blocked packet
   // always requests the deadlock-free sub-network (Duato's protocol).
+  //
+  // Adaptive routing always reallocates VCs atomically (atomic_realloc_,
+  // only when the downstream buffer is empty), regardless of
+  // atomic_vc_alloc: a buffer mixing two packets' flits creates indirect
+  // dependencies from the escape channels into the (cyclic) adaptive ones,
+  // voiding Duato's deadlock-freedom argument. So every usable VC has all
+  // its credits, and the first adaptive candidate with a free VC is the
+  // one with the most.
   const RouteCandidate* best_adaptive = nullptr;
   const RouteCandidate* escape = nullptr;
-  int best_credits = -1;
   for (int i = 0; i < n; ++i) {
     const RouteCandidate& cand = cands[i];
     // Routing algorithms must never emit a candidate on an unconnected port.
@@ -280,28 +279,15 @@ void Router::ConsiderVaCandidateAdaptive(int idx, bool separable) {
       if (escape == nullptr) escape = &cand;
       continue;
     }
-    const int ovc_base = OvcIndex(cand.out_port, cls_base + cand.vc_range.lo);
-    const int span = cand.vc_range.hi - cand.vc_range.lo;
-    int usable_credits = -1;
-    for (int v = 0; v < span; ++v) {
-      // Adaptive routing always reallocates VCs atomically (only when the
-      // downstream buffer is empty), regardless of atomic_vc_alloc: a
-      // buffer mixing two packets' flits creates indirect dependencies
-      // from the escape channels into the (cyclic) adaptive ones, voiding
-      // Duato's deadlock-freedom argument.
-      const bool busy = ovc_owner_[ovc_base + v] >= 0 ||
-                        credits_[ovc_base + v] < config_.buffer_depth;
-      if (!busy && credits_[ovc_base + v] > usable_credits) {
-        usable_credits = credits_[ovc_base + v];
-      }
-    }
-    if (usable_credits > best_credits) {
-      best_credits = usable_credits;
+    if (best_adaptive == nullptr &&
+        OutputWindow(cand.out_port, cls_base + cand.vc_range.lo,
+                     cand.vc_range.hi - cand.vc_range.lo)
+            .AnyFree()) {
       best_adaptive = &cand;
     }
   }
   const RouteCandidate* chosen =
-      best_adaptive != nullptr && best_credits >= 0 ? best_adaptive : escape;
+      best_adaptive != nullptr ? best_adaptive : escape;
   if (chosen == nullptr) return;  // every candidate's link is down: wait
 
   const PortId out_port = chosen->out_port;
@@ -313,22 +299,10 @@ void Router::ConsiderVaCandidateAdaptive(int idx, bool separable) {
   const std::uint8_t next_state = chosen->next_dateline;
   const VcRange range = chosen->vc_range;
   VIXNOC_DCHECK(range.lo >= 0 && range.lo < range.hi && range.hi <= vpc);
-  const int span = range.hi - range.lo;
-  const int ovc_base = OvcIndex(out_port, cls_base + range.lo);
-  vc_view_scratch_.resize(span);
-  for (VcId i = 0; i < span; ++i) {
-    // Same atomic-reallocation rule as candidate scoring above.
-    vc_view_scratch_[i].allocated = ovc_owner_[ovc_base + i] >= 0 ||
-                                    credits_[ovc_base + i] < config_.buffer_depth;
-    vc_view_scratch_[i].credits = credits_[ovc_base + i];
-  }
-  VinLayout layout;
-  layout.num_vins = num_vins_;
-  layout.total_vcs = config_.num_vcs;
-  layout.interleaved = config_.interleaved_vins;
-  layout.first_vc = cls_base + range.lo;
-  const int pick = PickOutputVc(config_.vc_policy, vc_view_scratch_, layout,
-                                downstream_dim, &vc_rng_);
+  const int pick = PickOutputVc(
+      config_.vc_policy,
+      OutputWindow(out_port, cls_base + range.lo, range.hi - range.lo),
+      vin_masks_, downstream_dim, &vc_rng_);
   if (pick < 0) return;  // all usable VCs busy: stall
   const VcId out_vc = cls_base + range.lo + pick;
 
@@ -395,53 +369,42 @@ void Router::RunVcAllocation() {
   va_rr_ptr_ = bits::NextWrapped(va_rr_ptr_, total);
 }
 
-void Router::BuildSaRequests() {
+void Router::CollectSwitchRequests() {
   // sa_cand_ holds exactly the VCs with `active && buffer non-empty`, and
-  // ascending mask order equals the (port, vc) nested-loop order. VCs
+  // ascending bit order equals the (port, vc) nested-loop order. VCs
   // without a downstream credit are left out up front (credit_stalled_);
   // ejection consumes flits unconditionally (the NI drains one flit per
   // ejection port per cycle by construction of the crossbar), so its VCs
-  // never stall. The port of each index advances by compare, not division.
-  sa_requests_.clear();
-  const int vcs = config_.num_vcs;
-  PortId p = 0;
-  int port_base = 0;  // IvcIndex(p, 0)
-  bits::ForEachSetAndNotInRange(
-      sa_cand_.data(), credit_stalled_.data(), 0, config_.radix * vcs,
-      [&](int idx) {
-        while (idx >= port_base + vcs) {
-          ++p;
-          port_base += vcs;
-        }
-        if (!config_.speculative_sa && just_activated_.Test(idx)) {
-          return;  // VA this cycle, SA earliest next cycle (Fig 6a)
-        }
-        const PortId out = in_out_port_[idx];
-        // Down link: established packets hold their VC but send nothing
-        // until the link is repaired.
-        if (num_blocked_ > 0 && output_blocked_.Test(out)) return;
-        VIXNOC_DCHECK(!OutOfCredits(idx));
-        sa_requests_.push_back(SaRequest{p, idx - port_base, out});
-      });
-
+  // never stall. Without speculation, a VC granted VA this cycle requests
+  // SA next cycle at the earliest (Fig 6a).
+  const std::uint64_t* cand = sa_cand_.data();
+  const std::uint64_t* stalled = credit_stalled_.data();
+  const std::uint64_t* just = just_activated_.data();
+  std::uint64_t* ready = sa_ready_.data();
+  const int nwords = sa_ready_.word_count();
+  if (config_.speculative_sa) {
+    for (int w = 0; w < nwords; ++w) ready[w] = cand[w] & ~stalled[w];
+  } else {
+    for (int w = 0; w < nwords; ++w) {
+      ready[w] = cand[w] & ~stalled[w] & ~just[w];
+    }
+  }
+  // Down link: established packets hold their VC but send nothing until
+  // the link is repaired.
+  if (num_blocked_ > 0) {
+    DropRequestsTo(sa_ready_, in_out_port_.data(), output_blocked_);
+  }
   if (config_.prioritize_nonspeculative && config_.speculative_sa) {
     // Becker-style pessimistic masking: drop speculative requests whose
     // output port is also wanted by an established (non-speculative)
     // packet this cycle.
-    nonspec_wants_.ClearAll();
-    for (const SaRequest& r : sa_requests_) {
-      if (!just_activated_.Test(IvcIndex(r.in_port, r.vc))) {
-        nonspec_wants_.Set(r.out_port);
-      }
-    }
-    std::erase_if(sa_requests_, [&](const SaRequest& r) {
-      return just_activated_.Test(IvcIndex(r.in_port, r.vc)) &&
-             nonspec_wants_.Test(r.out_port);
-    });
+    DropSpeculativeConflicts(sa_ready_, in_out_port_.data(), just_activated_,
+                             nonspec_wants_);
   }
 
-  activity_.sa_requests += sa_requests_.size();
-  if (!sa_requests_.empty()) ++activity_.cycles_with_requests;
+  const int requests = sa_ready_.Count();
+  activity_.sa_requests += static_cast<std::uint64_t>(requests);
+  if (requests > 0) ++activity_.cycles_with_requests;
 }
 
 void Router::SetLinkDispatch(const LinkEvent* flit_row,
@@ -527,9 +490,9 @@ void Router::Step(Cycle now, LinkSlot* flit_slot, LinkSlot* credit_slot) {
   ++activity_.cycles;
   just_activated_.ClearAll();
   RunVcAllocation();
-  BuildSaRequests();
-  allocator_->Allocate(sa_requests_, &sa_grants_);
-  VIXNOC_DCHECK(GrantsAreLegal(allocator_->geometry(), sa_requests_,
+  CollectSwitchRequests();
+  allocator_->Allocate(SwitchRequests(), &sa_grants_);
+  VIXNOC_DCHECK(GrantsAreLegal(allocator_->geometry(), SwitchRequests(),
                                sa_grants_));
   if (rt_ != nullptr) CollectCycleTelemetry(now);
   CommitGrants(flit_slot, credit_slot);
@@ -548,7 +511,7 @@ void Router::SkipIdleCycles(std::uint64_t n) {
 }
 
 void Router::CollectCycleTelemetry(Cycle now) {
-  rt_->RecordAllocationCycle(sa_requests_, sa_grants_);
+  rt_->RecordAllocationCycle(SwitchRequests(), sa_grants_);
 
   for (PortId p = 0; p < config_.radix; ++p) {
     int occupancy = 0;
@@ -762,15 +725,18 @@ void Router::RebuildAfterLoad(const std::vector<std::uint8_t>& allocated) {
                  "restored output VCs are allocated with no input VC "
                  "holding them");
 
-  // Candidate masks, parked heads, credit stalls and cached head routes
-  // are derived state; rebuild from the restored buffers and credits.
-  // Every head starts unparked with no cached route: its next VA attempt
-  // re-derives both exactly.
+  // Candidate masks, parked heads, credit stalls, free output VCs and
+  // cached head routes are derived state; rebuild from the restored
+  // buffers and credits. Every head starts unparked with no cached route:
+  // its next VA attempt re-derives both exactly.
   va_cand_.ClearAll();
   sa_cand_.ClearAll();
   parked_.ClearAll();
   credit_stalled_.ClearAll();
   for (int idx = 0; idx < total; ++idx) {
+    ovc_free_.Assign(idx, ovc_owner_[idx] < 0 &&
+                              (!atomic_realloc_ ||
+                               credits_[idx] == config_.buffer_depth));
     head_route_[idx] = HeadRoute{};
     if (OutOfCredits(idx)) credit_stalled_.Set(idx);
     if (buf_count_[idx] == 0) continue;

@@ -17,6 +17,14 @@
 // order the straightforward full scans would, keeping behaviour bitwise
 // identical.
 //
+// The allocators read these words in place. SA gets an SwitchRequestView: the
+// ready words (SA candidates with a credit, minus this cycle's masks) and
+// the output port each input VC holds; no request list is built. VA picks
+// each output VC from a free-VC bit set over all output VCs, kept at the
+// events that change it (VC activation, the tail leaving, and under
+// atomic reallocation the last credit returning), plus the credit counts
+// and per-virtual-input masks built once from the layout.
+//
 // Step writes each departing flit and each freed credit straight into the
 // owner's event-wheel slots (LinkSlot), with headers read from per-port
 // dispatch rows the owner installs once (SetLinkDispatch).
@@ -349,6 +357,12 @@ class Router {
     --buf_count_[idx];
   }
 
+  /// The VCs [first, first + span) of output port `out` as VA sees them.
+  VcWindow OutputWindow(PortId out, VcId first, int span) const {
+    return VcWindow{ovc_free_.data(), credits_.data(), OvcIndex(out, 0), first,
+                    span};
+  }
+
   void RunVcAllocation();
   /// One VA candidate (see RunVcAllocation); returns via the same logic a
   /// full scan would. A head with no free VC in its range parks.
@@ -357,7 +371,8 @@ class Router {
   void ActivateVc(int idx, PortId out_port, VcId out_vc, PortId lookahead,
                   std::uint8_t next_dateline);
   /// Output VC `ovc` of `out_port` may have become assignable: if so,
-  /// unpark every head waiting on that port so it retries next VA.
+  /// mark it free and unpark every head waiting on that port so it retries
+  /// next VA.
   void OnOutputVcFreed(PortId out_port, int ovc);
   /// VA candidate under an adaptive routing algorithm: enumerates the
   /// candidate set at THIS router (the lookahead stamp is advisory) and
@@ -367,7 +382,12 @@ class Router {
   /// After a restore: rebuilds ovc_owner_ from the input VCs (checking it
   /// against the stored allocation flags) and every derived mask.
   void RebuildAfterLoad(const std::vector<std::uint8_t>& allocated);
-  void BuildSaRequests();
+  /// Fills sa_ready_, this cycle's SA requests (see SwitchRequests).
+  void CollectSwitchRequests();
+  SwitchRequestView SwitchRequests() const {
+    return SwitchRequestView{sa_ready_.data(), in_out_port_.data(), config_.radix,
+                         config_.num_vcs};
+  }
   void CommitGrants(LinkSlot* flit_slot, LinkSlot* credit_slot);
   /// Records this cycle's counters and trace events into rt_/tcol_. Runs
   /// between Allocate and CommitGrants, while requests, grants and buffer
@@ -395,6 +415,9 @@ class Router {
   /// Input VC (index) holding this output VC, -1 while unallocated.
   /// Ejection outputs are never allocated.
   std::vector<std::int32_t> ovc_owner_;
+  /// Reallocation waits for every credit (atomic_vc_alloc, and always
+  /// under adaptive routing).
+  bool atomic_realloc_ = false;
 
   std::vector<HeadRoute> head_route_;       // see HeadRoute
 
@@ -413,13 +436,19 @@ class Router {
   //            would reject. Set when a commit takes the last credit or VA
   //            activates onto a creditless VC; cleared when a credit
   //            returns (via ovc_owner_) and at the tail.
+  //  sa_ready_: this cycle's SA requests, sa_cand_ & ~credit_stalled_
+  //            less the masks of CollectSwitchRequests (per-cycle scratch).
   BitView va_cand_;
   BitView sa_cand_;
   BitView parked_;
   BitView credit_stalled_;
+  BitView sa_ready_;
   /// Input VCs granted VA this cycle; excluded from SA when the router is
   /// configured non-speculative.
   BitView just_activated_;
+  /// Over output-VC indices: assignable output VCs, ovc_owner_ < 0 and,
+  /// under atomic_realloc_, every credit back. Ejection VCs stay set.
+  BitView ovc_free_;
   /// Fault masks (see SetOutputBlocked). num_blocked_ keeps the hot path
   /// free of per-candidate checks while no fault is active.
   BitView output_blocked_;  // radix
@@ -430,13 +459,12 @@ class Router {
   const LinkEvent* credit_dispatch_ = nullptr;  // radix, by input port
   std::unique_ptr<SwitchAllocator> allocator_;
   int num_vins_ = 1;   ///< config_.NumVins(), cached for the hot path
+  VinMasks vin_masks_;  ///< downstream virtual input of each output VC
   int va_rr_ptr_ = 0;  ///< rotating start for VA fairness
 
   // Per-cycle scratch, sized once at construction so the hot loop never
   // touches the allocator.
-  std::vector<SaRequest> sa_requests_;
   std::vector<SaGrant> sa_grants_;
-  std::vector<OutputVcView> vc_view_scratch_;
   std::vector<VaPreference> va_prefs_;
   BitView nonspec_wants_;  // radix
   // Always-on cheap structural checks on grants (the full GrantsAreLegal

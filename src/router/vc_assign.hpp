@@ -10,11 +10,15 @@
 // different sub-groups, and load balancing keeps every virtual input fed.
 //
 // The candidate set may be a sub-range of the downstream port's VCs
-// (message class or dateline restrictions); VinLayout tells the policy
-// which virtual input each candidate belongs to, for both the contiguous
-// (vc / (v/k)) and interleaved (vc % k) crossbar wirings.
+// (message class or dateline restrictions). The pick reads the words its
+// caller already keeps: a free-VC bit set and the credit counts, through a
+// VcWindow. VinMasks tells the policy which VCs belong to each virtual
+// input, for both the contiguous (vc / (v/k)) and interleaved (vc % k)
+// crossbar wirings. A window of at most 64 VCs is handled in one word;
+// wider windows are scanned a word at a time.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "common/types.hpp"
@@ -29,36 +33,50 @@ enum class VcAssignPolicy {
   kRandomFree,    ///< control arm: uniform over free VCs, ignoring sub-groups
 };
 
-/// Snapshot of one output VC's allocation state, provided by the router.
-struct OutputVcView {
-  bool allocated = false;  ///< currently owned by another packet
-  int credits = 0;         ///< free flit-buffers downstream
+/// The VCs of a port that feed each virtual input of the downstream
+/// crossbar: one row of num_vcs bits per virtual input, built once per
+/// layout.
+class VinMasks {
+ public:
+  VinMasks() = default;
+  VinMasks(int num_vins, int num_vcs, bool interleaved);
+
+  int num_vins() const { return num_vins_; }
+  /// Bits [first, first + len) of virtual input `vin`'s row, bit `first`
+  /// in bit 0 (1 <= len <= 64).
+  std::uint64_t Window(int vin, VcId first, int len) const;
+
+ private:
+  int num_vins_ = 1;
+  int words_per_row_ = 0;
+  std::vector<std::uint64_t> rows_;
 };
 
-/// How candidate VCs map onto the downstream router's virtual inputs.
-struct VinLayout {
-  int num_vins = 1;         ///< virtual inputs at the downstream router
-  int total_vcs = 1;        ///< VCs per port at the downstream router
-  bool interleaved = false; ///< vc % k wiring instead of vc / (v/k)
-  VcId first_vc = 0;        ///< actual VC id of candidate views[0]
+/// The candidate VCs [first, first + span) of one port as the VA stage
+/// sees them: VC `vc` is free (assignable) when bit `base + vc` of `free`
+/// is set, and `credits[base + vc]` flit-buffers are free downstream.
+struct VcWindow {
+  const std::uint64_t* free = nullptr;
+  const std::int32_t* credits = nullptr;
+  int base = 0;
+  VcId first = 0;
+  int span = 0;
 
-  VinId VinOfView(int view_index) const {
-    const VcId vc = first_vc + view_index;
-    return interleaved ? vc % num_vins : vc / (total_vcs / num_vins);
-  }
+  /// True when some VC of the window is free.
+  bool AnyFree() const;
 };
 
 class Rng;
 
-/// Picks a candidate index (into `views`), or -1 if none is free.
-/// `downstream_dim` is the dimension of the port the packet will request at
-/// the downstream router (kLocal when the next hop ejects or is unknown).
-/// `rng` is consulted only by kRandomFree (the others never draw from it,
-/// so deterministic policies stay bitwise reproducible regardless of what
-/// stream is passed); it must be non-null for that policy.
-int PickOutputVc(VcAssignPolicy policy,
-                 const std::vector<OutputVcView>& views,
-                 const VinLayout& layout, PortDimension downstream_dim,
+/// Picks a candidate (an index into the window, 0 = VC `first`), or -1 if
+/// none is free. `downstream_dim` is the dimension of the port the packet
+/// will request at the downstream router (kLocal when the next hop ejects
+/// or is unknown). `rng` is consulted only by kRandomFree, with one
+/// NextBounded draw when two or more VCs are free (the others never draw
+/// from it, so deterministic policies stay bitwise reproducible regardless
+/// of what stream is passed); it must be non-null for that policy.
+int PickOutputVc(VcAssignPolicy policy, const VcWindow& window,
+                 const VinMasks& vins, PortDimension downstream_dim,
                  Rng* rng = nullptr);
 
 }  // namespace vixnoc

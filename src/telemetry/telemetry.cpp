@@ -52,10 +52,9 @@ void RouterTelemetry::Clear() {
 }
 
 void RouterTelemetry::RecordAllocationCycle(
-    const std::vector<SaRequest>& requests,
-    const std::vector<SaGrant>& grants) {
+    const SwitchRequestView& requests, const std::vector<SaGrant>& grants) {
   ++cycles;
-  sa_requests += requests.size();
+  sa_requests += static_cast<std::uint64_t>(requests.Count());
   sa_grants += grants.size();
 
   std::fill(granted_.begin(), granted_.end(), false);
@@ -68,14 +67,13 @@ void RouterTelemetry::RecordAllocationCycle(
   // Group this cycle's requests by input port, keeping each one's
   // (virtual input, output) pair, then classify every multi-request port.
   std::fill(req_count_.begin(), req_count_.end(), 0);
-  for (const SaRequest& r : requests) {
-    const std::size_t slot = static_cast<std::size_t>(r.in_port) *
-                                 geom_.num_vcs +
-                             req_count_[r.in_port];
-    req_vin_[slot] = geom_.VinOfVc(r.vc);
-    req_out_[slot] = r.out_port;
-    ++req_count_[r.in_port];
-  }
+  requests.ForEach([&](PortId in, VcId vc, PortId out) {
+    const std::size_t slot =
+        static_cast<std::size_t>(in) * geom_.num_vcs + req_count_[in];
+    req_vin_[slot] = geom_.VinOfVc(vc);
+    req_out_[slot] = out;
+    ++req_count_[in];
+  });
   for (PortId p = 0; p < geom_.num_inports; ++p) {
     const int n = req_count_[p];
     if (n < 2) continue;

@@ -104,7 +104,7 @@ class RouterTelemetry {
   /// Ingest one cycle's request matrix and grant set: classifies per-port
   /// virtual-input conflicts and tracks crossbar slot usage. Also rebuilds
   /// the per-(port, vc) granted mask consumed by WasGranted below.
-  void RecordAllocationCycle(const std::vector<SaRequest>& requests,
+  void RecordAllocationCycle(const SwitchRequestView& requests,
                              const std::vector<SaGrant>& grants);
 
   /// Whether (in_port, vc) was granted in the cycle most recently passed to

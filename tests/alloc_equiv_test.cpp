@@ -11,6 +11,10 @@
 // both widths: radix 70 (and the wider VIX geometries) take the multi-word
 // rows, the paper's switches (radix 5-10, 6 VCs) the one-word ones.
 //
+// The request-view tests hand every scheme, packet chaining included, the
+// words a router keeps, with its non-speculative, blocked-output and
+// Becker masks applied in place.
+//
 // The idle-replay tests pin SwitchAllocator::AdvanceIdle, which lets a
 // sleeping router skip its empty cycles: it must leave exactly the state
 // of that many empty Allocate calls.
@@ -266,6 +270,143 @@ std::vector<WiringCase> AllWiringCases() {
 INSTANTIATE_TEST_SUITE_P(Wirings, VixWiringEquivTest,
                          ::testing::ValuesIn(AllWiringCases()),
                          WiringCaseName);
+
+// ---------------------------------------------------------------------------
+// The router's hand-over: a SwitchRequestView over the words a router keeps
+// (SA candidates, credit stalls, this cycle's VA grants, blocked outputs)
+// with its masks applied in place, against the reference run on the
+// request list the same rules give when applied one input VC at a time.
+
+struct ViewCase {
+  AllocScheme scheme;
+  int radix;
+  bool speculative;   ///< false: this cycle's VA grants may not request
+  bool masked;        ///< blocked outputs, and Becker's rule if speculative
+};
+
+std::string ViewCaseName(const ::testing::TestParamInfo<ViewCase>& info) {
+  const ViewCase& c = info.param;
+  std::string name = ToString(c.scheme) + "_r" + std::to_string(c.radix) +
+                     (c.speculative ? "_spec" : "_nonspec") +
+                     (c.masked ? "_masked" : "");
+  for (char& ch : name) {
+    if (!std::isalnum(static_cast<unsigned char>(ch))) ch = '_';
+  }
+  return name;
+}
+
+class RequestViewEquivTest : public ::testing::TestWithParam<ViewCase> {};
+
+TEST_P(RequestViewEquivTest, MaskedRouterWordsMatchScalarReference) {
+  const ViewCase& c = GetParam();
+  SwitchGeometry g;
+  g.num_inports = c.radix;
+  g.num_outports = c.radix;
+  g.num_vcs = c.scheme == AllocScheme::kVix ? 6 : 4;
+  g.num_vins = VirtualInputsForScheme(c.scheme, g.num_vcs);
+  g.interleaved_vins = c.radix % 2 == 1;
+  const std::uint64_t seed = 0x71e5eedull + static_cast<std::uint64_t>(c.radix);
+  auto fast = MakeSwitchAllocator(c.scheme, g, ArbiterKind::kRoundRobin, seed);
+  auto ref = ref::MakeRefAllocator(c.scheme, g, ArbiterKind::kRoundRobin, seed);
+  ASSERT_NE(ref, nullptr);
+
+  const int n = c.radix * g.num_vcs;
+  BitWords cand(n);
+  BitWords stalled(n);
+  BitWords just(n);
+  BitWords ready(n);
+  BitWords blocked(c.radix);
+  BitWords wants(c.radix);
+  std::vector<PortId> out_port(static_cast<std::size_t>(n));
+  std::mt19937_64 rng(0xbecce7ull ^ (static_cast<std::uint64_t>(c.radix) << 8) ^
+                      static_cast<std::uint64_t>(c.scheme));
+  std::vector<SaRequest> list;
+  std::vector<SaGrant> got;
+  std::vector<SaGrant> expect;
+  const int cycles = c.radix > 64 ? 40 : 120;
+  for (int cycle = 0; cycle < cycles; ++cycle) {
+    for (int idx = 0; idx < n; ++idx) {
+      cand.Assign(idx, rng() % 3 == 0);
+      stalled.Assign(idx, rng() % 4 == 0);
+      just.Assign(idx, rng() % 4 == 0);
+      out_port[idx] = static_cast<PortId>(rng() % c.radix);
+    }
+    for (PortId o = 0; o < c.radix; ++o) {
+      blocked.Assign(o, c.masked && rng() % 5 == 0);
+    }
+
+    // The router's words: candidates with a credit, then the masks.
+    for (int w = 0; w < ready.word_count(); ++w) {
+      ready.data()[w] = cand.data()[w] & ~stalled.data()[w] &
+                        (c.speculative ? ~std::uint64_t{0} : ~just.data()[w]);
+    }
+    const BitView ready_bits(ready.data(), n);
+    if (c.masked) {
+      DropRequestsTo(ready_bits, out_port.data(), blocked);
+      if (c.speculative) {
+        DropSpeculativeConflicts(ready_bits, out_port.data(), just,
+                                 BitView(wants.data(), c.radix));
+      }
+    }
+    const SwitchRequestView view{ready.data(), out_port.data(), c.radix,
+                                 g.num_vcs};
+
+    // The same rules, one input VC at a time.
+    list.clear();
+    for (PortId p = 0; p < c.radix; ++p) {
+      for (VcId v = 0; v < g.num_vcs; ++v) {
+        const int idx = p * g.num_vcs + v;
+        if (!cand.Test(idx) || stalled.Test(idx)) continue;
+        if (!c.speculative && just.Test(idx)) continue;
+        if (c.masked && blocked.Test(out_port[idx])) continue;
+        list.push_back(SaRequest{p, v, out_port[idx]});
+      }
+    }
+    if (c.masked && c.speculative) {
+      std::vector<bool> nonspec_wants(static_cast<std::size_t>(c.radix));
+      for (const SaRequest& r : list) {
+        if (!just.Test(r.in_port * g.num_vcs + r.vc)) {
+          nonspec_wants[r.out_port] = true;
+        }
+      }
+      std::erase_if(list, [&](const SaRequest& r) {
+        return just.Test(r.in_port * g.num_vcs + r.vc) &&
+               nonspec_wants[r.out_port];
+      });
+    }
+    ASSERT_EQ(view.Count(), static_cast<int>(list.size())) << cycle;
+
+    fast->Allocate(view, &got);
+    ref->Allocate(list, &expect);
+    ASSERT_EQ(got.size(), expect.size()) << "cycle=" << cycle;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(got[i].in_port, expect[i].in_port) << "cycle=" << cycle;
+      ASSERT_EQ(got[i].vin, expect[i].vin) << "cycle=" << cycle;
+      ASSERT_EQ(got[i].vc, expect[i].vc) << "cycle=" << cycle;
+      ASSERT_EQ(got[i].out_port, expect[i].out_port) << "cycle=" << cycle;
+    }
+    ASSERT_TRUE(GrantsAreLegal(g, view, got)) << "cycle=" << cycle;
+  }
+}
+
+std::vector<ViewCase> AllViewCases() {
+  std::vector<ViewCase> cases;
+  for (const int radix : {2, 3, 5, 8, 16, 33, 64, 70}) {
+    for (const AllocScheme scheme :
+         {AllocScheme::kInputFirst, AllocScheme::kVix, AllocScheme::kVixIdeal,
+          AllocScheme::kWavefront, AllocScheme::kAugmentingPath,
+          AllocScheme::kPacketChaining, AllocScheme::kIslip,
+          AllocScheme::kSparoflo, AllocScheme::kSerenade}) {
+      cases.push_back(ViewCase{scheme, radix, true, false});
+      cases.push_back(ViewCase{scheme, radix, false, true});
+      cases.push_back(ViewCase{scheme, radix, true, true});
+    }
+  }
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(Masks, RequestViewEquivTest,
+                         ::testing::ValuesIn(AllViewCases()), ViewCaseName);
 
 // ---------------------------------------------------------------------------
 // Idle replay: AdvanceIdle(n) == n empty Allocate calls.

@@ -361,13 +361,14 @@ TEST(AugmentingPath, DeterministicallyFavorsLowInputs) {
 TEST(AugmentingPath, DefaultWorkBoundNeverTripsOnDenseMatrices) {
   // The default bound is P^2 * (P + 1), above Kuhn's worst case, so even
   // an all-ones request matrix (the probe-heaviest input) must allocate.
+  // Each input VC requests one output, so VC `out` requests output `out`.
   auto alloc =
-      MakeSwitchAllocator(AllocScheme::kAugmentingPath, Geom(16, 2, 1));
+      MakeSwitchAllocator(AllocScheme::kAugmentingPath, Geom(16, 16, 1));
   auto* ap = static_cast<AugmentingPathAllocator*>(alloc.get());
   EXPECT_EQ(ap->work_limit(), 16ll * 16 * 17);
   std::vector<SaRequest> reqs;
   for (PortId in = 0; in < 16; ++in) {
-    for (PortId out = 0; out < 16; ++out) reqs.push_back({in, 0, out});
+    for (PortId out = 0; out < 16; ++out) reqs.push_back({in, out, out});
   }
   std::vector<SaGrant> grants;
   for (int t = 0; t < 20; ++t) {
@@ -378,12 +379,12 @@ TEST(AugmentingPath, DefaultWorkBoundNeverTripsOnDenseMatrices) {
 
 TEST(AugmentingPath, ExhaustedWorkBoundIsASimErrorNotAHang) {
   auto alloc =
-      MakeSwitchAllocator(AllocScheme::kAugmentingPath, Geom(8, 2, 1));
+      MakeSwitchAllocator(AllocScheme::kAugmentingPath, Geom(8, 8, 1));
   auto* ap = static_cast<AugmentingPathAllocator*>(alloc.get());
   ap->set_work_limit(3);  // trips on any nontrivial matrix
   std::vector<SaRequest> reqs;
   for (PortId in = 0; in < 8; ++in) {
-    for (PortId out = 0; out < 8; ++out) reqs.push_back({in, 0, out});
+    for (PortId out = 0; out < 8; ++out) reqs.push_back({in, out, out});
   }
   std::vector<SaGrant> grants;
   try {
@@ -495,7 +496,7 @@ TEST_P(AllSchemesTest, NoGrantsWithoutRequests) {
   const auto [scheme, ports, vcs] = GetParam();
   auto alloc = MakeSwitchAllocator(scheme, GeomFor(scheme, ports, vcs));
   std::vector<SaGrant> grants{{0, 0, 0, 0}};  // stale content must be cleared
-  alloc->Allocate({}, &grants);
+  alloc->Allocate(std::vector<SaRequest>{}, &grants);
   EXPECT_TRUE(grants.empty());
 }
 

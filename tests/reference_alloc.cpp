@@ -534,6 +534,58 @@ void RefSerenade::Allocate(const std::vector<SaRequest>& requests,
   }
 }
 
+RefPacketChaining::RefPacketChaining(const SwitchGeometry& g,
+                                     ArbiterKind kind)
+    : RefAllocator(g),
+      chain_(g.num_outports, -1),
+      chain_vc_rr_(static_cast<std::size_t>(g.num_inports) * g.num_outports,
+                   0),
+      separable_(g, kind) {}
+
+void RefPacketChaining::Allocate(const std::vector<SaRequest>& requests,
+                                 std::vector<SaGrant>* grants) {
+  grants->clear();
+  std::vector<bool> in_busy(static_cast<std::size_t>(geom_.num_inports),
+                            false);
+  std::vector<bool> out_busy(static_cast<std::size_t>(geom_.num_outports),
+                             false);
+  std::vector<int> new_chain(static_cast<std::size_t>(geom_.num_outports),
+                             -1);
+  for (PortId out = 0; out < geom_.num_outports; ++out) {
+    const int in = chain_[out];
+    if (in == -1) continue;
+    if (in_busy[in]) continue;
+    VcId best = kInvalidVc;
+    const std::size_t cell =
+        static_cast<std::size_t>(in) * geom_.num_outports + out;
+    int& ptr = chain_vc_rr_[cell];
+    VcId wrap_best = kInvalidVc;
+    for (const SaRequest& r : requests) {
+      if (r.in_port != in || r.out_port != out) continue;
+      if (r.vc >= ptr && (best == kInvalidVc || r.vc < best)) best = r.vc;
+      if (wrap_best == kInvalidVc || r.vc < wrap_best) wrap_best = r.vc;
+    }
+    if (best == kInvalidVc) best = wrap_best;
+    if (best == kInvalidVc) continue;
+    ptr = (best + 1) % geom_.num_vcs;
+    in_busy[in] = true;
+    out_busy[out] = true;
+    new_chain[out] = in;
+    grants->push_back(SaGrant{in, 0, best, out});
+  }
+  residual_requests_.clear();
+  for (const SaRequest& r : requests) {
+    if (in_busy[r.in_port] || out_busy[r.out_port]) continue;
+    residual_requests_.push_back(r);
+  }
+  separable_.Allocate(residual_requests_, &residual_grants_);
+  for (const SaGrant& g : residual_grants_) {
+    new_chain[g.out_port] = g.in_port;
+    grants->push_back(g);
+  }
+  chain_ = std::move(new_chain);
+}
+
 std::unique_ptr<RefAllocator> MakeRefAllocator(AllocScheme scheme,
                                                const SwitchGeometry& g,
                                                ArbiterKind kind,
@@ -547,15 +599,16 @@ std::unique_ptr<RefAllocator> MakeRefAllocator(AllocScheme scheme,
       return std::make_unique<RefWavefront>(g);
     case AllocScheme::kAugmentingPath:
       return std::make_unique<RefAugmentingPath>(g);
+    case AllocScheme::kPacketChaining:
+      return std::make_unique<RefPacketChaining>(g, kind);
     case AllocScheme::kIslip:
       return std::make_unique<RefIslip>(g);
     case AllocScheme::kSparoflo:
       return std::make_unique<RefSparoflo>(g, kind);
     case AllocScheme::kSerenade:
       return std::make_unique<RefSerenade>(g, seed);
-    default:
-      return nullptr;
   }
+  return nullptr;
 }
 
 }  // namespace vixnoc::ref

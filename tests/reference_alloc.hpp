@@ -223,8 +223,25 @@ class RefSerenade final : public RefAllocator {
   std::vector<bool> out_seen_;
 };
 
-/// Factory mirroring MakeSwitchAllocator for the schemes with bitmask
-/// kernels (separable IF/VIX/VIX-ideal, wavefront, AP, iSLIP, SPAROFLO,
+// Packet chaining over request lists, as it ran before the allocators
+// read the router's request words: chains renewed by scanning the list,
+// and the residual input-first pass run on the scalar separable reference.
+class RefPacketChaining final : public RefAllocator {
+ public:
+  RefPacketChaining(const SwitchGeometry& g, ArbiterKind kind);
+  void Allocate(const std::vector<SaRequest>& requests,
+                std::vector<SaGrant>* grants) override;
+
+ private:
+  std::vector<int> chain_;
+  std::vector<int> chain_vc_rr_;
+  RefSeparableInputFirst separable_;
+  std::vector<SaRequest> residual_requests_;
+  std::vector<SaGrant> residual_grants_;
+};
+
+/// Factory mirroring MakeSwitchAllocator for every scheme (separable
+/// IF/VIX/VIX-ideal, wavefront, AP, packet chaining, iSLIP, SPAROFLO,
 /// SERENADE). `seed` only matters for the randomized schemes and must
 /// match the seed handed to MakeSwitchAllocator.
 std::unique_ptr<RefAllocator> MakeRefAllocator(AllocScheme scheme,

@@ -9,6 +9,7 @@
 // exactly like routers that never skip one.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cstdio>
 #include <cstring>
@@ -23,6 +24,7 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "exec/exec_protocol.hpp"
+#include "fault/fault_model.hpp"
 #include "network/network.hpp"
 #include "sim/sweep.hpp"
 #include "snapshot/snapshot.hpp"
@@ -1155,6 +1157,137 @@ TEST(CraftedInput, OutOfRangeFlitNodesThrow) {
     Network restored(std::shared_ptr<Topology>(MakeMesh(4, 4)), params);
     LoadNetworkBytes(&restored, good);  // control
   }
+}
+
+// The cross-object bounds: a restore whose wheel would overfill a buffer
+// or a credit count, or whose NI busy VCs disagree with its
+// transmissions, throws instead of aborting on the next Step.
+TEST(CraftedInput, WheelFlitIntoAFullBufferThrows) {
+  NetworkParams params = SmallMeshParams();  // 4 VCs, depth 3
+  const auto topo = std::shared_ptr<Topology>(MakeMesh(4, 4));
+  FaultConfig faults;
+  faults.forced_link_down = {{0, 0}};  // router 0's east link
+  params.faults = std::make_shared<const FaultModel>(*topo, faults, 1);
+  Network net(topo, params);
+  // Routed east first, the packet's head waits at router 0 while the NI
+  // fills its VC there.
+  net.EnqueuePacket(0, 15, 4);
+  for (int t = 0; t < 6; ++t) net.Step();
+  const PortId inject = topo->InjectPortOfNode(0);
+  VcId full = kInvalidVc;
+  for (VcId vc = 0; vc < params.router.num_vcs; ++vc) {
+    if (net.router(0).BufferOccupancy(inject, vc) == 3) full = vc;
+  }
+  ASSERT_NE(full, kInvalidVc);
+  constexpr std::uint64_t kTag = 0xfeedfacecafebeefull;
+  net.EnqueuePacket(0, 15, 1, kTag);
+  net.Step();  // the NI sends the lone flit on another VC
+  const std::string good = NetworkBytes(net);
+  const std::size_t flit_vc = FindOnce(good, Le(kTag, 8)) - 45 + 37;
+  ASSERT_NE(static_cast<VcId>(good[flit_vc]), full);
+  Network restored(topo, params);
+  EXPECT_THROW(LoadNetworkBytes(&restored, Patch(good, flit_vc, Le(full, 4))),
+               SimError);
+  LoadNetworkBytes(&restored, good);  // control
+}
+
+TEST(CraftedInput, CreditsBeyondDepthThrow) {
+  const NetworkParams params = SmallMeshParams();  // 4 VCs, depth 3
+  const auto topo = std::shared_ptr<Topology>(MakeMesh(4, 4));
+  SnapshotWriter flit;
+  flit.BeginSection("f");
+  StateArchive::Save(flit, Flit{});
+  flit.EndSection();
+  // A credit event is stored as its header (kind u8, target, port, vc
+  // i32) and an empty flit: the section above, whose payload is followed
+  // only by its u64 digest.
+  const std::string file = flit.Finish(0);
+  const std::string flit_bytes =
+      file.substr(file.size() - 8 - kFlitBytes, kFlitBytes);
+  // One hop: router 0 returns NI 0 its credit, and node 1's router
+  // returns router 0's output toward it its credit. Each case patches the
+  // VC of the credit in flight to one whose count is already full.
+  PortId toward = kInvalidPort;
+  {
+    Network net(topo, params);
+    for (PortId o = 0; o < params.router.radix; ++o) {
+      if (net.router(0).link(o).neighbor == topo->RouterOfNode(1)) toward = o;
+    }
+  }
+  ASSERT_NE(toward, kInvalidPort);
+  const struct {
+    const char* what;
+    std::uint64_t kind;
+    std::uint64_t port;
+  } crafted[] = {
+      {"router output VC", 1, static_cast<std::uint64_t>(toward)},
+      {"NI VC", 3, 0xffffffffu},  // kCreditToNi: no port
+  };
+  for (const auto& c : crafted) {
+    SCOPED_TRACE(c.what);
+    Network net(topo, params);
+    net.EnqueuePacket(0, 1, 1);
+    std::string good;
+    std::size_t at = std::string::npos;
+    VcId vc = 0;
+    for (int t = 0; t < 10 && at == std::string::npos; ++t) {
+      net.Step();
+      good = NetworkBytes(net);
+      for (vc = 0; vc < params.router.num_vcs; ++vc) {
+        at = good.find(Le(c.kind, 1) + Le(0, 4) + Le(c.port, 4) + Le(vc, 4) +
+                       flit_bytes);
+        if (at != std::string::npos) break;
+      }
+    }
+    ASSERT_NE(at, std::string::npos);
+    Network restored(topo, params);
+    const VcId other = (vc + 1) % params.router.num_vcs;
+    EXPECT_THROW(LoadNetworkBytes(&restored, Patch(good, at + 9, Le(other, 4))),
+                 SimError);
+    LoadNetworkBytes(&restored, good);  // control
+  }
+}
+
+TEST(CraftedInput, NiBusyVcsUnlikeTransmissionsThrow) {
+  const NetworkParams params = SmallMeshParams();  // 4 VCs
+  Network net(std::shared_ptr<Topology>(MakeMesh(4, 4)), params);
+  const PacketId first = net.EnqueuePacket(0, 15, 4);
+  const PacketId second = net.EnqueuePacket(0, 10, 4);
+  net.Step();
+  net.Step();  // NI 0 transmits both packets, each on its own VC
+  const std::string good = NetworkBytes(net);
+  // Each transmission: id u64, dst, size, sent i32, created, injected,
+  // user_tag u64, then route_out, vc, msg_class i32. After the list come
+  // the credit vector and the vc_busy vector (u64 length, then one byte
+  // per VC).
+  const std::size_t tx1 = FindOnce(good, Le(first, 8) + Le(15, 4) + Le(4, 4));
+  const std::size_t tx2 = FindOnce(good, Le(second, 8) + Le(10, 4) +
+                                             Le(4, 4));
+  const VcId vc1 = static_cast<VcId>(good[tx1 + 48]);
+  const std::size_t busy =
+      std::max(tx1, tx2) + 56 + 8 + 4 * params.router.num_vcs + 8;
+  ASSERT_EQ(good[busy + vc1], 1);
+  VcId idle = 0;
+  while (good[busy + idle] != 0) ++idle;
+  const struct {
+    const char* what;
+    std::size_t at;
+    std::string bytes;
+  } crafted[] = {
+      {"busy VC with no transmission", busy + idle, Le(1, 1)},
+      {"transmission on a free VC", busy + vc1, Le(0, 1)},
+      {"two transmissions on one VC", tx2 + 48, Le(vc1, 4)},
+  };
+  for (const auto& c : crafted) {
+    SCOPED_TRACE(c.what);
+    Network restored(std::shared_ptr<Topology>(MakeMesh(4, 4)), params);
+    EXPECT_THROW(LoadNetworkBytes(&restored, Patch(good, c.at, c.bytes)),
+                 SimError);
+  }
+  Network restored(std::shared_ptr<Topology>(MakeMesh(4, 4)), params);
+  LoadNetworkBytes(&restored, good);  // control
+  for (int t = 0; t < 100; ++t) restored.Step();
+  EXPECT_TRUE(restored.Quiescent());
 }
 
 TEST(CraftedInput, InflatedTelemetryCountsThrow) {

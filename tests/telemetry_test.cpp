@@ -130,10 +130,17 @@ SwitchGeometry VixGeom() {
   return g;
 }
 
+/// RecordAllocationCycle over a request list.
+void Record(RouterTelemetry& rt, const std::vector<SaRequest>& requests,
+            const std::vector<SaGrant>& grants) {
+  rt.RecordAllocationCycle(SwitchRequestSet(rt.geometry(), requests).view(),
+                           grants);
+}
+
 TEST(RouterTelemetryClassify, DistinctVinsDistinctOutputsIsVixWin) {
   RouterTelemetry rt;
   rt.Init(VixGeom(), /*buffer_depth=*/4);
-  rt.RecordAllocationCycle({{0, 0, 0}, {0, 2, 1}}, {});
+  Record(rt, {{0, 0, 0}, {0, 2, 1}}, {});
   EXPECT_EQ(rt.port_conflicts[0].multi_request_cycles, 1u);
   EXPECT_EQ(rt.port_conflicts[0].vin_distinct_output_cycles, 1u);
   EXPECT_EQ(rt.port_conflicts[0].vin_same_output_cycles, 0u);
@@ -144,7 +151,7 @@ TEST(RouterTelemetryClassify, DistinctVinsDistinctOutputsIsVixWin) {
 TEST(RouterTelemetryClassify, DistinctVinsSameOutputIsPolicyMiss) {
   RouterTelemetry rt;
   rt.Init(VixGeom(), 4);
-  rt.RecordAllocationCycle({{0, 1, 1}, {0, 3, 1}}, {});
+  Record(rt, {{0, 1, 1}, {0, 3, 1}}, {});
   EXPECT_EQ(rt.port_conflicts[0].multi_request_cycles, 1u);
   EXPECT_EQ(rt.port_conflicts[0].vin_distinct_output_cycles, 0u);
   EXPECT_EQ(rt.port_conflicts[0].vin_same_output_cycles, 1u);
@@ -153,7 +160,7 @@ TEST(RouterTelemetryClassify, DistinctVinsSameOutputIsPolicyMiss) {
 TEST(RouterTelemetryClassify, SameVinDistinctOutputsIsSerialized) {
   RouterTelemetry rt;
   rt.Init(VixGeom(), 4);
-  rt.RecordAllocationCycle({{1, 0, 0}, {1, 1, 1}}, {});
+  Record(rt, {{1, 0, 0}, {1, 1, 1}}, {});
   EXPECT_EQ(rt.port_conflicts[1].multi_request_cycles, 1u);
   EXPECT_EQ(rt.port_conflicts[1].single_vin_serialized_cycles, 1u);
   EXPECT_EQ(rt.port_conflicts[1].vin_distinct_output_cycles, 0u);
@@ -163,7 +170,7 @@ TEST(RouterTelemetryClassify, SameVinDistinctOutputsIsSerialized) {
 TEST(RouterTelemetryClassify, SingleRequestIsNotAConflict) {
   RouterTelemetry rt;
   rt.Init(VixGeom(), 4);
-  rt.RecordAllocationCycle({{0, 0, 0}}, {});
+  Record(rt, {{0, 0, 0}}, {});
   EXPECT_EQ(rt.port_conflicts[0].multi_request_cycles, 0u);
   EXPECT_EQ(rt.sa_requests, 1u);
   EXPECT_EQ(rt.cycles, 1u);
@@ -177,11 +184,11 @@ TEST(RouterTelemetryClassify, GrantMaskTracksLatestCycleOnly) {
   g.vin = 0;
   g.vc = 1;
   g.out_port = 0;
-  rt.RecordAllocationCycle({{0, 1, 0}}, {g});
+  Record(rt, {{0, 1, 0}}, {g});
   EXPECT_TRUE(rt.WasGranted(0, 1));
   EXPECT_FALSE(rt.WasGranted(0, 0));
   EXPECT_EQ(rt.grants_per_out[0], 1u);
-  rt.RecordAllocationCycle({}, {});
+  Record(rt, {}, {});
   EXPECT_FALSE(rt.WasGranted(0, 1));  // mask rebuilt, counter kept
   EXPECT_EQ(rt.grants_per_out[0], 1u);
 }
