@@ -9,7 +9,8 @@
 #  3. ASan+UBSan build (-DVIXNOC_SANITIZE=address,undefined) running the
 #     fault/robustness/sweep tests — the error-recovery paths (SimError
 #     unwinding out of half-built networks, watchdog aborts mid-run,
-#     fault-schedule sampling) are exactly where leaks and UB would hide;
+#     fault-schedule sampling) are exactly where leaks and UB would hide —
+#     and the VA tests, whose word windows are where a shift by 64 would;
 #  4. telemetry gate: telemetry_test (pins bitwise identity of
 #     telemetry-off runs against frozen goldens AND off-vs-on identity),
 #     then a bench_ext_telemetry run whose JSONL packet trace is
@@ -88,7 +89,8 @@ cmake -B "${PREFIX}-asan" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DVIXNOC_SANITIZE=address,undefined
 cmake --build "${PREFIX}-asan" -j --target fault_test robustness_test \
   sweep_test alloc_equiv_test exec_test routing_test serenade_test \
-  store_test server_test snapshot_test path_golden_test app_test trace_test
+  store_test server_test snapshot_test path_golden_test app_test trace_test \
+  vc_assign_test va_organization_test atomic_vc_test vnet_test
 "${PREFIX}-asan/tests/fault_test"
 "${PREFIX}-asan/tests/robustness_test"
 "${PREFIX}-asan/tests/sweep_test"
@@ -117,6 +119,14 @@ cmake --build "${PREFIX}-asan" -j --target fault_test robustness_test \
 # trace_test covers the trace-sim checkpoint codec: save, resume, and a
 # crafted replay position that must throw, never overrun.
 "${PREFIX}-asan/tests/trace_test"
+# The VA stage picks output VCs from windows cut out of 64-bit words, the
+# place a shift by 64 would be undefined: vc_assign_test drives windows
+# that cross and exceed a word, and the VA-organization, atomic
+# reallocation and message-class tests drive the same picks in networks.
+"${PREFIX}-asan/tests/vc_assign_test"
+"${PREFIX}-asan/tests/va_organization_test"
+"${PREFIX}-asan/tests/atomic_vc_test"
+"${PREFIX}-asan/tests/vnet_test"
 
 echo "== tier1: telemetry gate (${PREFIX}) =="
 # telemetry_test asserts (a) telemetry-off results are bitwise identical to

@@ -14,16 +14,16 @@
 
 namespace vixnoc {
 
-void SwitchRequestSet::Resize(const SwitchGeometry& g) {
-  num_inports_ = g.num_inports;
-  num_vcs_ = g.num_vcs;
-  const int n = num_inports_ * num_vcs_;
-  ready_.assign(static_cast<std::size_t>(bits::WordCount(n)), 0);
-  out_port_.assign(static_cast<std::size_t>(n), kInvalidPort);
-}
+SwitchRequestSet::SwitchRequestSet(const SwitchGeometry& g)
+    : num_inports_(g.num_inports),
+      num_vcs_(g.num_vcs),
+      ready_(static_cast<std::size_t>(
+          bits::WordCount(num_inports_ * num_vcs_))),
+      out_port_(static_cast<std::size_t>(num_inports_ * num_vcs_),
+                kInvalidPort) {}
 
 void SwitchRequestSet::Assign(const std::vector<SaRequest>& requests) {
-  BitView bits = ready();
+  BitView bits(ready_.data(), num_inports_ * num_vcs_);
   bits.ClearAll();
   for (const SaRequest& r : requests) {
     VIXNOC_CHECK(r.in_port >= 0 && r.in_port < num_inports_ && r.vc >= 0 &&
@@ -53,12 +53,12 @@ void DropSpeculativeConflicts(BitView ready, const PortId* out_port,
 
 void SwitchAllocator::Allocate(const std::vector<SaRequest>& requests,
                                std::vector<SaGrant>* grants) {
-  if (list_requests_.view().num_inports == 0) list_requests_.Resize(geom_);
   list_requests_.Assign(requests);
   Kernel(list_requests_.view(), grants);
 }
 
-bool GrantsAreLegal(const SwitchGeometry& geom, const SwitchRequestView& requests,
+bool GrantsAreLegal(const SwitchGeometry& geom,
+                    const SwitchRequestView& requests,
                     const std::vector<SaGrant>& grants) {
   std::set<PortId> outs_used;
   std::set<std::pair<PortId, VinId>> xins_used;

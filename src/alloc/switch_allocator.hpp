@@ -1,6 +1,6 @@
 // Switch-allocator interface.
 //
-// Every cycle the router presents the *request matrix* in place, as an
+// Every cycle the router presents the *request matrix* in place, as a
 // SwitchRequestView over words it already keeps: one ready bit per input VC
 // whose head-of-line flit may request the switch (output VC held, buffer
 // non-empty, downstream credit available, not masked this cycle), and the
@@ -152,27 +152,22 @@ struct SwitchRequestView {
   }
 };
 
-/// Owning storage behind an SwitchRequestView, filled from a request list (a
-/// later request for the same input VC replaces an earlier one).
+/// Owning storage behind a SwitchRequestView, filled from a request list
+/// (a later request for the same input VC replaces an earlier one).
 class SwitchRequestSet {
  public:
-  SwitchRequestSet() = default;
-  explicit SwitchRequestSet(const SwitchGeometry& g) { Resize(g); }
+  explicit SwitchRequestSet(const SwitchGeometry& g);
   SwitchRequestSet(const SwitchGeometry& g,
-               const std::vector<SaRequest>& requests) {
-    Resize(g);
+                   const std::vector<SaRequest>& requests)
+      : SwitchRequestSet(g) {
     Assign(requests);
   }
 
-  void Resize(const SwitchGeometry& g);
   void Assign(const std::vector<SaRequest>& requests);
   SwitchRequestView view() const {
     return SwitchRequestView{ready_.data(), out_port_.data(), num_inports_,
-                         num_vcs_};
+                             num_vcs_};
   }
-  /// The ready bits, for masking in place (see DropRequestsTo).
-  BitView ready() { return BitView(ready_.data(), num_inports_ * num_vcs_); }
-  const PortId* out_port() const { return out_port_.data(); }
 
  private:
   int num_inports_ = 0;
@@ -239,7 +234,8 @@ struct AllocTelemetry {
 /// priorities, chains); Reset() restores the post-construction state.
 class SwitchAllocator {
  public:
-  explicit SwitchAllocator(const SwitchGeometry& g) : geom_(g) {
+  explicit SwitchAllocator(const SwitchGeometry& g)
+      : geom_(g), list_requests_(g) {
     VIXNOC_CHECK(g.Valid());
   }
   virtual ~SwitchAllocator() = default;
@@ -250,7 +246,8 @@ class SwitchAllocator {
   const SwitchGeometry& geometry() const { return geom_; }
 
   /// Compute this cycle's grants. `grants` is cleared first.
-  void Allocate(const SwitchRequestView& requests, std::vector<SaGrant>* grants) {
+  void Allocate(const SwitchRequestView& requests,
+                std::vector<SaGrant>* grants) {
     VIXNOC_DCHECK(requests.num_inports == geom_.num_inports &&
                   requests.num_vcs == geom_.num_vcs);
     Kernel(requests, grants);
@@ -291,7 +288,7 @@ class SwitchAllocator {
   AllocTelemetry* telemetry_ = nullptr;
 
  private:
-  SwitchRequestSet list_requests_;  ///< the list adapter's view, sized on use
+  SwitchRequestSet list_requests_;  ///< the list adapter's view
 };
 
 /// Returns true iff `grants` is structurally legal for `geom` against
@@ -299,7 +296,8 @@ class SwitchAllocator {
 /// granted twice, and no (in_port, vin) crossbar input is granted twice.
 /// Used by tests and by the router's debug checks; the list form fills a
 /// view first.
-bool GrantsAreLegal(const SwitchGeometry& geom, const SwitchRequestView& requests,
+bool GrantsAreLegal(const SwitchGeometry& geom,
+                    const SwitchRequestView& requests,
                     const std::vector<SaGrant>& grants);
 bool GrantsAreLegal(const SwitchGeometry& geom,
                     const std::vector<SaRequest>& requests,

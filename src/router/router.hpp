@@ -385,8 +385,8 @@ class Router {
   /// Fills sa_ready_, this cycle's SA requests (see SwitchRequests).
   void CollectSwitchRequests();
   SwitchRequestView SwitchRequests() const {
-    return SwitchRequestView{sa_ready_.data(), in_out_port_.data(), config_.radix,
-                         config_.num_vcs};
+    return SwitchRequestView{sa_ready_.data(), in_out_port_.data(),
+                             config_.radix, config_.num_vcs};
   }
   void CommitGrants(LinkSlot* flit_slot, LinkSlot* credit_slot);
   /// Records this cycle's counters and trace events into rt_/tcol_. Runs

@@ -9,12 +9,12 @@ namespace {
 /// Per-cycle upper bound on grants: one grant per requested output port
 /// (every output with at least one requesting VC can be served when inputs
 /// are unconstrained — the paper's definition of ideal switch allocation).
-int IdealGrants(const std::vector<SaRequest>& requests, int num_outports) {
+int IdealGrants(const std::vector<PortId>& out_port, int num_outports) {
   std::vector<bool> requested(static_cast<std::size_t>(num_outports), false);
   int count = 0;
-  for (const SaRequest& r : requests) {
-    if (!requested[r.out_port]) {
-      requested[r.out_port] = true;
+  for (const PortId out : out_port) {
+    if (!requested[out]) {
+      requested[out] = true;
       ++count;
     }
   }
@@ -37,42 +37,37 @@ SingleRouterResult RunSingleRouter(const SingleRouterConfig& config) {
 
   Rng rng(config.seed);
 
-  // VC state: remaining flits and destination output of the current packet.
-  struct VcState {
-    int remaining = 0;
-    PortId out = kInvalidPort;
+  // VC state, indexed in_port * num_vcs + vc: remaining flits and
+  // destination output of the current packet. Every VC requests the
+  // switch every cycle, so every ready bit stays set and the request
+  // view reads the destinations in place.
+  const int total = config.radix * config.num_vcs;
+  std::vector<int> remaining(static_cast<std::size_t>(total));
+  std::vector<PortId> out_port(static_cast<std::size_t>(total));
+  auto refill = [&](int idx) {
+    remaining[idx] = config.packet_size;
+    out_port[idx] = static_cast<PortId>(rng.NextBounded(config.radix));
   };
-  std::vector<VcState> vcs(static_cast<std::size_t>(config.radix) *
-                           config.num_vcs);
-  auto refill = [&](VcState& vc) {
-    vc.remaining = config.packet_size;
-    vc.out = static_cast<PortId>(rng.NextBounded(config.radix));
-  };
-  for (auto& vc : vcs) refill(vc);
+  for (int idx = 0; idx < total; ++idx) refill(idx);
+  std::vector<std::uint64_t> ready(
+      static_cast<std::size_t>(bits::WordCount(total)));
+  BitView(ready.data(), total).SetAll();
+  const SwitchRequestView requests{ready.data(), out_port.data(),
+                                   config.radix, config.num_vcs};
 
-  std::vector<SaRequest> requests;
   std::vector<SaGrant> grants;
   SingleRouterResult result;
 
   for (Cycle t = 0; t < config.cycles; ++t) {
-    requests.clear();
-    for (PortId p = 0; p < config.radix; ++p) {
-      for (VcId c = 0; c < config.num_vcs; ++c) {
-        const VcState& vc = vcs[static_cast<std::size_t>(p) * config.num_vcs +
-                                c];
-        requests.push_back(SaRequest{p, c, vc.out});
-      }
-    }
     result.total_ideal +=
-        static_cast<std::uint64_t>(IdealGrants(requests, config.radix));
+        static_cast<std::uint64_t>(IdealGrants(out_port, config.radix));
 
     allocator->Allocate(requests, &grants);
     VIXNOC_DCHECK(GrantsAreLegal(geom, requests, grants));
     result.total_grants += grants.size();
     for (const SaGrant& g : grants) {
-      VcState& vc =
-          vcs[static_cast<std::size_t>(g.in_port) * config.num_vcs + g.vc];
-      if (--vc.remaining == 0) refill(vc);
+      const int idx = g.in_port * config.num_vcs + g.vc;
+      if (--remaining[idx] == 0) refill(idx);
     }
   }
 
