@@ -96,9 +96,9 @@ class SweepHarness {
       exec_ += std::move(exec);
     } else {
       results = runner_->Run(points);
-      exec_.cached_points += runner_->resumed_points();
+      exec_.origins.insert(exec_.origins.end(), runner_->origins().begin(),
+                           runner_->origins().end());
       exec_.defective_cache_points += runner_->defective_cache_points();
-      exec_.deduped_points += runner_->deduped_points();
     }
     wall_seconds_ += std::chrono::duration<double>(
                          std::chrono::steady_clock::now() - start)
@@ -133,13 +133,15 @@ class SweepHarness {
     // many cache entries were found defective and re-run, and how many
     // duplicate in-batch points were satisfied by copying a canonical
     // slot's result instead of re-simulating.
+    const std::string cached_points =
+        std::to_string(CountOrigin(exec_.origins, PointOrigin::kCache));
     std::string provenance =
-        "  \"deduped_points\": " + std::to_string(exec_.deduped_points) +
+        "  \"deduped_points\": " +
+        std::to_string(CountOrigin(exec_.origins, PointOrigin::kDuplicate)) +
         ",\n";
     if (!checkpoint_dir_.empty()) {
       provenance += "  \"checkpoint_dir\": \"" + EscapeJson(checkpoint_dir_) +
-                    "\",\n  \"resumed_points\": " +
-                    std::to_string(exec_.cached_points) +
+                    "\",\n  \"resumed_points\": " + cached_points +
                     ",\n  \"defective_cache_points\": " +
                     std::to_string(exec_.defective_cache_points) + ",\n";
     }
@@ -176,8 +178,7 @@ class SweepHarness {
                     std::to_string(exec_.exhausted_points) +
                     ", \"fallback_points\": " +
                     std::to_string(exec_.fallback_points) +
-                    ", \"cached_points\": " +
-                    std::to_string(exec_.cached_points) +
+                    ", \"cached_points\": " + cached_points +
                     ",\n    \"worker_events\": [";
       for (std::size_t i = 0; i < exec_.events.size(); ++i) {
         const WorkerEvent& ev = exec_.events[i];
@@ -227,7 +228,9 @@ class SweepHarness {
         // process level, the classified cause.
         const ExecStatus& es = exec_.points[i];
         outcome_json += ", \"attempts\": " + std::to_string(es.attempts);
-        if (es.from_cache) outcome_json += ", \"from_cache\": true";
+        if (exec_.origins[i] == PointOrigin::kCache) {
+          outcome_json += ", \"from_cache\": true";
+        }
         if (es.in_process_fallback) {
           outcome_json += ", \"in_process_fallback\": true";
         }
@@ -391,9 +394,9 @@ class SweepHarness {
   double wall_seconds_ = 0.0;
   std::uint64_t sim_cycles_ = 0;
   std::vector<std::pair<NetworkSimConfig, NetworkSimResult>> records_;
-  // Cross-batch execution record: cache and dedup tallies on both paths;
-  // per-point statuses (parallel to records_), events and process-level
-  // tallies only with isolate=process.
+  // Cross-batch execution record: slot origins (parallel to records_) and
+  // defective cache entries on both local paths; per-point statuses,
+  // events and process-level tallies only with isolate=process.
   SweepExecResult exec_;
 };
 

@@ -146,6 +146,10 @@ int main(int argc, char** argv) {
       points.push_back(config);
     }
     std::vector<NetworkSimResult> results;
+    // Local backends' provenance: each slot's origin and the cache entries
+    // found defective and re-run.
+    std::vector<PointOrigin> origins;
+    std::size_t defective = 0;
     if (!server.empty()) {
       SimClient client(server, 10.0);
       std::vector<PointReply> replies =
@@ -179,11 +183,8 @@ int main(int argc, char** argv) {
       }
       SweepExecResult exec = SweepCoordinator(policy).Run(points);
       results = std::move(exec.results);
-      if (exec.cached_points > 0) {
-        std::printf("resumed %llu/%zu points from %s\n",
-                    static_cast<unsigned long long>(exec.cached_points),
-                    points.size(), checkpoint.c_str());
-      }
+      origins = std::move(exec.origins);
+      defective = exec.defective_cache_points;
       if (exec.crashes + exec.timeouts + exec.bad_frames +
               exec.spawn_failures >
           0) {
@@ -206,16 +207,17 @@ int main(int argc, char** argv) {
         runner.SetCache(std::make_shared<ResultStore>(checkpoint));
       }
       results = runner.Run(points);
-      if (runner.resumed_points() > 0) {
-        std::printf("resumed %zu/%zu points from %s\n",
-                    runner.resumed_points(), points.size(),
-                    checkpoint.c_str());
-      }
-      if (runner.defective_cache_points() > 0) {
-        std::printf("re-ran %zu point(s) whose cache entries were "
-                    "defective\n",
-                    runner.defective_cache_points());
-      }
+      origins = runner.origins();
+      defective = runner.defective_cache_points();
+    }
+    const std::size_t resumed = CountOrigin(origins, PointOrigin::kCache);
+    if (resumed > 0) {
+      std::printf("resumed %zu/%zu points from %s\n", resumed, points.size(),
+                  checkpoint.c_str());
+    }
+    if (defective > 0) {
+      std::printf("re-ran %zu point(s) whose cache entries were defective\n",
+                  defective);
     }
     for (std::size_t i = 0; i < points.size(); ++i) {
       PrintResult(points[i], results[i]);

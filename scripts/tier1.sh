@@ -26,7 +26,9 @@
 #     bad frames, retry/backoff, fallback), then a real sweep run twice —
 #     isolate=process vs in-process — with a field-by-field JSON compare
 #     of every result row: crash isolation must not change a single
-#     number;
+#     number; then isolate=process over a point cache, twice: the second
+#     run must resume every point, mark every row from_cache, and still
+#     match the in-process rows;
 #  8. service gate: a real vixnocd daemon is started on a Unix socket and
 #     the same sweep is run twice through vixnoc_client — run 2 must be
 #     served 100% from the content-addressed result store with every
@@ -258,6 +260,31 @@ for i, (ra, rb) in enumerate(zip(a, b)):
             f"point {i} field {key!r}: {ra.get(key)!r} != {rb.get(key)!r}")
 print(f"isolate=process results identical to in-process ({len(a)} points, "
       f"{exec_info['workers_spawned']} worker(s) spawned)")
+EOF
+  # Cache provenance under isolation: the same sweep with a point cache,
+  # run twice. The second run must be served entirely from the cache, say
+  # so on every row, and still match the in-process numbers.
+  "${BENCH}" "json=${ISOL_DIR}/cache_fill.json" isolate=process \
+    point_timeout=120 "checkpoint=${ISOL_DIR}/cache" >/dev/null
+  "${BENCH}" "json=${ISOL_DIR}/cache_resume.json" isolate=process \
+    point_timeout=120 "checkpoint=${ISOL_DIR}/cache" >/dev/null
+  python3 - "${ISOL_DIR}/inproc.json" "${ISOL_DIR}/cache_resume.json" <<'EOF'
+import json, sys
+inproc = json.load(open(sys.argv[1]))
+resumed = json.load(open(sys.argv[2]))
+a, b = inproc["results"], resumed["results"]
+assert len(a) == len(b), f"point count differs: {len(a)} vs {len(b)}"
+assert resumed["resumed_points"] == resumed["points"] == len(b), (
+    f"resumed {resumed['resumed_points']} of {resumed['points']} points")
+exec_keys = {"attempts", "from_cache", "in_process_fallback",
+             "exec_failure", "exec_detail"}
+for i, (ra, rb) in enumerate(zip(a, b)):
+    assert rb.get("from_cache") is True, f"point {i} not from the cache"
+    for key in sorted((set(ra) | set(rb)) - exec_keys):
+        assert ra.get(key) == rb.get(key), (
+            f"point {i} field {key!r}: {ra.get(key)!r} != {rb.get(key)!r}")
+print(f"isolate=process resume served {len(b)}/{len(b)} points from the "
+      "cache, results identical to in-process")
 EOF
 else
   echo "bench_ext_telemetry or python3 not found; skipping sweep compare"

@@ -13,28 +13,27 @@ PacketChainingAllocator::PacketChainingAllocator(const SwitchGeometry& g,
                    0),
       separable_(MakeSeparableAllocator(g, kind)),
       residual_ready_(static_cast<std::size_t>(
-          bits::WordCount(g.num_inports * g.num_vcs))) {
+          bits::WordCount(g.num_inports * g.num_vcs))),
+      in_busy_(g.num_inports),
+      out_busy_(g.num_outports),
+      new_chain_(g.num_outports) {
   VIXNOC_CHECK(g.num_vins == 1);
 }
 
 void PacketChainingAllocator::Kernel(const SwitchRequestView& requests,
                                      std::vector<SaGrant>* grants) {
   grants->clear();
-
-  std::vector<bool> in_busy(static_cast<std::size_t>(geom_.num_inports),
-                            false);
-  std::vector<bool> out_busy(static_cast<std::size_t>(geom_.num_outports),
-                             false);
+  std::fill(in_busy_.begin(), in_busy_.end(), false);
+  std::fill(out_busy_.begin(), out_busy_.end(), false);
+  std::fill(new_chain_.begin(), new_chain_.end(), -1);
 
   // Phase A: renew chains. A chain (in -> out) survives if any VC at `in`
   // requests `out` this cycle; "anyVC" means the continuing flit may come
   // from a different VC than the one that formed the chain.
-  std::vector<int> new_chain(static_cast<std::size_t>(geom_.num_outports),
-                             -1);
   for (PortId out = 0; out < geom_.num_outports; ++out) {
     const int in = chain_[out];
     if (in == -1) continue;
-    if (in_busy[in]) continue;  // another output's chain already took `in`
+    if (in_busy_[in]) continue;  // another output's chain already took `in`
     // Collect this cycle's VCs at (in, out).
     VcId best = kInvalidVc;
     const std::size_t cell =
@@ -49,9 +48,9 @@ void PacketChainingAllocator::Kernel(const SwitchRequestView& requests,
     if (best == kInvalidVc) best = wrap_best;
     if (best == kInvalidVc) continue;  // chain broken: no request this cycle
     ptr = (best + 1) % geom_.num_vcs;
-    in_busy[in] = true;
-    out_busy[out] = true;
-    new_chain[out] = in;
+    in_busy_[in] = true;
+    out_busy_[out] = true;
+    new_chain_[out] = in;
     ++chained_grants_;
     grants->push_back(SaGrant{in, 0, best, out});
   }
@@ -63,17 +62,17 @@ void PacketChainingAllocator::Kernel(const SwitchRequestView& requests,
   BitView residual_bits(residual_ready_.data(), requests.size());
   residual_bits.CopyFrom(BitSpan(requests.ready, requests.size()));
   requests.ForEach([&](PortId in, VcId vc, PortId out) {
-    if (in_busy[in] || out_busy[out]) {
+    if (in_busy_[in] || out_busy_[out]) {
       residual_bits.Clear(in * geom_.num_vcs + vc);
     }
   });
   separable_->Allocate(residual, &residual_grants_);
   for (const SaGrant& g : residual_grants_) {
-    new_chain[g.out_port] = g.in_port;
+    new_chain_[g.out_port] = g.in_port;
     grants->push_back(g);
   }
 
-  chain_ = std::move(new_chain);
+  chain_.swap(new_chain_);
 }
 
 void PacketChainingAllocator::Reset() {

@@ -41,6 +41,11 @@ class PacketChainingAllocator final : public SwitchAllocator {
   std::unique_ptr<SwitchAllocator> separable_;  // residual IF pass
   std::vector<std::uint64_t> residual_ready_;    // the residual requests
   std::vector<SaGrant> residual_grants_;
+  // Per-cycle scratch: ports taken by a renewed chain, and the chains
+  // being formed this cycle (swapped into chain_ at the end).
+  std::vector<bool> in_busy_;
+  std::vector<bool> out_busy_;
+  std::vector<int> new_chain_;
   std::uint64_t chained_grants_ = 0;
 };
 

@@ -270,6 +270,7 @@ SweepExecResult& SweepExecResult::operator+=(SweepExecResult later) {
   };
   append(&results, later.results);
   append(&points, later.points);
+  append(&origins, later.origins);
   append(&events, later.events);
   crashes += later.crashes;
   timeouts += later.timeouts;
@@ -279,9 +280,7 @@ SweepExecResult& SweepExecResult::operator+=(SweepExecResult later) {
   workers_spawned += later.workers_spawned;
   exhausted_points += later.exhausted_points;
   fallback_points += later.fallback_points;
-  cached_points += later.cached_points;
   defective_cache_points += later.defective_cache_points;
-  deduped_points += later.deduped_points;
   return *this;
 }
 
@@ -430,14 +429,8 @@ SweepExecResult SweepCoordinator::Run(
                                      "shutdown: " + ReapWorker(&w)});
   }
 
-  // Provenance the runner recorded once for every slot.
-  for (std::size_t i = 0; i < configs.size(); ++i) {
-    out.points[i].from_cache = runner.origins()[i] == PointOrigin::kCache;
-    out.points[i].deduped = runner.origins()[i] == PointOrigin::kDuplicate;
-  }
-  out.cached_points = runner.resumed_points();
+  out.origins = runner.origins();
   out.defective_cache_points = runner.defective_cache_points();
-  out.deduped_points = runner.deduped_points();
   return out;
 }
 

@@ -22,8 +22,9 @@
 //
 // The coordinator is a SweepRunner whose execute step is "run this point
 // on my slot's worker": within-batch dedup, the result-store probe and
-// write-back (ExecPolicy::cache) and the fan-out of duplicates are the
-// runner's, exactly as for an in-process sweep.
+// write-back (ExecPolicy::cache), the fan-out of duplicates and the
+// per-slot origin record are the runner's, exactly as for an in-process
+// sweep.
 //
 // Determinism contract: results are merged in submission order, and every
 // point that completes — in a worker, from cache, or via the in-process
@@ -58,13 +59,10 @@ std::string ToString(ExecFailure failure);
 /// Per-point execution record, parallel to the results vector. This is
 /// provenance the SimOutcome cannot carry: *how* the point was executed,
 /// how many process-level attempts it took, and what the last failure was.
+/// Cache hits and duplicates are recorded in SweepExecResult::origins.
 struct ExecStatus {
   bool isolated = false;     ///< completed inside a worker subprocess
-  bool from_cache = false;   ///< origin PointOrigin::kCache
   bool in_process_fallback = false;  ///< ran on the in-process path
-  /// Origin PointOrigin::kDuplicate: a within-batch duplicate whose slot
-  /// was fanned out from the canonical point's result.
-  bool deduped = false;
   int attempts = 0;          ///< subprocess attempts dispatched
   ExecFailure last_failure = ExecFailure::kNone;
   std::string failure_detail;       ///< e.g. "signal 11 (Segmentation fault)"
@@ -106,6 +104,9 @@ struct ExecPolicy {
 struct SweepExecResult {
   std::vector<NetworkSimResult> results;  ///< submission order
   std::vector<ExecStatus> points;         ///< parallel to results
+  /// The runner's per-slot origin record (executed, cache hit, duplicate),
+  /// parallel to results.
+  std::vector<PointOrigin> origins;
   std::vector<WorkerEvent> events;
 
   // Batch-level tallies (sums over points/events).
@@ -117,15 +118,13 @@ struct SweepExecResult {
   std::uint64_t workers_spawned = 0;
   std::uint64_t exhausted_points = 0;  ///< final kExecFailure error slots
   std::uint64_t fallback_points = 0;   ///< completed in-process
-  // From the SweepRunner's record of the batch (origins() and
-  // defective_cache_points()), not counted a second time.
-  std::uint64_t cached_points = 0;     ///< served from the point cache
+  /// The runner's defective_cache_points(): cache entries found unreadable
+  /// and re-run.
   std::uint64_t defective_cache_points = 0;
-  std::uint64_t deduped_points = 0;    ///< within-batch duplicate slots
 
-  /// Appends a later batch: its results, points and events follow this
-  /// one's and every tally adds up, so a caller running many batches keeps
-  /// one record of them all.
+  /// Appends a later batch: its results, points, origins and events
+  /// follow this one's and every tally adds up, so a caller running many
+  /// batches keeps one record of them all.
   SweepExecResult& operator+=(SweepExecResult later);
 };
 

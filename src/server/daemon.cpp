@@ -53,7 +53,18 @@ SimDaemon::SimDaemon(DaemonConfig config) : config_(std::move(config)) {
   VIXNOC_REQUIRE(config_.max_queue > 0, "max_queue must be positive");
   store_ = std::make_shared<ResultStore>(
       ResultStoreConfig{config_.store_dir, config_.store_max_bytes});
-  runner_ = std::make_unique<SweepRunner>(config_.threads);
+  // Misses take the runner's one per-point path with no cache attached:
+  // BeginPoint already probed the store, and Put happens in the
+  // completion, before the result is published.
+  runner_ = std::make_unique<SweepRunner>(
+      config_.threads,
+      [this](const NetworkSimConfig& config, std::size_t, int) {
+        if (config_.test_compute_delay_ms > 0) {
+          std::this_thread::sleep_for(
+              std::chrono::milliseconds(config_.test_compute_delay_ms));
+        }
+        return SweepRunner::ExecutePoint(config);
+      });
 }
 
 SimDaemon::~SimDaemon() { Stop(); }
@@ -232,10 +243,6 @@ SimDaemon::ComputeHandle SimDaemon::BeginPoint(const NetworkSimConfig& config,
   inflight_.emplace(key, inflight);
   lock.unlock();
   runner_->Submit(config, [this, key, inflight, config](NetworkSimResult r) {
-    if (config_.test_compute_delay_ms > 0) {
-      std::this_thread::sleep_for(
-          std::chrono::milliseconds(config_.test_compute_delay_ms));
-    }
     // Store before publish: a waiter woken by this completion and any
     // later request observe the same durable entry.
     store_->Put(config, r);

@@ -4,7 +4,9 @@
 // ResultStore, and a SweepRunner compute pool. Per request:
 //
 //   store hit       -> served immediately, no pool involvement;
-//   miss            -> the point is submitted to the pool once; concurrent
+//   miss            -> the point is submitted to the pool once (the
+//                      runner's per-point path, with no cache: the probe
+//                      and the write-back are the daemon's); concurrent
 //                      requests for the same NetworkSimResultKey join the
 //                      in-flight computation (single-flight: N clients
 //                      asking for one missing point trigger exactly one
@@ -59,10 +61,10 @@ struct DaemonConfig {
   std::size_t max_queue = 64;
   /// Hint returned with retry-after replies.
   double retry_after_seconds = 0.05;
-  /// Test hook: sleep this long inside each computation's completion path
-  /// (before the result is published), widening the single-flight window
-  /// so coalescing and backpressure are deterministic to test. 0 in
-  /// production.
+  /// Test hook: sleep this long in the compute pool's execute step, before
+  /// each miss is simulated (so before its result exists or is published),
+  /// widening the single-flight window so coalescing and backpressure are
+  /// deterministic to test. 0 in production.
   int test_compute_delay_ms = 0;
 };
 

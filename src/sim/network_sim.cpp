@@ -330,20 +330,9 @@ void ValidateNetworkSimConfig(const NetworkSimConfig& config) {
   }
 }
 
-NetworkSimResult RunNetworkSim(const NetworkSimConfig& config) {
-  // Attributes any abort or SimError below to the offending sim point.
-  ScopedSimContext sim_ctx(
-      "scheme=%s topology=%s rate=%g seed=%llu",
-      ToString(config.scheme).c_str(), ToString(config.topology).c_str(),
-      config.injection_rate,
-      static_cast<unsigned long long>(config.seed));
-  ValidateNetworkSimConfig(config);
-
-  std::shared_ptr<Topology> topology =
-      config.topology_factory ? config.topology_factory()
-                              : MakeTopology64(config.topology);
+NetworkParams MakeNetworkParams(const NetworkSimConfig& config, int radix) {
   NetworkParams params;
-  params.router.radix = topology->Radix();
+  params.router.radix = radix;
   params.router.num_vcs = config.num_vcs;
   params.router.buffer_depth = config.buffer_depth;
   params.router.scheme = config.scheme;
@@ -363,6 +352,22 @@ NetworkSimResult RunNetworkSim(const NetworkSimConfig& config) {
     params.router.speculative_sa = false;  // VA and SA in separate stages
     params.flit_delay = 4;                 // ST + LT + RC at the next hop
   }
+  return params;
+}
+
+NetworkSimResult RunNetworkSim(const NetworkSimConfig& config) {
+  // Attributes any abort or SimError below to the offending sim point.
+  ScopedSimContext sim_ctx(
+      "scheme=%s topology=%s rate=%g seed=%llu",
+      ToString(config.scheme).c_str(), ToString(config.topology).c_str(),
+      config.injection_rate,
+      static_cast<unsigned long long>(config.seed));
+  ValidateNetworkSimConfig(config);
+
+  std::shared_ptr<Topology> topology =
+      config.topology_factory ? config.topology_factory()
+                              : MakeTopology64(config.topology);
+  NetworkParams params = MakeNetworkParams(config, topology->Radix());
 
   // Fault schedule and the routing plugin are pure functions of the config,
   // so results are identical regardless of how a sweep is threaded. The

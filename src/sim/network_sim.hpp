@@ -215,6 +215,15 @@ struct NetworkSimResult {
 /// this itself; it is exported so sweep builders can fail fast.
 void ValidateNetworkSimConfig(const NetworkSimConfig& config);
 
+/// The router and link parameters `config` asks for on a topology of
+/// `radix` ports: every evolution field that shapes a router (scheme,
+/// VCs, buffers, arbiter, VC policy, VIX virtual inputs and interleaving,
+/// VA organization, atomic reallocation, speculation priority, pipeline
+/// depth), with the VA RNG seeded from config.seed. RunNetworkSim and
+/// RunTraceSim both build their network from it; faults, routing and
+/// telemetry are theirs to add.
+NetworkParams MakeNetworkParams(const NetworkSimConfig& config, int radix);
+
 NetworkSimResult RunNetworkSim(const NetworkSimConfig& config);
 
 /// FNV-1a fingerprint over the config's evolution fields (the kEvolution

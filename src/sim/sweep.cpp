@@ -73,13 +73,13 @@ SweepRunner::~SweepRunner() {
 
 void SweepRunner::SetCache(std::shared_ptr<PointCache> cache) {
   std::lock_guard<std::mutex> lock(mu_);
-  VIXNOC_CHECK(batch_ == nullptr);  // not against a batch in flight
   cache_ = std::move(cache);
 }
 
-std::size_t SweepRunner::Count(PointOrigin origin) const {
+std::size_t CountOrigin(const std::vector<PointOrigin>& origins,
+                        PointOrigin origin) {
   return static_cast<std::size_t>(
-      std::count(origins_.begin(), origins_.end(), origin));
+      std::count(origins.begin(), origins.end(), origin));
 }
 
 NetworkSimResult SweepRunner::ExecutePoint(const NetworkSimConfig& config) {
@@ -104,66 +104,34 @@ NetworkSimResult SweepRunner::ExecutePoint(const NetworkSimConfig& config) {
 
 void SweepRunner::WorkerLoop(int thread) {
   for (;;) {
-    std::size_t pos = 0;
     Job job;
-    bool have_job = false;
+    std::shared_ptr<PointCache> cache;
     {
       std::unique_lock<std::mutex> lock(mu_);
-      work_cv_.wait(lock, [this] {
-        return stop_ || !jobs_.empty() ||
-               (batch_ != nullptr && next_ < work_.size());
-      });
-      if (batch_ != nullptr && next_ < work_.size()) {
-        pos = next_++;
-      } else if (!jobs_.empty()) {
-        job = std::move(jobs_.front());
-        jobs_.pop_front();
-        have_job = true;
-      } else if (stop_) {
-        // Pending Submit jobs were drained above before honoring stop.
-        return;
-      } else {
-        continue;
-      }
+      work_cv_.wait(lock, [this] { return stop_ || !jobs_.empty(); });
+      // Queued jobs are drained before stop is honored.
+      if (jobs_.empty()) return;
+      job = std::move(jobs_.front());
+      jobs_.pop_front();
+      cache = cache_;
     }
 
-    if (have_job) {
-      // The job runs unlocked; its callback owns whatever synchronization
-      // the submitter needs.
-      job.done(ExecutePoint(job.config));
-      continue;
-    }
-
-    const std::size_t index = work_[pos];
-    const NetworkSimConfig& config = (*batch_)[index];
-
-    // With a cache attached, a result stored by any earlier run of the
-    // same point satisfies it without simulating. Any defect in the
-    // entry — truncated, corrupted, or written under a different key —
-    // falls through to a normal run with a warning and a
-    // defective_cache_points() tick; the cache is an accelerator, never
-    // a correctness input.
+    // The job runs unlocked: it touches only this point's state (and
+    // whatever per-thread state the step keeps under `thread`). With a
+    // cache attached, a result stored by any earlier run of the same
+    // point satisfies it without simulating. Any defect in the entry —
+    // truncated, corrupted, or written under a different key — falls
+    // through to a normal run; the cache is an accelerator, never a
+    // correctness input.
     PointCacheStatus cached = PointCacheStatus::kMiss;
     NetworkSimResult result;
-    if (cache_) cached = cache_->Load(config, &result);
+    if (cache) cached = cache->Load(job.config, &result);
     if (cached != PointCacheStatus::kHit) {
-      // The step runs unlocked: it touches only this point's state (and
-      // whatever per-thread state it keeps under `thread`).
-      result = execute_ ? execute_(config, index, thread)
-                        : ExecutePoint(config);
-      if (cache_) cache_->Put(config, result);  // non-throwing by contract
+      result = execute_ ? execute_(job.config, job.index, thread)
+                        : ExecutePoint(job.config);
+      if (cache) cache->Put(job.config, result);  // non-throwing by contract
     }
-
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      (*results_)[index] = std::move(result);
-      if (cached == PointCacheStatus::kHit) {
-        origins_[index] = PointOrigin::kCache;
-      } else if (cached == PointCacheStatus::kDefective) {
-        ++defective_;
-      }
-      if (++done_ == work_.size()) done_cv_.notify_all();
-    }
+    job.done(std::move(result), cached);
   }
 }
 
@@ -176,11 +144,15 @@ std::vector<NetworkSimResult> SweepRunner::Run(
   const std::size_t n = configs.size();
   std::vector<NetworkSimResult> results(n);
   std::vector<std::size_t> canonical(n);
-  std::vector<std::size_t> work;
   std::vector<PointOrigin> origins(n, PointOrigin::kExecuted);
+  std::size_t pending = 0;
+  std::size_t defective = 0;
   {
     std::unordered_map<std::uint64_t, std::size_t> first_by_key;
     first_by_key.reserve(n);
+    std::unique_lock<std::mutex> lock(mu_);
+    VIXNOC_CHECK(!running_);  // one batch at a time
+    running_ = true;
     for (std::size_t i = 0; i < n; ++i) {
       canonical[i] = i;
       if (!configs[i].topology_factory && !configs[i].routing_factory) {
@@ -192,24 +164,24 @@ std::vector<NetworkSimResult> SweepRunner::Run(
           continue;
         }
       }
-      work.push_back(i);
+      ++pending;
+      jobs_.push_back(Job{
+          configs[i], i, [&, i](NetworkSimResult r, PointCacheStatus cached) {
+            std::lock_guard<std::mutex> done_lock(mu_);
+            results[i] = std::move(r);
+            if (cached == PointCacheStatus::kHit) {
+              origins[i] = PointOrigin::kCache;
+            } else if (cached == PointCacheStatus::kDefective) {
+              ++defective;
+            }
+            if (--pending == 0) done_cv_.notify_all();
+          }});
     }
-  }
-
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    VIXNOC_CHECK(batch_ == nullptr);  // one batch at a time
-    batch_ = &configs;
-    results_ = &results;
-    work_ = std::move(work);
-    origins_ = std::move(origins);
-    next_ = 0;
-    done_ = 0;
-    defective_ = 0;
     work_cv_.notify_all();
-    done_cv_.wait(lock, [&] { return done_ == work_.size(); });
-    batch_ = nullptr;
-    results_ = nullptr;
+    done_cv_.wait(lock, [&] { return pending == 0; });
+    running_ = false;
+    origins_ = std::move(origins);
+    defective_ = defective;
   }
 
   for (std::size_t i = 0; i < n; ++i) {
@@ -223,7 +195,11 @@ void SweepRunner::Submit(NetworkSimConfig config,
   VIXNOC_CHECK(done != nullptr);
   {
     std::lock_guard<std::mutex> lock(mu_);
-    jobs_.push_back(Job{std::move(config), std::move(done)});
+    jobs_.push_back(Job{std::move(config), 0,
+                        [done = std::move(done)](NetworkSimResult r,
+                                                 PointCacheStatus) {
+                          done(std::move(r));
+                        }});
   }
   work_cv_.notify_one();
 }

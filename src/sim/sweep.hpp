@@ -15,10 +15,13 @@
 // into a preallocated slot indexed by submission position. sweep_test.cpp
 // and the TSAN build (-DVIXNOC_SANITIZE=thread) enforce this.
 //
-// Run is the one place a batch becomes results: within-batch dedup by
-// result key, the cache probe and write-back, the execute step and the
-// fan-out of duplicates. The step is pluggable — SweepCoordinator
-// (exec/coordinator.hpp) runs each point in a worker subprocess through it.
+// Every point takes one path: a queued job that, on the pool thread,
+// probes the cache, runs the execute step on a miss, writes the result
+// back and calls its completion. Run is dedup by result key, one job per
+// distinct point and the fan-out of duplicates; Submit is one job. The
+// step is pluggable — SweepCoordinator (exec/coordinator.hpp) runs each
+// point in a worker subprocess through it, and SimDaemon
+// (server/daemon.hpp) runs its store misses through Submit.
 #pragma once
 
 #include <condition_variable>
@@ -87,13 +90,17 @@ enum class PointOrigin : std::uint8_t {
   kDuplicate,  ///< copied from an earlier slot with the same result key
 };
 
+/// Slots of `origins` that came from `origin`.
+std::size_t CountOrigin(const std::vector<PointOrigin>& origins,
+                        PointOrigin origin);
+
 class SweepRunner {
  public:
-  /// The execute step: runs one batch point and returns its result, with
+  /// The execute step: runs one point and returns its result, with
   /// failures as error slots (never exceptions). `index` is the point's
-  /// batch position and `thread` the pool thread running it
-  /// (0..num_threads-1), so a step can keep per-thread state such as a
-  /// worker subprocess. A null step runs ExecutePoint.
+  /// batch position (0 for a Submit job) and `thread` the pool thread
+  /// running it (0..num_threads-1), so a step can keep per-thread state
+  /// such as a worker subprocess. A null step runs ExecutePoint.
   using ExecuteFn = std::function<NetworkSimResult(
       const NetworkSimConfig& config, std::size_t index, int thread)>;
 
@@ -108,17 +115,17 @@ class SweepRunner {
   int num_threads() const { return static_cast<int>(workers_.size()); }
 
   /// Per-point result caching, making a killed sweep resumable and letting
-  /// independent sweeps share work. Set before Run (not thread-safe against
-  /// a batch in flight). Each point to be executed is first looked up with
-  /// PointCache::Load on the pool thread about to run it; on a miss the
-  /// step runs and the same thread Puts the result as soon as it exists,
-  /// before Run returns. A later Run over any batch containing the same
-  /// point — same batch re-run, reordered grid, a different bench entirely
-  /// — loads it instead of re-simulating. Because cached results were
-  /// produced by the same deterministic RunNetworkSim, a resumed sweep's
-  /// results are bitwise identical to an uninterrupted one. A defective
-  /// cache entry falls back to running the point, with a warning and a
-  /// tick of defective_cache_points().
+  /// independent sweeps share work. Every job — a Run point or a Submit —
+  /// is first looked up with PointCache::Load on the pool thread about to
+  /// run it; on a miss the step runs and the same thread Puts the result
+  /// as soon as it exists, before the job completes. A later job for the
+  /// same point — same batch re-run, reordered grid, a different bench
+  /// entirely — loads it instead of re-simulating. Because cached results
+  /// were produced by the same deterministic RunNetworkSim, a resumed
+  /// sweep's results are bitwise identical to an uninterrupted one. A
+  /// defective cache entry falls back to running the point, with a
+  /// warning and a tick of defective_cache_points(). Jobs already started
+  /// keep the cache they started with.
   void SetCache(std::shared_ptr<PointCache> cache);
 
   /// Per-slot origin of the most recent Run, parallel to its results.
@@ -126,7 +133,9 @@ class SweepRunner {
 
   /// Points of the most recent Run that were satisfied from the cache
   /// instead of being simulated.
-  std::size_t resumed_points() const { return Count(PointOrigin::kCache); }
+  std::size_t resumed_points() const {
+    return CountOrigin(origins_, PointOrigin::kCache);
+  }
 
   /// Points of the most recent Run whose cache entry existed but was
   /// defective (unreadable, corrupt, or key-mismatched) and was therefore
@@ -141,7 +150,7 @@ class SweepRunner {
   /// factory callbacks never dedupe (the key only records factory
   /// presence, not identity).
   std::size_t deduped_points() const {
-    return Count(PointOrigin::kDuplicate);
+    return CountOrigin(origins_, PointOrigin::kDuplicate);
   }
 
   /// Runs every point and blocks until all complete. results[i] is the
@@ -151,19 +160,19 @@ class SweepRunner {
   /// comes back with outcome.status == SimStatus::kInvariantViolation and
   /// the exception message, the remaining points run normally, and the
   /// pool accepts further batches. Only one Run may be in flight at a
-  /// time; async Submit jobs interleave freely with a running batch.
+  /// time (origins() describes the most recent one); Submit jobs share
+  /// the queue with a running batch.
   std::vector<NetworkSimResult> Run(
       const std::vector<NetworkSimConfig>& configs);
 
-  /// Asynchronous single-point execution on the same pool, for callers
-  /// (the vixnocd daemon) that schedule points one at a time rather than
-  /// in batches. `done` is invoked exactly once from a worker thread with
-  /// the point's ExecutePoint result; it must not block the worker for
-  /// long and must not re-enter Run on the same thread. Submitted jobs
-  /// bypass the batch pipeline (no cache, no dedup, no execute step) —
-  /// the daemon serves hits without touching the pool. Jobs still pending
-  /// at destruction are drained, not dropped: the destructor completes all
-  /// submitted work first.
+  /// Queues one point as a job on the same pool, for callers (the vixnocd
+  /// daemon) that schedule points one at a time rather than in batches.
+  /// It takes Run's path — cache Load, the execute step, Put — and then
+  /// `done` is invoked exactly once from a worker thread with the result;
+  /// `done` must not block the worker for long and must not re-enter Run
+  /// on the same thread. Submit jobs are not deduplicated and leave
+  /// origins() alone. Jobs still pending at destruction are drained, not
+  /// dropped: the destructor completes all submitted work first.
   void Submit(NetworkSimConfig config,
               std::function<void(NetworkSimResult)> done);
 
@@ -172,34 +181,28 @@ class SweepRunner {
   static NetworkSimResult ExecutePoint(const NetworkSimConfig& config);
 
  private:
+  /// One point: its config, the index handed to the step, and the
+  /// completion that receives the result and how the cache answered.
   struct Job {
     NetworkSimConfig config;
-    std::function<void(NetworkSimResult)> done;
+    std::size_t index = 0;
+    std::function<void(NetworkSimResult, PointCacheStatus)> done;
   };
 
   void WorkerLoop(int thread);
-  std::size_t Count(PointOrigin origin) const;
 
   std::vector<std::thread> workers_;
   ExecuteFn execute_;
-  std::shared_ptr<PointCache> cache_;
   std::vector<PointOrigin> origins_;
   std::size_t defective_ = 0;
 
   std::mutex mu_;
-  std::condition_variable work_cv_;  // workers wait for work / shutdown
-  std::condition_variable done_cv_;  // Run waits for batch completion
+  std::condition_variable work_cv_;  // workers wait for jobs / shutdown
+  std::condition_variable done_cv_;  // Run waits for its batch's jobs
   bool stop_ = false;
-
-  // Current batch (valid while batch_ != nullptr). work_ holds the indices
-  // actually run (one per dedup group, in submission order).
-  const std::vector<NetworkSimConfig>* batch_ = nullptr;
-  std::vector<NetworkSimResult>* results_ = nullptr;
-  std::vector<std::size_t> work_;
-  std::size_t next_ = 0;  // next unclaimed position in work_
-  std::size_t done_ = 0;  // completed work items
-
-  std::deque<Job> jobs_;  // pending async Submit work
+  bool running_ = false;  // a Run is in flight
+  std::shared_ptr<PointCache> cache_;
+  std::deque<Job> jobs_;
 };
 
 /// One-shot convenience. With `num_threads` == 0 (the default) the batch

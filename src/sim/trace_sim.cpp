@@ -27,20 +27,10 @@ PacketTrace GeneratePatternTrace(PatternKind pattern, double rate,
 
 NetworkSimResult RunTraceSim(const NetworkSimConfig& config,
                              const PacketTrace& trace) {
-  VIXNOC_REQUIRE(config.checkpoint_every == 0 ||
-                     !config.checkpoint_path.empty(),
-                 "checkpoint_every=%llu needs a checkpoint_path",
-                 static_cast<unsigned long long>(config.checkpoint_every));
+  ValidateNetworkSimConfig(config);
   auto topology = MakeTopology64(config.topology);
-  NetworkParams params;
-  params.router.radix = topology->Radix();
-  params.router.num_vcs = config.num_vcs;
-  params.router.buffer_depth = config.buffer_depth;
-  params.router.scheme = config.scheme;
-  params.router.arbiter_kind = config.arbiter;
-  params.router.vc_policy =
-      config.vc_policy.value_or(RouterConfig::DefaultPolicyFor(config.scheme));
-  params.router.ap_rotate_vcs = config.ap_rotate_vcs;
+  NetworkParams params = MakeNetworkParams(config, topology->Radix());
+  params.router.vc_rng_seed = 0;  // traces ignore config.seed
 
   Network net(std::shared_ptr<Topology>(std::move(topology)), params);
   const int num_nodes = net.NumNodes();

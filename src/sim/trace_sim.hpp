@@ -16,9 +16,13 @@ PacketTrace GeneratePatternTrace(PatternKind pattern, double rate,
                                  int packet_size, std::uint64_t seed);
 
 /// Replay `trace` under `config` (whose injection_rate/pattern/seed are
-/// ignored). Measurement uses config.warmup/measure as in RunNetworkSim;
-/// after the trace is exhausted the network drains fully (bounded by
-/// config.drain extra cycles past the last record).
+/// ignored). The network is built by MakeNetworkParams, as RunNetworkSim
+/// builds its own, so every router field of the config applies; faults,
+/// telemetry, routing plugins, the watchdog and sample_interval do not.
+/// The config is checked with ValidateNetworkSimConfig. Measurement uses
+/// config.warmup/measure as in RunNetworkSim; after the trace is exhausted
+/// the network drains fully (bounded by config.drain extra cycles past the
+/// last record).
 ///
 /// Checkpoint/restore works exactly as in RunNetworkSim: with
 /// `checkpoint_every` > 0 the full state is written to `checkpoint_path`

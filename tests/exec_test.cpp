@@ -354,15 +354,15 @@ TEST(SweepCoordinatorTest, CheckpointCacheServesCompletedPoints) {
   ExecPolicy policy = TestPolicy(2);
   policy.cache = std::make_shared<ResultStore>(dir);
   const SweepExecResult first = SweepCoordinator(policy).Run(points);
-  ASSERT_EQ(first.cached_points, 0u);
+  ASSERT_EQ(CountOrigin(first.origins, PointOrigin::kCache), 0u);
 
   // A fresh coordinator over the same directory serves everything from
   // cache without spawning a single worker.
   const SweepExecResult second = SweepCoordinator(policy).Run(points);
-  EXPECT_EQ(second.cached_points, points.size());
+  EXPECT_EQ(CountOrigin(second.origins, PointOrigin::kCache), points.size());
   EXPECT_EQ(second.workers_spawned, 0u);
   for (std::size_t i = 0; i < points.size(); ++i) {
-    EXPECT_TRUE(second.points[i].from_cache);
+    EXPECT_EQ(second.origins[i], PointOrigin::kCache);
     EXPECT_EQ(Bytes(second.results[i]), Bytes(first.results[i]));
   }
 
@@ -396,7 +396,8 @@ TEST(SweepCoordinatorTest, CrashedPointRecoversFromCacheAssistedRerun) {
   // Re-run after the "bug is fixed" (hook cleared): only the crashed
   // point is simulated, everything else is a cheap cache hit.
   const SweepExecResult rerun = SweepCoordinator(policy).Run(points);
-  EXPECT_EQ(rerun.cached_points, points.size() - 1);
+  EXPECT_EQ(CountOrigin(rerun.origins, PointOrigin::kCache),
+            points.size() - 1);
   EXPECT_EQ(rerun.exhausted_points, 0u);
   for (std::size_t i = 0; i < points.size(); ++i) {
     EXPECT_EQ(Bytes(rerun.results[i]), Bytes(serial[i])) << "point " << i;
@@ -415,8 +416,9 @@ TEST(SweepCoordinatorTest, WithinBatchDuplicatesRunOnceAndFanOut) {
   ExecPolicy policy = TestPolicy(2);
   policy.cache = store;
   const SweepExecResult exec = SweepCoordinator(policy).Run(points);
-  EXPECT_EQ(exec.deduped_points, 2u);
-  EXPECT_TRUE(exec.points[2].deduped && exec.points[3].deduped);
+  EXPECT_EQ(CountOrigin(exec.origins, PointOrigin::kDuplicate), 2u);
+  EXPECT_EQ(exec.origins[2], PointOrigin::kDuplicate);
+  EXPECT_EQ(exec.origins[3], PointOrigin::kDuplicate);
   EXPECT_EQ(store->stats().writes, 3u);
   ASSERT_EQ(exec.results.size(), points.size());
   for (std::size_t i = 0; i < points.size(); ++i) {

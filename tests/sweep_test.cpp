@@ -8,11 +8,15 @@
 // (-DVIXNOC_SANITIZE=thread).
 #include "sim/sweep.hpp"
 
+#include <atomic>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -300,6 +304,74 @@ TEST(SweepRunnerTest, DefectiveCacheEntriesAreCountedAndRerun) {
   EXPECT_EQ(runner.resumed_points(), points.size());
   ASSERT_EQ(third.size(), first.size());
   std::filesystem::remove_all(dir);
+}
+
+/// An in-memory PointCache keyed by result key, counting its Puts.
+class MemoryCache : public PointCache {
+ public:
+  PointCacheStatus Load(const NetworkSimConfig& config,
+                        NetworkSimResult* out) override {
+    std::lock_guard<std::mutex> lock(mu_);
+    const auto it = entries_.find(NetworkSimResultKey(config));
+    if (it == entries_.end()) return PointCacheStatus::kMiss;
+    *out = it->second;
+    return PointCacheStatus::kHit;
+  }
+  void Put(const NetworkSimConfig& config,
+           const NetworkSimResult& result) override {
+    std::lock_guard<std::mutex> lock(mu_);
+    entries_[NetworkSimResultKey(config)] = result;
+    ++puts_;
+  }
+  int puts() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return puts_;
+  }
+
+ private:
+  mutable std::mutex mu_;
+  std::unordered_map<std::uint64_t, NetworkSimResult> entries_;
+  int puts_ = 0;
+};
+
+// Submit takes the same per-point path as Run: cache Load, the execute
+// step on a miss, Put, and only then the completion. A second Submit of
+// the same point is a cache hit and never reaches the step.
+TEST(SweepRunnerTest, SubmitRunsTheStepOnceAndPutsBeforeDone) {
+  std::atomic<int> steps{0};
+  SweepRunner runner(2, [&](const NetworkSimConfig&, std::size_t, int) {
+    ++steps;
+    NetworkSimResult r;
+    r.avg_latency = 42.0;
+    return r;
+  });
+  auto cache = std::make_shared<MemoryCache>();
+  runner.SetCache(cache);
+
+  NetworkSimConfig config;
+  config.scheme = AllocScheme::kVix;
+  struct Completion {
+    double avg_latency;
+    int puts_at_done;
+  };
+  const auto submit = [&] {
+    std::promise<Completion> done;
+    std::future<Completion> completion = done.get_future();
+    runner.Submit(config, [&](NetworkSimResult r) {
+      done.set_value(Completion{r.avg_latency, cache->puts()});
+    });
+    return completion.get();
+  };
+
+  const Completion first = submit();
+  EXPECT_EQ(steps.load(), 1);
+  EXPECT_EQ(first.avg_latency, 42.0);
+  EXPECT_EQ(first.puts_at_done, 1);  // Put happened before done
+
+  const Completion second = submit();
+  EXPECT_EQ(steps.load(), 1);  // served from the cache
+  EXPECT_EQ(second.avg_latency, 42.0);
+  EXPECT_EQ(second.puts_at_done, 1);  // a hit writes nothing back
 }
 
 }  // namespace

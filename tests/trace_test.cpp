@@ -234,5 +234,22 @@ TEST(TraceSim, SchemesComparedOnIdenticalTraffic) {
   EXPECT_GT(vix.accepted_ppc, base.accepted_ppc * 1.05);
 }
 
+// The trace path builds its network from the same parameters as
+// RunNetworkSim, so a router field such as the pipeline depth changes the
+// replay: five stages add a cycle of VA and one of link per hop.
+TEST(TraceSim, PipelineStagesChangeTheReplay) {
+  const PacketTrace trace = GeneratePatternTrace(
+      PatternKind::kUniform, 0.05, 64, 3'000, 4, 17);
+  NetworkSimConfig config;
+  config.warmup = 500;
+  config.measure = 2'000;
+  config.drain = 1'000;
+  const auto three = RunTraceSim(config, trace);
+  config.pipeline_stages = 5;
+  const auto five = RunTraceSim(config, trace);
+  ASSERT_GT(three.packets_measured, 0u);
+  EXPECT_NE(three.avg_latency, five.avg_latency);
+}
+
 }  // namespace
 }  // namespace vixnoc
