@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <set>
 #include <string>
 #include <vector>
@@ -8,6 +10,7 @@
 #include "app/benchmarks.hpp"
 #include "app/sim_config_args.hpp"
 #include "sim/config_fields.hpp"
+#include "snapshot/snapshot.hpp"
 
 namespace vixnoc::app {
 namespace {
@@ -153,6 +156,51 @@ TEST(AppSim, VixDoesNotHurtApplications) {
   const auto base = RunAppSim(QuickApp(AllocScheme::kInputFirst), cores);
   const auto vix = RunAppSim(QuickApp(AllocScheme::kVix), cores);
   EXPECT_GE(vix.aggregate_ipc, base.aggregate_ipc * 0.99);
+}
+
+// Frozen output of RunAppSim, the Table 4 engine: each arm digests every
+// AppSimResult field, so any change to how an app run evolves shows here,
+// not only in the relations the tests above check. A failure prints the
+// digest as it now is; update a row only for an intentional model change.
+std::uint64_t Digest(const AppSimResult& r) {
+  std::vector<std::uint64_t> words;
+  for (double ipc : r.core_ipc) {
+    words.push_back(std::bit_cast<std::uint64_t>(ipc));
+  }
+  words.push_back(std::bit_cast<std::uint64_t>(r.aggregate_ipc));
+  words.push_back(std::bit_cast<std::uint64_t>(r.avg_mpki));
+  words.push_back(std::bit_cast<std::uint64_t>(r.avg_miss_latency));
+  words.push_back(r.total_requests);
+  return Fnv1a64(words.data(), words.size() * sizeof(std::uint64_t));
+}
+
+TEST(AppSim, ResultsAreFrozen) {
+  struct Arm {
+    int mix;
+    AllocScheme scheme;
+    int message_classes;
+    std::uint64_t digest;
+  };
+  const Arm arms[] = {
+      {0, AllocScheme::kInputFirst, 1, 0x7b47c068cea26a5cull},
+      {0, AllocScheme::kVix, 1, 0x513b2dd5da3b829full},
+      {7, AllocScheme::kInputFirst, 1, 0x823cfd449fc772cdull},
+      {7, AllocScheme::kVix, 1, 0x145b32752ee09ce1ull},
+      {4, AllocScheme::kVix, 2, 0xbc296bcdb6e580d6ull},
+  };
+  for (const Arm& arm : arms) {
+    AppSimConfig c;
+    c.scheme = arm.scheme;
+    c.num_message_classes = arm.message_classes;
+    c.seed = 5;
+    c.warmup = 1'000;
+    c.measure = 3'000;
+    const AppSimResult r = RunAppSim(c, ExpandMix(PaperMixes()[arm.mix]));
+    const std::uint64_t got = Digest(r);
+    EXPECT_EQ(got, arm.digest)
+        << "mix " << arm.mix + 1 << " " << ToString(arm.scheme) << " classes "
+        << arm.message_classes << " digest is now 0x" << std::hex << got;
+  }
 }
 
 ArgMap Args(std::vector<std::string> pairs) {
