@@ -2,8 +2,8 @@
 // library — the tool a downstream user reaches for first.
 //
 //   $ ./build/examples/noc_explorer topology=mesh scheme=vix rate=0.1
-//   $ ./build/examples/noc_explorer scheme=wf pattern=transpose vcs=4 \
-//         depth=3 packet=4 warmup=5000 measure=20000 csv=out.csv
+//   $ ./build/examples/noc_explorer scheme=wf pattern=transpose vcs=4 depth=3
+//   $ ./build/examples/noc_explorer warmup=5000 measure=20000 csv=out.csv
 //   $ ./build/examples/noc_explorer sweep=1 scheme=vix csv=sweep.csv
 //
 // Keys (all optional): topology=mesh|cmesh|fbfly|torus scheme=if|wf|ap|

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verification: the gate every PR must keep green.
 #
-#  1. standard Release-ish build + full ctest suite;
+#  1. Release build with warnings as errors (-DVIXNOC_WERROR=ON) + full
+#     ctest suite;
 #  2. ThreadSanitizer build (-DVIXNOC_SANITIZE=thread) running sweep_test,
 #     which drives SweepRunner at 1/2/8 threads, and exec_test, which drives
 #     the subprocess coordinator on the same pool — any data race in the
@@ -46,7 +47,7 @@ cd "$(dirname "$0")/.."
 PREFIX="${1:-build}"
 
 echo "== tier1: build + ctest (${PREFIX}) =="
-cmake -B "${PREFIX}" -S .
+cmake -B "${PREFIX}" -S . -DCMAKE_BUILD_TYPE=Release -DVIXNOC_WERROR=ON
 cmake --build "${PREFIX}" -j
 (cd "${PREFIX}" && ctest --output-on-failure -j)
 

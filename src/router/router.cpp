@@ -684,7 +684,7 @@ void Router::Visit(StateArchive& ar, int num_nodes) {
   }
   // Output VCs: credit counters and allocation flags. The holder of an
   // allocated VC is the active input VC routed to it (see RebuildOwners).
-  std::vector<std::uint8_t> allocated(static_cast<std::size_t>(total));
+  std::vector<std::uint8_t> allocated(credits_.size());  // one per output VC
   for (int ovc = 0; ovc < total; ++ovc) {
     ar.I32(credits_[ovc], 0, depth + 1, "credit count");
     bool held = ovc_owner_[ovc] >= 0;

@@ -233,10 +233,15 @@ struct WiringCase {
 
 std::string WiringCaseName(const ::testing::TestParamInfo<WiringCase>& info) {
   const WiringCase& c = info.param;
-  return "r" + std::to_string(c.radix) + "_v" + std::to_string(c.vcs) +
-         "_k" + std::to_string(c.vins) +
-         (c.interleaved ? "_interleaved" : "_contiguous") +
-         (c.kind == ArbiterKind::kMatrix ? "_matrix" : "_rr");
+  std::string name = "r";
+  name += std::to_string(c.radix);
+  name += "_v";
+  name += std::to_string(c.vcs);
+  name += "_k";
+  name += std::to_string(c.vins);
+  name += c.interleaved ? "_interleaved" : "_contiguous";
+  name += c.kind == ArbiterKind::kMatrix ? "_matrix" : "_rr";
+  return name;
 }
 
 class VixWiringEquivTest : public ::testing::TestWithParam<WiringCase> {};

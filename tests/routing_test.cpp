@@ -274,7 +274,9 @@ TEST(AdaptiveMin, CandidatesAreMinimalWithEscapeLast) {
           ASSERT_GE(c.vc_range.lo, 0);
           ASSERT_LT(c.vc_range.lo, c.vc_range.hi);
           ASSERT_LE(c.vc_range.hi, vpc);
-          if (i < n - 1) EXPECT_FALSE(c.escape);
+          if (i < n - 1) {
+            EXPECT_FALSE(c.escape);
+          }
           if (links[c.out_port].IsEjection()) {
             EXPECT_EQ(links[c.out_port].eject_node, dst);
             continue;
