@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
-#include <csignal>
 #include <cstring>
 #include <thread>
 
-#include <pthread.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -44,11 +42,7 @@ SimClient::SimClient(std::string socket_path, double connect_timeout_seconds)
   VIXNOC_REQUIRE(socket_path_.size() < sizeof(sockaddr_un{}.sun_path),
                  "socket path '%s' exceeds the AF_UNIX limit",
                  socket_path_.c_str());
-  // A dead daemon mid-write must surface as EPIPE, not kill the client.
-  sigset_t sigpipe;
-  sigemptyset(&sigpipe);
-  sigaddset(&sigpipe, SIGPIPE);
-  pthread_sigmask(SIG_BLOCK, &sigpipe, nullptr);
+  BlockSigpipe();  // a dead daemon mid-write must not kill the client
 
   const auto deadline =
       std::chrono::steady_clock::now() +
