@@ -164,7 +164,7 @@ class Network {
 
   /// Convenience wrappers writing/reading a standalone checkpoint file with
   /// a single "network" section, fingerprinted by the network's structural
-  /// shape (see snapshot/snapshot.hpp for the file format). RunNetworkSim
+  /// shape (see snapshot/snapshot.hpp for the file format). SimDriver
   /// embeds the same section in its richer checkpoint instead.
   void SaveCheckpoint(const std::string& path) const;
   void RestoreCheckpoint(const std::string& path);

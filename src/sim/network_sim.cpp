@@ -1,9 +1,9 @@
 #include "sim/network_sim.hpp"
 
-#include <algorithm>
 #include <bit>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -12,6 +12,7 @@
 #include "common/error.hpp"
 #include "routing/registry.hpp"
 #include "sim/config_fields.hpp"
+#include "sim/sim_driver.hpp"
 #include "snapshot/snapshot.hpp"
 #include "snapshot/state_archive.hpp"
 #include "traffic/injection.hpp"
@@ -175,6 +176,96 @@ void LoadField(SnapshotReader& r, const ConfigField&, Links* links) {
   }
 }
 
+/// Open-loop statistical traffic: one injection trial per node per cycle,
+/// destinations from the pattern, all draws from one RNG. Packets whose
+/// destination is unreachable over the surviving links are counted, not
+/// injected (they could only hang forever).
+class SyntheticSource final : public TrafficSource {
+ public:
+  SyntheticSource(const NetworkSimConfig& config, SimDriver& driver)
+      : TrafficSource(config.warmup + config.measure + config.drain,
+                      NetworkSimConfigFingerprint(config), "sim"),
+        config_(config),
+        driver_(driver),
+        num_nodes_(driver.net().NumNodes()),
+        pattern_(MakePattern(config.pattern,
+                             PatternOptions{config.hotspot_node,
+                                            config.incast_fanin})),
+        rng_(config.seed) {
+    if (config.bursty) {
+      injector_ = std::make_unique<OnOffInjection>(
+          num_nodes_, config.injection_rate, config.burst_on_rate,
+          config.mean_burst_cycles);
+    } else {
+      injector_ = std::make_unique<BernoulliInjection>(config.injection_rate);
+    }
+  }
+
+  // Injection at every node, including during drain (holding the load
+  // keeps measured packets under realistic contention).
+  bool Inject(Cycle t) override {
+    Network& net = driver_.net();
+    const RoutingAlgorithm& routing = driver_.routing();
+    SimDriver::State& s = driver_.state();
+    const bool in_window = driver_.InWindow(t);
+    for (NodeId n = 0; n < num_nodes_; ++n) {
+      if (!injector_->ShouldInject(n, rng_)) continue;
+      // Draw the destination before the reachability gate so the RNG
+      // stream — and therefore every reachable packet — is identical to
+      // the fault-free run.
+      const NodeId dst = pattern_->Dest(n, num_nodes_, rng_);
+      if (routing.MayBeUnreachable() &&
+          !routing.Reachable(net.topology().RouterOfNode(n), dst)) {
+        ++s.result.outcome.unreachable_packets;
+        continue;
+      }
+      net.EnqueuePacket(n, dst, config_.packet_size);
+      if (in_window) ++s.offered_packets;
+    }
+    return false;
+  }
+
+  void Visit(StateArchive& ar, Cycle& next) override {
+    SimDriver::State& s = driver_.state();
+    ar.U64(next, end + 1, "resume cycle");
+    ar.Object(rng_);
+    std::string injector_name = injector_->Name();
+    ar.Str(injector_name);
+    ar.Require(injector_name == injector_->Name(),
+               "checkpoint used injection process '%s', this config builds "
+               "'%s'",
+               injector_name.c_str(), injector_->Name().c_str());
+    injector_->Visit(ar);
+    ar.Object(s.latency);
+    ar.Object(s.net_latency);
+    ar.Object(s.latency_hist);
+    ar.Object(s.interval_latency);
+    ar.U64(s.interval_packets);
+    ar.U64(s.result.packets_corrupted);
+    ar.U64(s.last_delivery);
+    ar.U64(s.offered_packets);
+    ar.B(s.window_closed);
+    for (NodeCounters& c : s.at_start) ar.Object(c);
+    for (NodeCounters& c : s.at_end) ar.Object(c);
+    ar.Object(s.activity);
+    ar.List(s.result.timeline, kIntervalSampleBytes);
+    ar.U64(s.result.outcome.unreachable_packets);
+    // The counter aggregates frozen at measure_end (windows and trace are
+    // re-read from the collector when the run ends).
+    bool frozen = s.window_closed && driver_.telemetry_enabled();
+    ar.B(frozen);
+    if (frozen) VisitTelemetryScalars(ar, s.result.telemetry);
+  }
+
+ private:
+  const NetworkSimConfig& config_;
+  SimDriver& driver_;
+  const int num_nodes_;
+  std::unique_ptr<TrafficPattern> pattern_;
+  std::unique_ptr<InjectionProcess> injector_;
+  Rng rng_;
+};
+
 }  // namespace
 
 std::string ToString(SimStatus status) {
@@ -209,16 +300,14 @@ void ValidateNetworkSimConfig(const NetworkSimConfig& config) {
   VIXNOC_REQUIRE(config.hotspot_node >= kInvalidNode,
                  "hotspot_node must be a node index or kInvalidNode, got %d",
                  config.hotspot_node);
-  if (config.hotspot_node != kInvalidNode) {
-    VIXNOC_REQUIRE(config.pattern == PatternKind::kHotspot ||
-                       config.pattern == PatternKind::kIncast,
-                   "hotspot_node is only meaningful for pattern=hotspot or "
-                   "pattern=incast");
-  }
-  if (config.incast_fanin > 0) {
-    VIXNOC_REQUIRE(config.pattern == PatternKind::kIncast,
-                   "incast_fanin is only meaningful for pattern=incast");
-  }
+  VIXNOC_REQUIRE(config.hotspot_node == kInvalidNode ||
+                     config.pattern == PatternKind::kHotspot ||
+                     config.pattern == PatternKind::kIncast,
+                 "hotspot_node is only meaningful for pattern=hotspot or "
+                 "pattern=incast");
+  VIXNOC_REQUIRE(config.incast_fanin <= 0 ||
+                     config.pattern == PatternKind::kIncast,
+                 "incast_fanin is only meaningful for pattern=incast");
   if (config.scheme == AllocScheme::kVix) {
     const int vins =
         config.vix_virtual_inputs > 0 ? config.vix_virtual_inputs : 2;
@@ -243,18 +332,13 @@ void ValidateNetworkSimConfig(const NetworkSimConfig& config) {
   }
 
   const FaultConfig& f = config.faults;
-  VIXNOC_REQUIRE(f.link_down_rate >= 0.0 && f.link_down_rate <= 1.0,
-                 "faults.link_down_rate must be in [0, 1], got %g",
-                 f.link_down_rate);
-  VIXNOC_REQUIRE(f.transient_rate >= 0.0 && f.transient_rate <= 1.0,
-                 "faults.transient_rate must be in [0, 1], got %g",
-                 f.transient_rate);
-  VIXNOC_REQUIRE(f.router_stall_rate >= 0.0 && f.router_stall_rate <= 1.0,
-                 "faults.router_stall_rate must be in [0, 1], got %g",
-                 f.router_stall_rate);
-  VIXNOC_REQUIRE(f.corruption_rate >= 0.0 && f.corruption_rate <= 1.0,
-                 "faults.corruption_rate must be in [0, 1], got %g",
-                 f.corruption_rate);
+  const std::pair<const char*, double> rates[] = {
+      {"link_down", f.link_down_rate}, {"transient", f.transient_rate},
+      {"router_stall", f.router_stall_rate}, {"corruption", f.corruption_rate}};
+  for (const auto& [name, rate] : rates) {
+    VIXNOC_REQUIRE(rate >= 0.0 && rate <= 1.0,
+                   "faults.%s_rate must be in [0, 1], got %g", name, rate);
+  }
   const bool permanent_faults =
       f.link_down_rate > 0.0 || !f.forced_link_down.empty();
   if (permanent_faults && !config.topology_factory) {
@@ -284,20 +368,17 @@ void ValidateNetworkSimConfig(const NetworkSimConfig& config) {
                      min_vcs, config.num_vcs);
     }
   }
-  if (config.telemetry.enabled) {
-    VIXNOC_REQUIRE(config.telemetry.window_cycles >= 1,
+  if (const TelemetryConfig& tc = config.telemetry; tc.enabled) {
+    VIXNOC_REQUIRE(tc.window_cycles >= 1,
                    "telemetry.window_cycles must be >= 1, got %llu",
-                   static_cast<unsigned long long>(
-                       config.telemetry.window_cycles));
-    VIXNOC_REQUIRE(config.telemetry.max_windows >= 2,
+                   static_cast<unsigned long long>(tc.window_cycles));
+    VIXNOC_REQUIRE(tc.max_windows >= 2,
                    "telemetry.max_windows must be >= 2, got %zu",
-                   config.telemetry.max_windows);
-    if (config.telemetry.trace_sample_period > 0) {
-      VIXNOC_REQUIRE(config.telemetry.max_trace_events >= 1,
-                     "telemetry.max_trace_events must be >= 1 when tracing, "
-                     "got %zu",
-                     config.telemetry.max_trace_events);
-    }
+                   tc.max_windows);
+    VIXNOC_REQUIRE(tc.trace_sample_period == 0 || tc.max_trace_events >= 1,
+                   "telemetry.max_trace_events must be >= 1 when tracing, "
+                   "got %zu",
+                   tc.max_trace_events);
   }
 
   VIXNOC_REQUIRE(config.checkpoint_every == 0 ||
@@ -312,21 +393,16 @@ void ValidateNetworkSimConfig(const NetworkSimConfig& config) {
   // A transient outage or stall window parks all affected traffic for its
   // whole duration; the watchdog must outlast it or a healthy run is
   // misreported as deadlocked.
-  if (config.watchdog_cycles > 0) {
-    if (f.transient_rate > 0.0) {
-      VIXNOC_REQUIRE(config.watchdog_cycles > f.transient_duration,
-                     "watchdog_cycles (%lld) must exceed "
-                     "faults.transient_duration (%lld)",
-                     static_cast<long long>(config.watchdog_cycles),
-                     static_cast<long long>(f.transient_duration));
-    }
-    if (f.router_stall_rate > 0.0) {
-      VIXNOC_REQUIRE(config.watchdog_cycles > f.stall_duration,
-                     "watchdog_cycles (%lld) must exceed "
-                     "faults.stall_duration (%lld)",
-                     static_cast<long long>(config.watchdog_cycles),
-                     static_cast<long long>(f.stall_duration));
-    }
+  const std::tuple<const char*, double, Cycle> windows[] = {
+      {"transient", f.transient_rate, f.transient_duration},
+      {"stall", f.router_stall_rate, f.stall_duration}};
+  for (const auto& [name, rate, duration] : windows) {
+    VIXNOC_REQUIRE(config.watchdog_cycles == 0 || rate == 0.0 ||
+                       config.watchdog_cycles > duration,
+                   "watchdog_cycles (%lld) must exceed faults.%s_duration "
+                   "(%lld)",
+                   static_cast<long long>(config.watchdog_cycles), name,
+                   static_cast<long long>(duration));
   }
 }
 
@@ -362,337 +438,10 @@ NetworkSimResult RunNetworkSim(const NetworkSimConfig& config) {
       ToString(config.scheme).c_str(), ToString(config.topology).c_str(),
       config.injection_rate,
       static_cast<unsigned long long>(config.seed));
-  ValidateNetworkSimConfig(config);
-
-  std::shared_ptr<Topology> topology =
-      config.topology_factory ? config.topology_factory()
-                              : MakeTopology64(config.topology);
-  NetworkParams params = MakeNetworkParams(config, topology->Radix());
-
-  // Fault schedule and the routing plugin are pure functions of the config,
-  // so results are identical regardless of how a sweep is threaded. The
-  // routing algorithm must outlive the network (raw pointer in params).
-  RoutingBuildContext routing_ctx;
-  if (config.faults.Enabled()) {
-    const std::uint64_t fault_seed =
-        config.faults.seed != 0 ? config.faults.seed : config.seed;
-    auto faults =
-        std::make_shared<const FaultModel>(*topology, config.faults,
-                                           fault_seed);
-    routing_ctx.dead_links = faults->permanent_down();
-    params.faults = std::move(faults);
-  }
-  std::string routing_name = config.routing;
-  if (routing_name == "dor" && !routing_ctx.dead_links.empty()) {
-    // The default routing detours around permanent faults (legacy
-    // behavior); an *explicit* non-default plugin must be fault-compatible
-    // or the registry rejects it.
-    routing_name = "fault_aware";
-  }
-  const std::unique_ptr<RoutingAlgorithm> routing_algo =
-      config.routing_factory
-          ? config.routing_factory(*topology)
-          : MakeRoutingAlgorithm(routing_name, *topology, routing_ctx);
-  VIXNOC_CHECK(routing_algo != nullptr);
-  params.routing = routing_algo.get();
-
-  std::unique_ptr<TelemetryCollector> telemetry;
-  if (config.telemetry.enabled) {
-    telemetry = std::make_unique<TelemetryCollector>(config.telemetry);
-    params.telemetry = telemetry.get();
-  }
-
-  Network net(topology, params);
-  const int num_nodes = net.NumNodes();
-
-  PatternOptions pattern_opts;
-  pattern_opts.hotspot_node = config.hotspot_node;
-  pattern_opts.incast_fanin = config.incast_fanin;
-  auto pattern = MakePattern(config.pattern, pattern_opts);
-  Rng rng(config.seed);
-  std::unique_ptr<InjectionProcess> injector;
-  if (config.bursty) {
-    injector = std::make_unique<OnOffInjection>(
-        num_nodes, config.injection_rate, config.burst_on_rate,
-        config.mean_burst_cycles);
-  } else {
-    injector = std::make_unique<BernoulliInjection>(config.injection_rate);
-  }
-
-  const Cycle measure_start = config.warmup;
-  const Cycle measure_end = config.warmup + config.measure;
-  const Cycle sim_end = measure_end + config.drain;
-
-  RunningStat latency;
-  RunningStat net_latency;
-  Histogram latency_hist(/*bucket_width=*/4.0, /*num_buckets=*/4096);
-  RunningStat interval_latency;  // latency of packets ejected this interval
-  std::uint64_t interval_packets = 0;
-  std::uint64_t packets_corrupted = 0;
-  Cycle last_delivery = 0;
-  net.SetEjectCallback([&](const PacketRecord& rec) {
-    last_delivery = rec.ejected;
-    if (rec.corrupted) ++packets_corrupted;
-    if (rec.created >= measure_start && rec.created < measure_end) {
-      latency.Add(static_cast<double>(rec.ejected - rec.created));
-      net_latency.Add(static_cast<double>(rec.ejected - rec.injected));
-      latency_hist.Add(static_cast<double>(rec.ejected - rec.created));
-    }
-    if (config.sample_interval > 0) {
-      interval_latency.Add(static_cast<double>(rec.ejected - rec.created));
-      ++interval_packets;
-    }
-  });
-
-  std::vector<NodeCounters> at_measure_start(num_nodes);
-  std::vector<NodeCounters> at_measure_end(num_nodes);
-  bool measure_window_closed = false;
-  RouterActivity activity_snapshot;
-  std::uint64_t offered_packets = 0;
-
-  NetworkSimResult result;
-  SimOutcome outcome;
-
-  // --- Checkpoint/restore (snapshot/) ------------------------------------
-  // A checkpoint captures the state *before* any work of cycle `next`, so
-  // a restored run re-executes iteration `next` in full and every
-  // downstream decision — sampling, measurement snapshots, injection draws,
-  // router arbitration — replays bitwise identically. Serialization only
-  // reads state (no RNG draws), so saving never perturbs the run.
-  const std::uint64_t config_fp = NetworkSimConfigFingerprint(config);
-  const auto visit_sim = [&](StateArchive& ar, Cycle& next) {
-    ar.U64(next, sim_end + 1, "resume cycle");
-    ar.Object(rng);
-    std::string injector_name = injector->Name();
-    ar.Str(injector_name);
-    ar.Require(injector_name == injector->Name(),
-               "checkpoint used injection process '%s', this config builds "
-               "'%s'",
-               injector_name.c_str(), injector->Name().c_str());
-    injector->Visit(ar);
-    ar.Object(latency);
-    ar.Object(net_latency);
-    ar.Object(latency_hist);
-    ar.Object(interval_latency);
-    ar.U64(interval_packets);
-    ar.U64(packets_corrupted);
-    ar.U64(last_delivery);
-    ar.U64(offered_packets);
-    ar.B(measure_window_closed);
-    for (NodeCounters& c : at_measure_start) ar.Object(c);
-    for (NodeCounters& c : at_measure_end) ar.Object(c);
-    ar.Object(activity_snapshot);
-    ar.List(result.timeline, kIntervalSampleBytes);
-    ar.U64(outcome.unreachable_packets);
-    // The counter aggregates frozen at measure_end (windows and trace are
-    // re-read from the collector after the loop).
-    bool frozen = measure_window_closed && telemetry != nullptr;
-    ar.B(frozen);
-    if (frozen) VisitTelemetryScalars(ar, result.telemetry);
-  };
-  const auto serialize_sim = [&](Cycle next) {
-    SnapshotWriter w;
-    w.BeginSection("sim");
-    StateArchive ar(w);
-    visit_sim(ar, next);
-    w.EndSection();
-    w.BeginSection("network");
-    net.SaveState(w);
-    w.EndSection();
-    if (telemetry != nullptr) {
-      w.BeginSection("telemetry");
-      StateArchive::Save(w, *telemetry);
-      w.EndSection();
-    }
-    return w.Finish(config_fp);
-  };
-
-  Cycle start_cycle = 0;
-  if (!config.restore_path.empty()) {
-    SnapshotReader r(ReadSnapshotFile(config.restore_path));
-    VIXNOC_REQUIRE(r.fingerprint() == config_fp,
-                   "checkpoint '%s' was taken under a different simulation "
-                   "config (fingerprint %016llx, this config is %016llx)",
-                   config.restore_path.c_str(),
-                   static_cast<unsigned long long>(r.fingerprint()),
-                   static_cast<unsigned long long>(config_fp));
-    r.OpenSection("sim");
-    StateArchive ar(r);
-    visit_sim(ar, start_cycle);
-    r.CloseSection();
-    r.OpenSection("network");
-    net.LoadState(r);
-    r.CloseSection();
-    if (telemetry != nullptr && r.HasSection("telemetry")) {
-      r.OpenSection("telemetry");
-      StateArchive::Load(r, *telemetry);
-      r.CloseSection();
-    }
-  }
-
-  // Rolling pre-deadlock snapshots: two alternating in-memory blobs, so
-  // that when the watchdog fires the older one is guaranteed to predate
-  // the detection point by at least one full watchdog window.
-  const bool rolling_enabled = config.watchdog_cycles > 0 &&
-                               !config.deadlock_checkpoint_path.empty();
-  std::string rolling_prev;
-  std::string rolling_cur;
-
-  for (Cycle t = start_cycle; t < sim_end; ++t) {
-    if (config.checkpoint_every > 0 && t > 0 && t != start_cycle &&
-        t % config.checkpoint_every == 0) {
-      WriteSnapshotFile(config.checkpoint_path, serialize_sim(t));
-    }
-    if (rolling_enabled && t % config.watchdog_cycles == 0) {
-      rolling_prev = std::move(rolling_cur);
-      rolling_cur = serialize_sim(t);
-    }
-    if (config.sample_interval > 0 && t > 0 &&
-        t % config.sample_interval == 0) {
-      IntervalSample sample;
-      sample.start = t - config.sample_interval;
-      sample.packets = interval_packets;
-      sample.accepted_ppc =
-          static_cast<double>(interval_packets) /
-          (static_cast<double>(config.sample_interval) * num_nodes);
-      sample.avg_latency = interval_latency.Mean();
-      result.timeline.push_back(sample);
-      interval_latency.Reset();
-      interval_packets = 0;
-    }
-    if (t == measure_start) {
-      for (NodeId n = 0; n < num_nodes; ++n) {
-        at_measure_start[n] = net.counters(n);
-      }
-      net.ClearActivity();
-      if (telemetry != nullptr) telemetry->ResetCounters();
-    }
-    if (t == measure_end) {
-      for (NodeId n = 0; n < num_nodes; ++n) {
-        at_measure_end[n] = net.counters(n);
-      }
-      activity_snapshot = net.TotalActivity();
-      measure_window_closed = true;
-      // Counter aggregates are frozen here; windows and trace (snapshotted
-      // again after the loop) keep running through the drain.
-      if (telemetry != nullptr) result.telemetry = telemetry->Summarize();
-    }
-    // Injection at every node, including during drain (holding the load
-    // keeps measured packets under realistic contention).
-    for (NodeId n = 0; n < num_nodes; ++n) {
-      if (injector->ShouldInject(n, rng)) {
-        // Draw the destination before the reachability gate so the RNG
-        // stream — and therefore every reachable packet — is identical to
-        // the fault-free run.
-        const NodeId dst = pattern->Dest(n, num_nodes, rng);
-        if (routing_algo->MayBeUnreachable() &&
-            !routing_algo->Reachable(net.topology().RouterOfNode(n), dst)) {
-          ++outcome.unreachable_packets;
-          continue;
-        }
-        net.EnqueuePacket(n, dst, config.packet_size);
-        if (t >= measure_start && t < measure_end) ++offered_packets;
-      }
-    }
-    net.Step();
-    if (config.watchdog_cycles > 0 &&
-        net.SuspectedDeadlock(config.watchdog_cycles)) {
-      outcome.status = SimStatus::kDeadlock;
-      outcome.cycle = net.now();
-      outcome.router_occupancy = net.OccupancySnapshot();
-      outcome.message = "no flit movement for " +
-                        std::to_string(config.watchdog_cycles) +
-                        " cycles with flits in flight (detected at cycle " +
-                        std::to_string(net.now()) + ")";
-      if (rolling_enabled) {
-        // Persist the pre-deadlock state for post-mortem replay (restore it
-        // with tracing enabled to watch the final cycles wedge).
-        const std::string& blob =
-            rolling_prev.empty() ? rolling_cur : rolling_prev;
-        if (!blob.empty()) {
-          WriteSnapshotFile(config.deadlock_checkpoint_path, blob);
-          outcome.checkpoint_path = config.deadlock_checkpoint_path;
-        }
-      }
-      break;
-    }
-  }
-
-  result.num_nodes = num_nodes;
-  result.measure_cycles = config.measure;
+  SimDriver driver(config);
+  SyntheticSource source(config, driver);
+  NetworkSimResult result = driver.Run(source);
   result.offered_ppc = config.injection_rate;
-  result.packets_corrupted = packets_corrupted;
-
-  if (telemetry != nullptr) {
-    // A run that ended before measure_end has no frozen counter snapshot;
-    // fall back to end-of-run aggregates so the telemetry is never silently
-    // empty (outcome.status already marks the metrics untrustworthy).
-    if (!measure_window_closed) result.telemetry = telemetry->Summarize();
-    result.telemetry.windows = telemetry->windows();
-    result.telemetry.trace = telemetry->trace_events();
-  }
-
-  // A deadlock before the measurement window closes leaves the end-of-window
-  // snapshot unset; report the structured outcome and keep the metrics zero
-  // rather than publishing garbage.
-  if (measure_window_closed) {
-    std::uint64_t delivered_total = 0;
-    std::uint64_t flits_total = 0;
-    double min_node = 1e300, max_node = 0.0;
-    for (NodeId n = 0; n < num_nodes; ++n) {
-      const std::uint64_t delivered = at_measure_end[n].packets_delivered -
-                                      at_measure_start[n].packets_delivered;
-      const std::uint64_t flits =
-          at_measure_end[n].flits_ejected - at_measure_start[n].flits_ejected;
-      delivered_total += delivered;
-      flits_total += flits;
-      const double node_ppc =
-          static_cast<double>(delivered) / static_cast<double>(config.measure);
-      min_node = std::min(min_node, node_ppc);
-      max_node = std::max(max_node, node_ppc);
-    }
-    result.accepted_ppc =
-        static_cast<double>(delivered_total) /
-        (static_cast<double>(config.measure) * num_nodes);
-    result.accepted_fpc =
-        static_cast<double>(flits_total) / static_cast<double>(config.measure);
-    result.min_node_ppc = min_node;
-    result.max_node_ppc = max_node;
-    result.max_min_ratio = min_node > 0.0 ? max_node / min_node : 0.0;
-    result.avg_latency = latency.Mean();
-    result.avg_net_latency = net_latency.Mean();
-    result.p99_latency = latency_hist.Quantile(0.99);
-    result.packets_measured = latency.Count();
-    const double offered_meas =
-        static_cast<double>(offered_packets) /
-        (static_cast<double>(config.measure) * num_nodes);
-    result.saturated = result.accepted_ppc < 0.95 * offered_meas;
-    result.activity = activity_snapshot;
-  }
-
-  if (outcome.status == SimStatus::kOk && config.faults.Enabled()) {
-    if (outcome.unreachable_packets > 0) {
-      outcome.status = SimStatus::kUndeliverable;
-      outcome.cycle = net.now();
-      outcome.router_occupancy = net.OccupancySnapshot();
-      outcome.message = std::to_string(outcome.unreachable_packets) +
-                        " packets had no surviving path to their destination";
-    } else if (config.watchdog_cycles > 0 && !net.Quiescent() &&
-               !result.saturated &&
-               net.now() - last_delivery > config.watchdog_cycles) {
-      // Flits are in flight but nothing has been *delivered* for a whole
-      // watchdog window — livelock, or traffic wedged short of the full
-      // no-movement deadlock criterion. (Injection continues through the
-      // drain by design, so mere non-quiescence at the end is normal.)
-      outcome.status = SimStatus::kUndeliverable;
-      outcome.cycle = net.now();
-      outcome.router_occupancy = net.OccupancySnapshot();
-      outcome.message = "no packet delivered since cycle " +
-                        std::to_string(last_delivery) +
-                        " with flits still in flight at end of drain";
-    }
-  }
-  result.outcome = std::move(outcome);
   return result;
 }
 

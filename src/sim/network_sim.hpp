@@ -211,17 +211,17 @@ struct NetworkSimResult {
 /// rates outside [0,1], non-positive VC/buffer/packet sizes, unsupported
 /// pipeline depth, VIX virtual inputs not dividing num_vcs, degenerate
 /// bursty parameters, or permanent link faults on a torus (the dateline
-/// VC-partitioning proof does not survive detours). RunNetworkSim calls
-/// this itself; it is exported so sweep builders can fail fast.
+/// VC-partitioning proof does not survive detours). SimDriver calls this
+/// itself; it is exported so sweep builders can fail fast.
 void ValidateNetworkSimConfig(const NetworkSimConfig& config);
 
 /// The router and link parameters `config` asks for on a topology of
 /// `radix` ports: every evolution field that shapes a router (scheme,
 /// VCs, buffers, arbiter, VC policy, VIX virtual inputs and interleaving,
 /// VA organization, atomic reallocation, speculation priority, pipeline
-/// depth), with the VA RNG seeded from config.seed. RunNetworkSim and
-/// RunTraceSim both build their network from it; faults, routing and
-/// telemetry are theirs to add.
+/// depth), with the VA RNG seeded from config.seed. SimDriver
+/// (sim/sim_driver.hpp) builds every run's network from it and adds the
+/// fault model, the routing plugin and telemetry.
 NetworkParams MakeNetworkParams(const NetworkSimConfig& config, int radix);
 
 NetworkSimResult RunNetworkSim(const NetworkSimConfig& config);

@@ -15,21 +15,19 @@ PacketTrace GeneratePatternTrace(PatternKind pattern, double rate,
                                  int num_nodes, Cycle cycles,
                                  int packet_size, std::uint64_t seed);
 
-/// Replay `trace` under `config` (whose injection_rate/pattern/seed are
-/// ignored). The network is built by MakeNetworkParams, as RunNetworkSim
-/// builds its own, so every router field of the config applies; faults,
-/// telemetry, routing plugins, the watchdog and sample_interval do not.
-/// The config is checked with ValidateNetworkSimConfig. Measurement uses
-/// config.warmup/measure as in RunNetworkSim; after the trace is exhausted
-/// the network drains fully (bounded by config.drain extra cycles past the
-/// last record).
+/// Replay `trace` under `config` through the same SimDriver as
+/// RunNetworkSim. injection_rate and pattern are ignored, and seed only
+/// seeds a fault schedule whose faults.seed is 0; every other field
+/// applies. Measurement uses config.warmup/measure; after the trace is
+/// exhausted the network drains fully (bounded by config.drain extra
+/// cycles past the last record).
 ///
-/// Checkpoint/restore works exactly as in RunNetworkSim: with
-/// `checkpoint_every` > 0 the full state is written to `checkpoint_path`
-/// periodically, and `restore_path` resumes a run bitwise identically to
-/// one that never stopped. Checkpoints are stamped with the config
-/// fingerprint folded with a hash of the trace contents, so restoring
-/// under a different config *or a different trace* throws SimError.
+/// Checkpoint/restore works as in RunNetworkSim, in a `trace_sim` section
+/// stamped with the config fingerprint folded with a hash of the trace, so
+/// restoring under a different config *or a different trace* throws
+/// SimError. That section holds no timeline, telemetry or fault counters:
+/// checkpoint_every or restore_path combined with telemetry.enabled,
+/// sample_interval > 0 or enabled faults throws SimError.
 NetworkSimResult RunTraceSim(const NetworkSimConfig& config,
                              const PacketTrace& trace);
 

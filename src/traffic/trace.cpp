@@ -91,15 +91,14 @@ PacketTrace PacketTrace::Load(const std::string& path, int num_nodes) {
   return FromText(text, num_nodes);
 }
 
-std::vector<TraceRecord> TraceReplayer::TakeDue(Cycle cycle) {
-  std::vector<TraceRecord> due;
+std::span<const TraceRecord> TraceReplayer::TakeDue(Cycle cycle) {
   const auto& records = trace_.records();
+  const std::size_t first = next_;
   while (next_ < records.size() && records[next_].cycle <= cycle) {
     VIXNOC_DCHECK(records[next_].cycle == cycle);
-    due.push_back(records[next_]);
     ++next_;
   }
-  return due;
+  return {records.data() + first, next_ - first};
 }
 
 }  // namespace vixnoc

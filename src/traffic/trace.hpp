@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdio>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -57,9 +58,9 @@ class TraceReplayer {
  public:
   explicit TraceReplayer(const PacketTrace& trace) : trace_(trace) {}
 
-  /// Records with record.cycle == `cycle`. Must be called with strictly
-  /// increasing cycles.
-  std::vector<TraceRecord> TakeDue(Cycle cycle);
+  /// Records with record.cycle == `cycle`, viewed in place. Must be called
+  /// with strictly increasing cycles.
+  std::span<const TraceRecord> TakeDue(Cycle cycle);
 
   bool Exhausted() const { return next_ == trace_.size(); }
   void Reset() { next_ = 0; }

@@ -3,9 +3,11 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <string>
 
 #include "common/error.hpp"
+#include "ring_network.hpp"
 #include "sim/trace_sim.hpp"
 #include "snapshot/snapshot.hpp"
 #include "traffic/trace.hpp"
@@ -249,6 +251,109 @@ TEST(TraceSim, PipelineStagesChangeTheReplay) {
   const auto five = RunTraceSim(config, trace);
   ASSERT_GT(three.packets_measured, 0u);
   EXPECT_NE(three.avg_latency, five.avg_latency);
+}
+
+// Trace runs step through the same driver as RunNetworkSim, so the
+// watchdog watches them too: the hand-built ring deadlock wedges a
+// replayed trace exactly as it wedges live traffic.
+TEST(TraceSim, WatchdogFiresOnHandBuiltDeadlock) {
+  NetworkSimConfig config;
+  config.topology_factory = [] { return std::make_unique<RingTopology>(); };
+  config.routing_factory =
+      [](const Topology& topo) -> std::unique_ptr<RoutingAlgorithm> {
+    return std::make_unique<RingRouting>(topo);
+  };
+  config.num_vcs = 1;
+  config.buffer_depth = 2;
+  config.packet_size = 6;  // wormholes span multiple routers
+  config.warmup = 500;
+  config.measure = 2'000;
+  config.drain = 500;
+  config.watchdog_cycles = 400;
+  const PacketTrace trace = GeneratePatternTrace(
+      PatternKind::kUniform, 0.30, /*num_nodes=*/4, /*cycles=*/3'000,
+      config.packet_size, /*seed=*/3);
+  const NetworkSimResult r = RunTraceSim(config, trace);
+  ASSERT_EQ(r.outcome.status, SimStatus::kDeadlock) << r.outcome.message;
+  EXPECT_GT(r.outcome.cycle, 0u);
+  ASSERT_EQ(r.outcome.router_occupancy.size(), 4u);
+  std::uint32_t total = 0;
+  for (std::uint32_t o : r.outcome.router_occupancy) total += o;
+  EXPECT_GT(total, 0u);
+}
+
+TEST(TraceSim, TelemetryAndTimelineAreRecorded) {
+  const PacketTrace trace = GeneratePatternTrace(
+      PatternKind::kUniform, 0.05, 64, 3'000, 4, 23);
+  NetworkSimConfig config;
+  config.scheme = AllocScheme::kVix;
+  config.warmup = 500;
+  config.measure = 2'000;
+  config.drain = 1'000;
+  const NetworkSimResult plain = RunTraceSim(config, trace);
+
+  config.telemetry.enabled = true;
+  config.sample_interval = 500;
+  const NetworkSimResult r = RunTraceSim(config, trace);
+  ASSERT_TRUE(r.outcome.ok()) << r.outcome.message;
+  EXPECT_TRUE(r.telemetry.enabled);
+  EXPECT_GT(r.telemetry.sa_grants, 0u);
+  EXPECT_FALSE(r.telemetry.windows.empty());
+  ASSERT_FALSE(r.timeline.empty());
+  std::uint64_t sampled = 0;
+  for (const IntervalSample& s : r.timeline) sampled += s.packets;
+  EXPECT_GT(sampled, 0u);
+  // Observing a run never changes it.
+  ExpectTraceBitwiseEqual(plain, r);
+}
+
+// The trace_sim section holds the window statistics and the replay
+// position only. A trace run whose state would not survive a resume is
+// refused up front, whether it writes checkpoints or restores one.
+void ExpectCheckpointRefused(const NetworkSimConfig& config) {
+  const PacketTrace trace = GeneratePatternTrace(
+      PatternKind::kUniform, 0.05, 64, 1'000, 4, 13);
+  NetworkSimConfig writing = config;
+  writing.checkpoint_path = ::testing::TempDir() + "/trace_refused.ckpt";
+  writing.checkpoint_every = 500;
+  NetworkSimConfig resuming = config;
+  resuming.restore_path = writing.checkpoint_path;
+  for (const NetworkSimConfig& c : {writing, resuming}) {
+    try {
+      RunTraceSim(c, trace);
+      ADD_FAILURE() << "trace run was not refused";
+    } catch (const SimError& e) {
+      EXPECT_NE(std::string(e.what()).find("cannot checkpoint or restore"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+NetworkSimConfig ShortTraceConfig() {
+  NetworkSimConfig config;
+  config.warmup = 200;
+  config.measure = 600;
+  config.drain = 300;
+  return config;
+}
+
+TEST(TraceSim, CheckpointRefusedWithTelemetry) {
+  NetworkSimConfig config = ShortTraceConfig();
+  config.telemetry.enabled = true;
+  ExpectCheckpointRefused(config);
+}
+
+TEST(TraceSim, CheckpointRefusedWithTimeline) {
+  NetworkSimConfig config = ShortTraceConfig();
+  config.sample_interval = 100;
+  ExpectCheckpointRefused(config);
+}
+
+TEST(TraceSim, CheckpointRefusedWithFaults) {
+  NetworkSimConfig config = ShortTraceConfig();
+  config.faults.corruption_rate = 0.001;
+  ExpectCheckpointRefused(config);
 }
 
 }  // namespace
