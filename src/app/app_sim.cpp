@@ -69,7 +69,6 @@ class AppSource final : public TrafficSource {
         config_(config),
         net_(driver.net()),
         num_nodes_(net_.NumNodes()),
-        reply_class_(config.num_message_classes - 1),
         rng_(config.seed),
         cores_(num_nodes_),
         mcs_(config.num_mcs) {
@@ -178,7 +177,7 @@ class AppSource final : public TrafficSource {
     const bool reply =
         kind == MsgKind::kL2ToCore || kind == MsgKind::kMcToL2;
     net_.EnqueuePacket(src, dst, flits, PackTag(kind, core, bank, issue),
-                       reply ? reply_class_ : 0);
+                       reply ? config_.num_message_classes - 1 : 0);
   }
 
   void IssueMiss(NodeId core_id, Cycle now) {
@@ -266,7 +265,6 @@ class AppSource final : public TrafficSource {
   const AppSimConfig& config_;
   Network& net_;
   const int num_nodes_;
-  const int reply_class_;
   Rng rng_;
   std::vector<Core> cores_;
   std::vector<Mc> mcs_;

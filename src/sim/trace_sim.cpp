@@ -17,8 +17,10 @@ PacketTrace GeneratePatternTrace(PatternKind pattern, double rate,
   PacketTrace trace;
   for (Cycle t = 0; t < cycles; ++t) {
     for (NodeId n = 0; n < num_nodes; ++n) {
-      if (!rng.NextBool(rate)) continue;
-      trace.Add(TraceRecord{t, n, pat->Dest(n, num_nodes, rng), packet_size});
+      if (rng.NextBool(rate)) {
+        trace.Add(TraceRecord{t, n, pat->Dest(n, num_nodes, rng),
+                              packet_size});
+      }
     }
   }
   return trace;
