@@ -18,8 +18,7 @@ SimDriver::SimDriver(const NetworkSimConfig& config,
                                         : MakeTopology64(config.topology)),
       net_(topology_, BuildParams(shape)),
       num_nodes_(net_.NumNodes()) {
-  state_.at_start.resize(num_nodes_);
-  state_.at_end.resize(num_nodes_);
+  state_.at_start = state_.at_end = std::vector<NodeCounters>(num_nodes_);
 }
 
 NetworkParams SimDriver::BuildParams(

@@ -62,6 +62,8 @@ class SimDriver {
   /// factories. `config` must outlive the driver.
   explicit SimDriver(const NetworkSimConfig& config,
                      const std::function<void(NetworkParams&)>& shape = {});
+  SimDriver(const SimDriver&) = delete;  // the eject callback holds `this`
+  SimDriver& operator=(const SimDriver&) = delete;
 
   /// Runs `source` from cycle 0 or config.restore_path. A run that ends
   /// early with an ok outcome closes the window where it stops; one that
