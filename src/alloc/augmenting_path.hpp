@@ -30,6 +30,10 @@ class AugmentingPathAllocator : public SwitchAllocator {
   void Visit(StateArchive& ar) override;
   std::string Name() const override { return "augmenting-path"; }
 
+  /// Number of augmenting-path iterations executed on the last Allocate
+  /// call; exposed for the timing model (AP delay grows with iterations).
+  int last_iterations() const { return last_iterations_; }
+
   /// Upper bound on DFS probes per Allocate call. Kuhn's algorithm is
   /// worst-case P augmentations x P^2 probes each, so the default
   /// (P^3 + P^2) can never trip on a correct run; lowering it turns a
@@ -47,7 +51,7 @@ class AugmentingPathAllocator : public SwitchAllocator {
   std::vector<int> match_of_out_;  // output -> matched input (-1 free)
   std::vector<int> match_of_in_;   // input -> matched output (-1 free)
   std::vector<int> vc_rr_;         // per (in,out) vc round-robin pointer
-  int last_iterations_ = 0;  ///< DFS probes so far this Allocate call
+  int last_iterations_ = 0;
 };
 
 /// `rotate_vcs`: when true, VC selection within a matched (input, output)

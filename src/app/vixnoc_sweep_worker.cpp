@@ -57,21 +57,32 @@ bool HookFires(const char* env_name, std::uint64_t index,
 }
 
 void ApplyTestHooks(const PointFrame& point) {
-  const auto fires = [&](const char* env_name, const char* what) {
-    if (!HookFires(env_name, point.index, point.attempt)) return false;
+  if (HookFires("VIXNOC_TEST_CRASH_POINT", point.index, point.attempt)) {
     std::fprintf(stderr,
-                 "vixnoc_sweep_worker: injected %s on point %llu "
+                 "vixnoc_sweep_worker: injected crash on point %llu "
                  "(attempt %u)\n",
-                 what, static_cast<unsigned long long>(point.index),
-                 point.attempt);
-    return true;
-  };
-  if (fires("VIXNOC_TEST_CRASH_POINT", "crash")) std::abort();
-  if (fires("VIXNOC_TEST_HANG_POINT", "hang")) {
+                 static_cast<unsigned long long>(point.index), point.attempt);
+    std::abort();
+  }
+  if (HookFires("VIXNOC_TEST_HANG_POINT", point.index, point.attempt)) {
+    std::fprintf(stderr,
+                 "vixnoc_sweep_worker: injected hang on point %llu "
+                 "(attempt %u)\n",
+                 static_cast<unsigned long long>(point.index), point.attempt);
     for (;;) ::pause();  // no CPU burn; the coordinator's watchdog kills us
   }
-  if (fires("VIXNOC_TEST_EXIT_POINT", "exit(41)")) std::_Exit(41);
-  if (fires("VIXNOC_TEST_BADFRAME_POINT", "short frame")) {
+  if (HookFires("VIXNOC_TEST_EXIT_POINT", point.index, point.attempt)) {
+    std::fprintf(stderr,
+                 "vixnoc_sweep_worker: injected exit(41) on point %llu "
+                 "(attempt %u)\n",
+                 static_cast<unsigned long long>(point.index), point.attempt);
+    std::_Exit(41);
+  }
+  if (HookFires("VIXNOC_TEST_BADFRAME_POINT", point.index, point.attempt)) {
+    std::fprintf(stderr,
+                 "vixnoc_sweep_worker: injected short frame on point %llu "
+                 "(attempt %u)\n",
+                 static_cast<unsigned long long>(point.index), point.attempt);
     // A length prefix promising 64 bytes, followed by only 8: the
     // coordinator sees the stream end mid-frame with exit status 0.
     const unsigned char bytes[16] = {64, 0, 0, 0, 0, 0, 0, 0,

@@ -83,6 +83,8 @@ class RoundRobinArbiter final : public Arbiter {
   void Reset() override { next_priority_ = 0; }
   void Visit(StateArchive& ar) override;
 
+  int PriorityPointer() const { return next_priority_; }
+
  private:
   int next_priority_ = 0;
 };

@@ -35,6 +35,7 @@ class RunningStat {
   double Variance() const {
     return n_ < 2 ? 0.0 : m2_ / static_cast<double>(n_ - 1);
   }
+  double StdDev() const { return std::sqrt(Variance()); }
 
   /// Raw accumulator state, for checkpoint/restore. Restoring a captured
   /// state makes subsequent Add() calls bitwise identical to a stat that
@@ -90,6 +91,7 @@ class Histogram {
   }
 
   std::uint64_t TotalCount() const { return total_; }
+  std::size_t NumBuckets() const { return counts_.size(); }
   std::uint64_t BucketCount(std::size_t i) const { return counts_[i]; }
   /// Samples that landed at or beyond num_buckets * width. A non-zero count
   /// means quantiles near the tail are lower bounds, not point estimates.

@@ -14,6 +14,7 @@
 #include <thread>
 
 #include <fcntl.h>
+#include <pthread.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -121,20 +122,24 @@ std::string KillWorker(Worker* w) {
 /// EOF-based shutdown).
 bool SpawnWorker(const std::string& path, Worker* w, std::string* error) {
   int in_pipe[2] = {-1, -1}, out_pipe[2] = {-1, -1}, st_pipe[2] = {-1, -1};
-  const auto fail = [&](const char* call) {
-    *error = std::string(call) + ": " + std::strerror(errno);
+  if (::pipe2(in_pipe, O_CLOEXEC) < 0 || ::pipe2(out_pipe, O_CLOEXEC) < 0 ||
+      ::pipe2(st_pipe, O_CLOEXEC) < 0) {
+    *error = std::string("pipe2: ") + std::strerror(errno);
     for (int* fd : {&in_pipe[0], &in_pipe[1], &out_pipe[0], &out_pipe[1],
                     &st_pipe[0], &st_pipe[1]}) {
       CloseFd(fd);
     }
     return false;
-  };
-  if (::pipe2(in_pipe, O_CLOEXEC) < 0 || ::pipe2(out_pipe, O_CLOEXEC) < 0 ||
-      ::pipe2(st_pipe, O_CLOEXEC) < 0) {
-    return fail("pipe2");
   }
   const pid_t pid = ::fork();
-  if (pid < 0) return fail("fork");
+  if (pid < 0) {
+    *error = std::string("fork: ") + std::strerror(errno);
+    for (int* fd : {&in_pipe[0], &in_pipe[1], &out_pipe[0], &out_pipe[1],
+                    &st_pipe[0], &st_pipe[1]}) {
+      CloseFd(fd);
+    }
+    return false;
+  }
   if (pid == 0) {
     // Child: wire the protocol pipes to stdin/stdout (dup2 clears
     // O_CLOEXEC on the duplicates) and exec the worker.
@@ -348,7 +353,11 @@ SweepExecResult SweepCoordinator::Run(
           return run_in_process(config, &st, ExecFailure::kSpawn,
                                 "subprocess spawning unavailable");
         }
-        BlockSigpipe();  // a dead peer must surface as EPIPE, not SIGPIPE
+        // A dead peer must surface as EPIPE from write(), not SIGPIPE.
+        sigset_t sigpipe;
+        sigemptyset(&sigpipe);
+        sigaddset(&sigpipe, SIGPIPE);
+        pthread_sigmask(SIG_BLOCK, &sigpipe, nullptr);
         std::string err;
         const bool spawned = SpawnWorker(policy_.worker_path, &w, &err);
         {

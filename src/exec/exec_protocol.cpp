@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <csignal>
 #include <cstring>
 
 #include <poll.h>
-#include <pthread.h>
 #include <unistd.h>
 
 #include "common/check.hpp"
@@ -172,13 +170,6 @@ bool WriteFrame(int fd, const std::string& payload, std::string* error) {
   };
   return write_all(prefix, sizeof prefix) &&
          write_all(payload.data(), payload.size());
-}
-
-void BlockSigpipe() {
-  sigset_t sigpipe;
-  sigemptyset(&sigpipe);
-  sigaddset(&sigpipe, SIGPIPE);
-  pthread_sigmask(SIG_BLOCK, &sigpipe, nullptr);
 }
 
 }  // namespace vixnoc

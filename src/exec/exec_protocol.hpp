@@ -83,7 +83,4 @@ FrameRead ReadFrame(int fd, double timeout_seconds,
 /// as EPIPE instead of killing the process.
 bool WriteFrame(int fd, const std::string& payload, std::string* error);
 
-/// Blocks SIGPIPE on the calling thread, as WriteFrame's callers need.
-void BlockSigpipe();
-
 }  // namespace vixnoc

@@ -268,6 +268,9 @@ class Router {
   /// their buffers and credits are untouched, so a later unblock resumes
   /// cleanly. Zero cost while nothing is blocked.
   void SetOutputBlocked(PortId out_port, bool blocked);
+  bool OutputBlocked(PortId out_port) const {
+    return output_blocked_.Test(out_port);
+  }
 
   /// Attach this router to a telemetry collector (nullptr detaches). The
   /// router records into collector->router(id()); with no collector the

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <chrono>
+#include <csignal>
 #include <cstring>
 #include <thread>
 
+#include <pthread.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -42,7 +44,11 @@ SimClient::SimClient(std::string socket_path, double connect_timeout_seconds)
   VIXNOC_REQUIRE(socket_path_.size() < sizeof(sockaddr_un{}.sun_path),
                  "socket path '%s' exceeds the AF_UNIX limit",
                  socket_path_.c_str());
-  BlockSigpipe();  // a dead daemon mid-write must not kill the client
+  // A dead daemon mid-write must surface as EPIPE, not kill the client.
+  sigset_t sigpipe;
+  sigemptyset(&sigpipe);
+  sigaddset(&sigpipe, SIGPIPE);
+  pthread_sigmask(SIG_BLOCK, &sigpipe, nullptr);
 
   const auto deadline =
       std::chrono::steady_clock::now() +

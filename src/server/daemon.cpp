@@ -1,11 +1,13 @@
 #include "server/daemon.hpp"
 
 #include <chrono>
+#include <csignal>
 #include <cstdio>
 #include <cstring>
 #include <utility>
 #include <vector>
 
+#include <pthread.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -17,6 +19,16 @@
 namespace vixnoc {
 
 namespace {
+
+/// Connection and accept threads must see a dead peer as EPIPE from
+/// write(), never SIGPIPE (which would kill an in-process daemon's host
+/// too, e.g. a test binary).
+void BlockSigpipeOnThisThread() {
+  sigset_t sigpipe;
+  sigemptyset(&sigpipe);
+  sigaddset(&sigpipe, SIGPIPE);
+  pthread_sigmask(SIG_BLOCK, &sigpipe, nullptr);
+}
 
 /// Names the first field of `c` that would make the daemon touch a file
 /// the client chose, or returns nullptr. The daemon refuses those; the
@@ -95,8 +107,7 @@ void SimDaemon::Start() {
 }
 
 void SimDaemon::AcceptLoop() {
-  // A dead peer must never kill an in-process daemon's host (a test).
-  BlockSigpipe();
+  BlockSigpipeOnThisThread();
   for (;;) {
     const int fd = ::accept4(listen_fd_, nullptr, nullptr, SOCK_CLOEXEC);
     if (fd < 0) {
@@ -122,7 +133,7 @@ void SimDaemon::AcceptLoop() {
     // Detached: lifetime is tracked by active_connections_, which Stop
     // waits on after shutting every connection fd down.
     std::thread([this, fd] {
-      BlockSigpipe();
+      BlockSigpipeOnThisThread();
       ServeConnection(fd);
     }).detach();
   }
