@@ -3,7 +3,6 @@
 #include <bit>
 #include <memory>
 #include <string>
-#include <tuple>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -177,9 +176,7 @@ void LoadField(SnapshotReader& r, const ConfigField&, Links* links) {
 }
 
 /// Open-loop statistical traffic: one injection trial per node per cycle,
-/// destinations from the pattern, all draws from one RNG. Packets whose
-/// destination is unreachable over the surviving links are counted, not
-/// injected (they could only hang forever).
+/// destinations from the pattern, all draws from one RNG.
 class SyntheticSource final : public TrafficSource {
  public:
   SyntheticSource(const NetworkSimConfig& config, SimDriver& driver)
@@ -203,30 +200,19 @@ class SyntheticSource final : public TrafficSource {
 
   // Injection at every node, including during drain (holding the load
   // keeps measured packets under realistic contention).
-  bool Inject(Cycle t) override {
-    Network& net = driver_.net();
-    const RoutingAlgorithm& routing = driver_.routing();
-    SimDriver::State& s = driver_.state();
-    const bool in_window = driver_.InWindow(t);
+  bool Inject(Cycle) override {
     for (NodeId n = 0; n < num_nodes_; ++n) {
       if (!injector_->ShouldInject(n, rng_)) continue;
-      // Draw the destination before the reachability gate so the RNG
-      // stream — and therefore every reachable packet — is identical to
-      // the fault-free run.
-      const NodeId dst = pattern_->Dest(n, num_nodes_, rng_);
-      if (routing.MayBeUnreachable() &&
-          !routing.Reachable(net.topology().RouterOfNode(n), dst)) {
-        ++s.result.outcome.unreachable_packets;
-        continue;
-      }
-      net.EnqueuePacket(n, dst, config_.packet_size);
-      if (in_window) ++s.offered_packets;
+      // The destination is drawn before the driver's reachability gate, so
+      // the RNG stream (and every reachable packet) matches the fault-free
+      // run.
+      driver_.Enqueue(n, pattern_->Dest(n, num_nodes_, rng_),
+                      config_.packet_size);
     }
     return false;
   }
 
-  void Visit(StateArchive& ar, Cycle& next) override {
-    SimDriver::State& s = driver_.state();
+  void Visit(StateArchive& ar, Cycle& next, SimDriver::State& s) override {
     ar.U64(next, end + 1, "resume cycle");
     ar.Object(rng_);
     std::string injector_name = injector_->Name();
@@ -300,14 +286,16 @@ void ValidateNetworkSimConfig(const NetworkSimConfig& config) {
   VIXNOC_REQUIRE(config.hotspot_node >= kInvalidNode,
                  "hotspot_node must be a node index or kInvalidNode, got %d",
                  config.hotspot_node);
-  VIXNOC_REQUIRE(config.hotspot_node == kInvalidNode ||
-                     config.pattern == PatternKind::kHotspot ||
-                     config.pattern == PatternKind::kIncast,
-                 "hotspot_node is only meaningful for pattern=hotspot or "
-                 "pattern=incast");
-  VIXNOC_REQUIRE(config.incast_fanin <= 0 ||
-                     config.pattern == PatternKind::kIncast,
-                 "incast_fanin is only meaningful for pattern=incast");
+  if (config.hotspot_node != kInvalidNode) {
+    VIXNOC_REQUIRE(config.pattern == PatternKind::kHotspot ||
+                       config.pattern == PatternKind::kIncast,
+                   "hotspot_node is only meaningful for pattern=hotspot or "
+                   "pattern=incast");
+  }
+  if (config.incast_fanin > 0) {
+    VIXNOC_REQUIRE(config.pattern == PatternKind::kIncast,
+                   "incast_fanin is only meaningful for pattern=incast");
+  }
   if (config.scheme == AllocScheme::kVix) {
     const int vins =
         config.vix_virtual_inputs > 0 ? config.vix_virtual_inputs : 2;
@@ -332,13 +320,18 @@ void ValidateNetworkSimConfig(const NetworkSimConfig& config) {
   }
 
   const FaultConfig& f = config.faults;
-  const std::pair<const char*, double> rates[] = {
-      {"link_down", f.link_down_rate}, {"transient", f.transient_rate},
-      {"router_stall", f.router_stall_rate}, {"corruption", f.corruption_rate}};
-  for (const auto& [name, rate] : rates) {
-    VIXNOC_REQUIRE(rate >= 0.0 && rate <= 1.0,
-                   "faults.%s_rate must be in [0, 1], got %g", name, rate);
-  }
+  VIXNOC_REQUIRE(f.link_down_rate >= 0.0 && f.link_down_rate <= 1.0,
+                 "faults.link_down_rate must be in [0, 1], got %g",
+                 f.link_down_rate);
+  VIXNOC_REQUIRE(f.transient_rate >= 0.0 && f.transient_rate <= 1.0,
+                 "faults.transient_rate must be in [0, 1], got %g",
+                 f.transient_rate);
+  VIXNOC_REQUIRE(f.router_stall_rate >= 0.0 && f.router_stall_rate <= 1.0,
+                 "faults.router_stall_rate must be in [0, 1], got %g",
+                 f.router_stall_rate);
+  VIXNOC_REQUIRE(f.corruption_rate >= 0.0 && f.corruption_rate <= 1.0,
+                 "faults.corruption_rate must be in [0, 1], got %g",
+                 f.corruption_rate);
   const bool permanent_faults =
       f.link_down_rate > 0.0 || !f.forced_link_down.empty();
   if (permanent_faults && !config.topology_factory) {
@@ -368,17 +361,20 @@ void ValidateNetworkSimConfig(const NetworkSimConfig& config) {
                      min_vcs, config.num_vcs);
     }
   }
-  if (const TelemetryConfig& tc = config.telemetry; tc.enabled) {
-    VIXNOC_REQUIRE(tc.window_cycles >= 1,
+  if (config.telemetry.enabled) {
+    VIXNOC_REQUIRE(config.telemetry.window_cycles >= 1,
                    "telemetry.window_cycles must be >= 1, got %llu",
-                   static_cast<unsigned long long>(tc.window_cycles));
-    VIXNOC_REQUIRE(tc.max_windows >= 2,
+                   static_cast<unsigned long long>(
+                       config.telemetry.window_cycles));
+    VIXNOC_REQUIRE(config.telemetry.max_windows >= 2,
                    "telemetry.max_windows must be >= 2, got %zu",
-                   tc.max_windows);
-    VIXNOC_REQUIRE(tc.trace_sample_period == 0 || tc.max_trace_events >= 1,
-                   "telemetry.max_trace_events must be >= 1 when tracing, "
-                   "got %zu",
-                   tc.max_trace_events);
+                   config.telemetry.max_windows);
+    if (config.telemetry.trace_sample_period > 0) {
+      VIXNOC_REQUIRE(config.telemetry.max_trace_events >= 1,
+                     "telemetry.max_trace_events must be >= 1 when tracing, "
+                     "got %zu",
+                     config.telemetry.max_trace_events);
+    }
   }
 
   VIXNOC_REQUIRE(config.checkpoint_every == 0 ||
@@ -393,16 +389,21 @@ void ValidateNetworkSimConfig(const NetworkSimConfig& config) {
   // A transient outage or stall window parks all affected traffic for its
   // whole duration; the watchdog must outlast it or a healthy run is
   // misreported as deadlocked.
-  const std::tuple<const char*, double, Cycle> windows[] = {
-      {"transient", f.transient_rate, f.transient_duration},
-      {"stall", f.router_stall_rate, f.stall_duration}};
-  for (const auto& [name, rate, duration] : windows) {
-    VIXNOC_REQUIRE(config.watchdog_cycles == 0 || rate == 0.0 ||
-                       config.watchdog_cycles > duration,
-                   "watchdog_cycles (%lld) must exceed faults.%s_duration "
-                   "(%lld)",
-                   static_cast<long long>(config.watchdog_cycles), name,
-                   static_cast<long long>(duration));
+  if (config.watchdog_cycles > 0) {
+    if (f.transient_rate > 0.0) {
+      VIXNOC_REQUIRE(config.watchdog_cycles > f.transient_duration,
+                     "watchdog_cycles (%lld) must exceed "
+                     "faults.transient_duration (%lld)",
+                     static_cast<long long>(config.watchdog_cycles),
+                     static_cast<long long>(f.transient_duration));
+    }
+    if (f.router_stall_rate > 0.0) {
+      VIXNOC_REQUIRE(config.watchdog_cycles > f.stall_duration,
+                     "watchdog_cycles (%lld) must exceed "
+                     "faults.stall_duration (%lld)",
+                     static_cast<long long>(config.watchdog_cycles),
+                     static_cast<long long>(f.stall_duration));
+    }
   }
 }
 

@@ -81,7 +81,7 @@ std::string SimDriver::Serialize(TrafficSource& source, Cycle next) {
   SnapshotWriter w;
   w.BeginSection(source.section);
   StateArchive ar(w);
-  source.Visit(ar, next);
+  source.Visit(ar, next, state_);
   w.EndSection();
   w.BeginSection("network");
   net_.SaveState(w);
@@ -105,7 +105,7 @@ Cycle SimDriver::Restore(TrafficSource& source) {
   Cycle next = 0;
   r.OpenSection(source.section);
   StateArchive ar(r);
-  source.Visit(ar, next);
+  source.Visit(ar, next, state_);
   r.CloseSection();
   r.OpenSection("network");
   net_.LoadState(r);

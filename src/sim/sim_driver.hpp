@@ -15,31 +15,11 @@
 
 namespace vixnoc {
 
-class TrafficSource {
- public:
-  /// `end`: the run steps cycles [start, end) at most. Checkpoints are
-  /// stamped with `fingerprint` and hold the source's `section`.
-  TrafficSource(Cycle end, std::uint64_t fingerprint, const char* section)
-      : end(end), fingerprint(fingerprint), section(section) {}
-  virtual ~TrafficSource() = default;
-  /// Enqueues cycle `t`'s packets at every node, before the network steps.
-  /// Returns true once nothing more will come: the run then ends as soon
-  /// as the network is quiescent.
-  virtual bool Inject(Cycle t) = 0;
-  /// Every delivered packet, after the driver has recorded it.
-  virtual void OnEject(const PacketRecord&) {}
-  /// The section's one Visit: the resume cycle `next`, the source's state
-  /// and the driver's State, in the section's own order (a no-op default).
-  virtual void Visit(StateArchive&, Cycle& /*next*/) {}
-
-  const Cycle end;
-  const std::uint64_t fingerprint;
-  const char* const section;
-};
+class TrafficSource;
 
 class SimDriver {
  public:
-  /// What a run accumulates; public for the sources' Visit.
+  /// What a run accumulates; a source reads and writes it only in Visit.
   struct State {
     RunningStat latency;      ///< packets created inside the window
     RunningStat net_latency;  ///< the same packets, injection to ejection
@@ -71,15 +51,26 @@ class SimDriver {
   NetworkSimResult Run(TrafficSource& source);
 
   Network& net() { return net_; }
-  const RoutingAlgorithm& routing() const { return *routing_; }
   bool telemetry_enabled() const { return telemetry_ != nullptr; }
-  State& state() { return state_; }
   Cycle measure_end() const { return config_.warmup + config_.measure; }
-  bool InWindow(Cycle t) const {
-    return t >= config_.warmup && t < measure_end();
+
+  /// Enqueues a packet at `src`'s NI this cycle, counted as offered load
+  /// inside the window. A packet with no surviving path to `dst` is
+  /// counted as unreachable instead, not enqueued: it could only hang.
+  void Enqueue(NodeId src, NodeId dst, int size_flits) {
+    if (routing_->MayBeUnreachable() &&
+        !routing_->Reachable(net_.topology().RouterOfNode(src), dst)) {
+      ++state_.result.outcome.unreachable_packets;
+      return;
+    }
+    net_.EnqueuePacket(src, dst, size_flits);
+    if (InWindow(net_.now())) ++state_.offered_packets;
   }
 
  private:
+  bool InWindow(Cycle t) const {
+    return t >= config_.warmup && t < measure_end();
+  }
   NetworkParams BuildParams(const std::function<void(NetworkParams&)>& shape);
   void CloseWindow();
   void EndWith(SimStatus status, std::string message);
@@ -94,6 +85,30 @@ class SimDriver {
   Network net_;
   const int num_nodes_;
   State state_;
+};
+
+class TrafficSource {
+ public:
+  /// `end`: the run steps cycles [start, end) at most. Checkpoints are
+  /// stamped with `fingerprint` and hold the source's `section`.
+  TrafficSource(Cycle end, std::uint64_t fingerprint, const char* section)
+      : end(end), fingerprint(fingerprint), section(section) {}
+  virtual ~TrafficSource() = default;
+  /// Enqueues cycle `t`'s packets at every node, before the network steps.
+  /// Returns true once nothing more will come: the run then ends as soon
+  /// as the network is quiescent.
+  virtual bool Inject(Cycle t) = 0;
+  /// Every delivered packet, after the driver has recorded it.
+  virtual void OnEject(const PacketRecord&) {}
+  /// The section's one Visit: the resume cycle `next`, the source's state
+  /// and the driver's `state`, in the section's own order (a no-op
+  /// default).
+  virtual void Visit(StateArchive&, Cycle& /*next*/,
+                     SimDriver::State& /*state*/) {}
+
+  const Cycle end;
+  const std::uint64_t fingerprint;
+  const char* const section;
 };
 
 }  // namespace vixnoc

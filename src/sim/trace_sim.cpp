@@ -41,8 +41,7 @@ std::uint64_t TraceFingerprint(const NetworkSimConfig& config,
   return Fnv1a64(text.data(), text.size(), NetworkSimConfigFingerprint(config));
 }
 
-/// Replays a trace's records at their cycles, counting those enqueued
-/// inside the measurement window as offered load.
+/// Replays a trace's records at their cycles.
 class TraceSource final : public TrafficSource {
  public:
   TraceSource(const NetworkSimConfig& config, const PacketTrace& trace,
@@ -54,18 +53,13 @@ class TraceSource final : public TrafficSource {
         replayer_(trace) {}
 
   bool Inject(Cycle t) override {
-    Network& net = driver_.net();
-    std::uint64_t& offered = driver_.state().offered_packets;
-    const bool in_window = driver_.InWindow(t);
     for (const TraceRecord& r : replayer_.TakeDue(t)) {
-      net.EnqueuePacket(r.src, r.dst, r.size_flits);
-      if (in_window) ++offered;
+      driver_.Enqueue(r.src, r.dst, r.size_flits);
     }
     return replayer_.Exhausted();
   }
 
-  void Visit(StateArchive& ar, Cycle& next) override {
-    SimDriver::State& s = driver_.state();
+  void Visit(StateArchive& ar, Cycle& next, SimDriver::State& s) override {
     ar.U64(next, end + 1, "resume cycle");
     std::uint64_t position = replayer_.position();
     ar.U64(position, trace_.size() + 1, "trace replay position");
@@ -95,9 +89,11 @@ class TraceSource final : public TrafficSource {
 NetworkSimResult RunTraceSim(const NetworkSimConfig& config,
                              const PacketTrace& trace) {
   // The trace_sim section holds the window statistics and the replay
-  // position only; refuse a run whose state a resume could not restore.
-  const bool snapshots =
-      config.checkpoint_every > 0 || !config.restore_path.empty();
+  // position only; refuse a run whose state a resume could not restore,
+  // the rolling pre-deadlock snapshot included.
+  const bool snapshots = config.checkpoint_every > 0 ||
+                         !config.restore_path.empty() ||
+                         !config.deadlock_checkpoint_path.empty();
   VIXNOC_REQUIRE(!snapshots || (!config.telemetry.enabled &&
                                 config.sample_interval == 0 &&
                                 !config.faults.Enabled()),

@@ -20,14 +20,17 @@ PacketTrace GeneratePatternTrace(PatternKind pattern, double rate,
 /// seeds a fault schedule whose faults.seed is 0; every other field
 /// applies. Measurement uses config.warmup/measure; after the trace is
 /// exhausted the network drains fully (bounded by config.drain extra
-/// cycles past the last record).
+/// cycles past the last record). Records with no surviving path under
+/// permanent faults are skipped and counted, as in RunNetworkSim, and end
+/// the run kUndeliverable.
 ///
 /// Checkpoint/restore works as in RunNetworkSim, in a `trace_sim` section
 /// stamped with the config fingerprint folded with a hash of the trace, so
 /// restoring under a different config *or a different trace* throws
 /// SimError. That section holds no timeline, telemetry or fault counters:
-/// checkpoint_every or restore_path combined with telemetry.enabled,
-/// sample_interval > 0 or enabled faults throws SimError.
+/// checkpoint_every, restore_path or deadlock_checkpoint_path combined
+/// with telemetry.enabled, sample_interval > 0 or enabled faults throws
+/// SimError.
 NetworkSimResult RunTraceSim(const NetworkSimConfig& config,
                              const PacketTrace& trace);
 

@@ -10,6 +10,7 @@
 #include "ring_network.hpp"
 #include "sim/trace_sim.hpp"
 #include "snapshot/snapshot.hpp"
+#include "topology/topology.hpp"
 #include "traffic/trace.hpp"
 
 namespace vixnoc {
@@ -307,9 +308,35 @@ TEST(TraceSim, TelemetryAndTimelineAreRecorded) {
   ExpectTraceBitwiseEqual(plain, r);
 }
 
+// Trace records pass the same reachability gate as synthetic packets: a
+// source cut off by permanent faults has its records counted and skipped,
+// and the run ends undeliverable instead of routing into a dead end.
+TEST(TraceSim, SeveredSourceReportsUndeliverable) {
+  NetworkSimConfig config;
+  config.warmup = 200;
+  config.measure = 1'000;
+  config.drain = 1'000;
+  const auto topo = MakeTopology64(config.topology);
+  const auto links = topo->LinksFor(0);
+  for (PortId p = 0; p < topo->Radix(); ++p) {
+    if (links[p].neighbor >= 0) {
+      config.faults.forced_link_down.emplace_back(0, p);
+    }
+  }
+  const PacketTrace trace = GeneratePatternTrace(
+      PatternKind::kUniform, 0.05, 64, 1'500, 4, 29);
+  const NetworkSimResult r = RunTraceSim(config, trace);
+  EXPECT_EQ(r.outcome.status, SimStatus::kUndeliverable) << r.outcome.message;
+  std::uint64_t from_severed = 0;
+  for (const TraceRecord& rec : trace.records()) from_severed += rec.src == 0;
+  EXPECT_EQ(r.outcome.unreachable_packets, from_severed);
+  EXPECT_GT(r.packets_measured, 0u);  // everyone else's records still flow
+}
+
 // The trace_sim section holds the window statistics and the replay
 // position only. A trace run whose state would not survive a resume is
-// refused up front, whether it writes checkpoints or restores one.
+// refused up front, whether it writes checkpoints, restores one or keeps a
+// pre-deadlock snapshot.
 void ExpectCheckpointRefused(const NetworkSimConfig& config) {
   const PacketTrace trace = GeneratePatternTrace(
       PatternKind::kUniform, 0.05, 64, 1'000, 4, 13);
@@ -318,7 +345,10 @@ void ExpectCheckpointRefused(const NetworkSimConfig& config) {
   writing.checkpoint_every = 500;
   NetworkSimConfig resuming = config;
   resuming.restore_path = writing.checkpoint_path;
-  for (const NetworkSimConfig& c : {writing, resuming}) {
+  // The rolling pre-deadlock snapshot is a trace_sim checkpoint too.
+  NetworkSimConfig snapshotting = config;
+  snapshotting.deadlock_checkpoint_path = writing.checkpoint_path;
+  for (const NetworkSimConfig& c : {writing, resuming, snapshotting}) {
     try {
       RunTraceSim(c, trace);
       ADD_FAILURE() << "trace run was not refused";
