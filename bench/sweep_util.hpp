@@ -1,25 +1,19 @@
 // Shared harness for the sweep-shaped paper benches.
 //
-// Wraps the common lifecycle: parse `threads=` / `json=` / `help=` keys,
-// run batches of NetworkSimConfig points on a SweepRunner, keep wall-clock
-// and simulated-cycle totals, and emit a machine-readable results file
+// Wraps the common lifecycle: parse `json=` / `help=` and the sweep
+// backend keys (server/sweep_backend.hpp), run batches of
+// NetworkSimConfig points on that backend, keep wall-clock and
+// simulated-cycle totals, and emit a machine-readable results file
 // (default bench_results.json) alongside the human-readable tables.
 //
 //   bench::SweepHarness sweep(argc, argv, "fig8_mesh_latency");
 //   std::vector<NetworkSimResult> results = sweep.Run(points);
 //   ...print tables / claims...
-//   sweep.Finish();   // summary line + JSON
+//   sweep.Finish();   // summary lines + JSON
 //
-// Execution backends (mutually exclusive where noted):
-//   default            in-process SweepRunner thread pool
-//   checkpoint=DIR     same, backed by the content-addressed result store
-//                      at DIR — interrupted benches resume, and any bench
-//                      pointed at the same DIR shares completed points
-//   isolate=process    crash-isolated subprocess execution (composable
-//                      with checkpoint=)
-//   server=SOCK        points are served by a running vixnocd daemon over
-//                      its Unix socket (exclusive with checkpoint= and
-//                      isolate=process — the daemon owns its own store)
+// Where the points run (in-process, isolate=process, checkpoint=DIR,
+// server=SOCK) is the backend's business; the JSON's provenance blocks
+// are read from its cumulative record.
 #pragma once
 
 #include <chrono>
@@ -33,10 +27,7 @@
 #include "bench_util.hpp"
 #include "common/cli.hpp"
 #include "common/error.hpp"
-#include "exec/coordinator.hpp"
-#include "server/client.hpp"
-#include "sim/sweep.hpp"
-#include "store/result_store.hpp"
+#include "server/sweep_backend.hpp"
 #include "traffic/patterns.hpp"
 
 namespace vixnoc::bench {
@@ -52,9 +43,9 @@ class SweepHarness {
   }
 
   /// For benches with their own flags: the caller parses an ArgMap, passes
-  /// it here (the harness consumes `threads=` / `json=` / `help=`, printing
-  /// `extra_usage` after the standard lines on help=), then reads its own
-  /// keys and calls args.CheckAllConsumed() itself.
+  /// it here (the harness consumes `json=` / `help=` and the backend keys,
+  /// printing `extra_usage` after the standard lines on help=), then reads
+  /// its own keys and calls args.CheckAllConsumed() itself.
   SweepHarness(ArgMap& args, std::string bench_name,
                std::string default_json = "bench_results.json",
                const std::string& extra_usage = "")
@@ -62,14 +53,10 @@ class SweepHarness {
     Init(args, default_json, extra_usage);
   }
 
-  int threads() const {
-    // server= mode has no local pool; report the requested key (0 = auto)
-    // so the summary/JSON stay truthful about local compute.
-    return runner_ != nullptr ? runner_->num_threads() : threads_;
-  }
+  int threads() const { return backend_->threads(); }
 
-  /// Runs one batch of points in parallel; may be called repeatedly. Wall
-  /// clock and per-point records accumulate across calls. With
+  /// Runs one batch of points on the backend; may be called repeatedly.
+  /// Wall clock and per-point records accumulate across calls. With
   /// `checkpoint=DIR`, completed points land in the content-addressed
   /// result store at DIR (keyed by config fingerprint, not batch index) —
   /// re-running an interrupted bench resumes from the store and produces
@@ -77,29 +64,7 @@ class SweepHarness {
   std::vector<NetworkSimResult> Run(
       const std::vector<NetworkSimConfig>& points) {
     const auto start = std::chrono::steady_clock::now();
-    std::vector<NetworkSimResult> results;
-    if (client_ != nullptr) {
-      results = RunViaServer(points);
-    } else if (isolate_process_) {
-      // Crash-isolated path: points run in vixnoc_sweep_worker
-      // subprocesses with classification, retries and graceful
-      // degradation (exec/coordinator.hpp). Results are merged in
-      // submission order, so the table below is identical to the
-      // in-process path's whenever no point crashes out.
-      ExecPolicy policy;
-      policy.num_workers = threads_;
-      policy.point_timeout_seconds = point_timeout_;
-      policy.max_retries = retries_;
-      policy.cache = store_;
-      SweepExecResult exec = SweepCoordinator(policy).Run(points);
-      results = std::move(exec.results);
-      exec_ += std::move(exec);
-    } else {
-      results = runner_->Run(points);
-      exec_.origins.insert(exec_.origins.end(), runner_->origins().begin(),
-                           runner_->origins().end());
-      exec_.defective_cache_points += runner_->defective_cache_points();
-    }
+    std::vector<NetworkSimResult> results = backend_->Run(points);
     wall_seconds_ += std::chrono::duration<double>(
                          std::chrono::steady_clock::now() - start)
                          .count();
@@ -116,6 +81,7 @@ class SweepHarness {
   /// process exit code (non-zero if the JSON file could not be written),
   /// so benches can end with `return sweep.Finish();`.
   int Finish() const {
+    std::fputs(backend_->Summary().c_str(), stdout);
     std::printf(
         "\nsweep: %zu points on %d thread(s) in %.2fs "
         "(%.0f network-cycles/s)\n",
@@ -133,55 +99,58 @@ class SweepHarness {
     // many cache entries were found defective and re-run, and how many
     // duplicate in-batch points were satisfied by copying a canonical
     // slot's result instead of re-simulating.
+    const SweepBackendOptions& opt = backend_->options();
+    const SweepRecord& rec = backend_->record();
+    const SweepExecResult& exec = rec.exec;
     const std::string cached_points =
-        std::to_string(CountOrigin(exec_.origins, PointOrigin::kCache));
+        std::to_string(CountOrigin(exec.origins, PointOrigin::kCache));
     std::string provenance =
         "  \"deduped_points\": " +
-        std::to_string(CountOrigin(exec_.origins, PointOrigin::kDuplicate)) +
+        std::to_string(CountOrigin(exec.origins, PointOrigin::kDuplicate)) +
         ",\n";
-    if (!checkpoint_dir_.empty()) {
-      provenance += "  \"checkpoint_dir\": \"" + EscapeJson(checkpoint_dir_) +
+    if (!opt.checkpoint.empty()) {
+      provenance += "  \"checkpoint_dir\": \"" + EscapeJson(opt.checkpoint) +
                     "\",\n  \"resumed_points\": " + cached_points +
                     ",\n  \"defective_cache_points\": " +
-                    std::to_string(exec_.defective_cache_points) + ",\n";
+                    std::to_string(exec.defective_cache_points) + ",\n";
     }
-    if (client_ != nullptr) {
+    if (!opt.server.empty()) {
       // Service provenance: which vixnocd daemon served the sweep and how
       // each point was satisfied (store hit / fresh compute / coalesced
       // onto another client's in-flight computation).
       provenance += "  \"server\": {\"socket\": \"" +
-                    EscapeJson(client_->socket_path()) +
-                    "\", \"store_hits\": " + std::to_string(server_hits_) +
-                    ", \"computed\": " + std::to_string(server_computed_) +
-                    ", \"coalesced\": " + std::to_string(server_coalesced_) +
-                    ", \"retries\": " + std::to_string(server_retries_) +
+                    EscapeJson(opt.server) +
+                    "\", \"store_hits\": " + std::to_string(rec.store_hits) +
+                    ", \"computed\": " + std::to_string(rec.computed) +
+                    ", \"coalesced\": " + std::to_string(rec.coalesced) +
+                    ", \"retries\": " + std::to_string(rec.reasks) +
                     "},\n";
     }
-    if (isolate_process_) {
+    if (opt.isolate_process) {
       // Process-isolation provenance: how the batch was executed at the
       // subprocess level — retry/crash/timeout tallies plus the worker
       // lifecycle event log — so a results file records not just the
       // numbers but how reliably they were produced.
       provenance += "  \"exec\": {\"isolate\": \"process\", "
-                    "\"point_timeout\": " + Num(point_timeout_) +
-                    ", \"retries\": " + std::to_string(retries_) +
+                    "\"point_timeout\": " + Num(opt.point_timeout) +
+                    ", \"retries\": " + std::to_string(opt.retries) +
                     ", \"workers_spawned\": " +
-                    std::to_string(exec_.workers_spawned) +
-                    ", \"crashes\": " + std::to_string(exec_.crashes) +
-                    ", \"timeouts\": " + std::to_string(exec_.timeouts) +
-                    ", \"bad_frames\": " + std::to_string(exec_.bad_frames) +
+                    std::to_string(exec.workers_spawned) +
+                    ", \"crashes\": " + std::to_string(exec.crashes) +
+                    ", \"timeouts\": " + std::to_string(exec.timeouts) +
+                    ", \"bad_frames\": " + std::to_string(exec.bad_frames) +
                     ", \"spawn_failures\": " +
-                    std::to_string(exec_.spawn_failures) +
+                    std::to_string(exec.spawn_failures) +
                     ", \"retries_performed\": " +
-                    std::to_string(exec_.retries) +
+                    std::to_string(exec.retries) +
                     ", \"exhausted_points\": " +
-                    std::to_string(exec_.exhausted_points) +
+                    std::to_string(exec.exhausted_points) +
                     ", \"fallback_points\": " +
-                    std::to_string(exec_.fallback_points) +
+                    std::to_string(exec.fallback_points) +
                     ", \"cached_points\": " + cached_points +
                     ",\n    \"worker_events\": [";
-      for (std::size_t i = 0; i < exec_.events.size(); ++i) {
-        const WorkerEvent& ev = exec_.events[i];
+      for (std::size_t i = 0; i < exec.events.size(); ++i) {
+        const WorkerEvent& ev = exec.events[i];
         provenance += std::string(i ? ", \"" : "\"") +
                       EscapeJson(ToString(ev.kind) + " slot " +
                                  std::to_string(ev.slot) + " pid " +
@@ -222,13 +191,13 @@ class SweepHarness {
         outcome_json +=
             ", \"message\": \"" + EscapeJson(r.outcome.message) + "\"";
       }
-      if (i < exec_.points.size()) {
+      if (i < exec.points.size()) {
         // Per-point execution provenance in process-isolation mode:
         // subprocess attempts and, when the point ever failed at the
         // process level, the classified cause.
-        const ExecStatus& es = exec_.points[i];
+        const ExecStatus& es = exec.points[i];
         outcome_json += ", \"attempts\": " + std::to_string(es.attempts);
-        if (exec_.origins[i] == PointOrigin::kCache) {
+        if (exec.origins[i] == PointOrigin::kCache) {
           outcome_json += ", \"from_cache\": true";
         }
         if (es.in_process_fallback) {
@@ -291,113 +260,33 @@ class SweepHarness {
             const std::string& extra_usage) {
     if (args.GetBool("help", false)) {
       std::printf(
-          "usage: bench_%s [threads=N] [json=PATH] [checkpoint=DIR]\n"
+          "usage: bench_%s [json=PATH] [threads=N] [checkpoint=DIR]\n"
           "       [server=SOCK] [isolate=thread|process] [point_timeout=S] "
           "[retries=N]%s\n"
-          "  threads=N       worker threads (or subprocesses) for the sweep\n"
-          "                  (default 0 = $VIXNOC_THREADS if set, else all "
-          "cores)\n"
           "  json=PATH       machine-readable results file\n"
-          "                  (default %s; json= disables)\n"
-          "  checkpoint=DIR  content-addressed result store at DIR;\n"
-          "                  re-running after an interruption resumes, and\n"
-          "                  benches sharing DIR share completed points\n"
-          "  server=SOCK     send every point to the vixnocd daemon at\n"
-          "                  SOCK instead of simulating locally (exclusive\n"
-          "                  with checkpoint= and isolate=process)\n"
-          "  isolate=MODE    'thread' (default) runs points in-process;\n"
-          "                  'process' runs each point in a\n"
-          "                  vixnoc_sweep_worker subprocess so a crashing\n"
-          "                  or hanging point cannot take down the sweep\n"
-          "  point_timeout=S kill a worker stuck on one point for more\n"
-          "                  than S seconds (isolate=process; 0 disables)\n"
-          "  retries=N       process-level retries per failed point\n"
-          "                  (isolate=process; default 2)\n%s",
+          "                  (default %s; json= disables)\n%s%s",
           bench_name_.c_str(), extra_usage.empty() ? "" : " [...]",
-          default_json.c_str(), extra_usage.c_str());
+          default_json.c_str(), kSweepBackendUsage, extra_usage.c_str());
       std::exit(0);
     }
-    threads_ = static_cast<int>(args.GetInt("threads", 0));
     json_path_ = args.GetString("json", default_json);
-    checkpoint_dir_ = args.GetString("checkpoint", "");
-    server_socket_ = args.GetString("server", "");
-    const std::string isolate = args.GetString("isolate", "thread");
-    if (isolate != "thread" && isolate != "process") {
-      std::fprintf(stderr, "isolate=%s is not 'thread' or 'process'\n",
-                   isolate.c_str());
-      std::exit(2);
-    }
-    isolate_process_ = isolate == "process";
-    if (!server_socket_.empty() &&
-        (!checkpoint_dir_.empty() || isolate_process_)) {
-      std::fprintf(stderr,
-                   "server= is mutually exclusive with checkpoint= and "
-                   "isolate=process (the daemon owns its own store)\n");
-      std::exit(2);
-    }
-    point_timeout_ = args.GetDouble("point_timeout", 0.0);
-    retries_ = static_cast<int>(args.GetInt("retries", 2));
-    if (!server_socket_.empty()) {
-      try {
-        client_ = std::make_unique<SimClient>(server_socket_, 10.0);
-      } catch (const SimError& e) {
-        std::fprintf(stderr, "cannot reach vixnocd at %s: %s\n",
-                     server_socket_.c_str(), e.what());
-        std::exit(1);
-      }
-    } else {
-      if (!checkpoint_dir_.empty()) {
-        store_ = std::make_shared<ResultStore>(checkpoint_dir_);
-      }
-      runner_ = std::make_unique<SweepRunner>(threads_);
-      if (store_ != nullptr) runner_->SetCache(store_);
+    SweepBackendOptions options;
+    if (!ParseSweepBackendArgs(args, &options)) std::exit(2);
+    try {
+      backend_ = std::make_unique<SweepBackend>(std::move(options));
+    } catch (const SimError& e) {
+      std::fprintf(stderr, "%s\n", e.what());
+      std::exit(1);
     }
     WarnIfDebugBuild(bench_name_);
   }
 
-  std::vector<NetworkSimResult> RunViaServer(
-      const std::vector<NetworkSimConfig>& points) {
-    std::vector<NetworkSimResult> results(points.size());
-    SimClient::BatchReplies served = client_->BatchWithRetry(points);
-    server_retries_ += served.reasks;
-    std::vector<PointReply>& replies = served.replies;
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      const PointReply& r = replies[i];
-      if (r.status != ServeStatus::kOk) {
-        results[i].outcome.status = SimStatus::kExecFailure;
-        results[i].outcome.message = "daemon: " + r.message;
-        continue;
-      }
-      results[i] = std::move(replies[i].result);
-      server_hits_ += r.source == ServeSource::kStore;
-      server_computed_ += r.source == ServeSource::kComputed;
-      server_coalesced_ += r.source == ServeSource::kCoalesced;
-    }
-    return results;
-  }
-
   std::string bench_name_;
   std::string json_path_;
-  std::string checkpoint_dir_;
-  std::string server_socket_;
-  int threads_ = 0;
-  bool isolate_process_ = false;
-  double point_timeout_ = 0.0;
-  int retries_ = 2;
-  std::uint64_t server_hits_ = 0;
-  std::uint64_t server_computed_ = 0;
-  std::uint64_t server_coalesced_ = 0;
-  std::uint64_t server_retries_ = 0;
-  std::shared_ptr<ResultStore> store_;
-  std::unique_ptr<SimClient> client_;
-  std::unique_ptr<SweepRunner> runner_;
+  std::unique_ptr<SweepBackend> backend_;
   double wall_seconds_ = 0.0;
   std::uint64_t sim_cycles_ = 0;
   std::vector<std::pair<NetworkSimConfig, NetworkSimResult>> records_;
-  // Cross-batch execution record: slot origins (parallel to records_) and
-  // defective cache entries on both local paths; per-point statuses,
-  // events and process-level tallies only with isolate=process.
-  SweepExecResult exec_;
 };
 
 }  // namespace vixnoc::bench

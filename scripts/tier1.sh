@@ -30,12 +30,18 @@
 #     number; then isolate=process over a point cache, twice: the second
 #     run must resume every point, mark every row from_cache, and still
 #     match the in-process rows;
-#  8. service gate: a real vixnocd daemon is started on a Unix socket and
+#  8. front-end gate: one short noc_explorer sweep=1 run through the
+#     sweep backend in-process, with isolate=process and over a result
+#     store twice (the second run must resume every point); every CSV
+#     must be byte-identical to the in-process one, and server= with
+#     checkpoint= must be refused with exit 2;
+#  9. service gate: a real vixnocd daemon is started on a Unix socket and
 #     the same sweep is run twice through vixnoc_client — run 2 must be
 #     served 100% from the content-addressed result store with every
-#     result field identical to run 1, and the daemon must drain to a
+#     result field identical to run 1 — and the front-end gate's sweep is
+#     run once more with server= and cmp'd; the daemon must drain to a
 #     clean exit 0 on the shutdown frame;
-#  9. perf smoke gate: bench_sim_speed compared against the committed
+# 10. perf smoke gate: bench_sim_speed compared against the committed
 #     trajectory (BENCH_sim_speed.json) via scripts/bench_trajectory.py;
 #     the trajectory includes the sweep_process arm, so subprocess-mode
 #     throughput is gated alongside the in-process arms.
@@ -291,6 +297,33 @@ else
   echo "bench_ext_telemetry or python3 not found; skipping sweep compare"
 fi
 
+echo "== tier1: front-end gate (${PREFIX}) =="
+# Where noc_explorer's sweep runs is an execution detail: every backend
+# must write the in-process CSV byte for byte.
+FE_DIR="${PREFIX}/frontend_gate"
+rm -rf "${FE_DIR}" && mkdir -p "${FE_DIR}"
+FE_SWEEP=(sweep=1 packet=4 warmup=200 measure=800 drain=400)
+"${EXPLORER}" "${FE_SWEEP[@]}" "csv=${FE_DIR}/inproc.csv" >/dev/null
+"${EXPLORER}" "${FE_SWEEP[@]}" isolate=process \
+  "csv=${FE_DIR}/isolated.csv" >/dev/null
+"${EXPLORER}" "${FE_SWEEP[@]}" "checkpoint=${FE_DIR}/store" \
+  "csv=${FE_DIR}/fill.csv" >/dev/null
+"${EXPLORER}" "${FE_SWEEP[@]}" "checkpoint=${FE_DIR}/store" \
+  "csv=${FE_DIR}/resume.csv" >"${FE_DIR}/resume.out"
+FE_POINTS=$(($(wc -l <"${FE_DIR}/inproc.csv") - 1))
+grep -q "^resumed ${FE_POINTS}/${FE_POINTS} points" "${FE_DIR}/resume.out" \
+  || { echo "checkpoint resume did not serve every point"; exit 1; }
+for RUN in isolated fill resume; do
+  cmp "${FE_DIR}/inproc.csv" "${FE_DIR}/${RUN}.csv"
+done
+FE_RC=0
+"${EXPLORER}" sweep=1 "server=${FE_DIR}/none.sock" \
+  "checkpoint=${FE_DIR}/refused" >/dev/null 2>&1 || FE_RC=$?
+[ "${FE_RC}" -eq 2 ] && [ ! -e "${FE_DIR}/refused" ] \
+  || { echo "server= with checkpoint= not refused (exit ${FE_RC})"; exit 1; }
+echo "front-end gate: ${FE_POINTS}-point sweep identical in-process," \
+  "isolated, filled and resumed; server=+checkpoint= refused"
+
 echo "== tier1: service gate (${PREFIX}) =="
 # A real vixnocd daemon serves the same sweep twice: run 1 populates the
 # content-addressed store, run 2 must be answered entirely from it with
@@ -310,6 +343,11 @@ if [ -x "${VIXNOCD}" ] && [ -x "${VIXCLIENT}" ] \
     drain=500)
   "${VIXCLIENT}" "${SWEEP[@]}" "json=${SVC_DIR}/run1.json" >/dev/null
   "${VIXCLIENT}" "${SWEEP[@]}" "json=${SVC_DIR}/run2.json" >/dev/null
+  # The front-end gate's sweep, served by the daemon.
+  "${EXPLORER}" "${FE_SWEEP[@]}" "server=${SVC_DIR}/vixd.sock" \
+    "csv=${FE_DIR}/served.csv" >/dev/null
+  cmp "${FE_DIR}/inproc.csv" "${FE_DIR}/served.csv"
+  echo "noc_explorer server= sweep identical to in-process"
   "${VIXCLIENT}" shutdown "socket=${SVC_DIR}/vixd.sock" >/dev/null
   wait "${VIXNOCD_PID}"
   trap - EXIT

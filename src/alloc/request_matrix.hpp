@@ -236,9 +236,6 @@ class BitSpan {
   int FirstFrom(int start) const {
     return bits::FirstSetFrom(words_, word_count(), start);
   }
-  int FirstAtOrAfter(int start) const {
-    return bits::FirstSetAtOrAfter(words_, word_count(), start);
-  }
   /// Index of the k-th (0-based) set bit; k must be < Count().
   int NthSet(int k) const {
     VIXNOC_DCHECK(k >= 0 && k < Count());

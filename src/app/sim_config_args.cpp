@@ -69,4 +69,14 @@ bool SimConfigFromArgs(const ArgMap& args, NetworkSimConfig* config) {
   return ok;
 }
 
+std::vector<NetworkSimConfig> RateSweep(NetworkSimConfig config) {
+  std::vector<NetworkSimConfig> points;
+  for (double rate = 0.02; rate <= config.MaxInjectionRate() + 1e-9;
+       rate += 0.01) {
+    config.injection_rate = rate;
+    points.push_back(config);
+  }
+  return points;
+}
+
 }  // namespace vixnoc

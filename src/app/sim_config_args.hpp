@@ -5,6 +5,8 @@
 // actually hit.
 #pragma once
 
+#include <vector>
+
 #include "common/cli.hpp"
 #include "sim/network_sim.hpp"
 
@@ -25,5 +27,11 @@ namespace vixnoc {
 /// unrecognized (caller exits 2); deeper validation stays with
 /// ValidateNetworkSimConfig at run time.
 bool SimConfigFromArgs(const ArgMap& args, NetworkSimConfig* config);
+
+/// The standard rate sweep of the CLI tools: `config` at injection rates
+/// 0.02, 0.03, ... up to saturation (MaxInjectionRate), one point each.
+/// The rates are accumulated, not multiplied out, so every tool asks for
+/// the same bytes and the result store shares their points.
+std::vector<NetworkSimConfig> RateSweep(NetworkSimConfig config);
 
 }  // namespace vixnoc

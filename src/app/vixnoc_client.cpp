@@ -120,12 +120,7 @@ int RunSweep(SimClient& client, const ArgMap& args) {
   const std::string json = args.GetString("json", "");
   args.CheckAllConsumed();
 
-  std::vector<NetworkSimConfig> points;
-  for (double rate = 0.02; rate <= config.MaxInjectionRate() + 1e-9;
-       rate += 0.01) {
-    config.injection_rate = rate;
-    points.push_back(config);
-  }
+  const std::vector<NetworkSimConfig> points = RateSweep(config);
 
   // Retry-after slots (daemon at capacity) are re-asked after the
   // daemon's own backoff hint.
@@ -145,9 +140,8 @@ int RunSweep(SimClient& client, const ArgMap& args) {
 int RunStats(SimClient& client, const ArgMap& args) {
   args.CheckAllConsumed();
   const DaemonStats s = client.Stats();
-  std::printf("requests:            %" PRIu64 " (%" PRIu64 " point, %" PRIu64
-              " batch)\n",
-              s.requests, s.point_requests, s.batch_requests);
+  std::printf("requests:            %" PRIu64 " (%" PRIu64 " batch)\n",
+              s.requests, s.batch_requests);
   std::printf("points served:       %" PRIu64 "\n", s.points_served);
   std::printf("  store hits:        %" PRIu64 "\n", s.store_hits);
   std::printf("  computed:          %" PRIu64 "\n", s.computed_points);

@@ -14,7 +14,6 @@
 #include <thread>
 
 #include <fcntl.h>
-#include <pthread.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -354,10 +353,7 @@ SweepExecResult SweepCoordinator::Run(
                                 "subprocess spawning unavailable");
         }
         // A dead peer must surface as EPIPE from write(), not SIGPIPE.
-        sigset_t sigpipe;
-        sigemptyset(&sigpipe);
-        sigaddset(&sigpipe, SIGPIPE);
-        pthread_sigmask(SIG_BLOCK, &sigpipe, nullptr);
+        BlockSigpipeOnThisThread();
         std::string err;
         const bool spawned = SpawnWorker(policy_.worker_path, &w, &err);
         {

@@ -83,4 +83,9 @@ FrameRead ReadFrame(int fd, double timeout_seconds,
 /// as EPIPE instead of killing the process.
 bool WriteFrame(int fd, const std::string& payload, std::string* error);
 
+/// Blocks SIGPIPE for the calling thread (pthread_sigmask), which is how
+/// every in-library WriteFrame caller meets the requirement above: an
+/// ignored process-wide handler would reach into the host program.
+void BlockSigpipeOnThisThread();
+
 }  // namespace vixnoc

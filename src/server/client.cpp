@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
-#include <csignal>
 #include <cstring>
 #include <thread>
 
-#include <pthread.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -45,10 +43,7 @@ SimClient::SimClient(std::string socket_path, double connect_timeout_seconds)
                  "socket path '%s' exceeds the AF_UNIX limit",
                  socket_path_.c_str());
   // A dead daemon mid-write must surface as EPIPE, not kill the client.
-  sigset_t sigpipe;
-  sigemptyset(&sigpipe);
-  sigaddset(&sigpipe, SIGPIPE);
-  pthread_sigmask(SIG_BLOCK, &sigpipe, nullptr);
+  BlockSigpipeOnThisThread();
 
   const auto deadline =
       std::chrono::steady_clock::now() +
@@ -80,36 +75,28 @@ std::string SimClient::Roundtrip(const std::string& payload) {
   VIXNOC_REQUIRE(fr.status == FrameRead::Status::kOk,
                  "no reply from '%s': %s", socket_path_.c_str(),
                  fr.detail.empty() ? "connection closed" : fr.detail.c_str());
+  if (IsPointReply(fr.payload)) {
+    // The daemon could not decode the request and answered with a single
+    // error reply, whatever was asked; surface its message.
+    VIXNOC_REQUIRE(false, "daemon rejected the request: %s",
+                   DecodePointReply(fr.payload).message.c_str());
+  }
   return fr.payload;
 }
 
 PointReply SimClient::Point(const NetworkSimConfig& config) {
-  const std::string payload = Roundtrip(EncodePointRequest(config));
-  PointReply reply = DecodePointReply(payload);
-  // Validation both directions: the daemon proves which point it answered.
-  // (A daemon-side decode error legitimately carries key 0.)
-  VIXNOC_REQUIRE(reply.status == ServeStatus::kError ||
-                     reply.result_key == NetworkSimResultKey(config),
-                 "daemon answered a different point (key %016llx, asked for "
-                 "%016llx)",
-                 static_cast<unsigned long long>(reply.result_key),
-                 static_cast<unsigned long long>(NetworkSimResultKey(config)));
-  return reply;
+  return Batch({config}).front();
 }
 
 std::vector<PointReply> SimClient::Batch(
     const std::vector<NetworkSimConfig>& configs) {
-  const std::string payload = Roundtrip(EncodeBatchRequest(configs));
-  if (IsPointReply(payload)) {
-    // The daemon rejected the whole frame (decode failure) with a single
-    // error reply; surface its message.
-    const PointReply err = DecodePointReply(payload);
-    VIXNOC_REQUIRE(false, "daemon rejected batch: %s", err.message.c_str());
-  }
-  std::vector<PointReply> replies = DecodeBatchReply(payload);
+  std::vector<PointReply> replies =
+      DecodeBatchReply(Roundtrip(EncodeBatchRequest(configs)));
   VIXNOC_REQUIRE(replies.size() == configs.size(),
                  "daemon answered %zu points for a %zu-point batch",
                  replies.size(), configs.size());
+  // Validation both directions: the daemon proves which point each slot
+  // answers. (An error slot may carry key 0.)
   for (std::size_t i = 0; i < configs.size(); ++i) {
     VIXNOC_REQUIRE(
         replies[i].status == ServeStatus::kError ||
@@ -120,13 +107,7 @@ std::vector<PointReply> SimClient::Batch(
 }
 
 DaemonStats SimClient::Stats() {
-  const std::string payload = Roundtrip(EncodeStatsRequest());
-  if (IsPointReply(payload)) {
-    const PointReply err = DecodePointReply(payload);
-    VIXNOC_REQUIRE(false, "daemon rejected stats request: %s",
-                   err.message.c_str());
-  }
-  return DecodeStatsReply(payload);
+  return DecodeStatsReply(Roundtrip(EncodeStatsRequest()));
 }
 
 void SimClient::Shutdown() {
@@ -135,15 +116,7 @@ void SimClient::Shutdown() {
 
 PointReply SimClient::PointWithRetry(const NetworkSimConfig& config,
                                      int max_attempts) {
-  PointReply reply;
-  for (int attempt = 0; attempt < max_attempts; ++attempt) {
-    reply = Point(config);
-    if (reply.status != ServeStatus::kRetryAfter) return reply;
-    const double delay =
-        reply.retry_after_seconds > 0.0 ? reply.retry_after_seconds : 0.05;
-    std::this_thread::sleep_for(std::chrono::duration<double>(delay));
-  }
-  return reply;
+  return BatchWithRetry({config}, max_attempts).replies.front();
 }
 
 SimClient::BatchReplies SimClient::BatchWithRetry(

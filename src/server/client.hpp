@@ -32,25 +32,20 @@ class SimClient {
 
   const std::string& socket_path() const { return socket_path_; }
 
-  /// One simulation point. Transport failures and a reply whose result
-  /// key does not match `config` throw SimError; daemon-side outcomes
-  /// (retry-after, validation errors) come back in the reply's status.
-  PointReply Point(const NetworkSimConfig& config);
-
-  /// A batch of points, answered positionally.
+  /// A batch of points, answered positionally. Transport failures, a
+  /// whole-frame error reply and a slot whose result key does not match
+  /// its config throw SimError; daemon-side outcomes per point
+  /// (retry-after, validation errors) come back in the slot's status.
   std::vector<PointReply> Batch(const std::vector<NetworkSimConfig>& configs);
+
+  /// One simulation point: a batch of one.
+  PointReply Point(const NetworkSimConfig& config);
 
   DaemonStats Stats();
 
   /// Asks the daemon to drain and exit. Returns once the daemon has
   /// acknowledged (its actual exit completes asynchronously).
   void Shutdown();
-
-  /// Point with retry-after handling: sleeps the daemon's hint and
-  /// retries, up to `max_attempts`. The last reply (whatever its status)
-  /// is returned.
-  PointReply PointWithRetry(const NetworkSimConfig& config,
-                            int max_attempts = 50);
 
   /// A batch with retry-after handling: after the first batch, the slots
   /// still answered retry-after are re-sent as one batch once the longest
@@ -63,7 +58,13 @@ class SimClient {
   BatchReplies BatchWithRetry(const std::vector<NetworkSimConfig>& configs,
                               int max_attempts = 50);
 
+  /// One point with retry-after handling: a BatchWithRetry of one.
+  PointReply PointWithRetry(const NetworkSimConfig& config,
+                            int max_attempts = 50);
+
  private:
+  /// Sends one request frame and returns the reply payload; throws
+  /// SimError on transport failure or a whole-frame error reply.
   std::string Roundtrip(const std::string& payload);
 
   std::string socket_path_;

@@ -1,13 +1,11 @@
 #include "server/daemon.hpp"
 
 #include <chrono>
-#include <csignal>
 #include <cstdio>
 #include <cstring>
 #include <utility>
 #include <vector>
 
-#include <pthread.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -19,16 +17,6 @@
 namespace vixnoc {
 
 namespace {
-
-/// Connection and accept threads must see a dead peer as EPIPE from
-/// write(), never SIGPIPE (which would kill an in-process daemon's host
-/// too, e.g. a test binary).
-void BlockSigpipeOnThisThread() {
-  sigset_t sigpipe;
-  sigemptyset(&sigpipe);
-  sigaddset(&sigpipe, SIGPIPE);
-  pthread_sigmask(SIG_BLOCK, &sigpipe, nullptr);
-}
 
 /// Names the first field of `c` that would make the daemon touch a file
 /// the client chose, or returns nullptr. The daemon refuses those; the
@@ -107,6 +95,8 @@ void SimDaemon::Start() {
 }
 
 void SimDaemon::AcceptLoop() {
+  // Connection and accept threads must see a dead peer as EPIPE, never
+  // SIGPIPE, which would kill an in-process daemon's host (a test binary).
   BlockSigpipeOnThisThread();
   for (;;) {
     const int fd = ::accept4(listen_fd_, nullptr, nullptr, SOCK_CLOEXEC);
@@ -153,16 +143,11 @@ void SimDaemon::ServeConnection(int fd) {
     try {
       const Request req = DecodeRequest(fr.payload);
       switch (req.kind) {
-        case RequestKind::kPoint:
         case RequestKind::kBatch: {
-          const bool point = req.kind == RequestKind::kPoint;
-          {
-            std::lock_guard<std::mutex> lock(mu_);
-            ++(point ? counters_.point_requests : counters_.batch_requests);
-          }
-          const std::vector<PointReply> replies = ServeBatch(req.configs);
-          reply = point ? EncodePointReply(replies.front())
-                        : EncodeBatchReply(replies);
+          std::unique_lock<std::mutex> lock(mu_);
+          ++counters_.batch_requests;
+          lock.unlock();
+          reply = EncodeBatchReply(ServeBatch(req.configs));
           break;
         }
         case RequestKind::kStats:

@@ -79,7 +79,6 @@ class SimDaemon {
   SimDaemon& operator=(const SimDaemon&) = delete;
 
   const DaemonConfig& config() const { return config_; }
-  ResultStore& store() { return *store_; }
 
   /// Binds + listens on the socket and starts the accept thread. Throws
   /// SimError when the socket cannot be created.
@@ -116,8 +115,8 @@ class SimDaemon {
 
   void AcceptLoop();
   void ServeConnection(int fd);
-  /// Serves a point request (one config) or a batch. A config that sets a
-  /// checkpoint or restore field gets a kError reply naming it.
+  /// Serves a batch. A config that sets a checkpoint or restore field gets
+  /// a kError reply naming it.
   std::vector<PointReply> ServeBatch(
       const std::vector<NetworkSimConfig>& configs);
   /// Probes the store and, on a miss, begins or joins a computation.

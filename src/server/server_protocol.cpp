@@ -7,7 +7,6 @@ namespace vixnoc {
 
 namespace {
 
-constexpr const char kPointSection[] = "vixd_point";
 constexpr const char kBatchSection[] = "vixd_batch";
 constexpr const char kStatsSection[] = "vixd_stats";
 constexpr const char kShutdownSection[] = "vixd_shutdown";
@@ -15,6 +14,14 @@ constexpr const char kReplySection[] = "vixd_reply";
 constexpr const char kBatchReplySection[] = "vixd_breply";
 constexpr const char kStatsReplySection[] = "vixd_dstats";
 constexpr const char kByeSection[] = "vixd_bye";
+
+/// Refuses a control frame stamped with another layout's fingerprint.
+void RequireControl(const SnapshotReader& r) {
+  VIXNOC_REQUIRE(r.fingerprint() == ControlFrameFingerprint(),
+                 "control frame fingerprint %016llx is not this protocol's "
+                 "(a peer built against another stats layout)",
+                 static_cast<unsigned long long>(r.fingerprint()));
+}
 
 /// Order-sensitive fold of a batch's per-point result keys, stamped into
 /// batch request/reply containers.
@@ -53,24 +60,11 @@ PointReply LoadPointReply(SnapshotReader& r) {
 
 std::uint64_t ControlFrameFingerprint() {
   static const std::uint64_t fp = [] {
-    const char tag[] = "vixd_control";
+    // The tag names the stats reply layout: "v2" dropped point_requests.
+    const char tag[] = "vixd_control_v2";
     return Fnv1a64(tag, sizeof(tag) - 1);
   }();
   return fp;
-}
-
-std::string ToString(RequestKind kind) {
-  switch (kind) {
-    case RequestKind::kPoint:
-      return "point";
-    case RequestKind::kBatch:
-      return "batch";
-    case RequestKind::kStats:
-      return "stats";
-    case RequestKind::kShutdown:
-      return "shutdown";
-  }
-  return "unknown";
 }
 
 std::string ToString(ServeStatus status) {
@@ -97,14 +91,6 @@ std::string ToString(ServeSource source) {
       return "coalesced";
   }
   return "unknown";
-}
-
-std::string EncodePointRequest(const NetworkSimConfig& config) {
-  SnapshotWriter w;
-  w.BeginSection(kPointSection);
-  SaveNetworkSimConfig(w, config);
-  w.EndSection();
-  return w.Finish(NetworkSimResultKey(config));
 }
 
 std::string EncodeBatchRequest(const std::vector<NetworkSimConfig>& configs) {
@@ -138,19 +124,6 @@ std::string EncodeShutdownRequest() {
 Request DecodeRequest(const std::string& payload) {
   SnapshotReader r(payload);
   Request out;
-  if (r.HasSection(kPointSection)) {
-    out.kind = RequestKind::kPoint;
-    r.OpenSection(kPointSection);
-    out.configs.push_back(LoadNetworkSimConfig(r));
-    r.CloseSection();
-    const std::uint64_t key = NetworkSimResultKey(out.configs.back());
-    VIXNOC_REQUIRE(r.fingerprint() == key,
-                   "point request fingerprint %016llx does not match the "
-                   "config's result key %016llx",
-                   static_cast<unsigned long long>(r.fingerprint()),
-                   static_cast<unsigned long long>(key));
-    return out;
-  }
   if (r.HasSection(kBatchSection)) {
     out.kind = RequestKind::kBatch;
     r.OpenSection(kBatchSection);
@@ -169,16 +142,12 @@ Request DecodeRequest(const std::string& payload) {
                    "batch request fingerprint does not match its configs");
     return out;
   }
-  if (r.HasSection(kStatsSection)) {
-    out.kind = RequestKind::kStats;
-    return out;
-  }
-  if (r.HasSection(kShutdownSection)) {
-    out.kind = RequestKind::kShutdown;
-    return out;
-  }
-  VIXNOC_REQUIRE(false, "frame is not a recognized vixnocd request");
-  return out;  // unreachable
+  VIXNOC_REQUIRE(r.HasSection(kStatsSection) || r.HasSection(kShutdownSection),
+                 "frame is not a recognized vixnocd request");
+  RequireControl(r);
+  out.kind = r.HasSection(kStatsSection) ? RequestKind::kStats
+                                         : RequestKind::kShutdown;
+  return out;
 }
 
 std::string EncodePointReply(const PointReply& reply) {
@@ -239,7 +208,6 @@ std::string EncodeStatsReply(const DaemonStats& s) {
   SnapshotWriter w;
   w.BeginSection(kStatsReplySection);
   w.U64(s.requests);
-  w.U64(s.point_requests);
   w.U64(s.batch_requests);
   w.U64(s.points_served);
   w.U64(s.store_hits);
@@ -260,10 +228,10 @@ std::string EncodeStatsReply(const DaemonStats& s) {
 
 DaemonStats DecodeStatsReply(const std::string& payload) {
   SnapshotReader r(payload);
+  RequireControl(r);
   r.OpenSection(kStatsReplySection);
   DaemonStats s;
   s.requests = r.U64();
-  s.point_requests = r.U64();
   s.batch_requests = r.U64();
   s.points_served = r.U64();
   s.store_hits = r.U64();
@@ -293,6 +261,7 @@ void DecodeShutdownReply(const std::string& payload) {
   SnapshotReader r(payload);
   VIXNOC_REQUIRE(r.HasSection(kByeSection),
                  "frame is not a shutdown acknowledgment");
+  RequireControl(r);
 }
 
 bool IsPointReply(const std::string& payload) {

@@ -4,26 +4,31 @@
 // the sweep worker protocol (exec/exec_protocol.hpp): every payload is a
 // snapshot container, so magic/version/per-section checksums validate each
 // frame for free, and the container's fingerprint slot authenticates the
-// content in both directions. Four request kinds and their replies:
+// content in both directions. Three request kinds and their replies:
 //
-//   point    := section "vixd_point"    { config }            fp = result key
-//   batch    := section "vixd_batch"   { count, configs... }  fp = key fold
-//   stats    := section "vixd_stats"    {}                    fp = control
-//   shutdown := section "vixd_shutdown" {}                    fp = control
+//   batch    := section "vixd_batch"    { count, configs... }  fp = key fold
+//   stats    := section "vixd_stats"    {}                     fp = control
+//   shutdown := section "vixd_shutdown" {}                     fp = control
 //
-//   reply(point)    := section "vixd_reply"   { status, source, retry_after,
-//                                               message, key [, result] }
-//   reply(batch)    := section "vixd_breply"  { count, replies... }
+//   reply(batch)    := section "vixd_breply"  { count, point replies... }
 //   reply(stats)    := section "vixd_dstats"  { counters... }
 //   reply(shutdown) := section "vixd_bye"     {}
+//   point reply     := { status, source, retry_after, message, key
+//                        [, result] }
+//   reply(error)    := section "vixd_reply"   { point reply }  fp = key (0)
 //
-// The fingerprint slot of a point request/reply is NetworkSimResultKey —
-// the *result* content key (evolution fingerprint + observation knobs),
-// not the bare evolution fingerprint, because the daemon dedupes and
-// stores by what the client will actually receive. Clients verify the
-// reply key against the config they asked about; the daemon verifies
-// request payloads the same way. Configs carrying live factory callbacks
-// cannot cross the socket (same rule as the worker protocol).
+// One point is a batch of one. The key fold is over each point's
+// NetworkSimResultKey — the *result* content key (evolution fingerprint +
+// observation knobs), not the bare evolution fingerprint, because the
+// daemon dedupes and stores by what the client will actually receive.
+// Clients verify every reply key against the config they asked about;
+// the daemon verifies request payloads the same way. A frame the daemon
+// cannot decode at all is answered with one error point reply in its own
+// section, whatever was asked (IsPointReply tells it apart). Control
+// frames carry ControlFrameFingerprint, whose tag names the stats
+// layout, so a peer built against another layout is refused, not
+// misread. Configs carrying live factory callbacks cannot cross the
+// socket (same rule as the worker protocol).
 #pragma once
 
 #include <cstdint>
@@ -34,26 +39,23 @@
 
 namespace vixnoc {
 
-/// Container fingerprint for payload-free control frames (stats/shutdown).
+/// Container fingerprint for control frames (stats/shutdown and their
+/// replies); decoders refuse a control frame stamped with any other.
 std::uint64_t ControlFrameFingerprint();
 
 enum class RequestKind : std::uint8_t {
-  kPoint,
   kBatch,
   kStats,
   kShutdown,
 };
 
-std::string ToString(RequestKind kind);
-
-/// A decoded client request. configs holds one entry for kPoint, any
-/// number for kBatch, none for control kinds.
+/// A decoded client request. configs holds the batch's points; none for
+/// control kinds.
 struct Request {
   RequestKind kind = RequestKind::kStats;
   std::vector<NetworkSimConfig> configs;
 };
 
-std::string EncodePointRequest(const NetworkSimConfig& config);
 std::string EncodeBatchRequest(const std::vector<NetworkSimConfig>& configs);
 std::string EncodeStatsRequest();
 std::string EncodeShutdownRequest();
@@ -91,6 +93,8 @@ struct PointReply {
   NetworkSimResult result;  ///< valid only when status == kOk
 };
 
+/// The whole-frame error reply (see IsPointReply); a batch reply carries
+/// the same fields per slot.
 std::string EncodePointReply(const PointReply& reply);
 PointReply DecodePointReply(const std::string& payload);  ///< throws SimError
 
@@ -101,7 +105,6 @@ std::vector<PointReply> DecodeBatchReply(const std::string& payload);
 /// mirror the underlying ResultStore's own stats.
 struct DaemonStats {
   std::uint64_t requests = 0;
-  std::uint64_t point_requests = 0;
   std::uint64_t batch_requests = 0;
   std::uint64_t points_served = 0;
   std::uint64_t store_hits = 0;
@@ -125,9 +128,9 @@ std::string EncodeShutdownReply();
 /// Throws SimError when the payload is not a shutdown acknowledgment.
 void DecodeShutdownReply(const std::string& payload);
 
-/// Is this reply payload a point reply (vs batch/stats/bye)? Lets a client
-/// surface a daemon-side decode error (sent as an error PointReply) for
-/// any request kind.
+/// Is this reply payload a whole-frame error reply (vs batch/stats/bye)?
+/// Lets a client surface a daemon-side decode error, sent as an error
+/// PointReply, for any request kind.
 bool IsPointReply(const std::string& payload);
 
 }  // namespace vixnoc

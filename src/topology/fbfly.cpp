@@ -31,8 +31,6 @@ class FbflyTopology final : public Topology {
   int Cols() const override { return cols_; }
   int Rows() const override { return rows_; }
 
-  int NumXPorts() const { return cols_ - 1; }
-  int NumYPorts() const { return rows_ - 1; }
   PortId FirstYPort() const { return cols_ - 1; }
   PortId FirstLocalPort() const { return (cols_ - 1) + (rows_ - 1); }
 
@@ -46,16 +44,10 @@ class FbflyTopology final : public Topology {
     VIXNOC_DCHECK(to != from);
     return to < from ? to : to - 1;
   }
-  /// Destination column of X port `p` at a router in column `from`.
-  int XDestOf(int from, PortId p) const { return p < from ? p : p + 1; }
 
   PortId YPortTo(int from, int to) const {
     VIXNOC_DCHECK(to != from);
     return FirstYPort() + (to < from ? to : to - 1);
-  }
-  int YDestOf(int from, PortId p) const {
-    const int i = p - FirstYPort();
-    return i < from ? i : i + 1;
   }
 
   RouterId RouterOfNode(NodeId node) const override {

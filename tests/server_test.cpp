@@ -7,8 +7,9 @@
 // clients asking for one missing point trigger exactly one simulation
 // (single-flight); a saturated daemon answers retry-after instead of
 // queueing unboundedly; malformed frames get structured error replies;
-// and SIGTERM on the real vixnocd process drains in-flight points —
-// their replies still arrive — before a clean exit 0.
+// SIGTERM on the real vixnocd process drains in-flight points — their
+// replies still arrive — before a clean exit 0; and the sweep backend
+// behind every front end returns the same results on each of its paths.
 #include "server/daemon.hpp"
 
 #include <signal.h>
@@ -30,6 +31,7 @@
 #include "exec/exec_protocol.hpp"
 #include "server/client.hpp"
 #include "server/server_protocol.hpp"
+#include "server/sweep_backend.hpp"
 #include "snapshot/snapshot.hpp"
 
 namespace vixnoc {
@@ -84,11 +86,11 @@ std::string Bytes(const NetworkSimResult& r) {
 // ---------------------------------------------------------------------------
 // Protocol round-trips (no daemon).
 
-TEST(ServerProtocolTest, PointRequestRoundTripsAndAuthenticates) {
+TEST(ServerProtocolTest, BatchOfOneRequestRoundTripsAndAuthenticates) {
   const NetworkSimConfig config = ShortConfig(0.07, 42);
-  const std::string payload = EncodePointRequest(config);
+  const std::string payload = EncodeBatchRequest({config});
   const Request req = DecodeRequest(payload);
-  EXPECT_EQ(req.kind, RequestKind::kPoint);
+  EXPECT_EQ(req.kind, RequestKind::kBatch);
   ASSERT_EQ(req.configs.size(), 1u);
   EXPECT_EQ(NetworkSimResultKey(req.configs[0]),
             NetworkSimResultKey(config));
@@ -145,8 +147,7 @@ TEST(ServerProtocolTest, PointReplyRoundTripsWithAndWithoutResult) {
 TEST(ServerProtocolTest, StatsReplyRoundTrips) {
   DaemonStats s;
   s.requests = 7;
-  s.point_requests = 3;
-  s.batch_requests = 2;
+  s.batch_requests = 5;
   s.points_served = 40;
   s.store_hits = 30;
   s.computed_points = 8;
@@ -155,11 +156,20 @@ TEST(ServerProtocolTest, StatsReplyRoundTrips) {
   s.store_bytes_written = 12'345;
   const DaemonStats d = DecodeStatsReply(EncodeStatsReply(s));
   EXPECT_EQ(d.requests, 7u);
+  EXPECT_EQ(d.batch_requests, 5u);
   EXPECT_EQ(d.points_served, 40u);
   EXPECT_EQ(d.store_hits, 30u);
   EXPECT_EQ(d.computed_points, 8u);
   EXPECT_EQ(d.coalesced_points, 2u);
   EXPECT_EQ(d.store_bytes_written, 12'345u);
+
+  // A control frame stamped with another layout's fingerprint (a peer
+  // from before or after a stats field change) is refused, not misread.
+  SnapshotWriter w;
+  w.BeginSection("vixd_dstats");
+  w.EndSection();
+  EXPECT_THROW((void)DecodeStatsReply(w.Finish(ControlFrameFingerprint() + 1)),
+               SimError);
 }
 
 // ---------------------------------------------------------------------------
@@ -448,6 +458,104 @@ TEST(SimDaemonTest, ShutdownFrameDrainsWaitAndUnlinksSocket) {
   }
   waiter.join();
   EXPECT_FALSE(fs::exists(svc.socket));
+}
+
+// ---------------------------------------------------------------------------
+// The sweep backend: one grid with a duplicate, run in-process, in worker
+// subprocesses, over a store (fill, then resume) and on a daemon (twice).
+
+/// Parses backend keys the way a front end does.
+bool ParseBackend(std::vector<std::string> keys,
+                  SweepBackendOptions* options) {
+  std::vector<char*> argv = {const_cast<char*>("server_test")};
+  for (std::string& key : keys) argv.push_back(key.data());
+  ArgMap args = ArgMap::Parse(static_cast<int>(argv.size()), argv.data());
+  return ParseSweepBackendArgs(args, options);
+}
+
+SweepBackendOptions Backend(std::vector<std::string> keys) {
+  SweepBackendOptions options;
+  EXPECT_TRUE(ParseBackend(std::move(keys), &options));
+  return options;
+}
+
+TEST(SweepBackendTest, EveryPathMatchesSerialRunsAndRecordsHowItRan) {
+  TempService svc("backend");
+  const std::vector<NetworkSimConfig> grid = {
+      ShortConfig(0.05), ShortConfig(0.08), ShortConfig(0.05)};
+  std::vector<std::string> serial;
+  for (const NetworkSimConfig& c : grid) {
+    serial.push_back(Bytes(RunNetworkSim(c)));
+  }
+  const auto expect_serial = [&](const std::vector<NetworkSimResult>& got,
+                                 const char* path) {
+    ASSERT_EQ(got.size(), serial.size()) << path;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(Bytes(got[i]), serial[i]) << path << ", slot " << i;
+    }
+  };
+  using O = PointOrigin;
+  const std::vector<O> executed = {O::kExecuted, O::kExecuted,
+                                   O::kDuplicate};
+
+  SweepBackend in_process(Backend({"threads=2"}));
+  expect_serial(in_process.Run(grid), "in-process");
+  EXPECT_EQ(in_process.record().exec.origins, executed);
+  EXPECT_TRUE(in_process.record().exec.points.empty());
+  EXPECT_EQ(in_process.threads(), 2);
+  EXPECT_EQ(in_process.Summary(), "");
+
+  SweepBackend isolated(
+      Backend({"threads=2", "isolate=process", "point_timeout=120"}));
+  expect_serial(isolated.Run(grid), "isolate=process");
+  const SweepExecResult& exec = isolated.record().exec;
+  EXPECT_EQ(exec.origins, executed);
+  ASSERT_EQ(exec.points.size(), grid.size());
+  EXPECT_TRUE(exec.points[0].isolated);
+  EXPECT_TRUE(exec.points[1].isolated);
+  EXPECT_GE(exec.workers_spawned, 1u);
+  EXPECT_EQ(exec.fallback_points + exec.crashes + exec.timeouts +
+                exec.exhausted_points,
+            0u);
+
+  const std::string store = "checkpoint=" + svc.root + "/points";
+  SweepBackend fill(Backend({"threads=2", store}));
+  expect_serial(fill.Run(grid), "store fill");
+  EXPECT_EQ(fill.record().exec.origins, executed);
+  SweepBackend resume(Backend({"threads=2", store}));
+  expect_serial(resume.Run(grid), "store resume");
+  EXPECT_EQ(resume.record().exec.origins,
+            (std::vector<O>{O::kCache, O::kCache, O::kDuplicate}));
+  EXPECT_EQ(resume.record().exec.defective_cache_points, 0u);
+  EXPECT_NE(resume.Summary().find("resumed 2/3 points"), std::string::npos)
+      << resume.Summary();
+
+  SimDaemon daemon(svc.Config());
+  daemon.Start();
+  const std::string server = "server=" + svc.socket;
+  SweepBackend first(Backend({server}));
+  expect_serial(first.Run(grid), "daemon, first run");
+  EXPECT_EQ(first.record().computed, 2u);
+  // The duplicate joined its twin's computation or hit its stored result.
+  EXPECT_EQ(first.record().coalesced + first.record().store_hits, 1u);
+  SweepBackend second(Backend({server}));
+  expect_serial(second.Run(grid), "daemon, second run");
+  EXPECT_EQ(second.record().store_hits, grid.size());
+  EXPECT_EQ(second.record().computed + second.record().coalesced, 0u);
+  EXPECT_EQ(second.threads(), 0);  // no local pool: the requested count
+  daemon.Stop();
+}
+
+TEST(SweepBackendTest, ConflictingOrUnknownKeysAreRefused) {
+  SweepBackendOptions options;
+  EXPECT_FALSE(ParseBackend({"server=d.sock", "checkpoint=dir"}, &options));
+  EXPECT_FALSE(ParseBackend({"server=d.sock", "isolate=process"}, &options));
+  EXPECT_FALSE(ParseBackend({"isolate=bogus"}, &options));
+  ASSERT_TRUE(ParseBackend({"server=d.sock", "isolate=thread"}, &options));
+  EXPECT_EQ(options.server, "d.sock");
+  EXPECT_FALSE(options.isolate_process);
+  EXPECT_EQ(options.retries, 2);
+  EXPECT_EQ(options.point_timeout, 0.0);
 }
 
 // ---------------------------------------------------------------------------
