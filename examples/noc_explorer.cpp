@@ -91,12 +91,10 @@ int main(int argc, char** argv) {
   config.checkpoint_every =
       static_cast<Cycle>(args.GetInt("checkpoint_every", 0));
   config.restore_path = args.GetString("restore", "");
-  if (!sweep) {
-    // A single run reads checkpoint= as its snapshot file, never as a
-    // store directory.
-    config.checkpoint_path = backend_options.checkpoint;
-    backend_options.checkpoint.clear();
-  }
+  // A single run reads checkpoint= as its snapshot file. It builds a
+  // backend only for server=, which excludes checkpoint=, so no store
+  // directory is ever made at that path.
+  if (!sweep) config.checkpoint_path = backend_options.checkpoint;
   if (!config.checkpoint_path.empty() && config.checkpoint_every == 0) {
     config.checkpoint_every = 1'000;  // a sensible default cadence
   }
