@@ -33,8 +33,9 @@
 #  8. front-end gate: one short noc_explorer sweep=1 run through the
 #     sweep backend in-process, with isolate=process and over a result
 #     store twice (the second run must resume every point); every CSV
-#     must be byte-identical to the in-process one, and server= with
-#     checkpoint= must be refused with exit 2;
+#     must be byte-identical to the in-process one, server= with
+#     checkpoint= must be refused with exit 2, and server= with no daemon
+#     behind it must fail within 2 s;
 #  9. service gate: a real vixnocd daemon is started on a Unix socket and
 #     the same sweep is run twice through vixnoc_client — run 2 must be
 #     served 100% from the content-addressed result store with every
@@ -321,8 +322,17 @@ FE_RC=0
   "checkpoint=${FE_DIR}/refused" >/dev/null 2>&1 || FE_RC=$?
 [ "${FE_RC}" -eq 2 ] && [ ! -e "${FE_DIR}/refused" ] \
   || { echo "server= with checkpoint= not refused (exit ${FE_RC})"; exit 1; }
+# No daemon behind server=: the sweep must fail at once, not wait for one.
+FE_RC=0
+FE_START=$(date +%s%N)
+"${EXPLORER}" sweep=1 "server=${FE_DIR}/none.sock" >/dev/null 2>&1 \
+  || FE_RC=$?
+FE_MS=$((($(date +%s%N) - FE_START) / 1000000))
+[ "${FE_RC}" -ne 0 ] && [ "${FE_MS}" -lt 2000 ] \
+  || { echo "server= with no daemon: exit ${FE_RC} after ${FE_MS} ms"; exit 1; }
 echo "front-end gate: ${FE_POINTS}-point sweep identical in-process," \
-  "isolated, filled and resumed; server=+checkpoint= refused"
+  "isolated, filled and resumed; server=+checkpoint= refused;" \
+  "server= with no daemon failed in ${FE_MS} ms"
 
 echo "== tier1: service gate (${PREFIX}) =="
 # A real vixnocd daemon serves the same sweep twice: run 1 populates the

@@ -103,7 +103,7 @@ CrossbarMap::CrossbarMap(const SwitchGeometry& g)
 void SwitchAllocator::AdvanceIdle(std::uint64_t n) {
   if (n == 0) return;
   std::vector<SaGrant> no_grants;  // stays empty: nothing to allocate
-  Allocate(std::vector<SaRequest>{}, &no_grants);
+  Kernel(idle_requests_.view(), &no_grants);
 }
 
 std::unique_ptr<SwitchAllocator> MakeSwitchAllocator(AllocScheme scheme,

@@ -235,7 +235,7 @@ struct AllocTelemetry {
 class SwitchAllocator {
  public:
   explicit SwitchAllocator(const SwitchGeometry& g)
-      : geom_(g), list_requests_(g) {
+      : geom_(g), idle_requests_(g), list_requests_(g) {
     VIXNOC_CHECK(g.Valid());
   }
   virtual ~SwitchAllocator() = default;
@@ -260,8 +260,9 @@ class SwitchAllocator {
 
   /// Replays the state change of `n` consecutive Allocate calls with no
   /// requests, for routers that skip their idle cycles. For every scheme
-  /// one empty call is idempotent after the first, so the default makes
-  /// one (none when n == 0); schemes that rotate on every call override.
+  /// one empty call is idempotent after the first, so the default runs the
+  /// kernel once on an all-zero request view (none when n == 0); schemes
+  /// that rotate on every call override.
   virtual void AdvanceIdle(std::uint64_t n);
 
   virtual std::string Name() const = 0;
@@ -288,6 +289,7 @@ class SwitchAllocator {
   AllocTelemetry* telemetry_ = nullptr;
 
  private:
+  SwitchRequestSet idle_requests_;  ///< never assigned: no requests
   SwitchRequestSet list_requests_;  ///< the list adapter's view
 };
 

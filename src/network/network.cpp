@@ -36,6 +36,7 @@ Network::Network(std::shared_ptr<Topology> topology,
   for (RouterId r = 0; r < num_routers; ++r) {
     routers_.push_back(std::make_unique<Router>(
         r, params_.router, topology_->LinksFor(r), routing_));
+    routers_.back()->SetPacketTable(&packets_);
   }
 
   if (params_.telemetry != nullptr) {
@@ -149,8 +150,9 @@ PacketId Network::EnqueuePacket(NodeId src, NodeId dst, int size_flits,
                  "source node %d outside [0, %d)", src, NumNodes());
   VIXNOC_REQUIRE(dst >= 0 && dst < NumNodes(),
                  "destination node %d outside [0, %d)", dst, NumNodes());
-  VIXNOC_REQUIRE(size_flits >= 1, "packet size must be >= 1 flit, got %d",
-                 size_flits);
+  VIXNOC_REQUIRE(size_flits >= 1 && size_flits <= kMaxPacketFlits,
+                 "packet size must be in [1, %d] flits, got %d",
+                 kMaxPacketFlits, size_flits);
   VIXNOC_REQUIRE(
       msg_class >= 0 && msg_class < params_.router.num_message_classes,
       "message class %d outside [0, %d)", msg_class,
@@ -197,42 +199,46 @@ std::uint64_t Network::InFlightEvents() const {
 void Network::HandleEjectedFlit(Ni& ni, const Flit& flit) {
   ++counters_[ni.node].flits_ejected;
   if (tracer_) {
-    tracer_(FlitEvent{FlitEventKind::kEject, now_, -1, kInvalidPort, flit});
+    tracer_(FlitEvent{FlitEventKind::kEject, now_, -1, kInvalidPort,
+                      packets_.Expand(flit)});
   }
+  const PacketInfo& packet = packets_[flit.packet];
   if (params_.telemetry != nullptr && flit.IsTail()) {
     params_.telemetry->OnPacketEjected();
-    if (params_.telemetry->SampleTrace(flit.packet_id)) {
+    if (params_.telemetry->SampleTrace(packet.id)) {
       params_.telemetry->RecordTraceEvent(PacketTraceEvent{
-          flit.packet_id, PacketTraceEvent::Kind::kEject, now_, -1, flit.src,
-          flit.dst});
+          packet.id, PacketTraceEvent::Kind::kEject, now_, -1, packet.src,
+          packet.dst});
     }
   }
   if (!flit.IsTail()) {
-    if (flit.corrupted) ni.corrupted_partial.push_back(flit.packet_id);
+    if (flit.corrupted) ni.corrupted_partial.push_back(packet.id);
     return;
   }
   bool corrupted = flit.corrupted;
   if (!ni.corrupted_partial.empty()) {
     auto it = std::remove(ni.corrupted_partial.begin(),
-                          ni.corrupted_partial.end(), flit.packet_id);
+                          ni.corrupted_partial.end(), packet.id);
     corrupted = corrupted || it != ni.corrupted_partial.end();
     ni.corrupted_partial.erase(it, ni.corrupted_partial.end());
   }
   ++counters_[ni.node].packets_ejected;
-  ++counters_[flit.src].packets_delivered;
+  ++counters_[packet.src].packets_delivered;
   if (eject_cb_) {
     PacketRecord rec;
-    rec.id = flit.packet_id;
-    rec.src = flit.src;
-    rec.dst = flit.dst;
-    rec.size_flits = flit.packet_size;
-    rec.created = flit.created;
-    rec.injected = flit.injected;
+    rec.id = packet.id;
+    rec.src = packet.src;
+    rec.dst = packet.dst;
+    rec.size_flits = packet.size;
+    rec.created = packet.created;
+    rec.injected = packet.injected;
     rec.ejected = now_;
-    rec.user_tag = flit.user_tag;
+    rec.user_tag = packet.user_tag;
     rec.corrupted = corrupted;
     eject_cb_(rec);
   }
+  // The tail was the packet's last flit in the network.
+  packets_.Release(flit.packet);
 }
 
 void Network::StepNi(Ni& ni) {
@@ -259,9 +265,16 @@ void Network::StepNi(Ni& ni) {
     if (pick >= 0) {
       const VcId vc = cls_base + pick;
       ni.vc_free.Clear(vc);
-      ni.active.push_back(ActiveTx{pkt.id, pkt.dst, pkt.size, 0, pkt.created,
-                                   kNeverCycle, pkt.user_tag, route_out, vc,
-                                   pkt.msg_class});
+      PacketInfo info;
+      info.id = pkt.id;
+      info.created = pkt.created;
+      info.user_tag = pkt.user_tag;
+      info.src = ni.node;
+      info.dst = pkt.dst;
+      info.size = static_cast<std::uint16_t>(pkt.size);
+      info.msg_class = static_cast<std::uint8_t>(pkt.msg_class);
+      ni.active.push_back(
+          ActiveTx{packets_.Acquire(info), 0, route_out, vc});
       ni.source_queue.pop_front();
       ni.front_routed = false;
     } else {
@@ -279,23 +292,17 @@ void Network::StepNi(Ni& ni) {
     ActiveTx& tx = ni.active[idx];
     if (ni.credits[tx.vc] <= 0) continue;
 
-    if (tx.injected == kNeverCycle) tx.injected = now_;
+    PacketInfo& packet = packets_[tx.packet];
+    if (tx.sent == 0) packet.injected = now_;
     LinkSlot& slot = wheel_[SlotAfter(params_.ni_link_delay)];
     slot.events.push_back(LinkEvent{LinkEvent::Kind::kFlitToRouter, ni.router,
                                     ni.port, kInvalidVc});
     Flit& flit = slot.flits.emplace_back();
-    flit.packet_id = tx.id;
-    flit.src = ni.node;
-    flit.dst = tx.dst;
-    flit.type = FlitTypeFor(tx.sent, tx.size);
+    flit.packet = tx.packet;
     flit.seq = static_cast<std::uint16_t>(tx.sent);
-    flit.packet_size = static_cast<std::uint16_t>(tx.size);
-    flit.created = tx.created;
-    flit.injected = tx.injected;
-    flit.vc = tx.vc;
-    flit.route_out = tx.route_out;
-    flit.user_tag = tx.user_tag;
-    flit.msg_class = static_cast<std::uint8_t>(tx.msg_class);
+    flit.type = FlitTypeFor(tx.sent, packet.size);
+    flit.vc = static_cast<std::int16_t>(tx.vc);
+    flit.route_out = static_cast<std::int16_t>(tx.route_out);
 
     --ni.credits[tx.vc];
     ++tx.sent;
@@ -303,18 +310,18 @@ void Network::StepNi(Ni& ni) {
     if (tx.sent == 1) {
       ++counters_[ni.node].packets_injected;
       if (params_.telemetry != nullptr &&
-          params_.telemetry->SampleTrace(tx.id)) {
+          params_.telemetry->SampleTrace(packet.id)) {
         params_.telemetry->RecordTraceEvent(
-            PacketTraceEvent{tx.id, PacketTraceEvent::Kind::kInject, now_, -1,
-                             ni.node, tx.dst});
+            PacketTraceEvent{packet.id, PacketTraceEvent::Kind::kInject, now_,
+                             -1, ni.node, packet.dst});
       }
     }
     if (tracer_) {
-      tracer_(
-          FlitEvent{FlitEventKind::kInject, now_, -1, kInvalidPort, flit});
+      tracer_(FlitEvent{FlitEventKind::kInject, now_, -1, kInvalidPort,
+                        packets_.Expand(flit)});
     }
 
-    if (tx.sent == tx.size) {
+    if (tx.sent == packet.size) {
       ni.vc_free.Set(tx.vc);
       ni.front_parked = false;
       ni.active.erase(ni.active.begin() + idx);
@@ -393,7 +400,7 @@ void Network::OnFlitsSent(const Router& router, LinkSlot& slot,
     const PortId out = grants[i].out_port;
     if (tracer_) {
       tracer_(FlitEvent{FlitEventKind::kTraverse, now_, router.id(), out,
-                        flit});
+                        packets_.Expand(flit)});
     }
     if (corruption_active_ &&
         slot.events[event_mark + i].kind == LinkEvent::Kind::kFlitToRouter &&
@@ -433,7 +440,8 @@ std::uint64_t Network::TotalSourceQueueFlits() const {
       total += static_cast<std::uint64_t>(p.size);
     }
     for (const ActiveTx& tx : ni.active) {
-      total += static_cast<std::uint64_t>(tx.size - tx.sent);
+      total +=
+          static_cast<std::uint64_t>(packets_[tx.packet].size - tx.sent);
     }
   }
   return total;
@@ -520,7 +528,10 @@ void Network::LoadState(SnapshotReader& r) {
 void Network::Visit(StateArchive& ar) {
   const RouterConfig& rc = params_.router;
   const int radix = topology_->Radix();
-  const int max_size = std::numeric_limits<std::uint16_t>::max() + 1;
+  const int max_size = kMaxPacketFlits + 1;
+  if (ar.loading()) {
+    packets_.BeginRestore(NumNodes(), rc.num_message_classes);
+  }
   ar.U64(now_);
   ar.U64(last_progress_);
   ar.U64(next_packet_id_);
@@ -529,10 +540,10 @@ void Network::Visit(StateArchive& ar) {
   // Event wheel. A slot's index determines its due cycle relative to now_
   // (slot = cycle % wheel size), and the wheel size is a pure function of
   // the link delays covered by the structure fingerprint, so serializing
-  // slot-by-slot round-trips exactly. Each event is stored with a flit,
-  // the empty Flit{} for a credit, so the bytes do not depend on where
-  // the wheel keeps its payloads. DeliverDue indexes routers, NIs, ports
-  // and VCs with the header fields unchecked.
+  // slot-by-slot round-trips exactly. Each event is stored with a flit
+  // record, the empty FlitRecord{} for a credit, so the bytes do not
+  // depend on where the wheel keeps its payloads. DeliverDue indexes
+  // routers, NIs, ports and VCs with the header fields unchecked.
   auto num_slots = static_cast<std::uint32_t>(wheel_.size());
   ar.U32(num_slots);
   ar.Require(num_slots == wheel_.size(),
@@ -553,18 +564,17 @@ void Network::Visit(StateArchive& ar) {
              to_router ? radix : kInvalidPort + 1, "link event port");
       ar.I32(ev.vc, ev.IsFlit() ? kInvalidVc : 0,
              ev.IsFlit() ? kInvalidVc + 1 : rc.num_vcs, "link event VC");
-      Flit flit = ar.loading() || !ev.IsFlit() ? Flit{} : *payload++;
+      FlitRecord flit = ar.loading() || !ev.IsFlit()
+                            ? FlitRecord{}
+                            : packets_.Expand(*payload++);
       ar.Object(flit);
-      if (!ev.IsFlit()) return;  // a credit's Flit{} is dropped
-      ar.Require(flit.src >= 0 && flit.src < NumNodes() && flit.dst >= 0 &&
-                     flit.dst < NumNodes() &&
-                     (ev.kind == LinkEvent::Kind::kFlitToNi ||
-                      (flit.vc >= 0 && flit.vc < rc.num_vcs &&
-                       flit.route_out >= 0 && flit.route_out < radix)),
-                 "restored flit on a link has source %d, destination %d, "
-                 "vc %d, route %d out of range",
-                 flit.src, flit.dst, flit.vc, flit.route_out);
-      if (ar.loading()) slot.flits.push_back(flit);
+      if (!ev.IsFlit()) return;  // a credit's FlitRecord{} is dropped
+      ar.Require(ev.kind == LinkEvent::Kind::kFlitToNi ||
+                     (flit.vc >= 0 && flit.vc < rc.num_vcs &&
+                      flit.route_out >= 0 && flit.route_out < radix),
+                 "restored flit on a link has vc %d, route %d out of range",
+                 flit.vc, flit.route_out);
+      if (ar.loading()) slot.flits.push_back(packets_.Intern(ar, flit));
     });
   }
   for (NodeCounters& c : counters_) ar.Object(c);
@@ -578,21 +588,33 @@ void Network::Visit(StateArchive& ar) {
       ar.U64(p.user_tag);
       ar.I32(p.msg_class, 0, rc.num_message_classes, "queued packet class");
     });
-    // Four u64 and six i32 fields per transmission.
+    // Four u64 and six i32 fields per transmission, its packet's fields
+    // among them (the NI is its source).
     ar.List(ni.active, 4 * 8 + 6 * 4, [&](ActiveTx& tx) {
-      ar.U64(tx.id);
-      ar.I32(tx.dst, 0, NumNodes(), "transmission destination");
-      ar.I32(tx.size, 1, max_size, "transmission size");
-      ar.I32(tx.sent, 0, tx.size, "transmission flits sent");
-      ar.U64(tx.created);
-      ar.U64(tx.injected);
-      ar.U64(tx.user_tag);
+      PacketInfo p = ar.loading() ? PacketInfo{} : packets_[tx.packet];
+      int dst = p.dst;
+      int size = p.size;
+      int msg_class = p.msg_class;
+      ar.U64(p.id);
+      ar.I32(dst, 0, NumNodes(), "transmission destination");
+      ar.I32(size, 1, max_size, "transmission size");
+      ar.I32(tx.sent, 0, size, "transmission flits sent");
+      ar.U64(p.created);
+      ar.U64(p.injected);
+      ar.U64(p.user_tag);
       ar.I32(tx.route_out, 0, radix, "transmission route");
       ar.Require(routers_[ni.router]->link(tx.route_out).IsConnected(),
                  "restored transmission routes to unconnected port %d",
                  tx.route_out);
       ar.I32(tx.vc, 0, rc.num_vcs, "transmission VC");
-      ar.I32(tx.msg_class, 0, rc.num_message_classes, "transmission class");
+      ar.I32(msg_class, 0, rc.num_message_classes, "transmission class");
+      if (!ar.loading()) return;
+      p.src = ni.node;
+      p.dst = dst;
+      p.size = static_cast<std::uint16_t>(size);
+      p.msg_class = static_cast<std::uint8_t>(msg_class);
+      // The tail is still to be sent: the transmission is the packet's end.
+      tx.packet = packets_.Intern(ar, p, /*ends=*/true);
     });
     ar.VecI32(ni.credits, 0, rc.buffer_depth + 1, "NI credits");
     std::vector<bool> vc_busy(static_cast<std::size_t>(rc.num_vcs));
@@ -610,8 +632,9 @@ void Network::Visit(StateArchive& ar) {
     ar.VecU64(ni.corrupted_partial);
     ar.Object(ni.vc_rng);
   }
-  for (auto& router : routers_) router->Visit(ar, NumNodes());
+  for (auto& router : routers_) router->Visit(ar);
   if (!ar.loading()) return;
+  packets_.EndRestore();
   RequireConsistentLinks(ar);
 
   ar.Require(InFlightEvents() == in_flight,
@@ -690,10 +713,11 @@ void Network::RequireConsistentLinks(const StateArchive& ar) const {
     }
     std::fill(tx_vc.begin(), tx_vc.end(), false);
     for (const ActiveTx& tx : ni.active) {
-      ar.Require(!tx_vc[tx.vc] && tx.vc / vpc == tx.msg_class,
+      const int msg_class = packets_[tx.packet].msg_class;
+      ar.Require(!tx_vc[tx.vc] && tx.vc / vpc == msg_class,
                  "restored NI %d has a second transmission on VC %d, or one "
                  "outside class %d",
-                 ni.node, tx.vc, tx.msg_class);
+                 ni.node, tx.vc, msg_class);
       tx_vc[tx.vc] = true;
     }
     for (VcId vc = 0; vc < vcs; ++vc) {

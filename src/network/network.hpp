@@ -8,9 +8,15 @@
 //
 // Link events: the event wheel has one LinkSlot per cycle of link delay.
 // NIs and routers append to it directly: a 16-byte header per event, and
-// for a flit event its payload in the slot's separate flit vector. A flit
-// is thus copied once into the wheel and once out of it, and a credit is a
-// header only.
+// for a flit event its 16-byte payload in the slot's separate flit vector.
+// A flit is thus copied once into the wheel and once out of it, and a
+// credit is a header only.
+//
+// Packets: the NI takes a PacketTable slot for a packet when it starts the
+// packet and releases it when the tail ejects, so a packet's fields live
+// once, in the table, while its flits carry only the slot (router/flit.hpp).
+// Checkpoints store flits and transmissions with their packet's fields
+// copied in, in the same bytes as when every flit carried them.
 //
 // Sleeping routers: a router whose Step leaves it Router::Idle() leaves
 // the stepped set and rejoins it when a flit is delivered to it. Its
@@ -77,6 +83,9 @@ struct PacketRecord {
 class Network {
  public:
   Network(std::shared_ptr<Topology> topology, const NetworkParams& params);
+  // Routers hold a pointer to the network's packet table.
+  Network(const Network&) = delete;
+  Network& operator=(const Network&) = delete;
 
   const Topology& topology() const { return *topology_; }
   const NetworkParams& params() const { return params_; }
@@ -96,14 +105,15 @@ class Network {
   /// Per-flit event stream for debugging and microarchitectural analysis.
   /// kInject fires when the NI puts a flit on its injection link, kTraverse
   /// when a router's switch forwards it, kEject when it reaches the
-  /// destination NI. The tracer adds no cost when unset.
+  /// destination NI. The tracer adds no cost when unset; when set, each
+  /// event carries the flit with its packet's fields copied in.
   enum class FlitEventKind : std::uint8_t { kInject, kTraverse, kEject };
   struct FlitEvent {
     FlitEventKind kind;
     Cycle cycle;
     RouterId router;  ///< kTraverse only; -1 otherwise
     PortId out_port;  ///< kTraverse only
-    Flit flit;
+    FlitRecord flit;
   };
   using FlitTracer = std::function<void(const FlitEvent&)>;
   void SetFlitTracer(FlitTracer tracer) { tracer_ = std::move(tracer); }
@@ -183,17 +193,12 @@ class Network {
     int msg_class;
   };
 
+  /// A packet the NI is sending; its fields are in packets_[packet].
   struct ActiveTx {
-    PacketId id;
-    NodeId dst;
-    int size;
-    int sent;
-    Cycle created;
-    Cycle injected;
-    std::uint64_t user_tag;
+    PacketSlot packet;
+    int sent;          ///< flits sent so far
     PortId route_out;  ///< output port at the attached router (lookahead)
     VcId vc;           ///< injection VC at the router input port
-    int msg_class;
   };
 
   struct Ni {
@@ -288,6 +293,8 @@ class Network {
   /// input port); see Router::SetLinkDispatch.
   std::vector<LinkEvent> link_dispatch_;  // routers * 2 * radix
   std::vector<Ni> nis_;
+  /// Every packet from the cycle its NI starts it until its tail ejects.
+  PacketTable packets_;
   std::vector<NodeCounters> counters_;
   EjectCallback eject_cb_;
   FlitTracer tracer_;

@@ -187,33 +187,33 @@ void Router::ConsiderVaCandidate(int idx, bool separable) {
     return;
   }
 
-  // Virtual networks: a packet may only use VCs of its message class.
-  const int cls = head.msg_class;
-  VIXNOC_CHECK(cls < config_.num_message_classes);
-  const int vpc = config_.VcsPerClass();
-  const VcId cls_base = cls * vpc;
   HeadRoute& route = head_route_[idx];
   if (route.range_hi == 0) {
-    // Lookahead route computation for the downstream router. The dateline
+    // Lookahead route computation for the downstream router, the one read
+    // of the packet's destination and class at this hop. Virtual networks:
+    // a packet may only use VCs of its message class. The dateline
     // restriction: the packet's state after traversing this output's
     // channel selects which part of the class partition it may occupy
     // downstream (torus deadlock avoidance; full range elsewhere).
-    const PortId lookahead = routing_->Route(link.neighbor, head.dst);
+    const PacketInfo& packet = (*packets_)[head.packet];
+    VIXNOC_CHECK(packet.msg_class < config_.num_message_classes);
+    const int vpc = config_.VcsPerClass();
+    const VcId cls_base = packet.msg_class * vpc;
+    const PortId lookahead = routing_->Route(link.neighbor, packet.dst);
     const std::uint8_t next_state =
         routing_->NextDatelineState(id_, out_port, head.dateline);
     const VcRange range = routing_->AllowedVcRange(out_port, next_state, vpc);
     VIXNOC_DCHECK(range.lo >= 0 && range.lo < range.hi && range.hi <= vpc);
     route.lookahead = static_cast<std::int16_t>(lookahead);
-    route.range_lo = static_cast<std::int16_t>(range.lo);
-    route.range_hi = static_cast<std::int16_t>(range.hi);
+    route.range_lo = static_cast<std::int16_t>(cls_base + range.lo);
+    route.range_hi = static_cast<std::int16_t>(cls_base + range.hi);
     route.downstream_dim =
         static_cast<std::uint8_t>(routing_->DimensionOf(lookahead));
     route.next_dateline = next_state;
   }
   const int pick = PickOutputVc(
       config_.vc_policy,
-      OutputWindow(out_port, cls_base + route.range_lo,
-                   route.range_hi - route.range_lo),
+      OutputWindow(out_port, route.range_lo, route.range_hi - route.range_lo),
       vin_masks_, static_cast<PortDimension>(route.downstream_dim), &vc_rng_);
   if (pick < 0) {
     // All usable VCs busy: stall. Every policy fails without drawing
@@ -222,7 +222,7 @@ void Router::ConsiderVaCandidate(int idx, bool separable) {
     parked_.Set(idx);
     return;
   }
-  const VcId out_vc = cls_base + route.range_lo + pick;
+  const VcId out_vc = route.range_lo + pick;
 
   if (separable) {
     va_prefs_.push_back(VaPreference{idx, out_port, out_vc, route.lookahead,
@@ -238,12 +238,13 @@ void Router::ConsiderVaCandidateAdaptive(int idx, bool separable) {
   VIXNOC_CHECK(head.IsHead());
   ++activity_.va_requests;
 
-  const int cls = head.msg_class;
-  VIXNOC_CHECK(cls < config_.num_message_classes);
+  const PacketInfo& packet = (*packets_)[head.packet];
+  VIXNOC_CHECK(packet.msg_class < config_.num_message_classes);
   const int vpc = config_.VcsPerClass();
-  const VcId cls_base = cls * vpc;
+  const VcId cls_base = packet.msg_class * vpc;
   RouteCandidate cands[kMaxRouteCandidates];
-  const int n = routing_->Candidates(id_, head.dst, head.dateline, vpc, cands);
+  const int n =
+      routing_->Candidates(id_, packet.dst, head.dateline, vpc, cands);
   VIXNOC_DCHECK(n >= 1 && n <= kMaxRouteCandidates);
 
   // Ejection (single local candidate): NIs accept any VC and reassemble;
@@ -294,7 +295,7 @@ void Router::ConsiderVaCandidateAdaptive(int idx, bool separable) {
   const OutputLinkInfo& link = links_[out_port];
   // Advisory lookahead stamp: the downstream router re-runs candidate
   // selection, but the stamp drives VIX's dimension-aware VC steering.
-  const PortId lookahead = routing_->Route(link.neighbor, head.dst);
+  const PortId lookahead = routing_->Route(link.neighbor, packet.dst);
   const PortDimension downstream_dim = routing_->DimensionOf(lookahead);
   const std::uint8_t next_state = chosen->next_dateline;
   const VcRange range = chosen->vc_range;
@@ -545,18 +546,18 @@ void Router::CollectCycleTelemetry(Cycle now) {
     for (int idx = 0; idx < total; ++idx) {
       if (!just_activated_.Test(idx)) continue;
       if (buf_count_[idx] == 0) continue;
-      const Flit& head = HeadFlit(idx);
-      if (!tcol_->SampleTrace(head.packet_id)) continue;
+      const PacketInfo& p = (*packets_)[HeadFlit(idx).packet];
+      if (!tcol_->SampleTrace(p.id)) continue;
       tcol_->RecordTraceEvent(PacketTraceEvent{
-          head.packet_id, PacketTraceEvent::Kind::kVcAlloc, now, id_,
-          head.src, head.dst});
+          p.id, PacketTraceEvent::Kind::kVcAlloc, now, id_, p.src, p.dst});
     }
     for (const SaGrant& g : sa_grants_) {
       const Flit& f = HeadFlit(IvcIndex(g.in_port, g.vc));
-      if (!f.IsHead() || !tcol_->SampleTrace(f.packet_id)) continue;
+      if (!f.IsHead()) continue;
+      const PacketInfo& p = (*packets_)[f.packet];
+      if (!tcol_->SampleTrace(p.id)) continue;
       tcol_->RecordTraceEvent(PacketTraceEvent{
-          f.packet_id, PacketTraceEvent::Kind::kSaGrant, now, id_, f.src,
-          f.dst});
+          p.id, PacketTraceEvent::Kind::kSaGrant, now, id_, p.src, p.dst});
     }
   }
 }
@@ -597,23 +598,6 @@ int Router::CreditStalledVcs() const {
   return stalled;
 }
 
-void Visit(StateArchive& ar, Flit& f) {
-  ar.U64(f.packet_id);
-  ar.I32(f.src);
-  ar.I32(f.dst);
-  ar.Enum8(f.type, FlitType::kHeadTail, "flit type");
-  ar.U16(f.seq);
-  ar.U16(f.packet_size);
-  ar.U64(f.created);
-  ar.U64(f.injected);
-  ar.I32(f.vc);
-  ar.I32(f.route_out);
-  ar.U64(f.user_tag);
-  ar.U8(f.msg_class);
-  ar.U8(f.dateline);
-  ar.B(f.corrupted);
-}
-
 void Visit(StateArchive& ar, RouterActivity& a) {
   ar.U64(a.buffer_writes);
   ar.U64(a.buffer_reads);
@@ -627,33 +611,30 @@ void Visit(StateArchive& ar, RouterActivity& a) {
   ar.U64(a.cycles_with_requests);
 }
 
-void Router::Visit(StateArchive& ar, int num_nodes) {
+void Router::Visit(StateArchive& ar) {
   const int depth = config_.buffer_depth;
   const int vcs = config_.num_vcs;
   const int total = config_.radix * vcs;
   const auto connected_port = [&](PortId p) {
     return p >= 0 && p < config_.radix && links_[p].IsConnected();
   };
-  // Input VCs: buffered flits plus the per-packet VC-allocation state. The
-  // byte layout predates the SoA storage and is kept bit-identical.
+  // Input VCs: buffered flits, stored expanded, plus the per-packet
+  // VC-allocation state. The byte layout predates the SoA storage and the
+  // packet table, and is kept bit-identical.
   for (int idx = 0; idx < total; ++idx) {
     auto n = static_cast<std::uint32_t>(buf_count_[idx]);
     ar.U32(n, depth + 1, "input VC flit count");
     if (ar.loading()) buf_head_[idx] = buf_count_[idx] = 0;
     for (std::uint32_t i = 0; i < n; ++i) {
-      Flit f = ar.loading() ? Flit{} : BufferedFlit(idx, i);
+      FlitRecord f = ar.loading() ? FlitRecord{}
+                                  : packets_->Expand(BufferedFlit(idx, i));
       ar.Object(f);
-      ar.Require(f.src >= 0 && f.src < num_nodes && f.dst >= 0 &&
-                     f.dst < num_nodes && f.vc == idx % vcs &&
-                     connected_port(f.route_out) &&
-                     f.msg_class < config_.num_message_classes &&
+      ar.Require(f.vc == idx % vcs && connected_port(f.route_out) &&
                      f.dateline <= kMaxDatelineState,
-                 "restored flit in input VC %d has source %d, destination "
-                 "%d, vc %d, route %d, class %u, dateline state %u out of "
-                 "range",
-                 idx, f.src, f.dst, f.vc, f.route_out, f.msg_class,
-                 f.dateline);
-      if (ar.loading()) PushFlit(idx, f);
+                 "restored flit in input VC %d has vc %d, route %d, "
+                 "dateline state %u out of range",
+                 idx, f.vc, f.route_out, f.dateline);
+      if (ar.loading()) PushFlit(idx, packets_->Intern(ar, f));
     }
     bool active = in_active_[idx] != 0;
     ar.B(active);

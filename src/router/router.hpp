@@ -9,7 +9,10 @@
 //
 // Data layout: per-VC state lives in parallel arrays indexed by
 // idx = in_port * num_vcs + vc (structure-of-arrays), with flit buffers in
-// one contiguous ring-buffer pool. Two bit masks — VA candidates (head flit
+// one contiguous ring-buffer pool of 16-byte flits. A buffered flit names
+// its packet's slot in the owner's PacketTable (router/flit.hpp); VA reads
+// the packet's destination and class there once per head per hop, when
+// it computes the head's route. Two bit masks — VA candidates (head flit
 // waiting, no output VC yet) and SA candidates (output VC held, buffer
 // non-empty) — are maintained incrementally at every state transition, so
 // the per-cycle VA/SA scans visit only live VCs via ctz instead of walking
@@ -218,6 +221,11 @@ class Router {
   /// Return a credit for (out_port, out_vc) from the downstream router.
   void AcceptCredit(PortId out_port, VcId out_vc);
 
+  /// The table that holds the packets of the flits this router buffers,
+  /// set once by its owner before the first AcceptFlit; the owner keeps it
+  /// alive while it steps the router.
+  void SetPacketTable(PacketTable* packets) { packets_ = packets; }
+
   /// Where this router's links lead, set once by its owner before the
   /// first Step: `flit_row[o]` is the header of a flit sent on output port
   /// o, `credit_row[p]` that of a credit freed on input port p (Step fills
@@ -286,9 +294,9 @@ class Router {
   /// with the same RouterConfig and links makes subsequent Step calls
   /// bitwise identical to a router that never stopped. Every restored
   /// index is bounded, so a crafted checkpoint throws SimError here rather
-  /// than overrunning on the next Step; `num_nodes` bounds the source and
-  /// destination of each buffered flit.
-  void Visit(StateArchive& ar, int num_nodes);
+  /// than overrunning on the next Step. Buffered flits are stored expanded
+  /// (FlitRecord) and interned into the packet table on load.
+  void Visit(StateArchive& ar);
 
   /// Flits sent on output port `out` since the last ClearActivity() —
   /// per-link utilization for hotspot analysis.
@@ -310,8 +318,8 @@ class Router {
   /// to 8 bytes since every input VC of every router carries one.
   struct HeadRoute {
     std::int16_t lookahead = kInvalidPort;  ///< route at the downstream router
-    std::int16_t range_lo = 0;  ///< usable VCs [lo, hi) within the class;
-    std::int16_t range_hi = 0;  ///< hi == 0 until computed (ranges are non-empty)
+    std::int16_t range_lo = 0;  ///< usable output VCs [lo, hi), the class's
+    std::int16_t range_hi = 0;  ///< base included; hi == 0 until computed
     std::uint8_t downstream_dim = 0;  ///< a PortDimension
     std::uint8_t next_dateline = 0;   ///< dateline state after this hop
   };
@@ -452,6 +460,7 @@ class Router {
   int num_blocked_ = 0;
 
   std::vector<OutputLinkInfo> links_;
+  PacketTable* packets_ = nullptr;              // see SetPacketTable
   const LinkEvent* flit_dispatch_ = nullptr;    // radix, by output port
   const LinkEvent* credit_dispatch_ = nullptr;  // radix, by input port
   std::unique_ptr<SwitchAllocator> allocator_;

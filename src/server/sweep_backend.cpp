@@ -52,7 +52,7 @@ bool ParseSweepBackendArgs(ArgMap& args, SweepBackendOptions* options) {
 SweepBackend::SweepBackend(SweepBackendOptions options)
     : options_(std::move(options)), threads_(options_.threads) {
   if (!options_.server.empty()) {
-    client_ = std::make_unique<SimClient>(options_.server, 10.0);
+    client_ = std::make_unique<SimClient>(options_.server);
     return;
   }
   if (!options_.checkpoint.empty()) {

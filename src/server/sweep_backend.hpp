@@ -71,8 +71,9 @@ struct SweepRecord {
 class SweepBackend {
  public:
   /// Builds the chosen backend: opens the result store, starts the thread
-  /// pool, or connects to the daemon (allowing it 10 s to come up).
-  /// Throws SimError when the store directory or the daemon is unusable.
+  /// pool, or connects to the daemon once, so a path with no daemon
+  /// behind it fails at once. Throws SimError when the store directory or
+  /// the daemon is unusable.
   explicit SweepBackend(SweepBackendOptions options);
   ~SweepBackend();
 

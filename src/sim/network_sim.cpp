@@ -278,7 +278,9 @@ void ValidateNetworkSimConfig(const NetworkSimConfig& config) {
                  config.num_vcs);
   VIXNOC_REQUIRE(config.buffer_depth >= 1, "buffer_depth must be >= 1, got %d",
                  config.buffer_depth);
-  VIXNOC_REQUIRE(config.packet_size >= 1, "packet_size must be >= 1, got %d",
+  VIXNOC_REQUIRE(config.packet_size >= 1 &&
+                     config.packet_size <= kMaxPacketFlits,
+                 "packet_size must be in [1, %d], got %d", kMaxPacketFlits,
                  config.packet_size);
   VIXNOC_REQUIRE(config.pipeline_stages == 3 || config.pipeline_stages == 5,
                  "pipeline_stages must be 3 or 5, got %d",

@@ -45,6 +45,11 @@ TEST(Robustness, EnqueueRejectsEmptyPacket) {
   EXPECT_THROW(net->EnqueuePacket(0, 1, 0), SimError);
 }
 
+TEST(Robustness, EnqueueRejectsPacketsBeyondSixteenBitSizes) {
+  auto net = SmallNet();
+  EXPECT_THROW(net->EnqueuePacket(0, 1, 65'536), SimError);
+}
+
 TEST(Robustness, EnqueueRejectsUnknownMessageClass) {
   auto net = SmallNet();  // 1 message class
   EXPECT_THROW(net->EnqueuePacket(0, 1, 1, 0, /*msg_class=*/1), SimError);
@@ -66,7 +71,6 @@ TEST(Robustness, BufferOverflowDies) {
   Flit f;
   f.vc = 0;
   f.route_out = 4;
-  f.dst = 0;
   f.type = FlitType::kHeadTail;
   net.router(0).AcceptFlit(0, f);
   EXPECT_DEATH(net.router(0).AcceptFlit(0, f), "check failed");

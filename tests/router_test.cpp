@@ -35,9 +35,9 @@ std::vector<OutputLinkInfo> TestLinks() {
   return links;
 }
 
-Flit MakeFlit(PacketId id, int seq, int size, VcId vc, PortId route_out,
-              NodeId dst = 0) {
-  Flit f;
+FlitRecord MakeFlit(PacketId id, int seq, int size, VcId vc,
+                    PortId route_out, NodeId dst = 0) {
+  FlitRecord f;
   f.packet_id = id;
   f.src = 1;
   f.dst = dst;
@@ -68,7 +68,7 @@ class RouterTest : public ::testing::Test {
 TEST_F(RouterTest, SingleFlitTraversesToEjection) {
   Router r(0, Config(), TestLinks(), &routing_);
   RouterSlots out(r);
-  r.AcceptFlit(0, MakeFlit(1, 0, 1, 0, /*route_out=*/4, /*dst=*/4));
+  out.Accept(0, MakeFlit(1, 0, 1, 0, /*route_out=*/4, /*dst=*/4));
   out.Step(0);
   ASSERT_EQ(out.sent(), 1u);
   EXPECT_EQ(out.out_port(0), 4);
@@ -93,8 +93,8 @@ TEST_F(RouterTest, SharedSlotHoldsFlitsBeforeCredits) {
   // router sends this cycle must precede every credit it frees.
   Router r(0, Config(), TestLinks(), &routing_);
   RouterSlots out(r);  // installs the dispatch rows
-  r.AcceptFlit(0, MakeFlit(1, 0, 1, 0, /*route_out=*/2, /*dst=*/3));
-  r.AcceptFlit(1, MakeFlit(2, 0, 1, 0, /*route_out=*/4, /*dst=*/4));
+  out.Accept(0, MakeFlit(1, 0, 1, 0, /*route_out=*/2, /*dst=*/3));
+  out.Accept(1, MakeFlit(2, 0, 1, 0, /*route_out=*/4, /*dst=*/4));
   LinkSlot slot;
   r.Step(0, &slot, &slot);
   using Kind = LinkEvent::Kind;
@@ -106,9 +106,9 @@ TEST_F(RouterTest, SharedSlotHoldsFlitsBeforeCredits) {
   EXPECT_EQ(slot.events[3].kind, Kind::kCreditToRouter);
   // Flits and credits each keep grant order, and payloads header order.
   EXPECT_EQ(slot.events[0].port, 2);
-  EXPECT_EQ(slot.flits[0].packet_id, 1u);
+  EXPECT_EQ(out.Expand(slot.flits[0]).packet_id, 1u);
   EXPECT_EQ(slot.events[1].port, 4);
-  EXPECT_EQ(slot.flits[1].packet_id, 2u);
+  EXPECT_EQ(out.Expand(slot.flits[1]).packet_id, 2u);
   EXPECT_EQ(slot.events[2].port, 0);
   EXPECT_EQ(slot.events[3].port, 1);
 }
@@ -117,7 +117,7 @@ TEST_F(RouterTest, ForwardedFlitCarriesLookaheadRoute) {
   Router r(0, Config(), TestLinks(), &routing_);
   RouterSlots out(r);
   // Packet leaves on port 2 toward router 1; its route there is dst % 5.
-  r.AcceptFlit(0, MakeFlit(1, 0, 1, 0, /*route_out=*/2, /*dst=*/3));
+  out.Accept(0, MakeFlit(1, 0, 1, 0, /*route_out=*/2, /*dst=*/3));
   out.Step(0);
   ASSERT_EQ(out.sent(), 1u);
   EXPECT_EQ(out.out_port(0), 2);
@@ -127,7 +127,7 @@ TEST_F(RouterTest, ForwardedFlitCarriesLookaheadRoute) {
 TEST_F(RouterTest, CreditsDecrementAndRecover) {
   Router r(0, Config(), TestLinks(), &routing_);
   RouterSlots out(r);
-  r.AcceptFlit(0, MakeFlit(1, 0, 1, 0, 2, 3));
+  out.Accept(0, MakeFlit(1, 0, 1, 0, 2, 3));
   out.Step(0);
   ASSERT_EQ(out.sent(), 1u);
   const VcId out_vc = out.flit(0).vc;
@@ -142,10 +142,10 @@ TEST_F(RouterTest, StallsWithoutCredits) {
   RouterSlots out(r);
   // Two single-flit packets queued back-to-back in the lone VC of port 0;
   // with depth 1 downstream, the second must wait for the credit.
-  r.AcceptFlit(0, MakeFlit(1, 0, 1, 0, 2, 3));
+  out.Accept(0, MakeFlit(1, 0, 1, 0, 2, 3));
   out.Step(0);
   ASSERT_EQ(out.sent(), 1u);
-  r.AcceptFlit(0, MakeFlit(2, 0, 1, 0, 2, 3));
+  out.Accept(0, MakeFlit(2, 0, 1, 0, 2, 3));
   out.Step(1);
   EXPECT_EQ(out.sent(), 0u);  // zero credits: blocked
   r.AcceptCredit(2, 0);
@@ -159,12 +159,12 @@ TEST_F(RouterTest, WormholeFlitsStayInOrder) {
   RouterSlots out(r);
   const int size = 3;
   for (int s = 0; s < size; ++s) {
-    r.AcceptFlit(1, MakeFlit(7, s, size, 2, 0, 1));
+    out.Accept(1, MakeFlit(7, s, size, 2, 0, 1));
   }
   std::vector<int> seqs;
   for (Cycle t = 0; t < 6; ++t) {
     out.Step(t);
-    for (const Flit& f : out.flits.flits) {
+    for (const FlitRecord& f : out.sent_flits()) {
       seqs.push_back(f.seq);
     }
   }
@@ -180,13 +180,13 @@ TEST_F(RouterTest, TailFreesOutputVcForNextPacket) {
   RouterSlots out(r);
   // Port 0 and port 1 both head to output 2; with one VC per port the
   // second packet needs the output VC released by the first one's tail.
-  r.AcceptFlit(0, MakeFlit(1, 0, 2, 0, 2, 3));
-  r.AcceptFlit(0, MakeFlit(1, 1, 2, 0, 2, 3));
-  r.AcceptFlit(1, MakeFlit(2, 0, 1, 0, 2, 3));
+  out.Accept(0, MakeFlit(1, 0, 2, 0, 2, 3));
+  out.Accept(0, MakeFlit(1, 1, 2, 0, 2, 3));
+  out.Accept(1, MakeFlit(2, 0, 1, 0, 2, 3));
   int sent_p1 = 0, sent_p2 = 0;
   for (Cycle t = 0; t < 8; ++t) {
     out.Step(t);
-    for (const Flit& f : out.flits.flits) {
+    for (const FlitRecord& f : out.sent_flits()) {
       if (f.packet_id == 1) ++sent_p1;
       if (f.packet_id == 2) ++sent_p2;
     }
@@ -200,8 +200,8 @@ TEST_F(RouterTest, NonAtomicVcAcceptsBackToBackPackets) {
   Router r(0, Config(), TestLinks(), &routing_);
   RouterSlots out(r);
   // Two packets share input VC 0 FIFO; both complete.
-  r.AcceptFlit(0, MakeFlit(1, 0, 1, 0, 4, 4));
-  r.AcceptFlit(0, MakeFlit(2, 0, 1, 0, 4, 4));
+  out.Accept(0, MakeFlit(1, 0, 1, 0, 4, 4));
+  out.Accept(0, MakeFlit(2, 0, 1, 0, 4, 4));
   int delivered = 0;
   for (Cycle t = 0; t < 4; ++t) {
     out.Step(t);
@@ -214,8 +214,8 @@ TEST_F(RouterTest, BaselineSendsOneFlitPerInputPortPerCycle) {
   Router r(0, Config(AllocScheme::kInputFirst), TestLinks(), &routing_);
   RouterSlots out(r);
   // Two VCs of port 0 request different free outputs.
-  r.AcceptFlit(0, MakeFlit(1, 0, 1, 0, 2, 3));
-  r.AcceptFlit(0, MakeFlit(2, 0, 1, 3, 1, 0));
+  out.Accept(0, MakeFlit(1, 0, 1, 0, 2, 3));
+  out.Accept(0, MakeFlit(2, 0, 1, 3, 1, 0));
   out.Step(0);
   EXPECT_EQ(out.sent(), 1u);
 }
@@ -224,8 +224,8 @@ TEST_F(RouterTest, VixSendsTwoFlitsFromOneInputPort) {
   Router r(0, Config(AllocScheme::kVix), TestLinks(), &routing_);
   RouterSlots out(r);
   // VC 0 (sub-group 0) and VC 3 (sub-group 1) of port 0, distinct outputs.
-  r.AcceptFlit(0, MakeFlit(1, 0, 1, 0, 2, 3));
-  r.AcceptFlit(0, MakeFlit(2, 0, 1, 3, 1, 0));
+  out.Accept(0, MakeFlit(1, 0, 1, 0, 2, 3));
+  out.Accept(0, MakeFlit(2, 0, 1, 3, 1, 0));
   out.Step(0);
   EXPECT_EQ(out.sent(), 2u);
 }
@@ -233,9 +233,9 @@ TEST_F(RouterTest, VixSendsTwoFlitsFromOneInputPort) {
 TEST_F(RouterTest, OutputPortNeverDoubleGranted) {
   Router r(0, Config(AllocScheme::kVix), TestLinks(), &routing_);
   RouterSlots out(r);
-  r.AcceptFlit(0, MakeFlit(1, 0, 1, 0, 2, 3));
-  r.AcceptFlit(1, MakeFlit(2, 0, 1, 0, 2, 3));
-  r.AcceptFlit(2, MakeFlit(3, 0, 1, 0, 2, 3));
+  out.Accept(0, MakeFlit(1, 0, 1, 0, 2, 3));
+  out.Accept(1, MakeFlit(2, 0, 1, 0, 2, 3));
+  out.Accept(2, MakeFlit(3, 0, 1, 0, 2, 3));
   for (Cycle t = 0; t < 5; ++t) {
     out.Step(t);
     EXPECT_LE(out.sent(), 1u);  // all compete for output 2
@@ -245,8 +245,8 @@ TEST_F(RouterTest, OutputPortNeverDoubleGranted) {
 TEST_F(RouterTest, ActivityCountersTrackEvents) {
   Router r(0, Config(), TestLinks(), &routing_);
   RouterSlots out(r);
-  r.AcceptFlit(0, MakeFlit(1, 0, 2, 0, 2, 3));
-  r.AcceptFlit(0, MakeFlit(1, 1, 2, 0, 2, 3));
+  out.Accept(0, MakeFlit(1, 0, 2, 0, 2, 3));
+  out.Accept(0, MakeFlit(1, 1, 2, 0, 2, 3));
   for (Cycle t = 0; t < 4; ++t) out.Step(t);
   const RouterActivity& a = r.activity();
   EXPECT_EQ(a.buffer_writes, 2u);
@@ -267,7 +267,7 @@ TEST_F(RouterTest, EjectionNeedsNoCredits) {
   // Many packets eject back-to-back without any credit returns on port 4.
   int delivered = 0;
   for (Cycle t = 0; t < 12; ++t) {
-    if (t < 4) r.AcceptFlit(0, MakeFlit(10 + t, 0, 1, t % 2, 4, 4));
+    if (t < 4) out.Accept(0, MakeFlit(10 + t, 0, 1, t % 2, 4, 4));
     out.Step(t);
     delivered += static_cast<int>(out.sent());
   }
@@ -278,8 +278,8 @@ TEST_F(RouterTest, BufferOccupancyReflectsArrivalsAndDepartures) {
   Router r(0, Config(), TestLinks(), &routing_);
   RouterSlots out(r);
   EXPECT_EQ(r.BufferOccupancy(0, 0), 0);
-  r.AcceptFlit(0, MakeFlit(1, 0, 2, 0, 2, 3));
-  r.AcceptFlit(0, MakeFlit(1, 1, 2, 0, 2, 3));
+  out.Accept(0, MakeFlit(1, 0, 2, 0, 2, 3));
+  out.Accept(0, MakeFlit(1, 1, 2, 0, 2, 3));
   EXPECT_EQ(r.BufferOccupancy(0, 0), 2);
   out.Step(0);
   EXPECT_EQ(r.BufferOccupancy(0, 0), 1);

@@ -19,6 +19,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <filesystem>
 #include <string>
@@ -544,6 +545,15 @@ TEST(SweepBackendTest, EveryPathMatchesSerialRunsAndRecordsHowItRan) {
   EXPECT_EQ(second.record().computed + second.record().coalesced, 0u);
   EXPECT_EQ(second.threads(), 0);  // no local pool: the requested count
   daemon.Stop();
+}
+
+TEST(SweepBackendTest, MissingDaemonFailsAtOnce) {
+  TempService svc("nodaemon");
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_THROW(SweepBackend(Backend({"server=" + svc.socket})), SimError);
+  const std::chrono::duration<double> took =
+      std::chrono::steady_clock::now() - start;
+  EXPECT_LT(took.count(), 0.5);
 }
 
 TEST(SweepBackendTest, ConflictingOrUnknownKeysAreRefused) {

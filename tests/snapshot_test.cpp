@@ -883,7 +883,7 @@ TEST(CraftedInput, FlitEncodingSizeMatchesTheBound) {
   none.EndSection();
   SnapshotWriter one;
   one.BeginSection("f");
-  StateArchive::Save(one, Flit{});
+  StateArchive::Save(one, FlitRecord{});
   one.EndSection();
   EXPECT_EQ(one.Finish(0).size() - none.Finish(0).size(), kFlitBytes);
 }
@@ -1196,7 +1196,7 @@ TEST(CraftedInput, CreditsBeyondDepthThrow) {
   const auto topo = std::shared_ptr<Topology>(MakeMesh(4, 4));
   SnapshotWriter flit;
   flit.BeginSection("f");
-  StateArchive::Save(flit, Flit{});
+  StateArchive::Save(flit, FlitRecord{});
   flit.EndSection();
   // A credit event is stored as its header (kind u8, target, port, vc
   // i32) and an empty flit: the section above, whose payload is followed
@@ -1288,6 +1288,154 @@ TEST(CraftedInput, NiBusyVcsUnlikeTransmissionsThrow) {
   LoadNetworkBytes(&restored, good);  // control
   for (int t = 0; t < 100; ++t) restored.Step();
   EXPECT_TRUE(restored.Quiescent());
+}
+
+// The packet table: a restore interns every stored flit and transmission
+// by packet id, so the records of one packet must agree, and each flit's
+// seq and type must fit its packet.
+
+/// Offsets of every occurrence of `needle` in `hay`, in order.
+std::vector<std::size_t> FindAll(const std::string& hay,
+                                 const std::string& needle) {
+  std::vector<std::size_t> at;
+  for (std::size_t pos = hay.find(needle); pos != std::string::npos;
+       pos = hay.find(needle, pos + 1)) {
+    at.push_back(pos);
+  }
+  return at;
+}
+
+// Stored flit field offsets: packet_id u64, src, dst i32, type u8, seq,
+// packet_size u16, created, injected u64, vc, route_out i32, user_tag
+// u64, msg_class, dateline u8, corrupted bool.
+constexpr std::size_t kFlitType = 16;
+constexpr std::size_t kFlitSeq = 17;
+constexpr std::size_t kFlitCreated = 21;
+constexpr std::size_t kFlitInjected = 29;
+constexpr std::size_t kFlitUserTag = 45;
+
+/// Loads `good` patched with each of `crafted` into a fresh network (each
+/// must throw SimError), then `good` itself: a control that loads and,
+/// when it `drains`, delivers every packet.
+void ExpectRefused(
+    const NetworkParams& params, const std::string& good,
+    std::initializer_list<std::pair<std::size_t, std::string>> crafted,
+    bool drains = true) {
+  for (const auto& [at, bytes] : crafted) {
+    SCOPED_TRACE(at);
+    Network restored(std::shared_ptr<Topology>(MakeMesh(4, 4)), params);
+    EXPECT_THROW(LoadNetworkBytes(&restored, Patch(good, at, bytes)),
+                 SimError);
+  }
+  Network restored(std::shared_ptr<Topology>(MakeMesh(4, 4)), params);
+  LoadNetworkBytes(&restored, good);
+  if (!drains) return;
+  for (int t = 0; t < 200; ++t) restored.Step();
+  EXPECT_TRUE(restored.Quiescent());
+}
+
+constexpr std::uint64_t kPacketTag = 0xfeedfacecafebeefull;
+
+TEST(PacketTableRestore, BufferedFlitsThatDisagreeThrow) {
+  NetworkParams params = SmallMeshParams();  // 4 VCs, depth 3
+  const auto topo = std::shared_ptr<Topology>(MakeMesh(4, 4));
+  FaultConfig faults;
+  faults.forced_link_down = {{0, 0}};  // router 0's east link
+  params.faults = std::make_shared<const FaultModel>(*topo, faults, 1);
+  Network net(topo, params);
+  // Routed east first, the whole 3-flit packet waits in one input VC of
+  // router 0; the NI has sent it all, so only those flits name it.
+  net.EnqueuePacket(0, 15, 3, kPacketTag);
+  for (int t = 0; t < 6; ++t) net.Step();
+  const std::string good = NetworkBytes(net);
+  const std::vector<std::size_t> tags = FindAll(good, Le(kPacketTag, 8));
+  ASSERT_EQ(tags.size(), 3u);
+  const std::size_t second = tags[1] - kFlitUserTag;
+  const std::size_t tail = tags[2] - kFlitUserTag;
+  // The east link stays down, so the control loads but cannot drain.
+  ExpectRefused(params, good,
+                {{second + kFlitCreated, Le(99, 8)},
+                 {tail + kFlitUserTag, Le(kPacketTag + 1, 8)},
+                 {second + 12, Le(14, 4)}},  // another destination
+                /*drains=*/false);
+}
+
+TEST(PacketTableRestore, WheelAndBufferedFlitsThatDisagreeThrow) {
+  NetworkParams params = SmallMeshParams();
+  params.router.speculative_sa = false;  // VA now, SA next cycle
+  Network net(std::shared_ptr<Topology>(MakeMesh(4, 4)), params);
+  // After two Steps the head waits in router 0 and the tail is on the
+  // injection link; the NI is done with the packet.
+  net.EnqueuePacket(0, 15, 2, kPacketTag);
+  net.Step();
+  net.Step();
+  const std::string good = NetworkBytes(net);
+  const std::vector<std::size_t> tags = FindAll(good, Le(kPacketTag, 8));
+  ASSERT_EQ(tags.size(), 2u);  // the wheel is stored before the routers
+  const std::size_t wheel = tags[0] - kFlitUserTag;
+  const std::size_t buffered = tags[1] - kFlitUserTag;
+  ExpectRefused(params, good,
+                {{buffered + kFlitCreated, Le(99, 8)},
+                 {buffered + kFlitInjected, Le(7, 8)},
+                 {wheel + kFlitUserTag, Le(1, 8)}});
+}
+
+TEST(PacketTableRestore, SeqOutsideThePacketThrows) {
+  const NetworkParams params = SmallMeshParams();
+  Network net(std::shared_ptr<Topology>(MakeMesh(4, 4)), params);
+  net.EnqueuePacket(0, 15, 1, kPacketTag);
+  net.Step();  // the lone flit is on the injection link
+  const std::string good = NetworkBytes(net);
+  const std::size_t flit = FindOnce(good, Le(kPacketTag, 8)) - kFlitUserTag;
+  ExpectRefused(params, good,
+                {{flit + kFlitSeq, Le(1, 2)},
+                 {flit + kFlitSeq, Le(0xffff, 2)},
+                 {flit + kFlitSeq + 2, Le(0, 2)}});  // a 0-flit packet
+}
+
+TEST(PacketTableRestore, TypeThatContradictsSeqAndSizeThrows) {
+  NetworkParams params = SmallMeshParams();
+  params.router.speculative_sa = false;
+  for (const int steps : {1, 2}) {
+    SCOPED_TRACE(steps == 1 ? "on a link" : "in a buffer");
+    Network net(std::shared_ptr<Topology>(MakeMesh(4, 4)), params);
+    net.EnqueuePacket(0, 15, 1, kPacketTag);
+    for (int t = 0; t < steps; ++t) net.Step();
+    const std::string good = NetworkBytes(net);
+    const std::size_t flit =
+        FindOnce(good, Le(kPacketTag, 8)) - kFlitUserTag;
+    ASSERT_EQ(good[flit + kFlitType],
+              static_cast<char>(FlitType::kHeadTail));
+    ExpectRefused(
+        params, good,
+        {{flit + kFlitType, Le(static_cast<int>(FlitType::kHead), 1)},
+         {flit + kFlitType, Le(static_cast<int>(FlitType::kBody), 1)},
+         {flit + kFlitType, Le(static_cast<int>(FlitType::kTail), 1)}});
+  }
+}
+
+TEST(PacketTableRestore, TransmissionThatDisagreesWithItsFlitsThrows) {
+  const NetworkParams params = SmallMeshParams();
+  Network net(std::shared_ptr<Topology>(MakeMesh(4, 4)), params);
+  const PacketId id = net.EnqueuePacket(0, 15, 4, kPacketTag);
+  net.Step();  // flit 0 is on the injection link; the NI sends the rest
+  const std::string good = NetworkBytes(net);
+  // The transmission: id u64, dst, size, sent i32, created, injected,
+  // user_tag u64, route_out, vc, msg_class i32.
+  const std::size_t tx =
+      FindOnce(good, Le(id, 8) + Le(15, 4) + Le(4, 4) + Le(1, 4));
+  const std::size_t flit = FindAll(good, Le(kPacketTag, 8))[0] - kFlitUserTag;
+  ASSERT_LT(flit, tx);  // the wheel is stored before the NIs
+  ExpectRefused(params, good,
+                {{tx + 8, Le(14, 4)},               // destination
+                 {tx + 12, Le(5, 4)},               // size
+                 {tx + 20, Le(3, 8)},               // created
+                 {tx + 28, Le(kNeverCycle, 8)},     // injected
+                 {tx + 36, Le(kPacketTag - 1, 8)},  // user tag
+                 // A tail flit (type, then seq 3) on the link while the NI
+                 // still sends the packet: the packet would end twice.
+                 {flit + kFlitType,
+                  Le(static_cast<int>(FlitType::kTail), 1) + Le(3, 2)}});
 }
 
 TEST(CraftedInput, InflatedTelemetryCountsThrow) {
@@ -1510,6 +1658,87 @@ INSTANTIATE_TEST_SUITE_P(
                       AllocScheme::kAugmentingPath, AllocScheme::kVix,
                       AllocScheme::kVixIdeal, AllocScheme::kPacketChaining,
                       AllocScheme::kIslip, AllocScheme::kSparoflo,
+                      AllocScheme::kSerenade),
+    [](const ::testing::TestParamInfo<AllocScheme>& info) {
+      std::string name = ToString(info.param);
+      for (char& ch : name) {
+        if (!std::isalnum(static_cast<unsigned char>(ch))) ch = '_';
+      }
+      return name;
+    });
+
+// ---------------------------------------------------------------------------
+// Slot reuse: past the mesh knee thousands of packets have come and gone by
+// mid-measure, so the packet table hands out recycled slots, and a restore
+// interns the live packets into fresh ones in stored order. Slot numbers
+// must leak into neither the results nor the stored bytes.
+
+class SlotReuseTest : public ::testing::TestWithParam<AllocScheme> {};
+
+/// The payload of section `name` of snapshot file `file` (the layout
+/// Patch walks).
+std::string SectionPayload(const std::string& file, const std::string& name) {
+  const auto u32 = [&](std::size_t pos) {
+    std::uint32_t v = 0;
+    for (int i = 3; i >= 0; --i) {
+      v = (v << 8) | static_cast<unsigned char>(file[pos + i]);
+    }
+    return v;
+  };
+  std::size_t pos = 8 + 4 + 8;  // magic, version, fingerprint
+  const std::uint32_t sections = u32(pos);
+  pos += 4;
+  for (std::uint32_t i = 0; i < sections; ++i) {
+    const std::uint32_t name_len = u32(pos);
+    const std::string section = file.substr(pos + 4, name_len);
+    pos += 4 + name_len;
+    const std::size_t len = u32(pos);
+    if (section == name) return file.substr(pos + 8, len);
+    pos += 8 + len + 8;  // length, payload, checksum
+  }
+  ADD_FAILURE() << "no section " << name;
+  return "";
+}
+
+TEST_P(SlotReuseTest, SaturatedRestoreMatchesAndResavesTheSameBytes) {
+  const NetworkSimConfig config =
+      SaturatedConfig(TopologyKind::kMesh, GetParam());
+  const NetworkSimResult straight = RunNetworkSim(config);
+
+  const std::string path =
+      TempPath("slot_reuse_" + ToString(GetParam()) + ".ckpt");
+  NetworkSimConfig saving = config;
+  saving.checkpoint_path = path;
+  saving.checkpoint_every = 1'000;  // one checkpoint, mid-measure
+  ExpectResultsIdentical(straight, RunNetworkSim(saving));
+  NetworkSimConfig resuming = config;
+  resuming.restore_path = path;
+  ExpectResultsIdentical(straight, RunNetworkSim(resuming));
+
+  // A fresh network loaded from the checkpoint saves the same bytes.
+  const std::string file = Slurp(path);
+  std::shared_ptr<Topology> topology = MakeTopology64(config.topology);
+  NetworkParams params;
+  params.router.radix = topology->Radix();
+  params.router.num_vcs = config.num_vcs;
+  params.router.buffer_depth = config.buffer_depth;
+  params.router.scheme = config.scheme;
+  params.router.vc_policy = RouterConfig::DefaultPolicyFor(config.scheme);
+  Network net(topology, params);
+  SnapshotReader r(file);
+  r.OpenSection("network");
+  net.LoadState(r);
+  r.CloseSection();
+  EXPECT_EQ(net.now(), 1'000u);
+  EXPECT_EQ(SectionPayload(NetworkBytes(net), "network"),
+            SectionPayload(file, "network"));
+  std::remove(path.c_str());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BenchmarkSchemes, SlotReuseTest,
+    ::testing::Values(AllocScheme::kInputFirst, AllocScheme::kWavefront,
+                      AllocScheme::kAugmentingPath, AllocScheme::kVix,
                       AllocScheme::kSerenade),
     [](const ::testing::TestParamInfo<AllocScheme>& info) {
       std::string name = ToString(info.param);

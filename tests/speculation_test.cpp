@@ -27,8 +27,9 @@ std::vector<OutputLinkInfo> TestLinks() {
   return links;
 }
 
-Flit MakeFlit(PacketId id, int seq, int size, VcId vc, PortId route_out) {
-  Flit f;
+FlitRecord MakeFlit(PacketId id, int seq, int size, VcId vc,
+                    PortId route_out) {
+  FlitRecord f;
   f.packet_id = id;
   f.src = 1;
   f.dst = route_out;
@@ -55,14 +56,14 @@ TEST(Speculation, EstablishedPacketBeatsNewHead) {
   RouterSlots out(r);
 
   // Cycle 0: a 3-flit packet on port 0 establishes itself toward output 2.
-  for (int s = 0; s < 3; ++s) r.AcceptFlit(0, MakeFlit(1, s, 3, 0, 2));
+  for (int s = 0; s < 3; ++s) out.Accept(0, MakeFlit(1, s, 3, 0, 2));
   out.Step(0);
   ASSERT_EQ(out.sent(), 1u);
   EXPECT_EQ(out.flit(0).packet_id, 1u);
 
   // Cycle 1: a new head on port 1 also wants output 2. It is speculative
   // (VA this cycle); the established packet's body flit must win.
-  r.AcceptFlit(1, MakeFlit(2, 0, 1, 0, 2));
+  out.Accept(1, MakeFlit(2, 0, 1, 0, 2));
   out.Step(1);
   ASSERT_EQ(out.sent(), 1u);
   EXPECT_EQ(out.flit(0).packet_id, 1u);
@@ -73,7 +74,7 @@ TEST(Speculation, SpeculativeGrantProceedsWhenOutputUncontested) {
   Router r(0, MaskedConfig(), TestLinks(), &routing);
   RouterSlots out(r);
   // A lone new head must not be delayed by the masking rule.
-  r.AcceptFlit(0, MakeFlit(1, 0, 1, 0, 2));
+  out.Accept(0, MakeFlit(1, 0, 1, 0, 2));
   out.Step(0);
   EXPECT_EQ(out.sent(), 1u);
 }

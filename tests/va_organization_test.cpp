@@ -27,8 +27,8 @@ std::vector<OutputLinkInfo> TestLinks() {
   return links;
 }
 
-Flit HeadTail(PacketId id, VcId vc, PortId route_out) {
-  Flit f;
+FlitRecord HeadTail(PacketId id, VcId vc, PortId route_out) {
+  FlitRecord f;
   f.packet_id = id;
   f.src = 1;
   f.dst = route_out;
@@ -56,8 +56,8 @@ TEST(VaOrganization, GreedyResolvesConflictSameCycle) {
   Router r(0, Config(VaOrganization::kGreedyRotating), TestLinks(),
            &routing);
   RouterSlots out(r);
-  r.AcceptFlit(0, HeadTail(1, 0, 2));
-  r.AcceptFlit(1, HeadTail(2, 0, 3));  // different outputs: no SA conflict
+  out.Accept(0, HeadTail(1, 0, 2));
+  out.Accept(1, HeadTail(2, 0, 3));  // different outputs: no SA conflict
   out.Step(0);
   EXPECT_EQ(out.sent(), 2u);
 }
@@ -71,8 +71,8 @@ TEST(VaOrganization, SeparableLoserWaitsACycle) {
   Router r(0, Config(VaOrganization::kSeparableArbitrated), TestLinks(),
            &routing);
   RouterSlots out(r);
-  r.AcceptFlit(0, HeadTail(1, 0, 2));
-  r.AcceptFlit(1, HeadTail(2, 0, 2));
+  out.Accept(0, HeadTail(1, 0, 2));
+  out.Accept(1, HeadTail(2, 0, 2));
   out.Step(0);
   EXPECT_EQ(r.activity().va_grants, 1u);  // one winner, one retry
   out.Step(1);

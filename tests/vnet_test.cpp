@@ -31,8 +31,8 @@ std::vector<OutputLinkInfo> TestLinks() {
   return links;
 }
 
-Flit ClassFlit(PacketId id, VcId vc, int msg_class, PortId route_out) {
-  Flit f;
+FlitRecord ClassFlit(PacketId id, VcId vc, int msg_class, PortId route_out) {
+  FlitRecord f;
   f.packet_id = id;
   f.src = 1;
   f.dst = route_out;
@@ -54,12 +54,12 @@ TEST(Vnet, RouterAssignsOutputVcWithinClass) {
   Router r(0, config, TestLinks(), &routing);
 
   RouterSlots out(r);
-  r.AcceptFlit(0, ClassFlit(1, 0, /*msg_class=*/1, /*route_out=*/2));
+  out.Accept(0, ClassFlit(1, 0, /*msg_class=*/1, /*route_out=*/2));
   out.Step(0);
   ASSERT_EQ(out.sent(), 1u);
   EXPECT_GE(out.flit(0).vc, 3);  // class 1 VCs only
 
-  r.AcceptFlit(1, ClassFlit(2, 0, /*msg_class=*/0, /*route_out=*/3));
+  out.Accept(1, ClassFlit(2, 0, /*msg_class=*/0, /*route_out=*/3));
   out.Step(1);
   ASSERT_EQ(out.sent(), 1u);
   EXPECT_LT(out.flit(0).vc, 3);  // class 0 VCs only
@@ -77,8 +77,8 @@ TEST(Vnet, ClassStallsWhenItsVcsBusyEvenIfOthersFree) {
 
   // Two class-1 packets from different ports to the same output: the
   // second must wait for VC 1 even though VC 0 (class 0) is free.
-  r.AcceptFlit(0, ClassFlit(1, 1, 1, 2));
-  r.AcceptFlit(1, ClassFlit(2, 1, 1, 2));
+  out.Accept(0, ClassFlit(1, 1, 1, 2));
+  out.Accept(1, ClassFlit(2, 1, 1, 2));
   out.Step(0);
   ASSERT_EQ(out.sent(), 1u);
   EXPECT_EQ(out.flit(0).vc, 1);
